@@ -77,21 +77,24 @@ def _dgsfm_config(cfg: dict, dt: float) -> dgsfm.DgsfmConfig:
 
 def _train_config(cfg: dict, seed: int, lambda_cl=None, lambda_int=None) -> cvqvae.TrainConfig:
     t = cfg["train"]
-    return cvqvae.TrainConfig(
-        lambda_cl=float(t["lambda_cl"] if lambda_cl is None else lambda_cl),
-        lambda_int=float(t["lambda_int"] if lambda_int is None else lambda_int),
-        learning_rate=float(t["learning_rate"]),
-        batch_size=int(t["batch_size"]),
-        epochs=int(t["epochs"]),
-        seed=seed,
-        commitment_weight=float(t["commitment_weight"]),
-        dead_code_threshold=float(t["dead_code_threshold"]),
-        usage_decay=float(t["usage_decay"]),
-        revival_noise=float(t["revival_noise"]),
-        hidden=tuple(int(h) for h in t["hidden"]),
-        latent_dim=int(t["latent_dim"]),
-        codebook_size=int(t["codebook_size"]),
-    )
+    try:
+        return cvqvae.TrainConfig(
+            lambda_cl=float(t["lambda_cl"] if lambda_cl is None else lambda_cl),
+            lambda_int=float(t["lambda_int"] if lambda_int is None else lambda_int),
+            learning_rate=float(t["learning_rate"]),
+            batch_size=int(t["batch_size"]),
+            epochs=int(t["epochs"]),
+            seed=seed,
+            commitment_weight=float(t["commitment_weight"]),
+            dead_code_threshold=float(t["dead_code_threshold"]),
+            usage_decay=float(t["usage_decay"]),
+            revival_noise=float(t["revival_noise"]),
+            hidden=tuple(int(h) for h in t["hidden"]),
+            latent_dim=int(t["latent_dim"]),
+            codebook_size=int(t["codebook_size"]),
+        )
+    except (TypeError, ValueError) as exc:
+        raise config.ConfigError(f"invalid train section: {exc}") from exc
 
 
 def _make_scripts(n: int, noise: float, seed: int) -> list[ingest.SyntheticScript]:
@@ -304,13 +307,13 @@ def cmd_augment(cfg: dict, workdir: Path) -> None:
 
 
 def cmd_train(cfg: dict, workdir: Path, lambda_cl=None, lambda_int=None, tag: str = "model") -> None:
+    seed = config.stage_seed(cfg, "train")
+    tcfg = _train_config(cfg, seed, lambda_cl, lambda_int)
     path = workdir / "dataset.jsonl"
     records, _ = read_dataset(_require(path))
     invalid = sum(1 for r in records if validate_record(r))
     if invalid:
         raise StageError(f"{invalid} invalid records in {path}")
-    seed = config.stage_seed(cfg, "train")
-    tcfg = _train_config(cfg, seed, lambda_cl, lambda_int)
     params, history = cvqvae.train(records, tcfg)
     cvqvae.save_checkpoint(params, workdir / f"{tag}.ckpt")
     cvqvae.write_loss_history(history, workdir / f"{tag}_loss.csv")
@@ -324,7 +327,10 @@ def cmd_cluster(cfg: dict, workdir: Path, tag: str = "model") -> None:
     records, _ = read_dataset(_require(workdir / "dataset.jsonl"))
     aug_path = workdir / "dataset_augmented.jsonl"
     all_records = read_dataset(aug_path)[0] if aug_path.exists() else records
-    params = cvqvae.load_checkpoint(_require(workdir / f"{tag}.ckpt"))
+    try:
+        params = cvqvae.load_checkpoint(_require(workdir / f"{tag}.ckpt"))
+    except cvqvae.ContractError as exc:
+        raise StageError(f"invalid checkpoint: {exc}") from exc
     seed = config.stage_seed(cfg, "cluster")
     k = params.codebook_size
     base_ids = {r.record_id for r in records}
@@ -534,8 +540,7 @@ def main(argv=None) -> int:
     except (StageError, FileNotFoundError) as exc:
         print(f"stage error: {exc}", file=sys.stderr)
         return 3
-    except (ingest.ParseError, ingest.IntegrityError, ingest.ScriptError,
-            ingest.ConfigError) as exc:
+    except (ingest.ParseError, ingest.IntegrityError, ingest.ScriptError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 4
     except (cvqvae.TrainingError, cvqvae.ContractError, detect.StateError,

@@ -38,7 +38,7 @@ def encode_latents(records: Sequence[ScenarioRecord], params: cvqvae.ModelParams
     """(M, d) continuous latents from the trained encoder."""
     inputs, masks, _, _ = cvqvae._record_arrays(records)
     x = cvqvae._standardize(inputs, masks, params)
-    z, _ = cvqvae._encode_batch(x.reshape(x.shape[0], -1), params)
+    z, _ = cvqvae._mlp_forward(x.reshape(x.shape[0], -1), params.enc_w, params.enc_b)
     return z
 
 

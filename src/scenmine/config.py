@@ -114,7 +114,10 @@ def load_config(path: str | None) -> dict:
         data = yaml.safe_load(fh) or {}
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
-    return _merge(DEFAULTS, data)
+    cfg = _merge(DEFAULTS, data)
+    if isinstance(cfg["seed"], bool) or not isinstance(cfg["seed"], int):
+        raise ConfigError(f"seed must be an integer, got {cfg['seed']!r}")
+    return cfg
 
 
 def stage_seed(cfg: dict, stage: str) -> int:

@@ -23,6 +23,9 @@ from .types import (
 
 CHECKPOINT_FORMAT_VERSION = "scenmine-checkpoint-v1"
 
+# Keys of ``_per_term_losses``, in ``LossBreakdown`` field order.
+LOSS_TERMS = ("recon", "codebook_term", "commit_term", "cl", "inter")
+
 
 class TrainingError(Exception):
     """Raised when training diverges (non-finite loss)."""
@@ -51,6 +54,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.lambda_cl < 0 or self.lambda_int < 0:
             raise ValueError("loss weights must be non-negative")
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ValueError("epochs and batch_size must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -147,6 +152,19 @@ def init_params(
     )
 
 
+def _param_arrays(params: ModelParams) -> list[tuple[str, np.ndarray]]:
+    """The trainable arrays in their fixed order, by the names that
+    ``_backward`` keys its gradients with and checkpoints store."""
+    named = [
+        (f"{kind}[{i}]", arr)
+        for kind in ("enc_w", "enc_b", "dec_w", "dec_b")
+        for i, arr in enumerate(getattr(params, kind))
+    ]
+    for name in ("codebook", "cl_w", "cl_b", "int_w", "int_b"):
+        named.append((name, getattr(params, name)))
+    return named
+
+
 # ---------------------------------------------------------------------------
 # Forward pieces
 # ---------------------------------------------------------------------------
@@ -158,11 +176,14 @@ def _standardize(inputs: np.ndarray, masks: np.ndarray, params: ModelParams) -> 
     return ((inputs - shift) / scale) * masks[:, :, None, :].astype(float)
 
 
-def _encode_batch(x_flat: np.ndarray, params: ModelParams) -> tuple[np.ndarray, list[np.ndarray]]:
-    h = x_flat
+def _mlp_forward(
+    h: np.ndarray, ws: Sequence[np.ndarray], bs: Sequence[np.ndarray]
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Affine layers with tanh between them (none after the last). Returns the
+    output and the cache of layer activations, the input first."""
     cache = [h]
-    last = len(params.enc_w) - 1
-    for i, (w, b) in enumerate(zip(params.enc_w, params.enc_b)):
+    last = len(ws) - 1
+    for i, (w, b) in enumerate(zip(ws, bs)):
         h = h @ w.T + b
         if i < last:
             h = np.tanh(h)
@@ -170,16 +191,26 @@ def _encode_batch(x_flat: np.ndarray, params: ModelParams) -> tuple[np.ndarray, 
     return h, cache
 
 
-def _decode_batch(z: np.ndarray, params: ModelParams) -> tuple[np.ndarray, list[np.ndarray]]:
-    h = z
-    cache = [h]
-    last = len(params.dec_w) - 1
-    for i, (w, b) in enumerate(zip(params.dec_w, params.dec_b)):
-        h = h @ w.T + b
-        if i < last:
-            h = np.tanh(h)
-        cache.append(h)
-    return h, cache
+def _mlp_backward(
+    g: np.ndarray,
+    cache: list[np.ndarray],
+    ws: Sequence[np.ndarray],
+    prefix: str,
+    grads: dict[str, np.ndarray],
+    input_grad: bool,
+) -> Optional[np.ndarray]:
+    """Backprop of ``_mlp_forward`` from the output gradient ``g``. Stores the
+    layer gradients in ``grads`` under the registry names of ``prefix`` and
+    returns the input gradient if ``input_grad`` is set."""
+    for i in range(len(ws) - 1, -1, -1):
+        grads[f"{prefix}_w[{i}]"] = g.T @ cache[i]
+        grads[f"{prefix}_b[{i}]"] = g.sum(axis=0)
+        if i == 0 and not input_grad:
+            return None
+        g = g @ ws[i]
+        if i > 0:
+            g = g * (1.0 - cache[i] * cache[i])
+    return g
 
 
 def _quantize_batch(z: np.ndarray, codebook: np.ndarray) -> np.ndarray:
@@ -220,7 +251,7 @@ def encode(tensor_values: np.ndarray, mask: np.ndarray, params: ModelParams) -> 
     """Deterministic encoder map to the continuous latent in R^d."""
     _check_shape(tensor_values, params)
     x = _standardize(tensor_values[None], mask[None], params)
-    z, _ = _encode_batch(x.reshape(1, -1), params)
+    z, _ = _mlp_forward(x.reshape(1, -1), params.enc_w, params.enc_b)
     return z[0]
 
 
@@ -235,7 +266,7 @@ def quantize(z: np.ndarray, codebook: np.ndarray) -> tuple[int, np.ndarray]:
 
 def decode(z_q: np.ndarray, params: ModelParams) -> np.ndarray:
     """Reconstruction of the (standardized) scenario tensor from a latent."""
-    x_hat, _ = _decode_batch(np.asarray(z_q, dtype=float)[None], params)
+    x_hat, _ = _mlp_forward(np.asarray(z_q, dtype=float)[None], params.dec_w, params.dec_b)
     return x_hat[0].reshape(params.n_slots, params.n_features, params.t_obs)
 
 
@@ -254,27 +285,30 @@ def predict_interaction(z_q: np.ndarray, params: ModelParams) -> np.ndarray:
 # Batched loss and gradients
 # ---------------------------------------------------------------------------
 
+def _decode_heads(z_q: np.ndarray, params: ModelParams) -> dict:
+    """Decoder and both heads, all fed the (quantized) latent."""
+    x_hat, dec_cache = _mlp_forward(z_q, params.dec_w, params.dec_b)
+    return {
+        "dec_cache": dec_cache,
+        "x_hat": x_hat,
+        "probs": _softmax(z_q @ params.cl_w.T + params.cl_b),
+        "t_hat": _sigmoid(z_q @ params.int_w.T + params.int_b),
+    }
+
+
 def _forward(inputs: np.ndarray, masks: np.ndarray, params: ModelParams) -> dict:
     x = _standardize(inputs, masks, params)
     x_flat = x.reshape(x.shape[0], -1)
-    z, enc_cache = _encode_batch(x_flat, params)
+    z, enc_cache = _mlp_forward(x_flat, params.enc_w, params.enc_b)
     q = _quantize_batch(z, params.codebook)
     z_q = params.codebook[q]
-    x_hat, dec_cache = _decode_batch(z_q, params)
-    logits = z_q @ params.cl_w.T + params.cl_b
-    probs = _softmax(logits)
-    u = z_q @ params.int_w.T + params.int_b
-    t_hat = _sigmoid(u)
     return {
         "x_flat": x_flat,
         "enc_cache": enc_cache,
-        "dec_cache": dec_cache,
         "z": z,
         "q": q,
         "z_q": z_q,
-        "x_hat": x_hat,
-        "probs": probs,
-        "t_hat": t_hat,
+        **_decode_heads(z_q, params),
     }
 
 
@@ -285,19 +319,25 @@ def _per_term_losses(
     interaction_targets: Optional[np.ndarray],
     cfg: TrainConfig,
     params: ModelParams,
+    *,
+    z_sg: Optional[np.ndarray] = None,
+    z_q_sg: Optional[np.ndarray] = None,
 ) -> dict[str, np.ndarray]:
     """Per-sample loss terms. Reconstruction and interaction errors are mean
     squared error over present cells only; codebook and commitment terms are
-    means over the latent dimension."""
+    means over the latent dimension. ``z_sg``/``z_q_sg`` are the stop-gradient
+    operands of the codebook and commitment terms; they default to ``z`` and
+    ``z_q``, which is what training uses."""
     b = fwd["z"].shape[0]
     cell_mask = np.repeat(masks[:, :, None, :], params.n_features, axis=2).reshape(b, -1)
     cell_counts = np.maximum(cell_mask.sum(axis=1), 1.0)
     diff = (fwd["x_hat"] - fwd["x_flat"]) * cell_mask
     recon = (diff * diff).sum(axis=1) / cell_counts
 
-    gap = fwd["z"] - fwd["z_q"]
-    codebook_term = np.mean(gap * gap, axis=1)
-    commit_term = cfg.commitment_weight * codebook_term
+    codebook_gap = (fwd["z"] if z_sg is None else z_sg) - fwd["z_q"]
+    codebook_term = np.mean(codebook_gap * codebook_gap, axis=1)
+    commit_gap = fwd["z"] - (fwd["z_q"] if z_q_sg is None else z_q_sg)
+    commit_term = cfg.commitment_weight * np.mean(commit_gap * commit_gap, axis=1)
 
     if class_targets is not None:
         cl = -np.sum(class_targets * np.log(np.maximum(fwd["probs"], 1e-300)), axis=1)
@@ -312,27 +352,18 @@ def _per_term_losses(
     else:
         inter = np.zeros(b)
 
-    return {
-        "recon": recon,
-        "codebook_term": codebook_term,
-        "commit_term": commit_term,
-        "cl": cl,
-        "inter": inter,
-    }
+    return dict(zip(LOSS_TERMS, (recon, codebook_term, commit_term, cl, inter)))
 
 
-def _zero_grads(params: ModelParams) -> dict:
-    return {
-        "enc_w": [np.zeros_like(w) for w in params.enc_w],
-        "enc_b": [np.zeros_like(b) for b in params.enc_b],
-        "dec_w": [np.zeros_like(w) for w in params.dec_w],
-        "dec_b": [np.zeros_like(b) for b in params.dec_b],
-        "codebook": np.zeros_like(params.codebook),
-        "cl_w": np.zeros_like(params.cl_w),
-        "cl_b": np.zeros_like(params.cl_b),
-        "int_w": np.zeros_like(params.int_w),
-        "int_b": np.zeros_like(params.int_b),
-    }
+def _total(terms: dict[str, np.ndarray], cfg: TrainConfig) -> np.ndarray:
+    """Per-sample weighted total of ``_per_term_losses``."""
+    return (
+        terms["recon"]
+        + terms["codebook_term"]
+        + terms["commit_term"]
+        + cfg.lambda_cl * terms["cl"]
+        + cfg.lambda_int * terms["inter"]
+    )
 
 
 def _backward(
@@ -342,30 +373,19 @@ def _backward(
     interaction_targets: Optional[np.ndarray],
     cfg: TrainConfig,
     params: ModelParams,
-) -> dict:
-    """Gradients of the batch-mean total loss. The quantization gap gradient
-    is passed straight through from the decoder (and head) inputs onto the
-    encoder output; the codebook receives only the vector-quantization term.
+) -> dict[str, np.ndarray]:
+    """Gradients of the batch-mean total loss, keyed by the names of
+    ``_param_arrays``. The quantization gap gradient is passed straight
+    through from the decoder (and head) inputs onto the encoder output; the
+    codebook receives only the vector-quantization term.
     """
     b = fwd["z"].shape[0]
-    grads = _zero_grads(params)
+    grads: dict[str, np.ndarray] = {}
 
     cell_mask = np.repeat(masks[:, :, None, :], params.n_features, axis=2).reshape(b, -1)
     cell_counts = np.maximum(cell_mask.sum(axis=1), 1.0)
     g_xhat = 2.0 * cell_mask * (fwd["x_hat"] - fwd["x_flat"]) / cell_counts[:, None] / b
-
-    # Decoder backprop.
-    dec_cache = fwd["dec_cache"]
-    g = g_xhat
-    last = len(params.dec_w) - 1
-    for i in range(last, -1, -1):
-        h_in = dec_cache[i]
-        grads["dec_w"][i] = g.T @ h_in
-        grads["dec_b"][i] = g.sum(axis=0)
-        g = g @ params.dec_w[i]
-        if i > 0:
-            g = g * (1.0 - dec_cache[i] * dec_cache[i])
-    g_zq = g  # dL/d(decoder input)
+    g_zq = _mlp_backward(g_xhat, fwd["dec_cache"], params.dec_w, "dec", grads, input_grad=True)
 
     # Heads (inputs are z_q; gradients reach the encoder via straight-through).
     if class_targets is not None and cfg.lambda_cl > 0:
@@ -373,6 +393,8 @@ def _backward(
         grads["cl_w"] = g_logits.T @ fwd["z_q"]
         grads["cl_b"] = g_logits.sum(axis=0)
         g_zq = g_zq + g_logits @ params.cl_w
+    else:
+        grads["cl_w"], grads["cl_b"] = np.zeros_like(params.cl_w), np.zeros_like(params.cl_b)
     if interaction_targets is not None and cfg.lambda_int > 0:
         slot_mask = masks.reshape(b, -1).astype(float)
         slot_counts = np.maximum(slot_mask.sum(axis=1), 1.0)
@@ -390,24 +412,18 @@ def _backward(
         grads["int_w"] = g_u.T @ fwd["z_q"]
         grads["int_b"] = g_u.sum(axis=0)
         g_zq = g_zq + g_u @ params.int_w
+    else:
+        grads["int_w"], grads["int_b"] = np.zeros_like(params.int_w), np.zeros_like(params.int_b)
 
     # Codebook: vector-quantization term only.
     gap = fwd["z_q"] - fwd["z"]
     code_grad = 2.0 * gap / params.latent_dim / b
+    grads["codebook"] = np.zeros_like(params.codebook)
     np.add.at(grads["codebook"], fwd["q"], code_grad)
 
     # Encoder: straight-through decoder/head gradient plus commitment term.
     g_z = g_zq + cfg.commitment_weight * 2.0 * (fwd["z"] - fwd["z_q"]) / params.latent_dim / b
-    enc_cache = fwd["enc_cache"]
-    g = g_z
-    last = len(params.enc_w) - 1
-    for i in range(last, -1, -1):
-        h_in = enc_cache[i]
-        grads["enc_w"][i] = g.T @ h_in
-        grads["enc_b"][i] = g.sum(axis=0)
-        if i > 0:
-            g = g @ params.enc_w[i]
-            g = g * (1.0 - enc_cache[i] * enc_cache[i])
+    _mlp_backward(g_z, fwd["enc_cache"], params.enc_w, "enc", grads, input_grad=False)
     return grads
 
 
@@ -417,13 +433,7 @@ def loss(record: ScenarioRecord, params: ModelParams, cfg: TrainConfig) -> LossB
     fwd = _forward(inputs, masks, params)
     terms = _per_term_losses(fwd, masks, cls, inter, cfg, params)
     return LossBreakdown.combine(
-        float(terms["recon"][0]),
-        float(terms["codebook_term"][0]),
-        float(terms["commit_term"][0]),
-        float(terms["cl"][0]),
-        float(terms["inter"][0]),
-        cfg.lambda_cl,
-        cfg.lambda_int,
+        *(float(terms[key][0]) for key in LOSS_TERMS), cfg.lambda_cl, cfg.lambda_int
     )
 
 
@@ -478,53 +488,29 @@ def train_arrays(
         feature_scale=scale,
     )
 
+    registry = _param_arrays(params)
     history: list[LossBreakdown] = []
     recent_z = np.zeros((0, cfg.latent_dim))
     for epoch in range(cfg.epochs):
         order = rng.permutation(n_samples)
-        sums = {"recon": 0.0, "codebook_term": 0.0, "commit_term": 0.0, "cl": 0.0, "inter": 0.0}
+        sums = dict.fromkeys(LOSS_TERMS, 0.0)
         for batch_no, start in enumerate(range(0, n_samples, cfg.batch_size)):
             idx = order[start : start + cfg.batch_size]
-            fwd = _forward(inputs[idx], masks[idx], params)
-            terms = _per_term_losses(
-                fwd,
-                masks[idx],
+            batch_masks = masks[idx]
+            batch_targets = (
                 None if class_targets is None else class_targets[idx],
                 None if interaction_targets is None else interaction_targets[idx],
-                cfg,
-                params,
             )
-            batch_total = (
-                terms["recon"]
-                + terms["codebook_term"]
-                + terms["commit_term"]
-                + cfg.lambda_cl * terms["cl"]
-                + cfg.lambda_int * terms["inter"]
-            ).mean()
+            fwd = _forward(inputs[idx], batch_masks, params)
+            terms = _per_term_losses(fwd, batch_masks, *batch_targets, cfg, params)
+            batch_total = _total(terms, cfg).mean()
             if not np.isfinite(batch_total):
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, batch {batch_no}"
                 )
-            grads = _backward(
-                fwd,
-                masks[idx],
-                None if class_targets is None else class_targets[idx],
-                None if interaction_targets is None else interaction_targets[idx],
-                cfg,
-                params,
-            )
-            lr = cfg.learning_rate
-            for i in range(len(params.enc_w)):
-                params.enc_w[i] -= lr * grads["enc_w"][i]
-                params.enc_b[i] -= lr * grads["enc_b"][i]
-            for i in range(len(params.dec_w)):
-                params.dec_w[i] -= lr * grads["dec_w"][i]
-                params.dec_b[i] -= lr * grads["dec_b"][i]
-            params.codebook -= lr * grads["codebook"]
-            params.cl_w -= lr * grads["cl_w"]
-            params.cl_b -= lr * grads["cl_b"]
-            params.int_w -= lr * grads["int_w"]
-            params.int_b -= lr * grads["int_b"]
+            grads = _backward(fwd, batch_masks, *batch_targets, cfg, params)
+            for name, arr in registry:
+                arr -= cfg.learning_rate * grads[name]
 
             counts = np.bincount(fwd["q"], minlength=cfg.codebook_size) / len(idx)
             params.usage = cfg.usage_decay * params.usage + (1.0 - cfg.usage_decay) * counts
@@ -541,13 +527,7 @@ def train_arrays(
                 params.usage[q] = 1.0 / cfg.codebook_size
         history.append(
             LossBreakdown.combine(
-                sums["recon"] / n_samples,
-                sums["codebook_term"] / n_samples,
-                sums["commit_term"] / n_samples,
-                sums["cl"] / n_samples,
-                sums["inter"] / n_samples,
-                cfg.lambda_cl,
-                cfg.lambda_int,
+                *(sums[key] / n_samples for key in LOSS_TERMS), cfg.lambda_cl, cfg.lambda_int
             )
         )
     return params, history
@@ -567,31 +547,6 @@ def train(
 # Gradient checking
 # ---------------------------------------------------------------------------
 
-def _param_arrays(params: ModelParams) -> list[tuple[str, np.ndarray]]:
-    named = []
-    for i, arr in enumerate(params.enc_w):
-        named.append((f"enc_w[{i}]", arr))
-    for i, arr in enumerate(params.enc_b):
-        named.append((f"enc_b[{i}]", arr))
-    for i, arr in enumerate(params.dec_w):
-        named.append((f"dec_w[{i}]", arr))
-    for i, arr in enumerate(params.dec_b):
-        named.append((f"dec_b[{i}]", arr))
-    named.append(("codebook", params.codebook))
-    named.append(("cl_w", params.cl_w))
-    named.append(("cl_b", params.cl_b))
-    named.append(("int_w", params.int_w))
-    named.append(("int_b", params.int_b))
-    return named
-
-
-def _grads_for(name: str, grads: dict) -> np.ndarray:
-    if "[" in name:
-        base, idx = name[:-1].split("[")
-        return grads[base][int(idx)]
-    return grads[name]
-
-
 def _frozen_total(
     inputs: np.ndarray,
     masks: np.ndarray,
@@ -608,37 +563,12 @@ def _frozen_total(
     straight-through estimator computes."""
     x = _standardize(inputs, masks, params)
     x_flat = x.reshape(x.shape[0], -1)
-    z, _ = _encode_batch(x_flat, params)
-    z_dec = z + gap0
-    x_hat, _ = _decode_batch(z_dec, params)
-    probs = _softmax(z_dec @ params.cl_w.T + params.cl_b)
-    t_hat = _sigmoid(z_dec @ params.int_w.T + params.int_b)
-    fwd = {"x_flat": x_flat, "x_hat": x_hat, "probs": probs, "t_hat": t_hat,
-           "z": z, "z_q": params.codebook[q0]}
-    b = z.shape[0]
-    cell_mask = np.repeat(masks[:, :, None, :], params.n_features, axis=2).reshape(b, -1)
-    cell_counts = np.maximum(cell_mask.sum(axis=1), 1.0)
-    diff = (x_hat - x_flat) * cell_mask
-    recon = (diff * diff).sum(axis=1) / cell_counts
-
-    codebook_term = np.mean((z0 - params.codebook[q0]) ** 2, axis=1)
-    commit_term = cfg.commitment_weight * np.mean((z - (z0 + gap0)) ** 2, axis=1)
-
-    if class_targets is not None:
-        cl = -np.sum(class_targets * np.log(np.maximum(probs, 1e-300)), axis=1)
-    else:
-        cl = np.zeros(b)
-    if interaction_targets is not None:
-        slot_mask = masks.reshape(b, -1).astype(float)
-        slot_counts = np.maximum(slot_mask.sum(axis=1), 1.0)
-        idiff = (t_hat - interaction_targets.reshape(b, -1)) * slot_mask
-        inter = (idiff * idiff).sum(axis=1) / slot_counts
-    else:
-        inter = np.zeros(b)
-    total = (
-        recon + codebook_term + commit_term + cfg.lambda_cl * cl + cfg.lambda_int * inter
+    z, _ = _mlp_forward(x_flat, params.enc_w, params.enc_b)
+    fwd = {"x_flat": x_flat, "z": z, "z_q": params.codebook[q0], **_decode_heads(z + gap0, params)}
+    terms = _per_term_losses(
+        fwd, masks, class_targets, interaction_targets, cfg, params, z_sg=z0, z_q_sg=z0 + gap0
     )
-    return float(total.mean())
+    return float(_total(terms, cfg).mean())
 
 
 def grad_check_arrays(
@@ -681,7 +611,7 @@ def grad_check_arrays(
         down = _frozen_total(inputs, masks, class_targets, interaction_targets, params, cfg, q0, z0, gap0)
         arr[multi] = orig
         numeric = (up - down) / (2.0 * epsilon)
-        analytic = float(_grads_for(name, grads)[multi])
+        analytic = float(grads[name][multi])
         err = abs(analytic - numeric) / max(abs(numeric), 1e-8)
         max_err = max(max_err, err)
     return max_err
@@ -703,12 +633,16 @@ def grad_check(
 # Checkpoint persistence (versioned header + raw float64 arrays)
 # ---------------------------------------------------------------------------
 
-def save_checkpoint(params: ModelParams, path) -> None:
-    named = _param_arrays(params) + [
+def _checkpoint_arrays(params: ModelParams) -> list[tuple[str, np.ndarray]]:
+    return _param_arrays(params) + [
         ("feature_shift", params.feature_shift),
         ("feature_scale", params.feature_scale),
         ("usage", params.usage),
     ]
+
+
+def save_checkpoint(params: ModelParams, path) -> None:
+    named = _checkpoint_arrays(params)
     header = {
         "format": CHECKPOINT_FORMAT_VERSION,
         "n_slots": params.n_slots,
@@ -729,44 +663,45 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 
 def load_checkpoint(path) -> ModelParams:
+    """Reads a checkpoint written by ``save_checkpoint``. A header that does
+    not describe this model layout, a short array block or trailing bytes
+    raise ContractError."""
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
+        try:
+            header = json.loads(fh.readline().decode("utf-8"))
+        except ValueError as exc:  # includes UnicodeDecodeError
+            raise ContractError(f"{path}: unreadable checkpoint header") from exc
+        if not isinstance(header, dict):
+            raise ContractError(f"{path}: checkpoint header is not a mapping")
         if header.get("format") != CHECKPOINT_FORMAT_VERSION:
-            raise ContractError(f"unsupported checkpoint format {header.get('format')!r}")
-        blobs = {}
-        for name, shape in header["arrays"]:
-            count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(count * 8), dtype="<f8").reshape(shape)
-            blobs[name] = data.copy()
-
-    cfg = TrainConfig(
-        hidden=tuple(header["hidden"]),
-        latent_dim=header["latent_dim"],
-        codebook_size=header["codebook_size"],
-    )
-    params = init_params(
-        cfg,
-        np.random.default_rng(0),
-        n_slots=header["n_slots"],
-        n_features=header["n_features"],
-        t_obs=header["t_obs"],
-        n_classes=header["n_classes"],
-    )
-    for i in range(len(params.enc_w)):
-        params.enc_w[i] = blobs[f"enc_w[{i}]"]
-        params.enc_b[i] = blobs[f"enc_b[{i}]"]
-    for i in range(len(params.dec_w)):
-        params.dec_w[i] = blobs[f"dec_w[{i}]"]
-        params.dec_b[i] = blobs[f"dec_b[{i}]"]
-    params.codebook = blobs["codebook"]
-    params.cl_w = blobs["cl_w"]
-    params.cl_b = blobs["cl_b"]
-    params.int_w = blobs["int_w"]
-    params.int_b = blobs["int_b"]
-    params.feature_shift = blobs["feature_shift"]
-    params.feature_scale = blobs["feature_scale"]
-    params.usage = blobs["usage"]
-    params.codebook_update = header["codebook_update"]
+            raise ContractError(f"{path}: unsupported checkpoint format {header.get('format')!r}")
+        try:
+            cfg = TrainConfig(
+                hidden=tuple(header["hidden"]),
+                latent_dim=header["latent_dim"],
+                codebook_size=header["codebook_size"],
+            )
+            params = init_params(
+                cfg,
+                np.random.default_rng(0),
+                n_slots=header["n_slots"],
+                n_features=header["n_features"],
+                t_obs=header["t_obs"],
+                n_classes=header["n_classes"],
+            )
+            params.codebook_update = str(header["codebook_update"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ContractError(f"{path}: invalid checkpoint header ({exc!r})") from exc
+        named = _checkpoint_arrays(params)
+        if header.get("arrays") != [[name, list(arr.shape)] for name, arr in named]:
+            raise ContractError(f"{path}: array list does not match the model in the header")
+        for name, arr in named:
+            blob = fh.read(arr.size * 8)
+            if len(blob) != arr.size * 8:
+                raise ContractError(f"{path}: truncated in array {name}")
+            arr[...] = np.frombuffer(blob, dtype="<f8").reshape(arr.shape)
+        if fh.read(1):
+            raise ContractError(f"{path}: trailing bytes after the last array")
     return params
 
 

@@ -41,11 +41,8 @@ class ParseError(Exception):
 
 
 class IntegrityError(Exception):
-    """Structurally valid CSV that violates trajectory invariants."""
-
-
-class ConfigError(Exception):
-    """Recording metadata inconsistent with the data (e.g. unknown lane)."""
+    """Structurally valid CSV that violates trajectory invariants or does not
+    match the recording metadata (e.g. an unknown lane id)."""
 
 
 class ScriptError(Exception):
@@ -125,7 +122,7 @@ def normalize_direction(traj: Trajectory, meta: RecordingMeta) -> Trajectory:
     lane = traj.points[0].lane_id
     direction = meta.lane_directions.get(lane)
     if direction is None:
-        raise ConfigError(f"vehicle {traj.vehicle_id}: unknown lane id {lane}")
+        raise IntegrityError(f"vehicle {traj.vehicle_id}: unknown lane id {lane}")
     if direction > 0:
         return traj
     flipped = tuple(

@@ -10,7 +10,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import cvqvae
 from .clustering import ClusterAssignment
 from .detect import DetectionMatch
 from .types import N_CLASSES
@@ -35,21 +34,6 @@ def cluster_entropy(
         per_cluster[int(q)] = float(-(nz * np.log2(nz)).sum())
     h_avg = float(np.mean(list(per_cluster.values())))
     return per_cluster, h_avg
-
-
-def codebook_classifier_entropy(
-    params: cvqvae.ModelParams, used_codes: Sequence[int]
-) -> float:
-    """Secondary purity variant: mean entropy of the pseudo-class head's
-    predicted distribution per used codebook entry."""
-    if len(used_codes) == 0:
-        raise ValueError("at least one used code is required")
-    entropies = []
-    for q in used_codes:
-        p = cvqvae.classify(params.codebook[int(q)], params)
-        nz = p[p > 0]
-        entropies.append(float(-(nz * np.log2(nz)).sum()))
-    return float(np.mean(entropies))
 
 
 def augmentation_accuracy(

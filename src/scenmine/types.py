@@ -72,10 +72,6 @@ class CompositeLabel:
         return CompositeLabel(LongState(lon_s), LatState(lat_s))
 
 
-def all_composite_labels() -> list[CompositeLabel]:
-    return [CompositeLabel.from_index(i) for i in range(N_CLASSES)]
-
-
 @dataclass(frozen=True)
 class ChangePoint:
     """A composite-label transition of an ego trajectory at frame ``t_c``."""

@@ -132,3 +132,77 @@ def test_ingest_subcommand_round_trip(tmp_path):
         == 0
     )
     assert (wd2 / "tracks.csv").read_bytes() == (wd / "tracks.csv").read_bytes()
+
+
+# --------------------------- bad input table ---------------------------------
+
+ARCHETYPE_CONFIG = """\
+synth:
+  kind: archetypes
+  n_per_class: 2
+train:
+  epochs: 1
+  hidden: [8]
+  latent_dim: 4
+  codebook_size: 4
+"""
+
+
+@pytest.fixture(scope="module")
+def trained_workdir(tmp_path_factory):
+    """A workdir holding dataset.jsonl and a valid model.ckpt."""
+    root = tmp_path_factory.mktemp("trained")
+    cfg = root / "config.yaml"
+    cfg.write_text(ARCHETYPE_CONFIG)
+    args = ["--config", str(cfg), "--workdir", str(root / "wd")]
+    assert cli.main(args + ["synth"]) == 0
+    assert cli.main(args + ["train"]) == 0
+    assert cli.main(args + ["cluster"]) == 0
+    return root / "wd"
+
+
+def _header_end(blob: bytes) -> int:
+    return blob.index(b"\n") + 1
+
+
+# (config text, command, checkpoint rewrite or None, exit code, stderr prefix).
+# Checkpoint rows rewrite the valid model.ckpt into <id>.ckpt and cluster it.
+BAD_INPUTS = [
+    pytest.param("train:\n  epochs: 0\n", ["train"], None, 2, "config error", id="epochs-zero"),
+    pytest.param("train:\n  batch_size: 0\n", ["train"], None, 2, "config error", id="batch-size-zero"),
+    pytest.param("train:\n  hidden: 8\n", ["train"], None, 2, "config error", id="hidden-not-list"),
+    pytest.param("train:\n  learning_rate: fast\n", ["train"], None, 2, "config error", id="rate-not-number"),
+    pytest.param("seed: abc\n", ["synth"], None, 2, "config error", id="seed-not-int"),
+    pytest.param("seed: 1.5\n", ["synth"], None, 2, "config error", id="seed-float"),
+    pytest.param("", ["cluster"], lambda b: b[:-8], 3, "stage error", id="ckpt-truncated"),
+    pytest.param("", ["cluster"], lambda b: b[:_header_end(b)], 3, "stage error", id="ckpt-header-only"),
+    pytest.param("", ["cluster"], lambda b: b + b"\0", 3, "stage error", id="ckpt-trailing-byte"),
+    pytest.param("", ["cluster"], lambda b: b"\xff\xfe\n" + b, 3, "stage error", id="ckpt-garbage-header"),
+    pytest.param("", ["cluster"], lambda b: b"[]\n" + b, 3, "stage error", id="ckpt-header-not-mapping"),
+    pytest.param("", ["cluster"], lambda b: b.replace(b"v1", b"v0", 1), 3, "stage error", id="ckpt-format"),
+    pytest.param(
+        "", ["cluster"], lambda b: b.replace(b'"latent_dim":4', b'"latent_dim":5', 1), 3,
+        "stage error", id="ckpt-layout-mismatch",
+    ),
+]
+
+
+@pytest.mark.parametrize("config_text, command, rewrite, code, prefix", BAD_INPUTS)
+def test_bad_input_exit_code(
+    trained_workdir, tmp_path, capsys, request, config_text, command, rewrite, code, prefix
+):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(config_text)
+    args = ["--config", str(cfg), "--workdir", str(trained_workdir)] + command
+    if rewrite is not None:
+        tag = request.node.callspec.id
+        blob = (trained_workdir / "model.ckpt").read_bytes()
+        (trained_workdir / f"{tag}.ckpt").write_bytes(rewrite(blob))
+        args += ["--tag", tag]
+    capsys.readouterr()
+    assert cli.main(args) == code
+    captured = capsys.readouterr()
+    err = captured.err
+    assert err.startswith(prefix + ":")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err + captured.out

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -247,8 +248,8 @@ def test_lambda_zero_reproduces_plain_objective(rng):
     with_targets = cvqvae._backward(fwd, masks, cls, inter, cfg0, params)
     without = cvqvae._backward(fwd, masks, None, None, cfg0, params)
     for i in range(len(params.enc_w)):
-        assert np.array_equal(with_targets["enc_w"][i], without["enc_w"][i])
-        assert np.array_equal(with_targets["dec_w"][i], without["dec_w"][i])
+        assert np.array_equal(with_targets[f"enc_w[{i}]"], without[f"enc_w[{i}]"])
+        assert np.array_equal(with_targets[f"dec_w[{i}]"], without[f"dec_w[{i}]"])
     assert np.array_equal(with_targets["codebook"], without["codebook"])
     assert np.all(with_targets["cl_w"] == 0.0)
     assert np.all(with_targets["int_w"] == 0.0)
@@ -312,7 +313,7 @@ def test_train_separates_archetypes():
     cfg = tiny_cfg(epochs=250, hidden=(8,), latent_dim=3, codebook_size=3, learning_rate=0.05)
     params, _ = cvqvae.train_arrays(inputs, masks, None, None, cfg)
     x = cvqvae._standardize(inputs, masks, params)
-    z, _ = cvqvae._encode_batch(x.reshape(x.shape[0], -1), params)
+    z, _ = cvqvae._mlp_forward(x.reshape(x.shape[0], -1), params.enc_w, params.enc_b)
     codes = cvqvae._quantize_batch(z, params.codebook)
     # Each archetype maps to one code and codes are distinct across archetypes.
     mapping = {}
@@ -400,8 +401,9 @@ def test_grad_check_zero_loss_config():
     grads = cvqvae._backward(fwd, masks, None, None, cfg, params)
     for key in ("codebook", "cl_w", "int_w"):
         assert np.all(grads[key] == 0.0)
-    for g in grads["enc_w"] + grads["dec_w"]:
-        assert np.all(g == 0.0)
+    for i in range(len(params.enc_w)):
+        assert np.all(grads[f"enc_w[{i}]"] == 0.0)
+        assert np.all(grads[f"dec_w[{i}]"] == 0.0)
 
 
 def test_grad_check_detects_corrupted_gradient(rng):
@@ -422,7 +424,7 @@ def test_grad_check_detects_corrupted_gradient(rng):
     down = cvqvae._frozen_total(inputs, masks, None, None, params, cfg, q0, z0, gap0)
     arr[0, 0] = orig
     numeric = (up - down) / (2 * eps)
-    corrupted = 2.0 * grads["dec_w"][0][0, 0]
+    corrupted = 2.0 * grads["dec_w[0]"][0, 0]
     err = abs(corrupted - numeric) / max(abs(numeric), 1e-8)
     assert abs(err - 1.0) < 0.01
 
@@ -456,3 +458,39 @@ def test_loss_history_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0].startswith("epoch,")
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("key", ["epochs", "batch_size"])
+def test_nonpositive_epochs_or_batch_size_rejected(key):
+    with pytest.raises(ValueError):
+        cvqvae.TrainConfig(**{key: 0})
+
+
+# SHA-256 of the checkpoint and loss-history bytes of a fixed-seed run,
+# recorded before the encoder and decoder shared one MLP routine. Any drift
+# in the training numerics changes them. Keyed by lambda_cl = lambda_int.
+GOLDEN_DIGESTS = {
+    0.0: (
+        "906822d9609ee89f10700dab3b52289b14d7be241173e49a1dd6c3e3e77be4a4",
+        "ab08f6fea8e5dab4988ad0381bebc62b30f503758e5d76d6793559b9a497c80c",
+    ),
+    1.0: (
+        "67984902b67f47288fad450d6295342b8c72116e82d79b4601eff1258e74a777",
+        "e2b1fdfb777a149977db40c4faea7950a51b4f1f11fa7440569e3c062c5f061e",
+    ),
+}
+
+
+@pytest.mark.parametrize("weight", sorted(GOLDEN_DIGESTS))
+def test_training_bytes_match_golden_digests(tmp_path, weight):
+    records = corpus.build_archetype_corpus(n_per_class=1, seed=9)
+    params, history = cvqvae.train(
+        records, tiny_cfg(epochs=3, lambda_cl=weight, lambda_int=weight)
+    )
+    cvqvae.save_checkpoint(params, tmp_path / "model.ckpt")
+    cvqvae.write_loss_history(history, tmp_path / "loss.csv")
+    digests = tuple(
+        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("model.ckpt", "loss.csv")
+    )
+    assert digests == GOLDEN_DIGESTS[weight]

@@ -87,14 +87,14 @@ def test_normalize_flips_signed_quantities():
     assert (p.y, p.vy, p.ay) == (-5.0, -0.2, -0.3)
 
 
-def test_normalize_unknown_lane_is_config_error():
+def test_normalize_unknown_lane_is_integrity_error():
     traj = Trajectory(
         vehicle_id=1,
         recording_id="r1",
         points=(TrackPoint(0, 0.0, 0.0, 25.0, 0.0, 0.0, 0.0, 9),),
         dt=0.04,
     )
-    with pytest.raises(ingest.ConfigError):
+    with pytest.raises(ingest.IntegrityError):
         ingest.normalize_direction(traj, meta(directions={2: 1}))
 
 
