@@ -7,7 +7,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -15,7 +14,7 @@ import numpy as np
 
 from . import clustering, config, corpus, cvqvae, detect, dgsfm, extraction, ingest, metrics
 from .types import (
-    CompositeLabel,
+    DatasetFormatError,
     LatState,
     read_dataset,
     validate_record,
@@ -46,21 +45,28 @@ def _require(path: Path) -> Path:
     return path
 
 
+def _section_config(cfg: dict, section: str, build):
+    """Builds a stage's config object from ``cfg[section]``; a value the
+    object or its conversion rejects is a ConfigError (exit 2)."""
+    try:
+        return build(cfg[section])
+    except (TypeError, ValueError) as exc:
+        raise config.ConfigError(f"invalid {section} section: {exc}") from exc
+
+
 def _detector_config(cfg: dict) -> detect.DetectorConfig:
-    d = cfg["detect"]
-    return detect.DetectorConfig(
+    return _section_config(cfg, "detect", lambda d: detect.DetectorConfig(
         up_pairs=tuple((float(t), int(n)) for t, n in d["up_pairs"]),
         tau_down=float(d["tau_down"]),
         n_down=int(d["n_down"]),
         tau_extreme=float(d["tau_extreme"]),
         tau_lc=float(d["tau_lc"]),
         min_segment=int(d["min_segment"]),
-    )
+    ))
 
 
 def _dgsfm_config(cfg: dict, dt: float) -> dgsfm.DgsfmConfig:
-    g = cfg["dgsfm"]
-    return dgsfm.DgsfmConfig(
+    return _section_config(cfg, "dgsfm", lambda g: dgsfm.DgsfmConfig(
         egg=dgsfm.EggPotentialParams(
             amplitude=float(g["amplitude"]),
             sigma=float(g["sigma"]),
@@ -72,29 +78,37 @@ def _dgsfm_config(cfg: dict, dt: float) -> dgsfm.DgsfmConfig:
         n_dg=int(g["n_dg"]),
         dt=dt,
         softmax_temperature=float(g["softmax_temperature"]),
-    )
+    ))
+
+
+def _extraction_config(cfg: dict) -> extraction.ExtractionConfig:
+    return _section_config(cfg, "extract", lambda e: extraction.ExtractionConfig(
+        pre_frames=int(e["pre_frames"]),
+        post_frames=int(e["post_frames"]),
+        tensor_offset=int(e["tensor_offset"]),
+        neighbor_radius=float(e["neighbor_radius"]),
+        class_filter=frozenset(
+            (LatState(a), LatState(b)) for a, b in e["class_filter"]
+        ) if e["class_filter"] else None,
+    ))
 
 
 def _train_config(cfg: dict, seed: int, lambda_cl=None, lambda_int=None) -> cvqvae.TrainConfig:
-    t = cfg["train"]
-    try:
-        return cvqvae.TrainConfig(
-            lambda_cl=float(t["lambda_cl"] if lambda_cl is None else lambda_cl),
-            lambda_int=float(t["lambda_int"] if lambda_int is None else lambda_int),
-            learning_rate=float(t["learning_rate"]),
-            batch_size=int(t["batch_size"]),
-            epochs=int(t["epochs"]),
-            seed=seed,
-            commitment_weight=float(t["commitment_weight"]),
-            dead_code_threshold=float(t["dead_code_threshold"]),
-            usage_decay=float(t["usage_decay"]),
-            revival_noise=float(t["revival_noise"]),
-            hidden=tuple(int(h) for h in t["hidden"]),
-            latent_dim=int(t["latent_dim"]),
-            codebook_size=int(t["codebook_size"]),
-        )
-    except (TypeError, ValueError) as exc:
-        raise config.ConfigError(f"invalid train section: {exc}") from exc
+    return _section_config(cfg, "train", lambda t: cvqvae.TrainConfig(
+        lambda_cl=float(t["lambda_cl"] if lambda_cl is None else lambda_cl),
+        lambda_int=float(t["lambda_int"] if lambda_int is None else lambda_int),
+        learning_rate=float(t["learning_rate"]),
+        batch_size=int(t["batch_size"]),
+        epochs=int(t["epochs"]),
+        seed=seed,
+        commitment_weight=float(t["commitment_weight"]),
+        dead_code_threshold=float(t["dead_code_threshold"]),
+        usage_decay=float(t["usage_decay"]),
+        revival_noise=float(t["revival_noise"]),
+        hidden=tuple(int(h) for h in t["hidden"]),
+        latent_dim=int(t["latent_dim"]),
+        codebook_size=int(t["codebook_size"]),
+    ))
 
 
 def _make_scripts(n: int, noise: float, seed: int) -> list[ingest.SyntheticScript]:
@@ -200,8 +214,13 @@ def _load_tracks(workdir: Path) -> tuple[ingest.RecordingMeta, list]:
 
 
 def cmd_detect(cfg: dict, workdir: Path, method: str = "rule") -> None:
-    meta, trajs = _load_tracks(workdir)
     det_cfg = _detector_config(cfg)
+    ema_windows, ema_alpha, eval_window = _section_config(cfg, "detect", lambda d: (
+        tuple(int(w) for w in d["ema_window_sizes"]),
+        float(d["ema_alpha"]),
+        int(d["eval_window"]),
+    ))
+    meta, trajs = _load_tracks(workdir)
     rows = []
     predictions: dict[int, list] = {}
     for traj in trajs:
@@ -210,11 +229,7 @@ def cmd_detect(cfg: dict, workdir: Path, method: str = "rule") -> None:
             predictions[traj.vehicle_id] = [(cp.t_c, cp.label_after) for cp in cps]
             rows.extend((traj.recording_id, traj.vehicle_id, cp) for cp in cps)
         elif method == "ema":
-            frames = detect.detect_ema(
-                traj,
-                window_sizes=tuple(cfg["detect"]["ema_window_sizes"]),
-                ema_alpha=float(cfg["detect"]["ema_alpha"]),
-            )
+            frames = detect.detect_ema(traj, window_sizes=ema_windows, ema_alpha=ema_alpha)
             predictions[traj.vehicle_id] = [(f, None) for f in frames]
         else:
             raise config.ConfigError(f"unknown detect method {method!r}")
@@ -237,7 +252,7 @@ def cmd_detect(cfg: dict, workdir: Path, method: str = "rule") -> None:
             m = detect.evaluate_detection(
                 predictions.get(traj.vehicle_id, []),
                 by_vehicle.get(traj.vehicle_id, []),
-                window=int(cfg["detect"]["eval_window"]),
+                window=eval_window,
                 match_labels=(method == "rule"),
             )
             tp, fp, fn = tp + m.tp, fp + m.fp, fn + m.fn
@@ -254,24 +269,12 @@ def cmd_detect(cfg: dict, workdir: Path, method: str = "rule") -> None:
 
 
 def cmd_extract(cfg: dict, workdir: Path) -> None:
+    ext_cfg = _extraction_config(cfg)
     meta, trajs = _load_tracks(workdir)
     cps = detect.read_change_points(_require(workdir / "changepoints.csv"))
     by_vehicle: dict[int, list] = {}
     for _, vid, cp in cps:
         by_vehicle.setdefault(vid, []).append(cp)
-    e = cfg["extract"]
-    class_filter = None
-    if e["class_filter"]:
-        class_filter = frozenset(
-            (LatState(a), LatState(b)) for a, b in e["class_filter"]
-        )
-    ext_cfg = extraction.ExtractionConfig(
-        pre_frames=int(e["pre_frames"]),
-        post_frames=int(e["post_frames"]),
-        tensor_offset=int(e["tensor_offset"]),
-        neighbor_radius=float(e["neighbor_radius"]),
-        class_filter=class_filter,
-    )
     records, summary = extraction.extract(
         trajs, by_vehicle, ext_cfg, _dgsfm_config(cfg, meta.dt)
     )
@@ -331,8 +334,11 @@ def cmd_cluster(cfg: dict, workdir: Path, tag: str = "model") -> None:
         params = cvqvae.load_checkpoint(_require(workdir / f"{tag}.ckpt"))
     except cvqvae.ContractError as exc:
         raise StageError(f"invalid checkpoint: {exc}") from exc
-    seed = config.stage_seed(cfg, "cluster")
     k = params.codebook_size
+    if len(records) < k:
+        raise StageError(f"dataset.jsonl holds {len(records)} base records, fewer than "
+                         f"the checkpoint's codebook_size {k}")
+    seed = config.stage_seed(cfg, "cluster")
     base_ids = {r.record_id for r in records}
     train_latents = clustering.encode_latents(records, params)
     extra = [r for r in all_records if r.record_id not in base_ids]
@@ -537,7 +543,7 @@ def main(argv=None) -> int:
     except config.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (StageError, FileNotFoundError) as exc:
+    except (StageError, FileNotFoundError, DatasetFormatError) as exc:
         print(f"stage error: {exc}", file=sys.stderr)
         return 3
     except (ingest.ParseError, ingest.IntegrityError, ingest.ScriptError) as exc:

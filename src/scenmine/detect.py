@@ -4,8 +4,8 @@ and snippet-clustering baselines, and detector scoring against ground truth.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -100,7 +100,7 @@ def detect_longitudinal(traj: Trajectory, cfg: DetectorConfig) -> list[LongState
     of a run of n_down frames with |ax| < tau_down; |ax| > tau_extreme
     switches to the extreme state immediately.
     """
-    ax = traj.arrays()["ax"]
+    ax = traj.ax
     n = len(ax)
 
     pos_onsets: set[int] = set()
@@ -139,9 +139,7 @@ def detect_lateral(traj: Trajectory, cfg: DetectorConfig) -> list[Segment]:
     """Partitions the trajectory into maximal constant-sign(vy) intervals and
     labels each LANE_CHANGE iff its accumulated |sum(vy * dt)| exceeds tau_LC.
     """
-    cols = traj.arrays()
-    vy = cols["vy"]
-    frames = cols["frame"]
+    vy = traj.vy
     signs = np.sign(vy)
     segments: list[Segment] = []
     t = 0
@@ -152,7 +150,7 @@ def detect_lateral(traj: Trajectory, cfg: DetectorConfig) -> list[Segment]:
             t += 1
         displacement = float(np.sum(vy[s : t + 1]) * traj.dt)
         label = LatState.LANE_CHANGE if abs(displacement) > cfg.tau_lc else LatState.KEEP_LANE
-        segments.append(Segment(int(frames[s]), int(frames[t]), label))
+        segments.append(Segment(traj.first_frame + s, traj.first_frame + t, label))
         t += 1
     return segments
 
@@ -273,16 +271,15 @@ def detect_ema(
     no local maximum passes the threshold). peak_threshold defaults to
     3x the median window energy of each energy series.
     """
-    cols = traj.arrays()
-    frames = cols["frame"]
-    n = len(frames)
+    n = len(traj)
     if min(window_sizes) > n:
         raise ValueError("window sizes must not exceed the trajectory length")
 
     candidates: list[tuple[float, int]] = []  # (energy, local index)
     best_global: tuple[float, int] | None = None
     for channel in ("ax", "vy"):
-        residual = cols[channel] - _ema(cols[channel], ema_alpha)
+        signal = getattr(traj, channel)
+        residual = signal - _ema(signal, ema_alpha)
         sq = residual * residual
         for w in window_sizes:
             half = w // 2
@@ -309,7 +306,7 @@ def detect_ema(
             kept.append(t)
     if not kept:
         kept = [best_global[1]]
-    return sorted(int(frames[t]) for t in kept)
+    return sorted(traj.first_frame + t for t in kept)
 
 
 # ---------------------------------------------------------------------------
@@ -319,16 +316,15 @@ def detect_ema(
 def snippet_features(traj: Trajectory, start: int, length: int) -> np.ndarray:
     """(1, 6, length) single-vehicle snippet with positions relative to the
     snippet's first frame, suitable as model input."""
-    cols = traj.arrays()
     sl = slice(start, start + length)
     feats = np.stack(
         [
-            cols["x"][sl] - cols["x"][start],
-            cols["y"][sl] - cols["y"][start],
-            cols["vx"][sl],
-            cols["vy"][sl],
-            cols["ax"][sl],
-            cols["ay"][sl],
+            traj.x[sl] - traj.x[start],
+            traj.y[sl] - traj.y[start],
+            traj.vx[sl],
+            traj.vy[sl],
+            traj.ax[sl],
+            traj.ay[sl],
         ]
     )
     return feats[None, :, :]

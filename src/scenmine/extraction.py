@@ -4,7 +4,7 @@ assignment, padding, pseudo-class labeling, augmentation, and splitting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -57,8 +57,7 @@ class ExtractionSummary:
 
 def _slice_columns(traj: Trajectory, start_frame: int, length: int) -> dict[str, np.ndarray]:
     offset = start_frame - traj.first_frame
-    cols = traj.arrays()
-    return {name: cols[name][offset : offset + length] for name in FEATURE_NAMES}
+    return {name: getattr(traj, name)[offset : offset + length] for name in FEATURE_NAMES}
 
 
 def extract(
@@ -95,7 +94,8 @@ def extract(
 
             t0 = t_c + cfg.tensor_offset
             window = range(t0, t0 + cfg.t_obs)
-            ego_anchor = ego.point_at(t_c)
+            anchor_x = ego.x[t_c - ego.first_frame]
+            anchor_y = ego.y[t_c - ego.first_frame]
 
             # Rank other vehicles by distance at the anchor; vehicles not
             # sampled at t_c use their sample closest to the anchor.
@@ -105,9 +105,8 @@ def extract(
                     continue
                 if other.last_frame < window.start or other.first_frame > window.stop - 1:
                     continue
-                ref_frame = min(max(t_c, other.first_frame), other.last_frame)
-                p = other.point_at(ref_frame)
-                dist = math.hypot(p.x - ego_anchor.x, p.y - ego_anchor.y)
+                ref = min(max(t_c, other.first_frame), other.last_frame) - other.first_frame
+                dist = math.hypot(other.x[ref] - anchor_x, other.y[ref] - anchor_y)
                 if dist <= cfg.neighbor_radius:
                     candidates.append((dist, other.vehicle_id, other))
             candidates.sort(key=lambda c: (c[0], c[1]))
@@ -125,8 +124,8 @@ def extract(
                 sl = slice(lo - window.start, hi - window.start + 1)
                 for f, name in enumerate(FEATURE_NAMES):
                     values[slot, f, sl] = cols[name]
-                values[slot, 0, sl] -= ego_anchor.x
-                values[slot, 1, sl] -= ego_anchor.y
+                values[slot, 0, sl] -= anchor_x
+                values[slot, 1, sl] -= anchor_y
                 mask[slot, sl] = True
                 positions[slot, sl, 0] = cols["x"]
                 positions[slot, sl, 1] = cols["y"]
@@ -171,11 +170,11 @@ def extract(
 
 
 def _donor_segment_starts(donor: Trajectory, length: int, max_abs_ay: float = 0.1) -> list[int]:
-    cols = donor.arrays()
-    ok = (np.abs(cols["ay"]) < max_abs_ay) & (cols["lane_id"] == cols["lane_id"][0])
+    lane = donor.lane_id
+    ok = (np.abs(donor.ay) < max_abs_ay) & (lane == lane[0])
     starts = []
     for s in range(len(donor) - length + 1):
-        if ok[s : s + length].all() and (cols["lane_id"][s : s + length] == cols["lane_id"][s]).all():
+        if ok[s : s + length].all() and (lane[s : s + length] == lane[s]).all():
             starts.append(s)
     return starts
 

@@ -6,18 +6,17 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, TextIO
+from dataclasses import dataclass, field, replace
+from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
 from .types import (
+    FEATURE_NAMES,
     ChangePoint,
     CompositeLabel,
     LatState,
     LongState,
-    TrackPoint,
     Trajectory,
 )
 
@@ -72,73 +71,76 @@ def parse_tracks(stream: TextIO | io.IOBase, meta: RecordingMeta) -> list[Trajec
 
     Extra columns are ignored; missing mandatory columns are rejected.
     """
-    reader = csv.DictReader(stream)
-    if reader.fieldnames is None:
+    reader = csv.reader(stream)
+    header = next(reader, None)
+    if header is None:
         raise ParseError("empty tracks file")
-    missing = [c for c in REQUIRED_COLUMNS if c not in reader.fieldnames]
+    missing = [c for c in REQUIRED_COLUMNS if c not in header]
     if missing:
         raise ParseError(f"missing mandatory columns: {', '.join(missing)}")
+    at = {name: i for i, name in enumerate(header)}
+    i_frame, i_id, i_x, i_y, i_vx, i_vy, i_ax, i_ay, i_lane = (at[c] for c in REQUIRED_COLUMNS)
 
-    rows_by_vehicle: dict[int, list[TrackPoint]] = {}
-    for line_no, row in enumerate(reader, start=2):
+    keys: list[tuple[int, int, int]] = []  # (vehicle id, frame, lane id)
+    values: list[tuple[float, ...]] = []   # FEATURE_NAMES order
+    for line_no, row in enumerate(filter(None, reader), start=2):
         try:
-            vid = int(row["id"])
-            point = TrackPoint(
-                frame_index=int(row["frame"]),
-                x=float(row["x"]),
-                y=float(row["y"]),
-                vx=float(row["xVelocity"]),
-                vy=float(row["yVelocity"]),
-                ax=float(row["xAcceleration"]),
-                ay=float(row["yAcceleration"]),
-                lane_id=int(row["laneId"]),
-            )
-        except (TypeError, ValueError, KeyError) as exc:
+            keys.append((int(row[i_id]), int(row[i_frame]), int(row[i_lane])))
+            values.append((float(row[i_x]), float(row[i_y]), float(row[i_vx]),
+                           float(row[i_vy]), float(row[i_ax]), float(row[i_ay])))
+        except (IndexError, ValueError) as exc:
             raise ParseError(f"line {line_no}: malformed row ({exc})") from exc
-        rows_by_vehicle.setdefault(vid, []).append(point)
+    if not keys:
+        return []
 
-    trajectories = []
-    for vid in sorted(rows_by_vehicle):
-        points = sorted(rows_by_vehicle[vid], key=lambda p: p.frame_index)
-        for a, b in zip(points, points[1:]):
-            if b.frame_index != a.frame_index + 1:
-                raise IntegrityError(
-                    f"vehicle {vid}: gap in frame sequence between "
-                    f"{a.frame_index} and {b.frame_index}"
-                )
-        trajectories.append(
-            Trajectory(
-                vehicle_id=vid,
-                recording_id=meta.recording_id,
-                points=tuple(points),
-                dt=meta.dt,
-            )
+    key_cols = np.array(keys, dtype=np.int64).reshape(-1, 3)
+    order = np.lexsort((key_cols[:, 1], key_cols[:, 0]))  # stable: by vehicle, then frame
+    vids, frames, lanes = key_cols[order].T.copy()
+    feats = np.array(values, dtype=np.float64).reshape(-1, len(FEATURE_NAMES))[order].T.copy()
+
+    same_vehicle = vids[1:] == vids[:-1]
+    gaps = np.flatnonzero(same_vehicle & (frames[1:] != frames[:-1] + 1))
+    if gaps.size:
+        i = gaps[0]
+        raise IntegrityError(
+            f"vehicle {vids[i]}: gap in frame sequence between "
+            f"{frames[i]} and {frames[i + 1]}"
         )
-    return trajectories
+    non_finite = np.argwhere(~np.isfinite(feats.T))  # (row, feature) pairs
+    if non_finite.size:
+        i, f = non_finite[0]
+        raise IntegrityError(
+            f"vehicle {vids[i]}: non-finite {FEATURE_NAMES[f]} at frame {frames[i]}"
+        )
+    negative = np.flatnonzero(frames < 0)
+    if negative.size:
+        i = negative[0]
+        raise IntegrityError(f"vehicle {vids[i]}: negative frame index {frames[i]}")
+
+    starts = np.concatenate([[0], np.flatnonzero(~same_vehicle) + 1])
+    ends = np.append(starts[1:], len(vids))
+    return [
+        Trajectory(
+            vehicle_id=int(vids[lo]),
+            recording_id=meta.recording_id,
+            dt=meta.dt,
+            first_frame=int(frames[lo]),
+            **{name: col[lo:hi] for name, col in zip(FEATURE_NAMES, feats)},
+            lane_id=lanes[lo:hi],
+        )
+        for lo, hi in zip(starts.tolist(), ends.tolist())
+    ]
 
 
 def normalize_direction(traj: Trajectory, meta: RecordingMeta) -> Trajectory:
     """Flips -x traffic so every trajectory drives in +x with consistent left."""
-    lane = traj.points[0].lane_id
+    lane = int(traj.lane_id[0])
     direction = meta.lane_directions.get(lane)
     if direction is None:
         raise IntegrityError(f"vehicle {traj.vehicle_id}: unknown lane id {lane}")
     if direction > 0:
         return traj
-    flipped = tuple(
-        TrackPoint(
-            frame_index=p.frame_index,
-            x=-p.x,
-            y=-p.y,
-            vx=-p.vx,
-            vy=-p.vy,
-            ax=-p.ax,
-            ay=-p.ay,
-            lane_id=p.lane_id,
-        )
-        for p in traj.points
-    )
-    return Trajectory(traj.vehicle_id, traj.recording_id, flipped, traj.dt)
+    return replace(traj, **{name: -getattr(traj, name) for name in FEATURE_NAMES})
 
 
 def filter_three_lane(
@@ -266,21 +268,10 @@ def generate_synthetic(
             y[t + 1] = y[t] + vy[t] * dt
 
         vid = script.vehicle_id if script.vehicle_id is not None else idx + 1
-        lane = script.initial_lane
-        points = tuple(
-            TrackPoint(
-                frame_index=t,
-                x=float(x[t]),
-                y=float(y[t]),
-                vx=float(vx[t]),
-                vy=float(vy[t]),
-                ax=float(ax[t]),
-                ay=float(ay[t]),
-                lane_id=lane,
-            )
-            for t in range(n)
+        trajectories.append(
+            Trajectory(vid, recording_id, dt, 0, x, y, vx, vy, ax, ay,
+                       lane_id=np.full(n, script.initial_lane))
         )
-        trajectories.append(Trajectory(vid, recording_id, points, dt))
 
         changes: list[ChangePoint] = []
         for t in range(1, n):
@@ -302,20 +293,12 @@ def write_tracks_csv(trajectories: Sequence[Trajectory], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(REQUIRED_COLUMNS)
         for traj in trajectories:
-            for p in traj.points:
-                writer.writerow(
-                    [
-                        p.frame_index,
-                        traj.vehicle_id,
-                        repr(p.x),
-                        repr(p.y),
-                        repr(p.vx),
-                        repr(p.vy),
-                        repr(p.ax),
-                        repr(p.ay),
-                        p.lane_id,
-                    ]
-                )
+            frames = range(traj.first_frame, traj.last_frame + 1)
+            floats = [map(repr, getattr(traj, name).tolist()) for name in FEATURE_NAMES]
+            writer.writerows(
+                (frame, traj.vehicle_id, *row, lane)
+                for frame, *row, lane in zip(frames, *floats, traj.lane_id.tolist())
+            )
 
 
 def write_meta_json(meta: RecordingMeta, path) -> None:

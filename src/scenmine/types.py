@@ -7,9 +7,9 @@ workers without copying.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -85,74 +85,54 @@ class ChangePoint:
             raise ValueError("change point requires label_before != label_after")
 
 
-@dataclass(frozen=True)
-class TrackPoint:
-    """One sample of a vehicle trajectory in road-aligned coordinates."""
-
-    frame_index: int
-    x: float
-    y: float
-    vx: float
-    vy: float
-    ax: float
-    ay: float
-    lane_id: int
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Gap-free, constant-dt trajectory of one vehicle."""
-
-    vehicle_id: int
-    recording_id: str
-    points: tuple[TrackPoint, ...]
-    dt: float
-
-    def __post_init__(self):
-        if len(self.points) < 1:
-            raise ValueError("trajectory must contain at least one point")
-        if self.points[0].frame_index < 0:
-            raise ValueError("frame indices must be non-negative")
-        for a, b in zip(self.points, self.points[1:]):
-            if b.frame_index != a.frame_index + 1:
-                raise ValueError(
-                    f"vehicle {self.vehicle_id}: frame gap between "
-                    f"{a.frame_index} and {b.frame_index}"
-                )
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    @property
-    def first_frame(self) -> int:
-        return self.points[0].frame_index
-
-    @property
-    def last_frame(self) -> int:
-        return self.points[-1].frame_index
-
-    def covers(self, start_frame: int, end_frame: int) -> bool:
-        """True if every frame in [start_frame, end_frame] is sampled."""
-        return self.first_frame <= start_frame and self.last_frame >= end_frame
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        """Column arrays keyed by feature name plus 'frame' and 'lane_id'."""
-        out = {
-            "frame": np.array([p.frame_index for p in self.points], dtype=np.int64),
-            "lane_id": np.array([p.lane_id for p in self.points], dtype=np.int64),
-        }
-        for name in FEATURE_NAMES:
-            out[name] = np.array([getattr(p, name) for p in self.points], dtype=np.float64)
-        return out
-
-    def point_at(self, frame_index: int) -> TrackPoint:
-        return self.points[frame_index - self.first_frame]
-
-
 def _frozen(arr: np.ndarray, dtype) -> np.ndarray:
     out = np.ascontiguousarray(arr, dtype=dtype)
     out.setflags(write=False)
     return out
+
+
+@dataclass(frozen=True, eq=False)
+class Trajectory:
+    """Gap-free, constant-dt trajectory of one vehicle as frozen columns.
+
+    Sample i is frame ``first_frame + i``. The feature columns are float64,
+    ``lane_id`` is int64; all are read-only and of equal length.
+    """
+
+    vehicle_id: int
+    recording_id: str
+    dt: float
+    first_frame: int
+    x: np.ndarray
+    y: np.ndarray
+    vx: np.ndarray
+    vy: np.ndarray
+    ax: np.ndarray
+    ay: np.ndarray
+    lane_id: np.ndarray
+
+    def __post_init__(self):
+        for name in FEATURE_NAMES:
+            object.__setattr__(self, name, _frozen(getattr(self, name), np.float64))
+        object.__setattr__(self, "lane_id", _frozen(self.lane_id, np.int64))
+        lengths = {getattr(self, name).shape for name in FEATURE_NAMES + ("lane_id",)}
+        if len(lengths) != 1 or len(next(iter(lengths))) != 1:
+            raise ValueError(f"vehicle {self.vehicle_id}: columns must be 1-d and of equal length")
+        if len(self) < 1:
+            raise ValueError("trajectory must contain at least one point")
+        if self.first_frame < 0:
+            raise ValueError("frame indices must be non-negative")
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    @property
+    def last_frame(self) -> int:
+        return self.first_frame + len(self) - 1
+
+    def covers(self, start_frame: int, end_frame: int) -> bool:
+        """True if every frame in [start_frame, end_frame] is sampled."""
+        return self.first_frame <= start_frame and self.last_frame >= end_frame
 
 
 @dataclass(frozen=True)
@@ -335,14 +315,23 @@ def write_dataset(records: Sequence[ScenarioRecord], path, dt: float = DEFAULT_D
 
 
 def read_dataset(path) -> tuple[list[ScenarioRecord], float]:
-    with open(path, "r", encoding="utf-8") as fh:
-        header_line = fh.readline()
-        if not header_line:
-            raise DatasetFormatError(f"{path}: empty dataset file")
-        header = json.loads(header_line)
-        if header.get("format") != DATASET_FORMAT_VERSION:
-            raise DatasetFormatError(
-                f"{path}: unsupported dataset format {header.get('format')!r}"
-            )
-        records = [_record_from_json(line) for line in fh if line.strip()]
-    return records, float(header["dt"])
+    """Reads a dataset file; any unreadable, truncated or inconsistent line
+    raises DatasetFormatError naming the file and line."""
+    line_no = 1
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header_line = fh.readline()
+            if not header_line:
+                raise DatasetFormatError(f"{path}: empty dataset file")
+            header = json.loads(header_line)
+            version = header.get("format") if isinstance(header, dict) else None
+            if version != DATASET_FORMAT_VERSION:
+                raise DatasetFormatError(f"{path}: unsupported dataset format {version!r}")
+            dt = float(header["dt"])
+            records = []
+            for line_no, line in enumerate(fh, start=2):
+                if line.strip():
+                    records.append(_record_from_json(line))
+    except (ValueError, TypeError, KeyError, IndexError) as exc:
+        raise DatasetFormatError(f"{path}: line {line_no}: malformed dataset ({exc!r})") from exc
+    return records, dt

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from scenmine.types import TrackPoint, Trajectory
+from scenmine.types import FEATURE_NAMES, Trajectory
 
 
 def make_traj(
@@ -27,20 +27,29 @@ def make_traj(
     vx = vx0 + np.concatenate([[0.0], np.cumsum(ax[:-1]) * dt])
     x = x0 + np.concatenate([[0.0], np.cumsum(vx[:-1]) * dt])
     y = y0 + np.concatenate([[0.0], np.cumsum(vy[:-1]) * dt])
-    points = tuple(
-        TrackPoint(
-            frame_index=first_frame + i,
-            x=float(x[i]),
-            y=float(y[i]),
-            vx=float(vx[i]),
-            vy=float(vy[i]),
-            ax=float(ax[i]),
-            ay=float(ay[i]),
-            lane_id=lane_id,
-        )
-        for i in range(n)
+    return Trajectory(
+        vehicle_id=vehicle_id,
+        recording_id=recording_id,
+        dt=dt,
+        first_frame=first_frame,
+        x=x,
+        y=y,
+        vx=vx,
+        vy=vy,
+        ax=ax,
+        ay=ay,
+        lane_id=np.full(n, lane_id),
     )
-    return Trajectory(vehicle_id=vehicle_id, recording_id=recording_id, points=points, dt=dt)
+
+
+def assert_same_trajectories(a, b):
+    """Exact equality of two trajectory lists: ids, dt, frames and columns."""
+    assert len(a) == len(b)
+    for ta, tb in zip(a, b):
+        assert (ta.vehicle_id, ta.recording_id, ta.dt, ta.first_frame) == (
+            tb.vehicle_id, tb.recording_id, tb.dt, tb.first_frame)
+        for name in FEATURE_NAMES + ("lane_id",):
+            assert np.array_equal(getattr(ta, name), getattr(tb, name)), name
 
 
 @pytest.fixture

@@ -46,7 +46,6 @@ def test_ten_neighbors_eight_nearest_by_distance():
         [ego] + others, {0: [cp()]}, extraction.ExtractionConfig()
     )
     record = records[0]
-    anchor = ego.point_at(200)
     # All vehicles share the same vx, so ordering by initial offset holds at t_c.
     distances = []
     for slot in range(1, N_SLOTS):

@@ -1,10 +1,13 @@
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from scenmine import ingest
-from scenmine.types import LatState, LongState, TrackPoint, Trajectory
+from scenmine.types import FEATURE_NAMES, LatState, LongState
+
+from conftest import assert_same_trajectories, make_traj
 
 HEADER = "frame,id,x,y,xVelocity,yVelocity,xAcceleration,yAcceleration,laneId\n"
 
@@ -41,8 +44,37 @@ def test_parse_interleaved_vehicles():
     trajs = ingest.parse_tracks(io.StringIO(HEADER + "".join(lines)), meta())
     assert sorted(t.vehicle_id for t in trajs) == [1, 2]
     for traj in trajs:
-        frames = [p.frame_index for p in traj.points]
+        frames = list(range(traj.first_frame, traj.last_frame + 1))
         assert frames == sorted(frames) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("column, value, name", [(2, "nan", "x"), (5, "inf", "vy"), (7, "-inf", "ay")])
+def test_parse_non_finite_is_integrity_error(column, value, name):
+    fields = row(2, 7).rstrip("\n").split(",")
+    fields[column] = value
+    stream = io.StringIO(HEADER + row(1, 7) + ",".join(fields) + "\n")
+    with pytest.raises(ingest.IntegrityError, match=f"vehicle 7: non-finite {name} at frame 2"):
+        ingest.parse_tracks(stream, meta())
+
+
+def test_parse_negative_frame_is_integrity_error():
+    stream = io.StringIO(HEADER + row(-1, 7) + row(0, 7))
+    with pytest.raises(ingest.IntegrityError, match="vehicle 7: negative frame"):
+        ingest.parse_tracks(stream, meta())
+
+
+def test_trajectory_columns_are_frozen_and_checked():
+    traj = make_traj(n=5, first_frame=3)
+    assert (traj.first_frame, traj.last_frame, len(traj)) == (3, 7, 5)
+    assert traj.x.dtype == np.float64 and traj.lane_id.dtype == np.int64
+    with pytest.raises(ValueError):
+        traj.vx[0] = 0.0
+    with pytest.raises(ValueError, match="equal length"):
+        replace(traj, ay=np.zeros(4))
+    with pytest.raises(ValueError, match="at least one"):
+        replace(traj, **{name: np.zeros(0) for name in FEATURE_NAMES}, lane_id=np.zeros(0))
+    with pytest.raises(ValueError, match="non-negative"):
+        replace(traj, first_frame=-1)
 
 
 def test_parse_missing_column_rejected():
@@ -64,36 +96,26 @@ def test_parse_extra_columns_ignored():
     assert len(trajs) == 1
 
 
+def one_sample(x, y, vx, vy, ax, ay, lane):
+    """A one-frame trajectory of vehicle 1 in recording r1."""
+    return make_traj(n=1, recording_id="r1", x0=x, y0=y, vx0=vx, vy=[vy], ax=[ax],
+                     ay=[ay], lane_id=lane)
+
+
 def test_normalize_identity_for_forward_lane():
-    traj = Trajectory(
-        vehicle_id=1,
-        recording_id="r1",
-        points=(TrackPoint(0, 100.0, 5.0, 25.0, 0.2, 0.1, 0.0, 2),),
-        dt=0.04,
-    )
+    traj = one_sample(100.0, 5.0, 25.0, 0.2, 0.1, 0.0, 2)
     assert ingest.normalize_direction(traj, meta()) == traj
 
 
 def test_normalize_flips_signed_quantities():
-    traj = Trajectory(
-        vehicle_id=1,
-        recording_id="r1",
-        points=(TrackPoint(0, 100.0, 5.0, -25.0, 0.2, -1.0, 0.3, 5),),
-        dt=0.04,
-    )
-    out = ingest.normalize_direction(traj, meta(directions={5: -1}))
-    p = out.points[0]
-    assert (p.x, p.vx, p.ax) == (-100.0, 25.0, 1.0)
-    assert (p.y, p.vy, p.ay) == (-5.0, -0.2, -0.3)
+    traj = one_sample(100.0, 5.0, -25.0, 0.2, -1.0, 0.3, 5)
+    p = ingest.normalize_direction(traj, meta(directions={5: -1}))
+    assert (p.x[0], p.vx[0], p.ax[0]) == (-100.0, 25.0, 1.0)
+    assert (p.y[0], p.vy[0], p.ay[0]) == (-5.0, -0.2, -0.3)
 
 
 def test_normalize_unknown_lane_is_integrity_error():
-    traj = Trajectory(
-        vehicle_id=1,
-        recording_id="r1",
-        points=(TrackPoint(0, 0.0, 0.0, 25.0, 0.0, 0.0, 0.0, 9),),
-        dt=0.04,
-    )
+    traj = one_sample(0.0, 0.0, 25.0, 0.0, 0.0, 0.0, 9)
     with pytest.raises(ingest.IntegrityError):
         ingest.normalize_direction(traj, meta(directions={2: 1}))
 
@@ -113,7 +135,7 @@ def test_normalized_mean_vx_nonnegative_over_mixed_corpus():
         )
         traj = ingest.generate_synthetic([script], 0.04, seed=i)[0][0]
         out = ingest.normalize_direction(traj, m)
-        assert np.mean([p.vx for p in out.points]) >= 0
+        assert np.mean(out.vx) >= 0
 
 
 def test_filter_three_lane():
@@ -160,7 +182,7 @@ def test_lane_change_pulse_integrates_to_lane_width():
         noise_sigma_accel=0.0,
     )
     trajs, _ = ingest.generate_synthetic([script], 0.04, seed=0)
-    vy = trajs[0].arrays()["vy"]
+    vy = trajs[0].vy
     assert abs(np.sum(vy) * 0.04 - ingest.LANE_WIDTH_M) < 1e-6
 
 
@@ -168,7 +190,7 @@ def test_synthetic_determinism_bitwise():
     scripts = [cruise_script(noise_sigma_accel=0.1)]
     a, _ = ingest.generate_synthetic(scripts, 0.04, seed=42)
     b, _ = ingest.generate_synthetic(scripts, 0.04, seed=42)
-    assert a == b
+    assert_same_trajectories(a, b)
 
 
 def test_synthetic_kinematic_consistency_midpoint():
@@ -180,11 +202,11 @@ def test_synthetic_kinematic_consistency_midpoint():
         noise_sigma_accel=0.1,
     )
     trajs, _ = ingest.generate_synthetic([script], 0.04, seed=1)
-    cols = trajs[0].arrays()
+    traj = trajs[0]
     dt = 0.04
-    dx = np.diff(cols["x"]) / dt
-    tol = 0.5 * np.abs(cols["ax"][:-1]) * dt + 1e-9
-    assert np.all(np.abs(dx - cols["vx"][:-1]) <= tol)
+    dx = np.diff(traj.x) / dt
+    tol = 0.5 * np.abs(traj.ax[:-1]) * dt + 1e-9
+    assert np.all(np.abs(dx - traj.vx[:-1]) <= tol)
 
 
 def test_overlapping_maneuvers_rejected():
@@ -203,7 +225,7 @@ def test_tracks_csv_round_trip(tmp_path):
     path = tmp_path / "tracks.csv"
     ingest.write_tracks_csv(trajs, path)
     loaded = ingest.read_tracks_csv(path, meta())
-    assert loaded == trajs
+    assert_same_trajectories(loaded, trajs)
 
 
 def test_meta_json_round_trip(tmp_path):

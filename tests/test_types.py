@@ -111,6 +111,28 @@ def test_dataset_rejects_unknown_version(records, tmp_path):
         read_dataset(path)
 
 
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda b: b[:-10],                                  # truncated record
+        lambda b: b.replace(b'"t_c":', b'"tc":', 1),        # missing key
+        lambda b: b.replace(b'"tensor":[', b'"tensor":[1,', 1),  # wrong length
+        lambda b: b.replace(b'"pseudo_class":', b'"pseudo_class":99,"x":', 1),
+        lambda b: b.replace(b'"dt":', b'"step":', 1),       # header without dt
+        lambda b: b"[]\n" + b,                              # header not a mapping
+        lambda b: b + b"\xff\n",                            # undecodable line
+    ],
+    ids=["truncated", "missing-key", "array-length", "class-range", "no-dt",
+         "header-list", "undecodable"],
+)
+def test_dataset_damage_is_format_error(records, tmp_path, damage):
+    path = tmp_path / "ds.jsonl"
+    write_dataset(records[:2], path)
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(DatasetFormatError, match="ds.jsonl"):
+        read_dataset(path)
+
+
 def test_dataset_write_is_deterministic(records, tmp_path):
     p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     write_dataset(records, p1)
