@@ -213,23 +213,36 @@ def _load_tracks(workdir: Path) -> tuple[ingest.RecordingMeta, list]:
     return meta, trajs
 
 
+def _ema_windows(values) -> tuple[int, ...]:
+    windows = tuple(int(w) for w in values)
+    if not windows or min(windows) < 1:
+        raise ValueError(f"ema_window_sizes must be positive frame counts, got {list(windows)}")
+    return windows
+
+
 def cmd_detect(cfg: dict, workdir: Path, method: str = "rule") -> None:
     det_cfg = _detector_config(cfg)
     ema_windows, ema_alpha, eval_window = _section_config(cfg, "detect", lambda d: (
-        tuple(int(w) for w in d["ema_window_sizes"]),
+        _ema_windows(d["ema_window_sizes"]),
         float(d["ema_alpha"]),
         int(d["eval_window"]),
     ))
     meta, trajs = _load_tracks(workdir)
     rows = []
     predictions: dict[int, list] = {}
+    skipped_short = 0
     for traj in trajs:
         if method == "rule":
             cps = detect.detect_rule_based(traj, det_cfg)
             predictions[traj.vehicle_id] = [(cp.t_c, cp.label_after) for cp in cps]
             rows.extend((traj.recording_id, traj.vehicle_id, cp) for cp in cps)
         elif method == "ema":
-            frames = detect.detect_ema(traj, window_sizes=ema_windows, ema_alpha=ema_alpha)
+            if len(traj) < min(ema_windows):
+                # Shorter than every EMA window: no energy series, no events.
+                skipped_short += 1
+                frames = []
+            else:
+                frames = detect.detect_ema(traj, window_sizes=ema_windows, ema_alpha=ema_alpha)
             predictions[traj.vehicle_id] = [(f, None) for f in frames]
         else:
             raise config.ConfigError(f"unknown detect method {method!r}")
@@ -239,7 +252,7 @@ def cmd_detect(cfg: dict, workdir: Path, method: str = "rule") -> None:
              changepoints=_sha256(workdir / "changepoints.csv"))
     else:
         n = sum(len(v) for v in predictions.values())
-        _log("detect", method=method, events=n)
+        _log("detect", method=method, events=n, skipped_short=skipped_short)
 
     truth_path = workdir / "truth.csv"
     if truth_path.exists():
@@ -314,6 +327,8 @@ def cmd_train(cfg: dict, workdir: Path, lambda_cl=None, lambda_int=None, tag: st
     tcfg = _train_config(cfg, seed, lambda_cl, lambda_int)
     path = workdir / "dataset.jsonl"
     records, _ = read_dataset(_require(path))
+    if not records:
+        raise StageError(f"{path} holds 0 records; nothing to train on")
     invalid = sum(1 for r in records if validate_record(r))
     if invalid:
         raise StageError(f"{invalid} invalid records in {path}")

@@ -110,7 +110,7 @@ class ModelParams:
 
 def init_params(
     cfg: TrainConfig,
-    rng: np.random.Generator,
+    rng: Optional[np.random.Generator],
     n_slots: int = N_SLOTS,
     n_features: int = N_FEATURES,
     t_obs: int = T_OBS,
@@ -118,12 +118,19 @@ def init_params(
     feature_shift: Optional[np.ndarray] = None,
     feature_scale: Optional[np.ndarray] = None,
 ) -> ModelParams:
+    """Random initial weights; with ``rng=None`` every weight is zero, for a
+    caller that only needs the layout (a checkpoint load fills it)."""
     input_dim = n_slots * n_features * t_obs
     enc_sizes = [input_dim, *cfg.hidden, cfg.latent_dim]
     dec_sizes = [cfg.latent_dim, *reversed(cfg.hidden), input_dim]
 
+    def draw(n_out, n_in, std):
+        if rng is None:
+            return np.zeros((n_out, n_in))
+        return rng.normal(0.0, std, size=(n_out, n_in))
+
     def layer(n_out, n_in):
-        return rng.normal(0.0, 1.0 / np.sqrt(n_in), size=(n_out, n_in))
+        return draw(n_out, n_in, 1.0 / np.sqrt(n_in))
 
     return ModelParams(
         n_slots=n_slots,
@@ -137,7 +144,7 @@ def init_params(
         enc_b=[np.zeros(b) for b in enc_sizes[1:]],
         dec_w=[layer(b, a) for a, b in zip(dec_sizes, dec_sizes[1:])],
         dec_b=[np.zeros(b) for b in dec_sizes[1:]],
-        codebook=rng.normal(0.0, 0.1, size=(cfg.codebook_size, cfg.latent_dim)),
+        codebook=draw(cfg.codebook_size, cfg.latent_dim, 0.1),
         cl_w=layer(n_classes, cfg.latent_dim),
         cl_b=np.zeros(n_classes),
         int_w=layer(n_slots * t_obs, cfg.latent_dim),
@@ -683,7 +690,7 @@ def load_checkpoint(path) -> ModelParams:
             )
             params = init_params(
                 cfg,
-                np.random.default_rng(0),
+                None,
                 n_slots=header["n_slots"],
                 n_features=header["n_features"],
                 t_obs=header["t_obs"],

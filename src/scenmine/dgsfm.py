@@ -49,10 +49,11 @@ class DgsfmConfig:
 
 
 def _heading(v: np.ndarray) -> np.ndarray:
-    speed = float(np.hypot(v[0], v[1]))
-    if speed < MIN_HEADING_SPEED:
-        return np.array([1.0, 0.0])
-    return np.asarray(v, dtype=float) / speed
+    """Unit heading of each ``(..., 2)`` velocity; +x below MIN_HEADING_SPEED."""
+    v = np.asarray(v, dtype=float)
+    speed = np.hypot(v[..., 0], v[..., 1])[..., None]
+    slow = speed < MIN_HEADING_SPEED
+    return np.where(slow, [1.0, 0.0], v / np.where(slow, 1.0, speed))
 
 
 def v_egg(
@@ -60,17 +61,18 @@ def v_egg(
     r_self: np.ndarray,
     v_self: np.ndarray,
     egg: EggPotentialParams,
-) -> float:
+) -> np.ndarray:
     """Anisotropic exponential repulsion of ``r_other`` inside the field of
     ``r_self`` heading along ``v_self``; range stretched forward, compressed
-    to the rear, and scaled laterally."""
-    h = _heading(np.asarray(v_self, dtype=float))
+    to the rear, and scaled laterally. Broadcasts over leading ``(..., 2)``
+    axes; a single ``(2,)`` triple gives a scalar."""
+    h = _heading(v_self)
     d = np.asarray(r_other, dtype=float) - np.asarray(r_self, dtype=float)
-    d_long = d[0] * h[0] + d[1] * h[1]
-    d_lat = -d[0] * h[1] + d[1] * h[0]
-    s = egg.forward_stretch * egg.sigma if d_long >= 0 else egg.rear_compress * egg.sigma
+    d_long = d[..., 0] * h[..., 0] + d[..., 1] * h[..., 1]
+    d_lat = -d[..., 0] * h[..., 1] + d[..., 1] * h[..., 0]
+    s = np.where(d_long >= 0, egg.forward_stretch * egg.sigma, egg.rear_compress * egg.sigma)
     rho = np.hypot(d_long / s, d_lat / (egg.lateral_scale * egg.sigma))
-    return float(egg.amplitude * np.exp(-rho))
+    return egg.amplitude * np.exp(-rho)
 
 
 def beta_components(
@@ -79,10 +81,10 @@ def beta_components(
     nb_pos: np.ndarray,
     nb_vel: np.ndarray,
     cfg: DgsfmConfig,
-) -> tuple[float, float]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Intrusion depth into the ego's directional field (beta_a) and the
     short-horizon change of the ego's intrusion into the neighbor's field
-    (beta_b; may be negative)."""
+    (beta_b; may be negative). Broadcasts like ``v_egg``."""
     beta_a = v_egg(nb_pos, ego_pos, ego_vel, cfg.egg)
     horizon = cfg.n_dg * cfg.dt
     ego_star = np.asarray(ego_pos, dtype=float) + horizon * np.asarray(ego_vel, dtype=float)
@@ -108,20 +110,22 @@ def interaction_scores(
             f"expected ({N_SLOTS - 1}, {T_OBS}) neighbor slots/frames, "
             f"got ({n_neighbors}, {n_frames})"
         )
-    values = np.zeros((N_SLOTS, T_OBS))
-    values[0, :] = 1.0
-    for t in range(n_frames):
-        present = np.flatnonzero(presence[:, t])
-        if present.size == 0:
-            continue
-        betas = np.empty(present.size)
-        for k, j in enumerate(present):
-            beta_a, beta_b = beta_components(
-                ego_pos[t], ego_vel[t], neighbor_pos[j, t], neighbor_vel[j, t], cfg
-            )
-            betas[k] = cfg.tau_sum * beta_a + (1.0 - cfg.tau_sum) * beta_b
-        scaled = betas / cfg.softmax_temperature
-        scaled -= scaled.max()
-        weights = np.exp(scaled)
-        values[1 + present, t] = weights / weights.sum()
+    presence = np.asarray(presence, dtype=bool)
+    beta_a, beta_b = beta_components(ego_pos, ego_vel, neighbor_pos, neighbor_vel, cfg)
+    betas = cfg.tau_sum * beta_a + (1.0 - cfg.tau_sum) * beta_b
+    scaled = np.where(presence, betas / cfg.softmax_temperature, -np.inf)
+    any_present = presence.any(axis=0)
+    scaled -= np.where(any_present, scaled.max(axis=0), 0.0)
+    weights = np.exp(scaled)  # exp(-inf) is 0 in absent slots
+    # Sum in the order numpy's 1-d sum uses over the present slots alone:
+    # eight-way pairwise when all 8 are present, one after another otherwise
+    # (an absent slot adds an exact 0.0).
+    pairs = weights[0::2] + weights[1::2]
+    total = np.where(
+        presence.all(axis=0),
+        (pairs[0] + pairs[1]) + (pairs[2] + pairs[3]),
+        weights.sum(axis=0),
+    )
+    values = np.ones((N_SLOTS, T_OBS))
+    values[1:] = weights / np.where(any_present, total, 1.0)
     return InteractionMatrix(values)

@@ -4,7 +4,9 @@ import shutil
 
 import pytest
 
-from scenmine import cli, ingest
+from conftest import make_traj
+from scenmine import cli, detect, ingest
+from scenmine.types import CompositeLabel, LatState, LongState
 
 SMALL_CONFIG = """\
 seed: 13
@@ -136,6 +138,42 @@ def test_ingest_subcommand_round_trip(tmp_path):
     assert (wd2 / "tracks.csv").read_bytes() == (wd / "tracks.csv").read_bytes()
 
 
+def test_short_recording_detects_nothing_and_train_refuses_empty_dataset(tmp_path, capsys):
+    # One vehicle, 10 frames: shorter than every EMA window (30, 60, 90).
+    meta = ingest.RecordingMeta(
+        recording_id="short",
+        frame_rate=25.0,
+        lanes_per_direction=3,
+        lane_directions={lane: 1 for lane in range(1, 7)},
+    )
+    rec = tmp_path / "recording"
+    rec.mkdir()
+    ingest.write_tracks_csv([make_traj(n=10, vehicle_id=7, recording_id="short")], rec / "tracks.csv")
+    ingest.write_meta_json(meta, rec / "meta.json")
+    wd = tmp_path / "wd"
+    args = ["--workdir", str(wd)]
+    assert cli.main(args + ["ingest", "--tracks", str(rec / "tracks.csv"),
+                            "--meta", str(rec / "meta.json")]) == 0
+    detect.write_annotations(
+        [("short", 7, 5, CompositeLabel(LongState.ACCELERATE, LatState.KEEP_LANE))], wd / "truth.csv"
+    )
+    capsys.readouterr()
+    assert cli.main(args + ["detect", "--method", "ema"]) == 0
+    out = capsys.readouterr().out
+    assert "[detect] method=ema events=0 skipped_short=1" in out
+    report = json.loads((wd / "detection_ema.json").read_text())
+    assert (report["tp"], report["fp"], report["fn"]) == (0, 0, 1)
+
+    for command in (["detect"], ["extract"], ["augment"]):
+        assert cli.main(args + command) == 0
+    assert "records=0" in capsys.readouterr().out
+    assert cli.main(args + ["train"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("stage error:") and captured.err.count("\n") == 1
+    assert "dataset.jsonl holds 0 records" in captured.err
+    assert not (wd / "model.ckpt").exists()
+
+
 # --------------------------- bad input table ---------------------------------
 
 ARCHETYPE_CONFIG = """\
@@ -199,6 +237,10 @@ BAD_INPUTS = [
     pytest.param("detect:\n  tau_extreme: 0.1\n", ["detect"], None, 2, "config error", id="tau-extreme-low"),
     pytest.param("detect:\n  ema_alpha: abc\n", ["detect", "--method", "ema"], None, 2, "config error",
                  id="ema-alpha-not-number"),
+    pytest.param("detect:\n  ema_window_sizes: []\n", ["detect", "--method", "ema"], None, 2, "config error",
+                 id="ema-windows-empty"),
+    pytest.param("detect:\n  ema_window_sizes: [0, 30]\n", ["detect", "--method", "ema"], None, 2,
+                 "config error", id="ema-window-zero"),
     pytest.param("dgsfm:\n  tau_sum: 1.5\n", ["extract"], None, 2, "config error", id="tau-sum-high"),
     pytest.param("extract:\n  tensor_offset: 60\n", ["extract"], None, 2, "config error",
                  id="tensor-offset-outside"),
@@ -215,6 +257,8 @@ BAD_INPUTS = [
                  "stage error", id="dataset-missing-key"),
     pytest.param("", ["train"], (DATASET, lambda b: b.replace(b'"interaction":[', b'"interaction":[0.0,', 1)),
                  3, "stage error", id="dataset-array-length"),
+    pytest.param("", ["train"], (DATASET, lambda b: b[:_header_end(b)]), 3, "stage error",
+                 id="dataset-empty"),
     pytest.param("", ["cluster"], (DATASET, lambda b: b"".join(b.splitlines(keepends=True)[:4])), 3,
                  "stage error", id="cluster-too-few-records"),
     pytest.param("", ["cluster"], (CKPT, lambda b: b[:-8]), 3, "stage error", id="ckpt-truncated"),

@@ -189,3 +189,97 @@ def test_param_validation():
         egg(forward_stretch=0.5, rear_compress=0.9)
     with pytest.raises(ValueError):
         dgsfm.DgsfmConfig(tau_sum=1.5)
+
+
+# Scalar reference: the per-frame, per-neighbour loop the broadcast kernel
+# replaced. It must agree bit for bit, so tests compare with array_equal.
+def _reference_heading(v):
+    speed = float(np.hypot(v[0], v[1]))
+    if speed < dgsfm.MIN_HEADING_SPEED:
+        return np.array([1.0, 0.0])
+    return np.asarray(v, dtype=float) / speed
+
+
+def _reference_v_egg(r_other, r_self, v_self, params):
+    h = _reference_heading(np.asarray(v_self, dtype=float))
+    d = np.asarray(r_other, dtype=float) - np.asarray(r_self, dtype=float)
+    d_long = d[0] * h[0] + d[1] * h[1]
+    d_lat = -d[0] * h[1] + d[1] * h[0]
+    s = params.forward_stretch * params.sigma if d_long >= 0 else params.rear_compress * params.sigma
+    rho = np.hypot(d_long / s, d_lat / (params.lateral_scale * params.sigma))
+    return float(params.amplitude * np.exp(-rho))
+
+
+def _reference_scores(ego_pos, ego_vel, nb_pos, nb_vel, presence, cfg):
+    values = np.zeros((9, 100))
+    values[0, :] = 1.0
+    horizon = cfg.n_dg * cfg.dt
+    for t in range(100):
+        present = np.flatnonzero(presence[:, t])
+        if present.size == 0:
+            continue
+        betas = np.empty(present.size)
+        for k, j in enumerate(present):
+            beta_a = _reference_v_egg(nb_pos[j, t], ego_pos[t], ego_vel[t], cfg.egg)
+            ego_star = ego_pos[t] + horizon * ego_vel[t]
+            nb_star = nb_pos[j, t] + horizon * nb_vel[j, t]
+            beta_b = _reference_v_egg(ego_star, nb_star, nb_vel[j, t], cfg.egg) - _reference_v_egg(
+                ego_pos[t], nb_pos[j, t], nb_vel[j, t], cfg.egg
+            )
+            betas[k] = cfg.tau_sum * beta_a + (1.0 - cfg.tau_sum) * beta_b
+        scaled = betas / cfg.softmax_temperature
+        scaled -= scaled.max()
+        weights = np.exp(scaled)
+        values[1 + present, t] = weights / weights.sum()
+    return values
+
+
+def _oracle_inputs(seed, p_present):
+    """Random scene whose frames mix full, empty and partial presence, slow
+    ego and neighbour frames, and neighbours at d_long == 0 exactly."""
+    rng = np.random.default_rng(seed)
+    presence = rng.random((8, 100)) < p_present
+    presence[:, 0:5] = True    # all 8 present
+    presence[:, 5:10] = False  # none present
+    ego_pos = np.cumsum(rng.normal(1.0, 0.5, size=(100, 2)), axis=0)
+    ego_vel = rng.normal(20.0, 5.0, size=(100, 2))
+    ego_vel[10:15] = rng.normal(0.0, 0.03, size=(5, 2))  # below MIN_HEADING_SPEED
+    ego_vel[15:20] = [0.0, 0.0]
+    nb_pos = ego_pos + rng.normal(0.0, 30.0, size=(8, 100, 2))
+    nb_vel = rng.normal(20.0, 8.0, size=(8, 100, 2))
+    nb_vel[:, 20:25] = rng.normal(0.0, 0.03, size=(8, 5, 2))
+    nb_vel[2, 25:30] = [0.0, 0.0]
+    # d_long == 0: the neighbour on the ego's position, or straight beside
+    # an ego heading along +x.
+    ego_vel[30:40] = [22.0, 0.0]
+    nb_pos[0, 30:40] = ego_pos[30:40]
+    nb_pos[1, 30:40] = ego_pos[30:40] + [0.0, 3.75]
+    nb_pos[3, 30:40] = ego_pos[30:40] - [0.0, 3.75]
+    nb_pos[:, 40:45] = ego_pos[40:45]  # all 8 on the ego
+    nb_pos = np.where(presence[..., None], nb_pos, 0.0)
+    nb_vel = np.where(presence[..., None], nb_vel, 0.0)
+    return ego_pos, ego_vel, nb_pos, nb_vel, presence
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("p_present", [0.05, 0.5, 0.9, 1.0])
+@pytest.mark.parametrize("tau_sum, temperature", [(0.5, 1.0), (0.0, 0.2), (1.0, 3.0)])
+def test_scores_bit_identical_to_scalar_reference(seed, p_present, tau_sum, temperature):
+    inputs = _oracle_inputs(seed, p_present)
+    cfg = dgsfm.DgsfmConfig(tau_sum=tau_sum, softmax_temperature=temperature)
+    got = dgsfm.interaction_scores(*inputs, cfg).values
+    assert np.array_equal(got, _reference_scores(*inputs, cfg))
+
+
+def test_v_egg_and_beta_broadcast_match_scalar_calls():
+    rng = np.random.default_rng(7)
+    r_other = rng.normal(0.0, 20.0, size=(3, 4, 2))
+    r_self = rng.normal(0.0, 20.0, size=(4, 2))
+    v_self = rng.normal(10.0, 10.0, size=(4, 2))
+    v_self[0] = 0.0
+    params = egg()
+    grid = dgsfm.v_egg(r_other, r_self, v_self, params)
+    assert grid.shape == (3, 4)
+    for i in range(3):
+        for j in range(4):
+            assert grid[i, j] == _reference_v_egg(r_other[i, j], r_self[j], v_self[j], params)
