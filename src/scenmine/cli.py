@@ -111,6 +111,22 @@ def _train_config(cfg: dict, seed: int, lambda_cl=None, lambda_int=None) -> cvqv
     ))
 
 
+def _cluster_config(cfg: dict) -> tuple[tuple[str, ...], str, int]:
+    """(backends, linkage, max_iter) of the cluster section."""
+    def build(c):
+        backends = tuple(c["backends"])
+        unknown = [b for b in backends if b not in clustering.BACKENDS]
+        if unknown or not backends:
+            raise ValueError(f"backends {list(backends)} must be some of {list(clustering.BACKENDS)}")
+        if c["linkage"] not in clustering.LINKAGES:
+            raise ValueError(f"unknown linkage {c['linkage']!r}; expected one of {list(clustering.LINKAGES)}")
+        max_iter = int(c["max_iter"])
+        if max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+        return backends, c["linkage"], max_iter
+    return _section_config(cfg, "cluster", build)
+
+
 def _make_scripts(n: int, noise: float, seed: int) -> list[ingest.SyntheticScript]:
     """Deterministic mixed-maneuver scripts, staggered in space and lane so
     co-recorded vehicles do not overlap."""
@@ -342,6 +358,7 @@ def cmd_train(cfg: dict, workdir: Path, lambda_cl=None, lambda_int=None, tag: st
 
 
 def cmd_cluster(cfg: dict, workdir: Path, tag: str = "model") -> None:
+    backends, linkage, max_iter = _cluster_config(cfg)
     records, _ = read_dataset(_require(workdir / "dataset.jsonl"))
     aug_path = workdir / "dataset_augmented.jsonl"
     all_records = read_dataset(aug_path)[0] if aug_path.exists() else records
@@ -360,21 +377,21 @@ def cmd_cluster(cfg: dict, workdir: Path, tag: str = "model") -> None:
     extra_latents = clustering.encode_latents(extra, params) if extra else np.zeros((0, params.latent_dim))
 
     rows: list[tuple[str, str, int]] = []
-    for backend in cfg["cluster"]["backends"]:
+    for backend in backends:
         if backend == "codebook":
             assign = clustering.assign_codebook(records + extra, params)
             labels = dict(zip(assign.record_ids, assign.labels))
         elif backend == "kmeans":
             assign, centroids = clustering.kmeans(
-                train_latents, k, seed=seed, max_iter=int(cfg["cluster"]["max_iter"]),
+                train_latents, k, seed=seed, max_iter=max_iter,
                 record_ids=tuple(r.record_id for r in records))
             labels = dict(zip(assign.record_ids, assign.labels))
             if extra:
                 for r, lbl in zip(extra, clustering.assign_to_centroids(extra_latents, centroids)):
                     labels[r.record_id] = lbl
-        elif backend == "hierarchical":
+        else:  # hierarchical
             assign = clustering.hierarchical(
-                train_latents, k, linkage=cfg["cluster"]["linkage"],
+                train_latents, k, linkage=linkage,
                 record_ids=tuple(r.record_id for r in records))
             labels = dict(zip(assign.record_ids, assign.labels))
             if extra:
@@ -382,8 +399,6 @@ def cmd_cluster(cfg: dict, workdir: Path, tag: str = "model") -> None:
                     extra_latents, train_latents, assign.labels)
                 for r, lbl in zip(extra, extra_labels):
                     labels[r.record_id] = lbl
-        else:
-            raise config.ConfigError(f"unknown clustering backend {backend!r}")
         rows.extend((rid, backend, int(lbl)) for rid, lbl in labels.items())
 
     out = workdir / f"assignments_{tag}.csv"
@@ -477,6 +492,7 @@ def cmd_gradcheck(cfg: dict, workdir: Path) -> int:
 
 
 def cmd_pipeline(cfg: dict, workdir: Path) -> None:
+    _cluster_config(cfg)  # a bad cluster section fails before any training
     cmd_synth(cfg, workdir)
     if cfg["synth"]["kind"] == "trajectories":
         cmd_detect(cfg, workdir, method="rule")

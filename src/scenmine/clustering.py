@@ -84,6 +84,17 @@ def _kmeans_pp_init(latents: np.ndarray, k: int, rng: np.random.Generator) -> np
     return centroids
 
 
+def _checked_latents(latents: np.ndarray, k: int) -> np.ndarray:
+    latents = np.asarray(latents, dtype=float)
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    if latents.shape[0] < k:
+        raise ValueError(f"need at least k={k} latents, got {latents.shape[0]}")
+    if not np.isfinite(latents).all():
+        raise ValueError("latents must be finite")
+    return latents
+
+
 def kmeans(
     latents: np.ndarray,
     k: int,
@@ -93,10 +104,7 @@ def kmeans(
 ) -> tuple[ClusterAssignment, np.ndarray]:
     """Lloyd iterations to an assignment fixed point (or max_iter); empty
     clusters are re-seeded from the point farthest from its centroid."""
-    latents = np.asarray(latents, dtype=float)
-    n = latents.shape[0]
-    if n < k:
-        raise ValueError(f"need at least k={k} latents, got {n}")
+    latents = _checked_latents(latents, k)
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_init(latents, k, rng)
     labels = _nearest(latents, centroids)
@@ -147,42 +155,78 @@ def hierarchical_with_merges(
     """Agglomerative merging until k clusters remain.
 
     Ward linkage merges the pair with the minimum variance increase
-    |A||B|/(|A|+|B|) * ||mu_A - mu_B||^2; ties break to the lowest pair of
-    active-cluster positions. Returns the assignment and the merge sequence
-    as (i, j) positions into the then-active cluster list (i < j).
+    |A||B|/(|A|+|B|) * ||mu_A - mu_B||^2; ties (costs within 1e-15 of the
+    minimum) break to the lowest pair of active-cluster positions. Returns
+    the assignment and the merge sequence as (i, j) positions into the
+    then-active cluster list (i < j).
     """
     if linkage not in LINKAGES:
         raise ValueError(f"unknown linkage {linkage!r}")
-    latents = np.asarray(latents, dtype=float)
-    n = latents.shape[0]
-    if n < k:
-        raise ValueError(f"need at least k={k} latents, got {n}")
+    latents = _checked_latents(latents, k)
+    members: list[list[int]] = [[i] for i in range(latents.shape[0])]
+    merges = [pair for pair, _ in _merge_steps(latents, k, linkage, members)]
 
-    members: list[list[int]] = [[i] for i in range(n)]
-    merges: list[tuple[int, int]] = []
-    while len(members) > k:
-        best: tuple[float, int, int] | None = None
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                cost = _linkage_cost(latents, members[i], members[j], linkage)
-                if best is None or cost < best[0] - 1e-15 or (
-                    abs(cost - best[0]) <= 1e-15 and (i, j) < (best[1], best[2])
-                ):
-                    best = (cost, i, j)
-        _, i, j = best
-        merges.append((i, j))
-        members[i] = members[i] + members[j]
-        del members[j]
-
-    labels = np.empty(n, dtype=np.int64)
+    labels = np.empty(latents.shape[0], dtype=np.int64)
     # Clusters numbered by their smallest member index for determinism.
-    for new_label, cluster in enumerate(sorted(members, key=min)):
+    for new_label, cluster in enumerate(sorted((m for m in members if m), key=min)):
         for idx in cluster:
             labels[idx] = new_label
     assignment = ClusterAssignment(
         backend="hierarchical", labels=labels, k=k, record_ids=record_ids
     )
     return assignment, merges
+
+
+def _merge_steps(latents: np.ndarray, k: int, linkage: str, members: list[list[int]]):
+    """Merges the slots of ``members`` (merged in place; a merged-away slot
+    is left empty) until k are non-empty, yielding after each merge its
+    (i, j) active-list positions and the cost matrix.
+
+    ``cost[a, b]`` for active slots a < b is ``_linkage_cost(members[a],
+    members[b])``, bit for bit; every other entry is +inf. Merging b into a
+    recomputes only row/column a. Active slots keep their order, so a
+    slot's active-list position is the number of active slots before it.
+    """
+    n = latents.shape[0]
+    active = np.ones(n, dtype=bool)
+    sizes = np.ones(n, dtype=np.int64)
+    mus = latents.copy()  # ward: per-slot centroids
+    cost = np.full((n, n), np.inf)
+    # Singletons: the mean of one point is the point and the mean or max of
+    # one distance is that distance, so these rows equal _linkage_cost's.
+    for a in range(n - 1):
+        sq = np.sum((latents[a + 1:] - latents[a]) ** 2, axis=1)
+        cost[a, a + 1:] = 0.5 * sq if linkage == "ward" else np.sqrt(sq)
+    for _ in range(n - k):
+        floor = cost.min()
+        if floor == np.inf:  # every remaining cost overflowed: lowest pair
+            a, b = (int(s) for s in np.flatnonzero(active)[:2])
+        else:
+            a, b = divmod(int(np.argmax(cost <= floor + 1e-15)), n)
+        i, j = int(np.count_nonzero(active[:a])), int(np.count_nonzero(active[:b]))
+        members[a] = members[a] + members[b]
+        members[b] = []
+        active[b] = False
+        cost[b] = cost[:, b] = np.inf
+        others = np.flatnonzero(active)
+        others = others[others != a]
+        if linkage == "ward":
+            sizes[a] = len(members[a])
+            mus[a] = latents[members[a]].mean(axis=0)
+            # The operations of _linkage_cost: the sign of the difference
+            # vanishes in the square, and a sum along the contiguous last
+            # axis is the same pairwise sum as its 1-d sum.
+            na, nb = sizes[a], sizes[others]
+            row = (na * nb / (na + nb)) * np.sum((mus[others] - mus[a]) ** 2, axis=1)
+        else:  # argument order fixes the summation order of the mean
+            row = np.array([
+                _linkage_cost(latents, members[min(a, o)], members[max(a, o)], linkage)
+                for o in others
+            ])
+        before = others < a
+        cost[others[before], a] = row[before]
+        cost[a, others[~before]] = row[~before]
+        yield (i, j), cost
 
 
 def _linkage_cost(latents: np.ndarray, a: list[int], b: list[int], linkage: str) -> float:

@@ -56,6 +56,8 @@ class TrainConfig:
             raise ValueError("loss weights must be non-negative")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be at least 1")
+        if self.latent_dim < 1 or self.codebook_size < 1 or any(h < 1 for h in self.hidden):
+            raise ValueError("latent_dim, codebook_size and every hidden width must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -671,8 +673,8 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 def load_checkpoint(path) -> ModelParams:
     """Reads a checkpoint written by ``save_checkpoint``. A header that does
-    not describe this model layout, a short array block or trailing bytes
-    raise ContractError."""
+    not describe this model layout, a short array block, a NaN or inf value
+    or trailing bytes raise ContractError."""
     with open(path, "rb") as fh:
         try:
             header = json.loads(fh.readline().decode("utf-8"))
@@ -707,6 +709,8 @@ def load_checkpoint(path) -> ModelParams:
             if len(blob) != arr.size * 8:
                 raise ContractError(f"{path}: truncated in array {name}")
             arr[...] = np.frombuffer(blob, dtype="<f8").reshape(arr.shape)
+            if not np.isfinite(arr).all():
+                raise ContractError(f"{path}: non-finite value in array {name}")
         if fh.read(1):
             raise ContractError(f"{path}: trailing bytes after the last array")
     return params

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import math
 import shutil
+import struct
 
 import pytest
 
@@ -232,6 +234,15 @@ BAD_INPUTS = [
     pytest.param("train:\n  batch_size: 0\n", ["train"], None, 2, "config error", id="batch-size-zero"),
     pytest.param("train:\n  hidden: 8\n", ["train"], None, 2, "config error", id="hidden-not-list"),
     pytest.param("train:\n  learning_rate: fast\n", ["train"], None, 2, "config error", id="rate-not-number"),
+    pytest.param("train:\n  codebook_size: 0\n", ["train"], None, 2, "config error", id="codebook-size-zero"),
+    pytest.param("train:\n  latent_dim: 0\n", ["train"], None, 2, "config error", id="latent-dim-zero"),
+    pytest.param("cluster:\n  linkage: single\n", ["cluster"], None, 2, "config error", id="linkage-unknown"),
+    pytest.param("cluster:\n  max_iter: 0\n", ["cluster"], None, 2, "config error", id="max-iter-zero"),
+    pytest.param("cluster:\n  linkage: single\n", ["pipeline"], None, 2, "config error",
+                 id="pipeline-linkage-unknown"),
+    pytest.param("cluster:\n  backends: [codebook, dbscan]\n", ["cluster"], None, 2, "config error",
+                 id="backend-unknown"),
+    pytest.param("cluster:\n  backends: []\n", ["cluster"], None, 2, "config error", id="backends-empty"),
     pytest.param("seed: abc\n", ["synth"], None, 2, "config error", id="seed-not-int"),
     pytest.param("seed: 1.5\n", ["synth"], None, 2, "config error", id="seed-float"),
     pytest.param("detect:\n  tau_extreme: 0.1\n", ["detect"], None, 2, "config error", id="tau-extreme-low"),
@@ -270,6 +281,14 @@ BAD_INPUTS = [
     pytest.param(
         "", ["cluster"], (CKPT, lambda b: b.replace(b'"latent_dim":4', b'"latent_dim":5', 1)), 3,
         "stage error", id="ckpt-layout-mismatch",
+    ),
+    pytest.param(
+        "", ["cluster"], (CKPT, lambda b: b.replace(b'"codebook_size":4', b'"codebook_size":0', 1)), 3,
+        "stage error", id="ckpt-codebook-zero",
+    ),
+    pytest.param(
+        "", ["cluster"], (CKPT, lambda b: b[:_header_end(b)] + struct.pack("<d", math.nan) + b[_header_end(b) + 8:]),
+        3, "stage error", id="ckpt-nan-weight",
     ),
 ]
 

@@ -1,9 +1,10 @@
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
-from scenmine import clustering, corpus, cvqvae
+from scenmine import cli, clustering, corpus, cvqvae
 
 
 def naive_ward_oracle(latents, k, linkage="ward"):
@@ -136,6 +137,71 @@ def test_hierarchical_too_few_latents(rng):
         clustering.hierarchical(rng.normal(size=(3, 2)), k=4)
 
 
+@pytest.mark.parametrize("linkage", ["ward", "average", "complete"])
+def test_cost_matrix_matches_linkage_cost_after_every_merge(linkage, rng):
+    for trial in range(3):
+        n = int(rng.integers(10, 18))
+        latents = rng.normal(size=(n, 5))
+        if trial == 2:
+            latents = np.round(latents)
+        members = [[i] for i in range(n)]
+        steps = 0
+        for _, cost in clustering._merge_steps(latents, 1, linkage, members):
+            steps += 1
+            live = [s for s in range(n) if members[s]]
+            expected = np.full((n, n), np.inf)
+            for a, b in itertools.combinations(live, 2):
+                expected[a, b] = clustering._linkage_cost(latents, members[a], members[b], linkage)
+            assert np.array_equal(cost, expected)
+        assert steps == n - 1
+
+
+@pytest.mark.parametrize("linkage", ["ward", "average", "complete"])
+def test_hierarchical_tie_heavy_matches_naive_oracle(linkage, rng):
+    for trial in range(4):
+        n = int(rng.integers(8, 16))
+        latents = np.round(rng.normal(size=(n, 2)) * 1.5)
+        latents[rng.integers(n, size=n // 3)] = latents[0]  # duplicated points
+        for k in range(1, 5):
+            _, merges = clustering.hierarchical_with_merges(latents, k, linkage=linkage)
+            expected, _ = naive_ward_oracle(latents, k, linkage=linkage)
+            assert merges == expected
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("linkage", ["ward", "average", "complete"])
+def test_hierarchical_overflowed_costs_merge_lowest_pair(linkage):
+    latents = np.array([[0.0], [1e200], [-1e200], [3e200]])
+    _, merges = clustering.hierarchical_with_merges(latents, 1, linkage=linkage)
+    expected, _ = naive_ward_oracle(latents, 1, linkage=linkage)
+    assert merges == expected
+
+
+def test_hierarchical_600_latents_ward(rng):
+    latents = rng.normal(size=(600, 32))
+    base, merges = clustering.hierarchical_with_merges(latents, 16)
+    assert len(merges) == 584
+    assert sorted(set(base.labels.tolist())) == list(range(16))
+    perm = rng.permutation(600)
+    restored = np.empty(600, dtype=np.int64)
+    restored[perm] = clustering.hierarchical(latents[perm], 16).labels
+    assert np.array_equal(co_membership(base.labels), co_membership(restored))
+
+
+@pytest.mark.parametrize("backend", ["kmeans", "hierarchical"])
+def test_non_finite_latents_or_bad_k_rejected(backend, rng):
+    run = clustering.kmeans if backend == "kmeans" else clustering.hierarchical
+    latents = rng.normal(size=(6, 3))
+    for bad in (np.nan, np.inf):
+        damaged = latents.copy()
+        damaged[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            run(damaged, 2)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be"):
+            run(latents, k)
+
+
 # ------------------------- permutation invariance -----------------------------
 
 def test_hierarchical_partition_permutation_invariant(rng):
@@ -191,3 +257,38 @@ def test_assignment_label_bounds():
         clustering.ClusterAssignment(backend="kmeans", labels=np.array([0, 5]), k=3)
     with pytest.raises(ValueError):
         clustering.ClusterAssignment(backend="nope", labels=np.array([0]), k=1)
+
+
+# ------------------------- golden clustering output ---------------------------
+
+GOLDEN_CONFIG = """\
+seed: 13
+synth:
+  n_trajectories: 16
+augment:
+  n_augment: 4
+train:
+  epochs: 4
+  hidden: [24, 24]
+  latent_dim: 8
+  codebook_size: 6
+"""
+
+# SHA-256 of the cluster and report artifacts of a fixed-seed pipeline run
+# (20 base records, so hierarchical makes 14 ward merges), recorded before
+# hierarchical merging moved to a cached cost matrix.
+GOLDEN_CLUSTER_DIGESTS = {
+    "assignments_no_dk.csv": "0fbfd58c093be4ee0f543915e5f587a4ef8ad3f0f95cde8400e7f9bd6b8e2d2c",
+    "assignments_dk.csv": "87dd5aa45a7e4be97b664d50674eb09d2d1ee8b0f549ef0c618cb2b46f2aac57",
+    "report.json": "17cc896c3c14ecac87a9935b718ae992e67c824930a05458a9ee1d7782d7ce13",
+}
+
+
+def test_cluster_and_report_bytes_match_golden_digests(tmp_path):
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text(GOLDEN_CONFIG)
+    wd = tmp_path / "wd"
+    assert cli.main(["--config", str(cfg), "--workdir", str(wd), "pipeline"]) == 0
+    digests = {name: hashlib.sha256((wd / name).read_bytes()).hexdigest()
+               for name in GOLDEN_CLUSTER_DIGESTS}
+    assert digests == GOLDEN_CLUSTER_DIGESTS

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -464,6 +465,23 @@ def test_loss_history_csv(tmp_path):
 def test_nonpositive_epochs_or_batch_size_rejected(key):
     with pytest.raises(ValueError):
         cvqvae.TrainConfig(**{key: 0})
+
+
+@pytest.mark.parametrize("sizes", [{"latent_dim": 0}, {"codebook_size": 0}, {"hidden": (8, 0)},
+                                   {"codebook_size": -2}])
+def test_model_sizes_below_one_rejected(sizes):
+    with pytest.raises(ValueError, match="at least 1"):
+        cvqvae.TrainConfig(**sizes)
+
+
+@pytest.mark.parametrize("name, value", [("enc_w[0]", np.nan), ("codebook", np.inf), ("usage", -np.inf)])
+def test_checkpoint_non_finite_array_is_contract_error(tmp_path, name, value):
+    params = tiny_params()
+    dict(cvqvae._checkpoint_arrays(params))[name].flat[1] = value
+    path = tmp_path / "model.ckpt"
+    cvqvae.save_checkpoint(params, path)
+    with pytest.raises(cvqvae.ContractError, match=re.escape(f"array {name}")):
+        cvqvae.load_checkpoint(path)
 
 
 # SHA-256 of the checkpoint and loss-history bytes of a fixed-seed run,
