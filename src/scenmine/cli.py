@@ -54,6 +54,32 @@ def _section_config(cfg: dict, section: str, build):
         raise config.ConfigError(f"invalid {section} section: {exc}") from exc
 
 
+def _synth_config(cfg: dict) -> dict:
+    """The synth section with its values converted and range-checked."""
+    def build(s):
+        out = {"kind": s["kind"], "n_trajectories": int(s["n_trajectories"]),
+               "noise_sigma_accel": float(s["noise_sigma_accel"]), "dt": float(s["dt"]),
+               "n_per_class": int(s["n_per_class"])}
+        if out["kind"] not in ("trajectories", "archetypes"):
+            raise ValueError(f"unknown kind {out['kind']!r}")
+        if out["n_trajectories"] < 1 or out["n_per_class"] < 1:
+            raise ValueError("n_trajectories and n_per_class must be at least 1")
+        if not (0.0 < out["dt"] < np.inf and 0.0 <= out["noise_sigma_accel"] < np.inf):
+            raise ValueError("dt must be positive and noise_sigma_accel non-negative, both finite")
+        return out
+    return _section_config(cfg, "synth", build)
+
+
+def _augment_config(cfg: dict) -> tuple[int, float]:
+    """(n_augment, min_gap) of the augment section."""
+    def build(a):
+        n_augment, min_gap = int(a["n_augment"]), float(a["min_gap"])
+        if n_augment < 0 or not 0.0 <= min_gap < np.inf:
+            raise ValueError("n_augment and min_gap must be non-negative, min_gap finite")
+        return n_augment, min_gap
+    return _section_config(cfg, "augment", build)
+
+
 def _detector_config(cfg: dict) -> detect.DetectorConfig:
     return _section_config(cfg, "detect", lambda d: detect.DetectorConfig(
         up_pairs=tuple((float(t), int(n)) for t, n in d["up_pairs"]),
@@ -170,11 +196,11 @@ def _make_scripts(n: int, noise: float, seed: int) -> list[ingest.SyntheticScrip
 # ---------------------------------------------------------------------------
 
 def cmd_synth(cfg: dict, workdir: Path) -> None:
-    s = cfg["synth"]
+    s = _synth_config(cfg)
     seed = config.stage_seed(cfg, "synth")
-    dt = float(s["dt"])
+    dt = s["dt"]
     if s["kind"] == "trajectories":
-        scripts = _make_scripts(int(s["n_trajectories"]), float(s["noise_sigma_accel"]), seed)
+        scripts = _make_scripts(s["n_trajectories"], s["noise_sigma_accel"], seed)
         trajs, truths = ingest.generate_synthetic(scripts, dt, seed, recording_id="synthetic")
         ingest.write_tracks_csv(trajs, workdir / "tracks.csv")
         meta = ingest.RecordingMeta(
@@ -198,16 +224,14 @@ def cmd_synth(cfg: dict, workdir: Path) -> None:
             seed=seed,
             tracks=_sha256(workdir / "tracks.csv"),
         )
-    elif s["kind"] == "archetypes":
+    else:  # archetypes
         records = corpus.build_archetype_corpus(
-            n_per_class=int(s["n_per_class"]), seed=seed, dt=dt,
+            n_per_class=s["n_per_class"], seed=seed, dt=dt,
             dgsfm_cfg=_dgsfm_config(cfg, dt),
         )
         write_dataset(records, workdir / "dataset.jsonl", dt=dt)
         _log("synth", kind="archetypes", n=len(records), seed=seed,
              dataset=_sha256(workdir / "dataset.jsonl"))
-    else:
-        raise config.ConfigError(f"unknown synth kind {s['kind']!r}")
 
 
 def cmd_ingest(cfg: dict, workdir: Path, tracks: str, meta_path: str) -> None:
@@ -325,12 +349,11 @@ def cmd_extract(cfg: dict, workdir: Path) -> None:
 
 
 def cmd_augment(cfg: dict, workdir: Path) -> None:
+    n_augment, min_gap = _augment_config(cfg)
     records, dt = read_dataset(_require(workdir / "dataset.jsonl"))
     seed = config.stage_seed(cfg, "augment")
-    a = cfg["augment"]
-    n_augment = min(int(a["n_augment"]), len(records))
     augmented, pairs = corpus.augment_corpus(
-        records, n_augment=n_augment, min_gap=float(a["min_gap"]), seed=seed
+        records, n_augment=min(n_augment, len(records)), min_gap=min_gap, seed=seed
     )
     write_dataset(list(records) + augmented, workdir / "dataset_augmented.jsonl", dt=dt)
     corpus.write_pairs(pairs, workdir / "pairs.csv")
@@ -354,7 +377,8 @@ def cmd_train(cfg: dict, workdir: Path, lambda_cl=None, lambda_int=None, tag: st
     _log("train", tag=tag, records=len(records), epochs=tcfg.epochs, seed=seed,
          lambda_cl=tcfg.lambda_cl, lambda_int=tcfg.lambda_int,
          final_loss=f"{history[-1].total:.6f}",
-         checkpoint=_sha256(workdir / f"{tag}.ckpt"))
+         checkpoint=_sha256(workdir / f"{tag}.ckpt"),
+         revived=sum(h.revived for h in history))
 
 
 def cmd_cluster(cfg: dict, workdir: Path, tag: str = "model") -> None:

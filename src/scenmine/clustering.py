@@ -197,6 +197,11 @@ def _merge_steps(latents: np.ndarray, k: int, linkage: str, members: list[list[i
     for a in range(n - 1):
         sq = np.sum((latents[a + 1:] - latents[a]) ** 2, axis=1)
         cost[a, a + 1:] = 0.5 * sq if linkage == "ward" else np.sqrt(sq)
+    if linkage == "average":
+        # Point distances, symmetric: the sign of a difference vanishes in
+        # its square, so dist[j, i] is dist[i, j] bit for bit.
+        dist = np.triu(cost, 1)
+        dist += dist.T
     for _ in range(n - k):
         floor = cost.min()
         if floor == np.inf:  # every remaining cost overflowed: lowest pair
@@ -204,25 +209,44 @@ def _merge_steps(latents: np.ndarray, k: int, linkage: str, members: list[list[i
         else:
             a, b = divmod(int(np.argmax(cost <= floor + 1e-15)), n)
         i, j = int(np.count_nonzero(active[:a])), int(np.count_nonzero(active[:b]))
+        if linkage == "complete":  # the costs of a and b to every slot
+            prev = np.minimum(cost[[a, b]], cost[:, [a, b]].T)
         members[a] = members[a] + members[b]
         members[b] = []
         active[b] = False
         cost[b] = cost[:, b] = np.inf
         others = np.flatnonzero(active)
         others = others[others != a]
+        sizes[a] = len(members[a])
         if linkage == "ward":
-            sizes[a] = len(members[a])
             mus[a] = latents[members[a]].mean(axis=0)
             # The operations of _linkage_cost: the sign of the difference
             # vanishes in the square, and a sum along the contiguous last
             # axis is the same pairwise sum as its 1-d sum.
             na, nb = sizes[a], sizes[others]
             row = (na * nb / (na + nb)) * np.sum((mus[others] - mus[a]) ** 2, axis=1)
-        else:  # argument order fixes the summation order of the mean
-            row = np.array([
-                _linkage_cost(latents, members[min(a, o)], members[max(a, o)], linkage)
-                for o in others
-            ])
+        elif linkage == "complete":
+            # The max over the merged block is the larger of the two old
+            # maxima, exactly.
+            row = prev[:, others].max(axis=0)
+        else:
+            # The mean is the sum of _linkage_cost's distance block over its
+            # size. The block has the lower slot's points as rows and must be
+            # in C order, which fixes the summation order; np.take and row
+            # indexing both return C order. A singleton slot o holds point
+            # o, and its block is the row cols_a[o] either way round.
+            rows_a = dist[members[a]]
+            cols_a = np.take(dist, members[a], axis=1)
+            lone = sizes[others] == 1
+            sums = np.empty(len(others))
+            sums[lone] = np.add.reduce(cols_a[others[lone]], axis=1)
+            sums[~lone] = [
+                np.add.reduce(
+                    np.take(rows_a, members[o], axis=1) if a < o else cols_a[members[o]], axis=None
+                )
+                for o in others[~lone]
+            ]
+            row = sums / (sizes[a] * sizes[others])
         before = others < a
         cost[others[before], a] = row[before]
         cost[a, others[~before]] = row[~before]

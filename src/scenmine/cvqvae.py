@@ -68,11 +68,12 @@ class LossBreakdown:
     cl: float
     inter: float
     total: float
+    revived: int = 0  # codes revived at the end of a training epoch
 
     @staticmethod
-    def combine(recon, codebook_term, commit_term, cl, inter, lambda_cl, lambda_int):
+    def combine(recon, codebook_term, commit_term, cl, inter, lambda_cl, lambda_int, revived=0):
         total = recon + codebook_term + commit_term + lambda_cl * cl + lambda_int * inter
-        return LossBreakdown(recon, codebook_term, commit_term, cl, inter, total)
+        return LossBreakdown(recon, codebook_term, commit_term, cl, inter, total, revived)
 
 
 @dataclass
@@ -185,17 +186,41 @@ def _standardize(inputs: np.ndarray, masks: np.ndarray, params: ModelParams) -> 
     return ((inputs - shift) / scale) * masks[:, :, None, :].astype(float)
 
 
+def _fresh(name: str, *shape: int) -> None:
+    """The default ``out`` of the step functions: it lends no array, so every
+    ``out=`` is None and numpy allocates."""
+    return None
+
+
+class _Buffers:
+    """The ``out`` of one training run: arrays lent by name to each of its
+    steps, so activations and gradients land in memory that is already
+    mapped. A request gets the first ``shape[0]`` rows of the named array;
+    the first batch of a run is its largest, so each is allocated once."""
+
+    def __init__(self) -> None:
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def __call__(self, name: str, *shape: int) -> np.ndarray:
+        arr = self._arrays.get(name)
+        if arr is None or arr.shape[0] < shape[0]:
+            arr = self._arrays[name] = np.empty(shape)
+        return arr[: shape[0]]
+
+
 def _mlp_forward(
-    h: np.ndarray, ws: Sequence[np.ndarray], bs: Sequence[np.ndarray]
+    h: np.ndarray, ws: Sequence[np.ndarray], bs: Sequence[np.ndarray], out=_fresh, prefix: str = ""
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Affine layers with tanh between them (none after the last). Returns the
-    output and the cache of layer activations, the input first."""
+    output and the cache of layer activations, the input first. Layer i
+    writes into ``out(f"{prefix}[{i}]", rows, width)``."""
     cache = [h]
     last = len(ws) - 1
     for i, (w, b) in enumerate(zip(ws, bs)):
-        h = h @ w.T + b
+        h = np.matmul(h, w.T, out=out(f"{prefix}[{i}]", h.shape[0], w.shape[0]))
+        h += b
         if i < last:
-            h = np.tanh(h)
+            np.tanh(h, out=h)
         cache.append(h)
     return h, cache
 
@@ -207,18 +232,23 @@ def _mlp_backward(
     prefix: str,
     grads: dict[str, np.ndarray],
     input_grad: bool,
+    out=_fresh,
 ) -> Optional[np.ndarray]:
     """Backprop of ``_mlp_forward`` from the output gradient ``g``. Stores the
-    layer gradients in ``grads`` under the registry names of ``prefix`` and
-    returns the input gradient if ``input_grad`` is set."""
+    layer gradients in ``grads`` (and ``out``) under the registry names of
+    ``prefix`` and returns the input gradient if ``input_grad`` is set. The
+    cache is only read."""
     for i in range(len(ws) - 1, -1, -1):
-        grads[f"{prefix}_w[{i}]"] = g.T @ cache[i]
-        grads[f"{prefix}_b[{i}]"] = g.sum(axis=0)
+        w_name, b_name = f"{prefix}_w[{i}]", f"{prefix}_b[{i}]"
+        grads[w_name] = np.matmul(g.T, cache[i], out=out(w_name, *ws[i].shape))
+        grads[b_name] = np.sum(g, axis=0, out=out(b_name, g.shape[1]))
         if i == 0 and not input_grad:
             return None
-        g = g @ ws[i]
+        g = np.matmul(g, ws[i], out=out(f"{prefix}_g[{i}]", g.shape[0], ws[i].shape[1]))
         if i > 0:
-            g = g * (1.0 - cache[i] * cache[i])
+            slope = np.multiply(cache[i], cache[i], out=out(f"{prefix}_slope[{i}]", *g.shape))
+            np.subtract(1.0, slope, out=slope)
+            g *= slope
     return g
 
 
@@ -238,12 +268,10 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(u: np.ndarray) -> np.ndarray:
-    out = np.empty_like(u)
-    pos = u >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
-    eu = np.exp(u[~pos])
-    out[~pos] = eu / (1.0 + eu)
-    return out
+    """1 / (1 + exp(-u)) for u >= 0 and exp(u) / (1 + exp(u)) below, so exp
+    never overflows."""
+    e = np.exp(-np.abs(u))
+    return np.where(u >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +322,36 @@ def predict_interaction(z_q: np.ndarray, params: ModelParams) -> np.ndarray:
 # Batched loss and gradients
 # ---------------------------------------------------------------------------
 
-def _decode_heads(z_q: np.ndarray, params: ModelParams) -> dict:
+def _batch(
+    inputs: np.ndarray,
+    masks: np.ndarray,
+    class_targets: Optional[np.ndarray],
+    interaction_targets: Optional[np.ndarray],
+    params: ModelParams,
+) -> dict[str, Optional[np.ndarray]]:
+    """One float row per record of everything a step reads: the standardized
+    flat input, the present-slot mask as 0/1, the present-cell and
+    present-slot counts floored at 1, and the flat targets (None when
+    absent). Each row depends on its record only, so training builds this
+    once per run and gathers the rows of each batch."""
+    b = inputs.shape[0]
+    slot_mask = masks.reshape(b, -1).astype(float)
+    return {
+        "x_flat": _standardize(inputs, masks, params).reshape(b, -1),
+        "cell_counts": np.maximum(params.n_features * slot_mask.sum(axis=1), 1.0),
+        "slot_mask": slot_mask,
+        "slot_counts": np.maximum(slot_mask.sum(axis=1), 1.0),
+        "class_targets": None if class_targets is None else np.asarray(class_targets, dtype=float),
+        "interaction_targets": (
+            None if interaction_targets is None
+            else np.asarray(interaction_targets, dtype=float).reshape(b, -1)
+        ),
+    }
+
+
+def _decode_heads(z_q: np.ndarray, params: ModelParams, out=_fresh) -> dict:
     """Decoder and both heads, all fed the (quantized) latent."""
-    x_hat, dec_cache = _mlp_forward(z_q, params.dec_w, params.dec_b)
+    x_hat, dec_cache = _mlp_forward(z_q, params.dec_w, params.dec_b, out, "dec")
     return {
         "dec_cache": dec_cache,
         "x_hat": x_hat,
@@ -305,32 +360,40 @@ def _decode_heads(z_q: np.ndarray, params: ModelParams) -> dict:
     }
 
 
-def _forward(inputs: np.ndarray, masks: np.ndarray, params: ModelParams) -> dict:
-    x = _standardize(inputs, masks, params)
-    x_flat = x.reshape(x.shape[0], -1)
-    z, enc_cache = _mlp_forward(x_flat, params.enc_w, params.enc_b)
+def _forward(x_flat: np.ndarray, params: ModelParams, out=_fresh) -> dict:
+    """Encoder, quantization, decoder and heads for the ``x_flat`` of a
+    ``_batch``."""
+    z, enc_cache = _mlp_forward(x_flat, params.enc_w, params.enc_b, out, "enc")
     q = _quantize_batch(z, params.codebook)
     z_q = params.codebook[q]
     return {
-        "x_flat": x_flat,
         "enc_cache": enc_cache,
         "z": z,
         "q": q,
         "z_q": z_q,
-        **_decode_heads(z_q, params),
+        **_decode_heads(z_q, params, out),
     }
+
+
+def _masked_residual(fwd: dict, batch: dict, params: ModelParams, out) -> np.ndarray:
+    """x_hat - x_flat with absent cells multiplied by 0, written into
+    ``out("residual", ...)``: every feature of a slot and frame takes that
+    slot and frame's 0/1 mask."""
+    diff = np.subtract(fwd["x_hat"], batch["x_flat"], out=out("residual", *fwd["x_hat"].shape))
+    cells = diff.reshape(-1, params.n_slots, params.n_features, params.t_obs)  # a view
+    cells *= batch["slot_mask"].reshape(-1, params.n_slots, 1, params.t_obs)
+    return diff
 
 
 def _per_term_losses(
     fwd: dict,
-    masks: np.ndarray,
-    class_targets: Optional[np.ndarray],
-    interaction_targets: Optional[np.ndarray],
+    batch: dict,
     cfg: TrainConfig,
     params: ModelParams,
     *,
     z_sg: Optional[np.ndarray] = None,
     z_q_sg: Optional[np.ndarray] = None,
+    out=_fresh,
 ) -> dict[str, np.ndarray]:
     """Per-sample loss terms. Reconstruction and interaction errors are mean
     squared error over present cells only; codebook and commitment terms are
@@ -338,10 +401,9 @@ def _per_term_losses(
     operands of the codebook and commitment terms; they default to ``z`` and
     ``z_q``, which is what training uses."""
     b = fwd["z"].shape[0]
-    cell_mask = np.repeat(masks[:, :, None, :], params.n_features, axis=2).reshape(b, -1)
-    cell_counts = np.maximum(cell_mask.sum(axis=1), 1.0)
-    diff = (fwd["x_hat"] - fwd["x_flat"]) * cell_mask
-    recon = (diff * diff).sum(axis=1) / cell_counts
+    class_targets, interaction_targets = batch["class_targets"], batch["interaction_targets"]
+    diff = _masked_residual(fwd, batch, params, out)
+    recon = np.multiply(diff, diff, out=diff).sum(axis=1) / batch["cell_counts"]
 
     codebook_gap = (fwd["z"] if z_sg is None else z_sg) - fwd["z_q"]
     codebook_term = np.mean(codebook_gap * codebook_gap, axis=1)
@@ -354,10 +416,8 @@ def _per_term_losses(
         cl = np.zeros(b)
 
     if interaction_targets is not None:
-        slot_mask = masks.reshape(b, -1).astype(float)
-        slot_counts = np.maximum(slot_mask.sum(axis=1), 1.0)
-        idiff = (fwd["t_hat"] - interaction_targets.reshape(b, -1)) * slot_mask
-        inter = (idiff * idiff).sum(axis=1) / slot_counts
+        idiff = (fwd["t_hat"] - interaction_targets) * batch["slot_mask"]
+        inter = (idiff * idiff).sum(axis=1) / batch["slot_counts"]
     else:
         inter = np.zeros(b)
 
@@ -376,25 +436,24 @@ def _total(terms: dict[str, np.ndarray], cfg: TrainConfig) -> np.ndarray:
 
 
 def _backward(
-    fwd: dict,
-    masks: np.ndarray,
-    class_targets: Optional[np.ndarray],
-    interaction_targets: Optional[np.ndarray],
-    cfg: TrainConfig,
-    params: ModelParams,
+    fwd: dict, batch: dict, cfg: TrainConfig, params: ModelParams, out=_fresh
 ) -> dict[str, np.ndarray]:
     """Gradients of the batch-mean total loss, keyed by the names of
     ``_param_arrays``. The quantization gap gradient is passed straight
     through from the decoder (and head) inputs onto the encoder output; the
-    codebook receives only the vector-quantization term.
+    codebook receives only the vector-quantization term. ``fwd`` is only
+    read.
     """
     b = fwd["z"].shape[0]
     grads: dict[str, np.ndarray] = {}
+    class_targets, interaction_targets = batch["class_targets"], batch["interaction_targets"]
 
-    cell_mask = np.repeat(masks[:, :, None, :], params.n_features, axis=2).reshape(b, -1)
-    cell_counts = np.maximum(cell_mask.sum(axis=1), 1.0)
-    g_xhat = 2.0 * cell_mask * (fwd["x_hat"] - fwd["x_flat"]) / cell_counts[:, None] / b
-    g_zq = _mlp_backward(g_xhat, fwd["dec_cache"], params.dec_w, "dec", grads, input_grad=True)
+    # (d * mask) * 2.0 is 2.0 * mask * d bit for bit, since the mask is 0 or 1.
+    g_xhat = _masked_residual(fwd, batch, params, out)
+    g_xhat *= 2.0
+    g_xhat /= batch["cell_counts"][:, None]
+    g_xhat /= b
+    g_zq = _mlp_backward(g_xhat, fwd["dec_cache"], params.dec_w, "dec", grads, True, out)
 
     # Heads (inputs are z_q; gradients reach the encoder via straight-through).
     if class_targets is not None and cfg.lambda_cl > 0:
@@ -405,15 +464,13 @@ def _backward(
     else:
         grads["cl_w"], grads["cl_b"] = np.zeros_like(params.cl_w), np.zeros_like(params.cl_b)
     if interaction_targets is not None and cfg.lambda_int > 0:
-        slot_mask = masks.reshape(b, -1).astype(float)
-        slot_counts = np.maximum(slot_mask.sum(axis=1), 1.0)
         t_hat = fwd["t_hat"]
         g_u = (
             cfg.lambda_int
             * 2.0
-            * slot_mask
-            * (t_hat - interaction_targets.reshape(b, -1))
-            / slot_counts[:, None]
+            * batch["slot_mask"]
+            * (t_hat - interaction_targets)
+            / batch["slot_counts"][:, None]
             / b
             * t_hat
             * (1.0 - t_hat)
@@ -432,15 +489,14 @@ def _backward(
 
     # Encoder: straight-through decoder/head gradient plus commitment term.
     g_z = g_zq + cfg.commitment_weight * 2.0 * (fwd["z"] - fwd["z_q"]) / params.latent_dim / b
-    _mlp_backward(g_z, fwd["enc_cache"], params.enc_w, "enc", grads, input_grad=False)
+    _mlp_backward(g_z, fwd["enc_cache"], params.enc_w, "enc", grads, False, out)
     return grads
 
 
 def loss(record: ScenarioRecord, params: ModelParams, cfg: TrainConfig) -> LossBreakdown:
     """Full loss decomposition for one record."""
-    inputs, masks, cls, inter = _record_arrays([record])
-    fwd = _forward(inputs, masks, params)
-    terms = _per_term_losses(fwd, masks, cls, inter, cfg, params)
+    batch = _batch(*_record_arrays([record]), params)
+    terms = _per_term_losses(_forward(batch["x_flat"], params), batch, cfg, params)
     return LossBreakdown.combine(
         *(float(terms[key][0]) for key in LOSS_TERMS), cfg.lambda_cl, cfg.lambda_int
     )
@@ -498,45 +554,49 @@ def train_arrays(
     )
 
     registry = _param_arrays(params)
+    run = _batch(inputs, masks, class_targets, interaction_targets, params)
+    buffers = _Buffers()
     history: list[LossBreakdown] = []
-    recent_z = np.zeros((0, cfg.latent_dim))
     for epoch in range(cfg.epochs):
         order = rng.permutation(n_samples)
         sums = dict.fromkeys(LOSS_TERMS, 0.0)
         for batch_no, start in enumerate(range(0, n_samples, cfg.batch_size)):
             idx = order[start : start + cfg.batch_size]
-            batch_masks = masks[idx]
-            batch_targets = (
-                None if class_targets is None else class_targets[idx],
-                None if interaction_targets is None else interaction_targets[idx],
-            )
-            fwd = _forward(inputs[idx], batch_masks, params)
-            terms = _per_term_losses(fwd, batch_masks, *batch_targets, cfg, params)
+            # mode="clip" lets np.take write into ``out`` directly; every
+            # index is in range.
+            batch = {
+                key: None if arr is None
+                else np.take(arr, idx, axis=0, out=buffers(key, len(idx), *arr.shape[1:]), mode="clip")
+                for key, arr in run.items()
+            }
+            fwd = _forward(batch["x_flat"], params, buffers)
+            terms = _per_term_losses(fwd, batch, cfg, params, out=buffers)
             batch_total = _total(terms, cfg).mean()
             if not np.isfinite(batch_total):
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, batch {batch_no}"
                 )
-            grads = _backward(fwd, batch_masks, *batch_targets, cfg, params)
-            for name, arr in registry:
-                arr -= cfg.learning_rate * grads[name]
+            grads = _backward(fwd, batch, cfg, params, buffers)
+            for name, arr in registry:  # in place: arr -= lr * grad
+                arr -= np.multiply(cfg.learning_rate, grads[name], out=grads[name])
 
             counts = np.bincount(fwd["q"], minlength=cfg.codebook_size) / len(idx)
             params.usage = cfg.usage_decay * params.usage + (1.0 - cfg.usage_decay) * counts
-            recent_z = fwd["z"]
             for key in sums:
                 sums[key] += float(terms[key].sum())
 
-        # Dead-code revival from recent encoder outputs.
+        # Dead-code revival from the encoder outputs of the epoch's last batch,
+        # still in their buffer: only the next epoch's first forward writes it.
+        recent_z = fwd["z"]
         dead = np.flatnonzero(params.usage < cfg.dead_code_threshold)
-        if dead.size and recent_z.shape[0]:
-            for q in dead:
-                pick = recent_z[int(rng.integers(recent_z.shape[0]))]
-                params.codebook[q] = pick + rng.normal(0.0, cfg.revival_noise, cfg.latent_dim)
-                params.usage[q] = 1.0 / cfg.codebook_size
+        for q in dead:
+            pick = recent_z[int(rng.integers(recent_z.shape[0]))]
+            params.codebook[q] = pick + rng.normal(0.0, cfg.revival_noise, cfg.latent_dim)
+            params.usage[q] = 1.0 / cfg.codebook_size
         history.append(
             LossBreakdown.combine(
-                *(sums[key] / n_samples for key in LOSS_TERMS), cfg.lambda_cl, cfg.lambda_int
+                *(sums[key] / n_samples for key in LOSS_TERMS), cfg.lambda_cl, cfg.lambda_int,
+                revived=int(dead.size),
             )
         )
     return params, history
@@ -557,10 +617,7 @@ def train(
 # ---------------------------------------------------------------------------
 
 def _frozen_total(
-    inputs: np.ndarray,
-    masks: np.ndarray,
-    class_targets: Optional[np.ndarray],
-    interaction_targets: Optional[np.ndarray],
+    batch: dict,
     params: ModelParams,
     cfg: TrainConfig,
     q0: np.ndarray,
@@ -570,13 +627,9 @@ def _frozen_total(
     """Total loss with the quantization index frozen and the quantization gap
     treated as a constant, exactly the function whose gradient the
     straight-through estimator computes."""
-    x = _standardize(inputs, masks, params)
-    x_flat = x.reshape(x.shape[0], -1)
-    z, _ = _mlp_forward(x_flat, params.enc_w, params.enc_b)
-    fwd = {"x_flat": x_flat, "z": z, "z_q": params.codebook[q0], **_decode_heads(z + gap0, params)}
-    terms = _per_term_losses(
-        fwd, masks, class_targets, interaction_targets, cfg, params, z_sg=z0, z_q_sg=z0 + gap0
-    )
+    z, _ = _mlp_forward(batch["x_flat"], params.enc_w, params.enc_b)
+    fwd = {"z": z, "z_q": params.codebook[q0], **_decode_heads(z + gap0, params)}
+    terms = _per_term_losses(fwd, batch, cfg, params, z_sg=z0, z_q_sg=z0 + gap0)
     return float(_total(terms, cfg).mean())
 
 
@@ -594,8 +647,9 @@ def grad_check_arrays(
     """Max relative error between analytic gradients and central finite
     differences over a random parameter subset; the quantization index is
     frozen at its base-point value for the numeric path."""
-    fwd = _forward(inputs, masks, params)
-    grads = _backward(fwd, masks, class_targets, interaction_targets, cfg, params)
+    batch = _batch(inputs, masks, class_targets, interaction_targets, params)
+    fwd = _forward(batch["x_flat"], params)
+    grads = _backward(fwd, batch, cfg, params)
     q0 = fwd["q"].copy()
     z0 = fwd["z"].copy()
     gap0 = fwd["z_q"] - fwd["z"]
@@ -615,9 +669,9 @@ def grad_check_arrays(
         multi = np.unravel_index(local, arr.shape)
         orig = arr[multi]
         arr[multi] = orig + epsilon
-        up = _frozen_total(inputs, masks, class_targets, interaction_targets, params, cfg, q0, z0, gap0)
+        up = _frozen_total(batch, params, cfg, q0, z0, gap0)
         arr[multi] = orig - epsilon
-        down = _frozen_total(inputs, masks, class_targets, interaction_targets, params, cfg, q0, z0, gap0)
+        down = _frozen_total(batch, params, cfg, q0, z0, gap0)
         arr[multi] = orig
         numeric = (up - down) / (2.0 * epsilon)
         analytic = float(grads[name][multi])

@@ -7,8 +7,8 @@ import struct
 import pytest
 
 from conftest import make_traj
-from scenmine import cli, detect, ingest
-from scenmine.types import CompositeLabel, LatState, LongState
+from scenmine import cli, config, cvqvae, detect, ingest
+from scenmine.types import CompositeLabel, LatState, LongState, read_dataset
 
 SMALL_CONFIG = """\
 seed: 13
@@ -257,6 +257,15 @@ BAD_INPUTS = [
                  id="tensor-offset-outside"),
     pytest.param("extract:\n  class_filter: [[keep_lane, swerve]]\n", ["extract"], None, 2,
                  "config error", id="class-filter-unknown-state"),
+    pytest.param("synth:\n  n_trajectories: abc\n", ["synth"], None, 2, "config error",
+                 id="synth-count-not-int"),
+    pytest.param("synth:\n  n_trajectories: -2\n", ["synth"], None, 2, "config error",
+                 id="synth-count-negative"),
+    pytest.param("synth:\n  dt: 0\n", ["synth"], None, 2, "config error", id="synth-dt-zero"),
+    pytest.param("augment:\n  n_augment: abc\n", ["augment"], None, 2, "config error",
+                 id="augment-count-not-int"),
+    pytest.param("augment:\n  min_gap: -5\n", ["augment"], None, 2, "config error",
+                 id="augment-gap-negative"),
     pytest.param("", INGEST, ("tracks.csv", _set_field(1, 2, b"nan")), 4, "input error", id="tracks-nan"),
     pytest.param("", INGEST, ("tracks.csv", _set_field(5, 6, b"-inf")), 4, "input error", id="tracks-inf"),
     pytest.param("", ["train"], (DATASET, lambda b: b[:-100]), 3, "stage error", id="dataset-truncated"),
@@ -312,6 +321,22 @@ def test_bad_input_exit_code(
     assert err.startswith(prefix + ":")
     assert err.count("\n") == 1 and err.endswith("\n")
     assert "Traceback" not in err + captured.out
+
+
+def test_train_line_reports_revived_codes(tmp_path, capsys):
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text(ARCHETYPE_CONFIG.replace("epochs: 1", "epochs: 4\n  batch_size: 4\n  usage_decay: 0.5\n"
+                                           "  dead_code_threshold: 0.05"))
+    args = ["--config", str(cfg), "--workdir", str(tmp_path / "wd")]
+    assert cli.main(args + ["synth"]) == 0
+    capsys.readouterr()
+    assert cli.main(args + ["train"]) == 0
+    line = capsys.readouterr().out.strip()
+    records, _ = read_dataset(tmp_path / "wd" / "dataset.jsonl")
+    _, history = cvqvae.train(records, cli._train_config(config.load_config(str(cfg)), 4))
+    revived = sum(h.revived for h in history)
+    assert revived > 0
+    assert line.startswith("[train] ") and line.endswith(f" revived={revived}")
 
 
 # --------------------------- golden data path --------------------------------

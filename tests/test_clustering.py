@@ -156,6 +156,19 @@ def test_cost_matrix_matches_linkage_cost_after_every_merge(linkage, rng):
         assert steps == n - 1
 
 
+@pytest.mark.parametrize("linkage", ["average", "complete"])
+def test_cost_matrix_matches_linkage_cost_on_large_blocks(linkage):
+    # 40 points merged to one cluster: late distance blocks hold hundreds of
+    # entries, past the unrolled and recursive stages of a pairwise sum.
+    latents = np.random.default_rng(21).normal(size=(40, 8))
+    members = [[i] for i in range(40)]
+    for _, cost in clustering._merge_steps(latents, 1, linkage, members):
+        live = [s for s in range(40) if members[s]]
+        for a, b in itertools.combinations(live, 2):
+            assert cost[a, b] == clustering._linkage_cost(latents, members[a], members[b], linkage)
+    assert max(len(m) for m in members) == 40
+
+
 @pytest.mark.parametrize("linkage", ["ward", "average", "complete"])
 def test_hierarchical_tie_heavy_matches_naive_oracle(linkage, rng):
     for trial in range(4):

@@ -175,11 +175,42 @@ def test_predict_interaction_range_and_value(rng):
     assert abs(t_hat.ravel()[0] - 1.0 / (1.0 + math.exp(-4.0))) < 1e-12
 
 
+def reference_sigmoid(u):
+    """The boolean-mask scatter that ``cvqvae._sigmoid`` replaced."""
+    out = np.empty_like(u)
+    pos = u >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
+    eu = np.exp(u[~pos])
+    out[~pos] = eu / (1.0 + eu)
+    return out
+
+
+SIGMOID_EDGES = [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 1.0, -1.0, 36.0, -36.0,
+                 709.0, -745.0, 800.0, -800.0, np.inf, -np.inf]
+
+
+def test_sigmoid_bit_identical_to_masked_reference():
+    rng = np.random.default_rng(8)
+    grid = np.concatenate([SIGMOID_EDGES, np.linspace(-60.0, 60.0, 2401), rng.normal(0.0, 8.0, 3001)])
+    cases = [grid, grid.reshape(-1, 7), np.zeros(0), np.zeros((0, 900)),
+             *(np.array([v]) for v in SIGMOID_EDGES)]
+    for u in cases:
+        got, want = cvqvae._sigmoid(u), reference_sigmoid(u)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()  # also tells -0.0 from 0.0
+
+
 # -------------------------------- loss --------------------------------------
 
+def batch_forward(inputs, masks, cls, inter, params):
+    batch = cvqvae._batch(inputs, masks, cls, inter, params)
+    return batch, cvqvae._forward(batch["x_flat"], params)
+
+
 def forward_terms(inputs, masks, cls, inter, params, cfg):
-    fwd = cvqvae._forward(inputs, masks, params)
-    return fwd, cvqvae._per_term_losses(fwd, masks, cls, inter, cfg, params)
+    batch, fwd = batch_forward(inputs, masks, cls, inter, params)
+    return fwd, cvqvae._per_term_losses(fwd, batch, cfg, params)
 
 
 def test_loss_zero_for_perfect_model():
@@ -245,16 +276,16 @@ def test_lambda_zero_reproduces_plain_objective(rng):
     masks = np.ones((4, 2, 5), dtype=bool)
     cls = np.eye(10)[rng.integers(0, 10, size=4)]
     inter = rng.random((4, 2, 5))
-    fwd = cvqvae._forward(inputs, masks, params)
-    with_targets = cvqvae._backward(fwd, masks, cls, inter, cfg0, params)
-    without = cvqvae._backward(fwd, masks, None, None, cfg0, params)
+    batch, fwd = batch_forward(inputs, masks, cls, inter, params)
+    with_targets = cvqvae._backward(fwd, batch, cfg0, params)
+    without = cvqvae._backward(fwd, cvqvae._batch(inputs, masks, None, None, params), cfg0, params)
     for i in range(len(params.enc_w)):
         assert np.array_equal(with_targets[f"enc_w[{i}]"], without[f"enc_w[{i}]"])
         assert np.array_equal(with_targets[f"dec_w[{i}]"], without[f"dec_w[{i}]"])
     assert np.array_equal(with_targets["codebook"], without["codebook"])
     assert np.all(with_targets["cl_w"] == 0.0)
     assert np.all(with_targets["int_w"] == 0.0)
-    terms = cvqvae._per_term_losses(fwd, masks, cls, inter, cfg0, params)
+    terms = cvqvae._per_term_losses(fwd, batch, cfg0, params)
     total_with = (
         terms["recon"]
         + terms["codebook_term"]
@@ -398,8 +429,8 @@ def test_grad_check_zero_loss_config():
     params.codebook[0] = 0.0
     inputs = np.zeros((1, 2, 3, 5))
     masks = np.ones((1, 2, 5), dtype=bool)
-    fwd = cvqvae._forward(inputs, masks, params)
-    grads = cvqvae._backward(fwd, masks, None, None, cfg, params)
+    batch, fwd = batch_forward(inputs, masks, None, None, params)
+    grads = cvqvae._backward(fwd, batch, cfg, params)
     for key in ("codebook", "cl_w", "int_w"):
         assert np.all(grads[key] == 0.0)
     for i in range(len(params.enc_w)):
@@ -412,17 +443,17 @@ def test_grad_check_detects_corrupted_gradient(rng):
     params = tiny_params(cfg, n_slots=1, n_features=2, t_obs=4)
     inputs = rng.normal(size=(1, 1, 2, 4))
     masks = np.ones((1, 1, 4), dtype=bool)
-    fwd = cvqvae._forward(inputs, masks, params)
-    grads = cvqvae._backward(fwd, masks, None, None, cfg, params)
+    batch, fwd = batch_forward(inputs, masks, None, None, params)
+    grads = cvqvae._backward(fwd, batch, cfg, params)
     q0, z0 = fwd["q"].copy(), fwd["z"].copy()
     gap0 = fwd["z_q"] - fwd["z"]
     eps = 1e-5
     arr = params.dec_w[0]
     orig = arr[0, 0]
     arr[0, 0] = orig + eps
-    up = cvqvae._frozen_total(inputs, masks, None, None, params, cfg, q0, z0, gap0)
+    up = cvqvae._frozen_total(batch, params, cfg, q0, z0, gap0)
     arr[0, 0] = orig - eps
-    down = cvqvae._frozen_total(inputs, masks, None, None, params, cfg, q0, z0, gap0)
+    down = cvqvae._frozen_total(batch, params, cfg, q0, z0, gap0)
     arr[0, 0] = orig
     numeric = (up - down) / (2 * eps)
     corrupted = 2.0 * grads["dec_w[0]"][0, 0]
@@ -512,3 +543,46 @@ def test_training_bytes_match_golden_digests(tmp_path, weight):
         for name in ("model.ckpt", "loss.csv")
     )
     assert digests == GOLDEN_DIGESTS[weight]
+
+
+# SHA-256 of the checkpoint and loss-history bytes of a run with three
+# batches per epoch (4, 4 and a ragged 1 of 9 records), so activation and
+# gradient memory is reused across batches of different sizes, and with a
+# fast usage decay, so dead-code revival fires (four codes at weight 0, two
+# at weight 1). Recorded before the training step reused its buffers.
+GOLDEN_RAGGED_DIGESTS = {
+    0.0: (
+        "0fbefcc056cde9d672181c6a77cfc72e967998f1bf1b7b4ec00eb694a71475ef",
+        "1e283e07ea55c252feb4cd5fd358dce89249fed69c2e724f30c069d586e8acdb",
+    ),
+    1.0: (
+        "6984c9cb430f954898b24a61133fa3d52fee4776a59ef8d25a3d732d67c9990c",
+        "b7b320e9a8c52e6e16197a56285e0e2908f607260fa7c64226218071b3c7bb23",
+    ),
+}
+
+
+def ragged_run(weight):
+    records = corpus.build_archetype_corpus(n_per_class=3, seed=9)
+    cfg = tiny_cfg(epochs=4, batch_size=4, dead_code_threshold=0.05, usage_decay=0.5,
+                   lambda_cl=weight, lambda_int=weight)
+    return cvqvae.train(records, cfg)
+
+
+@pytest.mark.parametrize("weight", sorted(GOLDEN_RAGGED_DIGESTS))
+def test_ragged_batches_with_revival_match_golden_digests(tmp_path, weight):
+    params, history = ragged_run(weight)
+    cvqvae.save_checkpoint(params, tmp_path / "model.ckpt")
+    cvqvae.write_loss_history(history, tmp_path / "loss.csv")
+    digests = tuple(
+        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("model.ckpt", "loss.csv")
+    )
+    assert digests == GOLDEN_RAGGED_DIGESTS[weight]
+
+
+@pytest.mark.parametrize("weight, revived", [(0.0, [1, 0, 2, 1]), (1.0, [0, 0, 2, 0])])
+def test_revivals_counted_per_epoch(weight, revived):
+    # Counts seen at the commit that recorded GOLDEN_RAGGED_DIGESTS.
+    _, history = ragged_run(weight)
+    assert [h.revived for h in history] == revived
