@@ -22,7 +22,7 @@ DEFAULT_DT = 0.04    # 25 Hz recordings
 
 FEATURE_NAMES = ("x", "y", "vx", "vy", "ax", "ay")
 
-DATASET_FORMAT_VERSION = "scenmine-dataset-v1"
+DATASET_FORMAT_VERSION = "scenmine-dataset-v2"
 
 
 class LongState(Enum):
@@ -248,90 +248,126 @@ def validate_record(record: ScenarioRecord) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Dataset file format: one JSON header line, then one JSON record per line.
+# Binary container shared by datasets and checkpoints: one JSON header line,
+# then raw blocks (floats as <f8, flags as one 0/1 byte each).
 # ---------------------------------------------------------------------------
+
+def write_blocks(path, header: dict, blocks: Sequence[tuple[str, np.ndarray]]) -> None:
+    """Writes ``header`` plus an ``"arrays"`` list of ``[name, shape]`` as one
+    compact, key-sorted JSON line, then the bytes of each block in order."""
+    full = {**header, "arrays": [[name, list(arr.shape)] for name, arr in blocks]}
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(full, separators=(",", ":"), sort_keys=True).encode("utf-8"))
+        fh.write(b"\n")
+        for _, arr in blocks:
+            fh.write(np.ascontiguousarray(arr, dtype=bool if arr.dtype == bool else "<f8").data)
+
+
+def read_blocks(path, fmt: str, kind: str, layout, error: type[Exception]):
+    """Reads a file of ``write_blocks`` in format ``fmt`` and returns the
+    ``result`` of ``layout(header) -> (result, blocks)`` once the ``(name,
+    array)`` list ``blocks`` is filled from the file. Any damage (see the
+    checks below, and a KeyError, TypeError or ValueError of ``layout``)
+    raises ``error`` naming ``path``."""
+    with open(path, "rb") as fh:
+        try:
+            header = json.loads(fh.readline().decode("utf-8"))
+        except ValueError as exc:  # includes UnicodeDecodeError
+            raise error(f"{path}: unreadable {kind} header") from exc
+        if not isinstance(header, dict):
+            raise error(f"{path}: {kind} header is not a mapping")
+        if header.get("format") != fmt:
+            raise error(f"{path}: unsupported {kind} format {header.get('format')!r}")
+        try:
+            result, blocks = layout(header)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise error(f"{path}: invalid {kind} header ({exc!r})") from exc
+        if header.get("arrays") != [[name, list(arr.shape)] for name, arr in blocks]:
+            raise error(f"{path}: array list does not match the {kind} header")
+        for name, arr in blocks:
+            raw = arr.reshape(-1).view(np.uint8)
+            if fh.readinto(raw) != raw.size:
+                raise error(f"{path}: truncated in array {name}")
+            if arr.dtype == bool:
+                if np.any(raw > 1):
+                    raise error(f"{path}: byte other than 0 or 1 in array {name}")
+            elif not np.isfinite(arr).all():
+                raise error(f"{path}: non-finite value in array {name}")
+        if fh.read(1):
+            raise error(f"{path}: trailing bytes after the last array")
+    return result
+
 
 class DatasetFormatError(Exception):
     """Raised for unreadable or unsupported dataset files."""
 
 
-def _record_to_json(record: ScenarioRecord) -> str:
-    payload = {
-        "record_id": record.record_id,
-        "recording_id": record.recording_id,
-        "vehicle_id": record.vehicle_id,
-        "anchor": {
-            "t_c": record.anchor.t_c,
-            "before": record.anchor.label_before.to_string(),
-            "after": record.anchor.label_after.to_string(),
-        },
-        "pseudo_class": record.pseudo_class.index,
-        "tensor": record.tensor.values.ravel().tolist(),
-        "interaction": record.interaction.values.ravel().tolist(),
-        "presence_mask": record.tensor.presence_mask.ravel().astype(int).tolist(),
-        "augmentation_parent": record.augmentation_parent,
+# The header entry of one record: key -> accepted JSON types.
+_RECORD_FIELDS = {"record_id": str, "recording_id": str, "vehicle_id": int, "t_c": int, "before": str,
+                  "after": str, "pseudo_class": int, "augmentation_parent": (str, type(None))}
+
+
+def _record_fields(entry: dict) -> dict:
+    """The ScenarioRecord arguments but the arrays of one header entry."""
+    for key, kind in _RECORD_FIELDS.items():
+        if not isinstance(entry[key], kind) or isinstance(entry[key], bool):
+            raise TypeError(f"record field {key}={entry[key]!r}")
+    if not 0 <= entry["pseudo_class"] < N_CLASSES:
+        raise ValueError(f"pseudo_class {entry['pseudo_class']} outside [0, {N_CLASSES})")
+    before, after = (CompositeLabel.from_string(entry[key]) for key in ("before", "after"))
+    return {
+        **{key: entry[key] for key in ("record_id", "recording_id", "vehicle_id", "augmentation_parent")},
+        "pseudo_class": PseudoClassLabel.from_index(entry["pseudo_class"]),
+        "anchor": ChangePoint(entry["t_c"], before, after),
     }
-    return json.dumps(payload, separators=(",", ":"))
-
-
-def _record_from_json(line: str) -> ScenarioRecord:
-    obj = json.loads(line)
-    tensor = ScenarioTensor(
-        np.array(obj["tensor"], dtype=np.float64).reshape(N_SLOTS, N_FEATURES, T_OBS),
-        np.array(obj["presence_mask"], dtype=bool).reshape(N_SLOTS, T_OBS),
-    )
-    anchor = ChangePoint(
-        t_c=int(obj["anchor"]["t_c"]),
-        label_before=CompositeLabel.from_string(obj["anchor"]["before"]),
-        label_after=CompositeLabel.from_string(obj["anchor"]["after"]),
-    )
-    return ScenarioRecord(
-        tensor=tensor,
-        pseudo_class=PseudoClassLabel.from_index(int(obj["pseudo_class"])),
-        interaction=InteractionMatrix(
-            np.array(obj["interaction"], dtype=np.float64).reshape(N_SLOTS, T_OBS)
-        ),
-        anchor=anchor,
-        recording_id=obj["recording_id"],
-        vehicle_id=int(obj["vehicle_id"]),
-        record_id=obj["record_id"],
-        augmentation_parent=obj.get("augmentation_parent"),
-    )
 
 
 def write_dataset(records: Sequence[ScenarioRecord], path, dt: float = DEFAULT_DT) -> None:
-    header = {
+    """Writes the records' metadata into the header and their tensors, masks
+    and interaction matrices as three blocks."""
+    n = len(records)
+    write_blocks(path, {
         "format": DATASET_FORMAT_VERSION,
-        "n_slots": N_SLOTS,
-        "n_features": N_FEATURES,
-        "t_obs": T_OBS,
-        "n_classes": N_CLASSES,
         "dt": dt,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, separators=(",", ":")) + "\n")
-        for record in records:
-            fh.write(_record_to_json(record) + "\n")
+        "n_records": n,
+        "records": [
+            {"record_id": r.record_id, "recording_id": r.recording_id, "vehicle_id": r.vehicle_id,
+             "t_c": r.anchor.t_c, "before": r.anchor.label_before.to_string(),
+             "after": r.anchor.label_after.to_string(), "pseudo_class": r.pseudo_class.index,
+             "augmentation_parent": r.augmentation_parent}
+            for r in records
+        ],
+    }, [
+        ("tensor", np.array([r.tensor.values for r in records]).reshape(n, N_SLOTS, N_FEATURES, T_OBS)),
+        ("mask", np.array([r.tensor.presence_mask for r in records], dtype=bool).reshape(n, N_SLOTS, T_OBS)),
+        ("interaction", np.array([r.interaction.values for r in records]).reshape(n, N_SLOTS, T_OBS)),
+    ])
 
 
 def read_dataset(path) -> tuple[list[ScenarioRecord], float]:
-    """Reads a dataset file; any unreadable, truncated or inconsistent line
-    raises DatasetFormatError naming the file and line."""
-    line_no = 1
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            header_line = fh.readline()
-            if not header_line:
-                raise DatasetFormatError(f"{path}: empty dataset file")
-            header = json.loads(header_line)
-            version = header.get("format") if isinstance(header, dict) else None
-            if version != DATASET_FORMAT_VERSION:
-                raise DatasetFormatError(f"{path}: unsupported dataset format {version!r}")
-            dt = float(header["dt"])
-            records = []
-            for line_no, line in enumerate(fh, start=2):
-                if line.strip():
-                    records.append(_record_from_json(line))
-    except (ValueError, TypeError, KeyError, IndexError) as exc:
-        raise DatasetFormatError(f"{path}: line {line_no}: malformed dataset ({exc!r})") from exc
-    return records, dt
+    """Reads a file of ``write_dataset``; the records' arrays are read-only
+    views into its blocks. Besides the damage ``read_blocks`` finds, a
+    ``dt`` that is not positive and finite, a malformed record entry, a
+    pseudo-class outside [0, N_CLASSES) or equal anchor labels raise
+    DatasetFormatError naming the file."""
+    def layout(header):
+        dt, entries, n = float(header["dt"]), header["records"], header["n_records"]
+        if not 0.0 < dt < np.inf:
+            raise ValueError(f"dt {dt} is not positive and finite")
+        if not isinstance(entries, list) or n != len(entries):
+            raise ValueError(f"n_records {n!r} does not count the record entries")
+        blocks = [
+            ("tensor", np.empty((n, N_SLOTS, N_FEATURES, T_OBS))),
+            ("mask", np.empty((n, N_SLOTS, T_OBS), dtype=bool)),
+            ("interaction", np.empty((n, N_SLOTS, T_OBS))),
+        ]
+        return (dt, [_record_fields(e) for e in entries], blocks), blocks
+
+    dt, fields, blocks = read_blocks(path, DATASET_FORMAT_VERSION, "dataset", layout, DatasetFormatError)
+    tensors, masks, interactions = (arr for _, arr in blocks)
+    for arr in tensors, masks, interactions:
+        arr.setflags(write=False)
+    return [
+        ScenarioRecord(ScenarioTensor(tensors[i], masks[i]), interaction=InteractionMatrix(interactions[i]), **f)
+        for i, f in enumerate(fields)
+    ], dt

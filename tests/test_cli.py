@@ -3,12 +3,14 @@ import json
 import math
 import shutil
 import struct
+import tempfile
+from pathlib import Path
 
 import pytest
 
-from conftest import make_traj
+from conftest import encode_dataset_v1, make_traj, overwrite_value
 from scenmine import cli, config, cvqvae, detect, ingest
-from scenmine.types import CompositeLabel, LatState, LongState, read_dataset
+from scenmine.types import CompositeLabel, LatState, LongState, read_dataset, write_dataset
 
 SMALL_CONFIG = """\
 seed: 13
@@ -222,6 +224,23 @@ def _set_field(line: int, column: int, value: bytes):
     return rewrite
 
 
+def _through_records(write):
+    """Rewrite of a dataset file through its records: ``write(records, dt,
+    path)`` writes the new file."""
+    def rewrite(blob: bytes) -> bytes:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / DATASET
+            path.write_bytes(blob)
+            write(*read_dataset(path), path)
+            return path.read_bytes()
+    return rewrite
+
+
+def _keep_records(n: int):
+    """Rewrite to a valid dataset file of the first ``n`` records."""
+    return _through_records(lambda records, dt, path: write_dataset(records[:n], path, dt=dt))
+
+
 INGEST = ["ingest", "--tracks", "tracks.csv", "--meta", "meta.json"]
 CKPT = "model.ckpt"
 DATASET = "dataset.jsonl"
@@ -236,6 +255,10 @@ BAD_INPUTS = [
     pytest.param("train:\n  learning_rate: fast\n", ["train"], None, 2, "config error", id="rate-not-number"),
     pytest.param("train:\n  codebook_size: 0\n", ["train"], None, 2, "config error", id="codebook-size-zero"),
     pytest.param("train:\n  latent_dim: 0\n", ["train"], None, 2, "config error", id="latent-dim-zero"),
+    pytest.param("train:\n  learning_rate: -0.001\n", ["train"], None, 2, "config error", id="rate-negative"),
+    pytest.param("train:\n  usage_decay: 1.5\n", ["train"], None, 2, "config error", id="usage-decay-high"),
+    pytest.param("train:\n  revival_noise: -1\n", ["train"], None, 2, "config error",
+                 id="revival-noise-negative"),
     pytest.param("cluster:\n  linkage: single\n", ["cluster"], None, 2, "config error", id="linkage-unknown"),
     pytest.param("cluster:\n  max_iter: 0\n", ["cluster"], None, 2, "config error", id="max-iter-zero"),
     pytest.param("cluster:\n  linkage: single\n", ["pipeline"], None, 2, "config error",
@@ -269,18 +292,24 @@ BAD_INPUTS = [
     pytest.param("", INGEST, ("tracks.csv", _set_field(1, 2, b"nan")), 4, "input error", id="tracks-nan"),
     pytest.param("", INGEST, ("tracks.csv", _set_field(5, 6, b"-inf")), 4, "input error", id="tracks-inf"),
     pytest.param("", ["train"], (DATASET, lambda b: b[:-100]), 3, "stage error", id="dataset-truncated"),
-    pytest.param("", ["train"], (DATASET, lambda b: b.replace(b"v1", b"v0", 1)), 3, "stage error",
+    pytest.param("", ["train"], (DATASET, lambda b: b.replace(b"v2", b"v0", 1)), 3, "stage error",
                  id="dataset-format"),
-    pytest.param("", ["train"], (DATASET, lambda b: b[:_header_end(b)] + b"\xff" + b[_header_end(b):]), 3,
+    pytest.param("", ["train"], (DATASET, lambda b: b[:_header_end(b) - 1] + b"\xff" + b[_header_end(b) - 1:]), 3,
                  "stage error", id="dataset-undecodable"),
     pytest.param("", ["train"], (DATASET, lambda b: b.replace(b'"pseudo_class":', b'"class":', 1)), 3,
                  "stage error", id="dataset-missing-key"),
-    pytest.param("", ["train"], (DATASET, lambda b: b.replace(b'"interaction":[', b'"interaction":[0.0,', 1)),
+    pytest.param("", ["train"], (DATASET, lambda b: b.replace(b'["interaction",[', b'["interaction",[1,', 1)),
                  3, "stage error", id="dataset-array-length"),
-    pytest.param("", ["train"], (DATASET, lambda b: b[:_header_end(b)]), 3, "stage error",
-                 id="dataset-empty"),
-    pytest.param("", ["cluster"], (DATASET, lambda b: b"".join(b.splitlines(keepends=True)[:4])), 3,
-                 "stage error", id="cluster-too-few-records"),
+    pytest.param("", ["train"], (DATASET, overwrite_value("tensor", struct.pack("<d", math.nan))), 3,
+                 "stage error", id="dataset-nan-value"),
+    pytest.param("", ["train"], (DATASET, overwrite_value("mask", b"\x02")), 3, "stage error",
+                 id="dataset-mask-byte"),
+    pytest.param("", ["train"], (DATASET, _through_records(
+        lambda records, dt, path: path.write_bytes(encode_dataset_v1(records, dt)))), 3,
+                 "stage error", id="dataset-v1-file"),
+    pytest.param("", ["train"], (DATASET, _keep_records(0)), 3, "stage error", id="dataset-empty"),
+    pytest.param("", ["cluster"], (DATASET, _keep_records(3)), 3, "stage error",
+                 id="cluster-too-few-records"),
     pytest.param("", ["cluster"], (CKPT, lambda b: b[:-8]), 3, "stage error", id="ckpt-truncated"),
     pytest.param("", ["cluster"], (CKPT, lambda b: b[:_header_end(b)]), 3, "stage error", id="ckpt-header-only"),
     pytest.param("", ["cluster"], (CKPT, lambda b: b + b"\0"), 3, "stage error", id="ckpt-trailing-byte"),
@@ -343,12 +372,21 @@ def test_train_line_reports_revived_codes(tmp_path, capsys):
 
 # SHA-256 of the data-path artifacts of a fixed-seed run, recorded before the
 # trajectory model became columnar. Any drift in synthesis, CSV formatting,
-# detection, extraction or augmentation changes them.
+# detection, extraction or augmentation changes them. The two datasets are
+# digested as the JSON-lines bytes of ``scenmine-dataset-v1``, which
+# ``encode_dataset_v1`` re-creates from the records read back from the
+# binary files, so their values are pinned bit for bit across the format
+# change.
 GOLDEN_DATA_DIGESTS = {
     "tracks.csv": "b728cef4b732e15b2a1605253c18cb1ed77d36b896706474947b3bb89dced136",
     "changepoints.csv": "6524c6fc417a433fb2712bfdf473e84ab7b9ea2d4551888838979ef5f63f4a09",
     "dataset.jsonl": "4a549cbf67a0906fd7f122fb6acdd64802fca001a132dfa6a7a64f79a01d9894",
     "dataset_augmented.jsonl": "7e23a1d22338fefacd10a1baa44967328b202d2ab506c0ea11713976498d4298",
+}
+# SHA-256 of the same run's dataset files as written (``scenmine-dataset-v2``).
+GOLDEN_DATASET_V2_DIGESTS = {
+    "dataset.jsonl": "7eab90d4740a34aa0b7da70f32474c5d083fc5e3634028fc16c2628b54a358df",
+    "dataset_augmented.jsonl": "14a2531e885e34846bf5eff5f6bd00c925ea7b721e3d6a75fef8f9c3cba5704c",
 }
 GOLDEN_INGEST_DIGESTS = {
     "recording/tracks.csv": "d3c9b22fa2e9aca4449cc1edbe39b307a23674c8cb754e5ef976d438c49eea83",
@@ -366,7 +404,14 @@ def test_data_path_bytes_match_golden_digests(tmp_path):
     args = ["--config", str(cfg), "--workdir", str(wd)]
     for command in (["synth"], ["detect"], ["extract"], ["augment"]):
         assert cli.main(args + command) == 0
-    assert _digests(wd, GOLDEN_DATA_DIGESTS) == GOLDEN_DATA_DIGESTS
+    assert _digests(wd, GOLDEN_DATASET_V2_DIGESTS) == GOLDEN_DATASET_V2_DIGESTS
+    v1 = tmp_path / "v1"
+    v1.mkdir()
+    for name in GOLDEN_DATASET_V2_DIGESTS:
+        (v1 / name).write_bytes(encode_dataset_v1(*read_dataset(wd / name)))
+    for name in ("tracks.csv", "changepoints.csv"):
+        shutil.copyfile(wd / name, v1 / name)
+    assert _digests(v1, GOLDEN_DATA_DIGESTS) == GOLDEN_DATA_DIGESTS
 
 
 def test_ingest_of_reversed_lanes_matches_golden_digests(tmp_path):

@@ -1,0 +1,139 @@
+"""Fuzzing of the binary container readers: ``read_dataset`` and
+``load_checkpoint`` fed arbitrary bytes, or a valid file that is truncated,
+has one byte flipped, has bytes appended or has one float replaced, raise
+only their declared error or return a result that still holds the reader's
+guarantees."""
+import json
+import math
+import struct
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from scenmine import corpus, cvqvae
+from scenmine.types import (
+    N_CLASSES,
+    N_FEATURES,
+    N_SLOTS,
+    T_OBS,
+    DatasetFormatError,
+    read_dataset,
+    write_dataset,
+)
+
+FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+def _valid_dataset(result) -> None:
+    records, dt = result
+    assert 0.0 < dt < np.inf
+    for r in records:
+        assert r.tensor.values.shape == (N_SLOTS, N_FEATURES, T_OBS)
+        assert r.tensor.presence_mask.dtype == bool
+        assert set(r.tensor.presence_mask.view(np.uint8).ravel().tolist()) <= {0, 1}
+        assert np.isfinite(r.tensor.values).all() and np.isfinite(r.interaction.values).all()
+        assert 0 <= r.pseudo_class.index < N_CLASSES
+        assert r.anchor.label_before != r.anchor.label_after
+
+
+def _valid_checkpoint(params) -> None:
+    layout = cvqvae.init_params(
+        cvqvae.TrainConfig(hidden=params.hidden, latent_dim=params.latent_dim,
+                           codebook_size=params.codebook_size),
+        None, params.n_slots, params.n_features, params.t_obs, params.n_classes,
+    )
+    for (name, arr), (_, want) in zip(cvqvae._checkpoint_arrays(params), cvqvae._checkpoint_arrays(layout)):
+        assert arr.shape == want.shape, name
+        assert np.isfinite(arr).all(), name
+
+
+def _dataset_bytes() -> bytes:
+    records = corpus.build_archetype_corpus(n_per_class=1, seed=2)[:2]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ds.jsonl"
+        write_dataset(records, path)
+        return path.read_bytes()
+
+
+def _checkpoint_bytes() -> bytes:
+    cfg = cvqvae.TrainConfig(hidden=(4,), latent_dim=3, codebook_size=3)
+    params = cvqvae.init_params(cfg, np.random.default_rng(0), n_slots=2, n_features=2, t_obs=3)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.ckpt"
+        cvqvae.save_checkpoint(params, path)
+        return path.read_bytes()
+
+
+READERS = {
+    "dataset": (_dataset_bytes(), read_dataset, DatasetFormatError, _valid_dataset),
+    "checkpoint": (_checkpoint_bytes(), cvqvae.load_checkpoint, cvqvae.ContractError, _valid_checkpoint),
+}
+
+
+def _regions(valid: bytes) -> list[tuple[int, int, int]]:
+    """(start, end, item size) of the header line and of each block."""
+    start = valid.index(b"\n") + 1
+    regions = [(0, start, 1)]
+    for name, shape in json.loads(valid[:start])["arrays"]:
+        size = 1 if name == "mask" else 8
+        end = start + int(np.prod(shape)) * size
+        if end > start:
+            regions.append((start, end, size))
+        start = end
+    return regions
+
+
+@st.composite
+def damaged(draw, valid: bytes) -> bytes:
+    """``valid`` truncated at a random offset, with one byte changed, with
+    bytes appended, or with one float of a block replaced by any float
+    (NaN and inf included). Offsets are drawn within a random region, the
+    header or one block, so that short regions are hit as often as long
+    ones."""
+    kind = draw(st.sampled_from(["truncate", "flip", "append", "float"]))
+    if kind == "append":
+        return valid + draw(st.binary(min_size=1, max_size=16))
+    start, end, size = draw(st.sampled_from(_regions(valid)))
+    if kind == "float" and size == 8:
+        at = start + 8 * draw(st.integers(0, (end - start) // 8 - 1))
+        return valid[:at] + struct.pack("<d", draw(st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats())) + valid[at + 8:]
+    at = draw(st.integers(start, end - 1))
+    if kind == "truncate":
+        return valid[:at]
+    return valid[:at] + bytes([valid[at] ^ draw(st.integers(1, 255))]) + valid[at + 1:]
+
+
+def _read(kind: str, blob: bytes) -> None:
+    _, reader, error, check = READERS[kind]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzzed"
+        path.write_bytes(blob)
+        try:
+            result = reader(path)
+        except error as exc:
+            assert str(path) in str(exc)
+            return
+    check(result)
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_valid_file_reads_back(kind):
+    _read(kind, READERS[kind][0])
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+@FUZZ
+@given(data=st.data())
+def test_arbitrary_bytes_raise_only_the_declared_error(kind, data):
+    prefix = data.draw(st.sampled_from([b"", READERS[kind][0][: READERS[kind][0].index(b"\n") + 1]]))
+    _read(kind, prefix + data.draw(st.binary(max_size=256)))
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+@FUZZ
+@given(data=st.data())
+def test_damaged_file_raises_only_the_declared_error(kind, data):
+    _read(kind, data.draw(damaged(READERS[kind][0])))

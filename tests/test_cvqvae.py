@@ -505,6 +505,24 @@ def test_model_sizes_below_one_rejected(sizes):
         cvqvae.TrainConfig(**sizes)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("learning_rate", -1e-3), ("learning_rate", np.inf), ("learning_rate", np.nan),
+    ("usage_decay", -0.01), ("usage_decay", 1.5), ("usage_decay", np.nan),
+    ("revival_noise", -1.0), ("revival_noise", np.inf),
+    ("dead_code_threshold", -1e-3), ("dead_code_threshold", np.nan),
+])
+def test_out_of_range_training_settings_rejected(field, value):
+    with pytest.raises(ValueError, match=field):
+        cvqvae.TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [("learning_rate", 0.0), ("usage_decay", 0.0), ("usage_decay", 1.0),
+                                          ("revival_noise", 0.0),
+                                          ("dead_code_threshold", 0.0)])
+def test_boundary_training_settings_accepted(field, value):
+    assert getattr(cvqvae.TrainConfig(**{field: value}), field) == value
+
+
 @pytest.mark.parametrize("name, value", [("enc_w[0]", np.nan), ("codebook", np.inf), ("usage", -np.inf)])
 def test_checkpoint_non_finite_array_is_contract_error(tmp_path, name, value):
     params = tiny_params()

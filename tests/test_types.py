@@ -1,6 +1,10 @@
+import math
+import struct
+
 import numpy as np
 import pytest
 
+from conftest import encode_dataset_v1, overwrite_value
 from scenmine import corpus
 from scenmine.types import (
     ChangePoint,
@@ -100,30 +104,56 @@ def test_dataset_round_trip_bit_identical(records, tmp_path):
         assert np.array_equal(a.tensor.presence_mask, b.tensor.presence_mask)
         assert np.array_equal(a.pseudo_class.one_hot, b.pseudo_class.one_hot)
         assert np.array_equal(a.interaction.values, b.interaction.values)
+    # One block per array kind; every record is a read-only view into it.
+    for array_of in (lambda r: r.tensor.values, lambda r: r.tensor.presence_mask,
+                     lambda r: r.interaction.values):
+        first, last = array_of(loaded[0]), array_of(loaded[-1])
+        assert first.base is not None and first.base is last.base
+        assert not first.flags.writeable
+
+
+def test_dataset_round_trip_of_zero_records(tmp_path):
+    path = tmp_path / "ds.jsonl"
+    write_dataset([], path, dt=0.1)
+    assert read_dataset(path) == ([], 0.1)
 
 
 def test_dataset_rejects_unknown_version(records, tmp_path):
     path = tmp_path / "ds.jsonl"
     write_dataset(records[:1], path)
-    text = path.read_text().replace("-v1", "-v999")
-    path.write_text(text)
+    path.write_bytes(path.read_bytes().replace(b"-v2", b"-v999", 1))
     with pytest.raises(DatasetFormatError):
+        read_dataset(path)
+
+
+def test_dataset_v1_file_is_unsupported(records, tmp_path):
+    path = tmp_path / "ds.jsonl"
+    path.write_bytes(encode_dataset_v1(records[:2], 0.04))
+    with pytest.raises(DatasetFormatError, match="unsupported dataset format 'scenmine-dataset-v1'"):
         read_dataset(path)
 
 
 @pytest.mark.parametrize(
     "damage",
     [
-        lambda b: b[:-10],                                  # truncated record
+        lambda b: b[:-10],                                  # truncated block
         lambda b: b.replace(b'"t_c":', b'"tc":', 1),        # missing key
-        lambda b: b.replace(b'"tensor":[', b'"tensor":[1,', 1),  # wrong length
+        lambda b: b.replace(b'["tensor",[', b'["tensor",[1,', 1),  # wrong block shape
         lambda b: b.replace(b'"pseudo_class":', b'"pseudo_class":99,"x":', 1),
         lambda b: b.replace(b'"dt":', b'"step":', 1),       # header without dt
         lambda b: b"[]\n" + b,                              # header not a mapping
-        lambda b: b + b"\xff\n",                            # undecodable line
+        lambda b: b.replace(b"{", b"{\xff", 1),             # undecodable header
+        lambda b: b + b"\xff\n",                            # trailing bytes
+        overwrite_value("tensor", struct.pack("<d", math.nan), 7),
+        overwrite_value("interaction", struct.pack("<d", -math.inf), 900),
+        overwrite_value("mask", b"\x02", 5),
+        lambda b: b.replace(b'"pseudo_class":', b'"pseudo_class":-1,"x":', 1),
+        lambda b: b.replace(b'"n_records":2', b'"n_records":3', 1),
+        lambda b: b.replace(b'"vehicle_id":', b'"vehicle_id":"7","x":', 1),
     ],
     ids=["truncated", "missing-key", "array-length", "class-range", "no-dt",
-         "header-list", "undecodable"],
+         "header-list", "undecodable", "trailing-bytes", "tensor-nan", "interaction-inf",
+         "mask-byte", "class-negative", "record-count", "vehicle-id-type"],
 )
 def test_dataset_damage_is_format_error(records, tmp_path, damage):
     path = tmp_path / "ds.jsonl"
