@@ -5,6 +5,7 @@ deterministic summary line per stage.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -12,14 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import clustering, config, corpus, cvqvae, detect, dgsfm, extraction, ingest, metrics
-from .types import (
-    DatasetFormatError,
-    LatState,
-    read_dataset,
-    validate_record,
-    write_dataset,
-)
+from . import clustering, config, corpus, cvqvae, detect, extraction, ingest, metrics
+from .config import Config
+from .types import DatasetFormatError, read_dataset, validate_record, write_dataset
 
 
 class StageError(Exception):
@@ -43,114 +39,6 @@ def _require(path: Path) -> Path:
     if not path.exists():
         raise StageError(f"missing input artifact: {path}")
     return path
-
-
-def _section_config(cfg: dict, section: str, build):
-    """Builds a stage's config object from ``cfg[section]``; a value the
-    object or its conversion rejects is a ConfigError (exit 2)."""
-    try:
-        return build(cfg[section])
-    except (TypeError, ValueError) as exc:
-        raise config.ConfigError(f"invalid {section} section: {exc}") from exc
-
-
-def _synth_config(cfg: dict) -> dict:
-    """The synth section with its values converted and range-checked."""
-    def build(s):
-        out = {"kind": s["kind"], "n_trajectories": int(s["n_trajectories"]),
-               "noise_sigma_accel": float(s["noise_sigma_accel"]), "dt": float(s["dt"]),
-               "n_per_class": int(s["n_per_class"])}
-        if out["kind"] not in ("trajectories", "archetypes"):
-            raise ValueError(f"unknown kind {out['kind']!r}")
-        if out["n_trajectories"] < 1 or out["n_per_class"] < 1:
-            raise ValueError("n_trajectories and n_per_class must be at least 1")
-        if not (0.0 < out["dt"] < np.inf and 0.0 <= out["noise_sigma_accel"] < np.inf):
-            raise ValueError("dt must be positive and noise_sigma_accel non-negative, both finite")
-        return out
-    return _section_config(cfg, "synth", build)
-
-
-def _augment_config(cfg: dict) -> tuple[int, float]:
-    """(n_augment, min_gap) of the augment section."""
-    def build(a):
-        n_augment, min_gap = int(a["n_augment"]), float(a["min_gap"])
-        if n_augment < 0 or not 0.0 <= min_gap < np.inf:
-            raise ValueError("n_augment and min_gap must be non-negative, min_gap finite")
-        return n_augment, min_gap
-    return _section_config(cfg, "augment", build)
-
-
-def _detector_config(cfg: dict) -> detect.DetectorConfig:
-    return _section_config(cfg, "detect", lambda d: detect.DetectorConfig(
-        up_pairs=tuple((float(t), int(n)) for t, n in d["up_pairs"]),
-        tau_down=float(d["tau_down"]),
-        n_down=int(d["n_down"]),
-        tau_extreme=float(d["tau_extreme"]),
-        tau_lc=float(d["tau_lc"]),
-        min_segment=int(d["min_segment"]),
-    ))
-
-
-def _dgsfm_config(cfg: dict, dt: float) -> dgsfm.DgsfmConfig:
-    return _section_config(cfg, "dgsfm", lambda g: dgsfm.DgsfmConfig(
-        egg=dgsfm.EggPotentialParams(
-            amplitude=float(g["amplitude"]),
-            sigma=float(g["sigma"]),
-            forward_stretch=float(g["forward_stretch"]),
-            rear_compress=float(g["rear_compress"]),
-            lateral_scale=float(g["lateral_scale"]),
-        ),
-        tau_sum=float(g["tau_sum"]),
-        n_dg=int(g["n_dg"]),
-        dt=dt,
-        softmax_temperature=float(g["softmax_temperature"]),
-    ))
-
-
-def _extraction_config(cfg: dict) -> extraction.ExtractionConfig:
-    return _section_config(cfg, "extract", lambda e: extraction.ExtractionConfig(
-        pre_frames=int(e["pre_frames"]),
-        post_frames=int(e["post_frames"]),
-        tensor_offset=int(e["tensor_offset"]),
-        neighbor_radius=float(e["neighbor_radius"]),
-        class_filter=frozenset(
-            (LatState(a), LatState(b)) for a, b in e["class_filter"]
-        ) if e["class_filter"] else None,
-    ))
-
-
-def _train_config(cfg: dict, seed: int, lambda_cl=None, lambda_int=None) -> cvqvae.TrainConfig:
-    return _section_config(cfg, "train", lambda t: cvqvae.TrainConfig(
-        lambda_cl=float(t["lambda_cl"] if lambda_cl is None else lambda_cl),
-        lambda_int=float(t["lambda_int"] if lambda_int is None else lambda_int),
-        learning_rate=float(t["learning_rate"]),
-        batch_size=int(t["batch_size"]),
-        epochs=int(t["epochs"]),
-        seed=seed,
-        commitment_weight=float(t["commitment_weight"]),
-        dead_code_threshold=float(t["dead_code_threshold"]),
-        usage_decay=float(t["usage_decay"]),
-        revival_noise=float(t["revival_noise"]),
-        hidden=tuple(int(h) for h in t["hidden"]),
-        latent_dim=int(t["latent_dim"]),
-        codebook_size=int(t["codebook_size"]),
-    ))
-
-
-def _cluster_config(cfg: dict) -> tuple[tuple[str, ...], str, int]:
-    """(backends, linkage, max_iter) of the cluster section."""
-    def build(c):
-        backends = tuple(c["backends"])
-        unknown = [b for b in backends if b not in clustering.BACKENDS]
-        if unknown or not backends:
-            raise ValueError(f"backends {list(backends)} must be some of {list(clustering.BACKENDS)}")
-        if c["linkage"] not in clustering.LINKAGES:
-            raise ValueError(f"unknown linkage {c['linkage']!r}; expected one of {list(clustering.LINKAGES)}")
-        max_iter = int(c["max_iter"])
-        if max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-        return backends, c["linkage"], max_iter
-    return _section_config(cfg, "cluster", build)
 
 
 def _make_scripts(n: int, noise: float, seed: int) -> list[ingest.SyntheticScript]:
@@ -195,12 +83,12 @@ def _make_scripts(n: int, noise: float, seed: int) -> list[ingest.SyntheticScrip
 # Stages
 # ---------------------------------------------------------------------------
 
-def cmd_synth(cfg: dict, workdir: Path) -> None:
-    s = _synth_config(cfg)
+def cmd_synth(cfg: Config, workdir: Path) -> None:
+    s = cfg.synth
     seed = config.stage_seed(cfg, "synth")
-    dt = s["dt"]
-    if s["kind"] == "trajectories":
-        scripts = _make_scripts(s["n_trajectories"], s["noise_sigma_accel"], seed)
+    dt = s.dt
+    if s.kind == "trajectories":
+        scripts = _make_scripts(s.n_trajectories, s.noise_sigma_accel, seed)
         trajs, truths = ingest.generate_synthetic(scripts, dt, seed, recording_id="synthetic")
         ingest.write_tracks_csv(trajs, workdir / "tracks.csv")
         meta = ingest.RecordingMeta(
@@ -226,23 +114,23 @@ def cmd_synth(cfg: dict, workdir: Path) -> None:
         )
     else:  # archetypes
         records = corpus.build_archetype_corpus(
-            n_per_class=s["n_per_class"], seed=seed, dt=dt,
-            dgsfm_cfg=_dgsfm_config(cfg, dt),
+            n_per_class=s.n_per_class, seed=seed, dt=dt,
+            dgsfm_cfg=config.override(cfg, "dgsfm", dt=dt),
         )
         write_dataset(records, workdir / "dataset.jsonl", dt=dt)
         _log("synth", kind="archetypes", n=len(records), seed=seed,
              dataset=_sha256(workdir / "dataset.jsonl"))
 
 
-def cmd_ingest(cfg: dict, workdir: Path, tracks: str, meta_path: str) -> None:
-    meta = ingest.read_meta_json(_require(Path(meta_path)))
-    trajs = ingest.read_tracks_csv(_require(Path(tracks)), meta)
-    kept = ingest.filter_three_lane([(meta, trajs)])
+def cmd_ingest(cfg: Config, workdir: Path, tracks: str, meta: str) -> None:
+    recording = ingest.read_meta_json(_require(Path(meta)))
+    trajs = ingest.read_tracks_csv(_require(Path(tracks)), recording)
+    kept = ingest.filter_three_lane([(recording, trajs)])
     normalized: list = []
     for m, ts in kept:
         normalized.extend(ingest.normalize_direction(t, m) for t in ts)
     ingest.write_tracks_csv(normalized, workdir / "tracks.csv")
-    ingest.write_meta_json(meta, workdir / "meta.json")
+    ingest.write_meta_json(recording, workdir / "meta.json")
     _log("ingest", recordings_kept=len(kept), trajectories=len(normalized),
          tracks=_sha256(workdir / "tracks.csv"))
 
@@ -253,20 +141,8 @@ def _load_tracks(workdir: Path) -> tuple[ingest.RecordingMeta, list]:
     return meta, trajs
 
 
-def _ema_windows(values) -> tuple[int, ...]:
-    windows = tuple(int(w) for w in values)
-    if not windows or min(windows) < 1:
-        raise ValueError(f"ema_window_sizes must be positive frame counts, got {list(windows)}")
-    return windows
-
-
-def cmd_detect(cfg: dict, workdir: Path, method: str = "rule") -> None:
-    det_cfg = _detector_config(cfg)
-    ema_windows, ema_alpha, eval_window = _section_config(cfg, "detect", lambda d: (
-        _ema_windows(d["ema_window_sizes"]),
-        float(d["ema_alpha"]),
-        int(d["eval_window"]),
-    ))
+def cmd_detect(cfg: Config, workdir: Path, method: str = "rule") -> None:
+    det_cfg = cfg.detect
     meta, trajs = _load_tracks(workdir)
     rows = []
     predictions: dict[int, list] = {}
@@ -276,16 +152,15 @@ def cmd_detect(cfg: dict, workdir: Path, method: str = "rule") -> None:
             cps = detect.detect_rule_based(traj, det_cfg)
             predictions[traj.vehicle_id] = [(cp.t_c, cp.label_after) for cp in cps]
             rows.extend((traj.recording_id, traj.vehicle_id, cp) for cp in cps)
-        elif method == "ema":
-            if len(traj) < min(ema_windows):
+        else:  # ema
+            if len(traj) < min(det_cfg.ema_window_sizes):
                 # Shorter than every EMA window: no energy series, no events.
                 skipped_short += 1
                 frames = []
             else:
-                frames = detect.detect_ema(traj, window_sizes=ema_windows, ema_alpha=ema_alpha)
+                frames = detect.detect_ema(traj, window_sizes=det_cfg.ema_window_sizes,
+                                           ema_alpha=det_cfg.ema_alpha)
             predictions[traj.vehicle_id] = [(f, None) for f in frames]
-        else:
-            raise config.ConfigError(f"unknown detect method {method!r}")
     if method == "rule":
         detect.write_change_points(rows, workdir / "changepoints.csv")
         _log("detect", method=method, events=len(rows),
@@ -305,7 +180,7 @@ def cmd_detect(cfg: dict, workdir: Path, method: str = "rule") -> None:
             m = detect.evaluate_detection(
                 predictions.get(traj.vehicle_id, []),
                 by_vehicle.get(traj.vehicle_id, []),
-                window=eval_window,
+                window=det_cfg.eval_window,
                 match_labels=(method == "rule"),
             )
             tp, fp, fn = tp + m.tp, fp + m.fp, fn + m.fn
@@ -321,15 +196,14 @@ def cmd_detect(cfg: dict, workdir: Path, method: str = "rule") -> None:
              recall=f"{match.recall:.3f}", report=_sha256(out))
 
 
-def cmd_extract(cfg: dict, workdir: Path) -> None:
-    ext_cfg = _extraction_config(cfg)
+def cmd_extract(cfg: Config, workdir: Path) -> None:
     meta, trajs = _load_tracks(workdir)
     cps = detect.read_change_points(_require(workdir / "changepoints.csv"))
     by_vehicle: dict[int, list] = {}
     for _, vid, cp in cps:
         by_vehicle.setdefault(vid, []).append(cp)
     records, summary = extraction.extract(
-        trajs, by_vehicle, ext_cfg, _dgsfm_config(cfg, meta.dt)
+        trajs, by_vehicle, cfg.extract, config.override(cfg, "dgsfm", dt=meta.dt)
     )
     write_dataset(records, workdir / "dataset.jsonl", dt=meta.dt)
     with open(workdir / "extract_summary.json", "w", encoding="utf-8") as fh:
@@ -348,12 +222,12 @@ def cmd_extract(cfg: dict, workdir: Path) -> None:
          filtered=summary.filtered_class, dataset=_sha256(workdir / "dataset.jsonl"))
 
 
-def cmd_augment(cfg: dict, workdir: Path) -> None:
-    n_augment, min_gap = _augment_config(cfg)
+def cmd_augment(cfg: Config, workdir: Path) -> None:
     records, dt = read_dataset(_require(workdir / "dataset.jsonl"))
     seed = config.stage_seed(cfg, "augment")
     augmented, pairs = corpus.augment_corpus(
-        records, n_augment=min(n_augment, len(records)), min_gap=min_gap, seed=seed
+        records, n_augment=min(cfg.augment.n_augment, len(records)),
+        min_gap=cfg.augment.min_gap, seed=seed
     )
     write_dataset(list(records) + augmented, workdir / "dataset_augmented.jsonl", dt=dt)
     corpus.write_pairs(pairs, workdir / "pairs.csv")
@@ -361,9 +235,11 @@ def cmd_augment(cfg: dict, workdir: Path) -> None:
          dataset=_sha256(workdir / "dataset_augmented.jsonl"))
 
 
-def cmd_train(cfg: dict, workdir: Path, lambda_cl=None, lambda_int=None, tag: str = "model") -> None:
+def cmd_train(cfg: Config, workdir: Path, lambda_cl=None, lambda_int=None, tag: str = "model") -> None:
     seed = config.stage_seed(cfg, "train")
-    tcfg = _train_config(cfg, seed, lambda_cl, lambda_int)
+    flags = {"lambda_cl": lambda_cl, "lambda_int": lambda_int}
+    tcfg = config.override(cfg, "train", seed=seed,
+                           **{name: value for name, value in flags.items() if value is not None})
     path = workdir / "dataset.jsonl"
     records, _ = read_dataset(_require(path))
     if not records:
@@ -381,8 +257,7 @@ def cmd_train(cfg: dict, workdir: Path, lambda_cl=None, lambda_int=None, tag: st
          revived=sum(h.revived for h in history))
 
 
-def cmd_cluster(cfg: dict, workdir: Path, tag: str = "model") -> None:
-    backends, linkage, max_iter = _cluster_config(cfg)
+def cmd_cluster(cfg: Config, workdir: Path, tag: str = "model") -> None:
     records, _ = read_dataset(_require(workdir / "dataset.jsonl"))
     aug_path = workdir / "dataset_augmented.jsonl"
     all_records = read_dataset(aug_path)[0] if aug_path.exists() else records
@@ -401,13 +276,14 @@ def cmd_cluster(cfg: dict, workdir: Path, tag: str = "model") -> None:
     extra_latents = clustering.encode_latents(extra, params) if extra else np.zeros((0, params.latent_dim))
 
     rows: list[tuple[str, str, int]] = []
-    for backend in backends:
+    for backend in cfg.cluster.backends:
         if backend == "codebook":
-            assign = clustering.assign_codebook(records + extra, params)
+            assign = clustering.assign_codebook(
+                records + extra, params, latents=np.concatenate([train_latents, extra_latents]))
             labels = dict(zip(assign.record_ids, assign.labels))
         elif backend == "kmeans":
             assign, centroids = clustering.kmeans(
-                train_latents, k, seed=seed, max_iter=max_iter,
+                train_latents, k, seed=seed, max_iter=cfg.cluster.max_iter,
                 record_ids=tuple(r.record_id for r in records))
             labels = dict(zip(assign.record_ids, assign.labels))
             if extra:
@@ -415,7 +291,7 @@ def cmd_cluster(cfg: dict, workdir: Path, tag: str = "model") -> None:
                     labels[r.record_id] = lbl
         else:  # hierarchical
             assign = clustering.hierarchical(
-                train_latents, k, linkage=linkage,
+                train_latents, k, linkage=cfg.cluster.linkage,
                 record_ids=tuple(r.record_id for r in records))
             labels = dict(zip(assign.record_ids, assign.labels))
             if extra:
@@ -443,7 +319,7 @@ def _read_assignments(path: Path) -> dict[str, dict[str, int]]:
     return out
 
 
-def cmd_evaluate_clustering(cfg: dict, workdir: Path, tag: str = "model") -> None:
+def cmd_evaluate_clustering(cfg: Config, workdir: Path, tag: str = "model") -> None:
     records, _ = read_dataset(_require(workdir / "dataset.jsonl"))
     pairs = corpus.read_pairs(_require(workdir / "pairs.csv"))
     assignments = _read_assignments(_require(workdir / f"assignments_{tag}.csv"))
@@ -467,7 +343,7 @@ def cmd_evaluate_clustering(cfg: dict, workdir: Path, tag: str = "model") -> Non
     _log("evaluate-clustering", tag=tag, backends=len(result), report=_sha256(out))
 
 
-def cmd_report(cfg: dict, workdir: Path) -> None:
+def cmd_report(cfg: Config, workdir: Path) -> None:
     detection_rows = []
     for method in ("rule", "ema"):
         path = workdir / f"detection_{method}.json"
@@ -501,7 +377,7 @@ def cmd_report(cfg: dict, workdir: Path) -> None:
          clustering_rows=len(clustering_rows), report=_sha256(workdir / "report.json"))
 
 
-def cmd_gradcheck(cfg: dict, workdir: Path) -> int:
+def cmd_gradcheck(cfg: Config, workdir: Path) -> int:
     seed = config.stage_seed(cfg, "gradcheck")
     records = corpus.build_archetype_corpus(n_per_class=1, seed=seed)
     tcfg = cvqvae.TrainConfig(hidden=(16, 16), latent_dim=8, codebook_size=4, seed=seed)
@@ -515,10 +391,9 @@ def cmd_gradcheck(cfg: dict, workdir: Path) -> int:
     return 0 if err < 1e-4 else 1
 
 
-def cmd_pipeline(cfg: dict, workdir: Path) -> None:
-    _cluster_config(cfg)  # a bad cluster section fails before any training
+def cmd_pipeline(cfg: Config, workdir: Path) -> None:
     cmd_synth(cfg, workdir)
-    if cfg["synth"]["kind"] == "trajectories":
+    if cfg.synth.kind == "trajectories":
         cmd_detect(cfg, workdir, method="rule")
         cmd_detect(cfg, workdir, method="ema")
         cmd_extract(cfg, workdir)
@@ -535,66 +410,46 @@ def cmd_pipeline(cfg: dict, workdir: Path) -> None:
 # Entry point
 # ---------------------------------------------------------------------------
 
+_TAG = ("--tag", {"default": "model"})
+
+# Subcommand -> (stage call, its options); each option's value is passed to
+# the call as the keyword argparse derives from the flag.
+COMMANDS = {
+    "synth": (cmd_synth,),
+    "ingest": (cmd_ingest, ("--tracks", {"required": True}), ("--meta", {"required": True})),
+    "detect": (cmd_detect, ("--method", {"choices": ("rule", "ema"), "default": "rule"})),
+    "extract": (cmd_extract,),
+    "augment": (cmd_augment,),
+    "train": (cmd_train, ("--lambda-cl", {"type": float}), ("--lambda-int", {"type": float}), _TAG),
+    "cluster": (cmd_cluster, _TAG),
+    "evaluate": (cmd_evaluate_clustering, _TAG),
+    "report": (cmd_report,),
+    "gradcheck": (cmd_gradcheck,),
+    "pipeline": (cmd_pipeline,),
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="scenmine", description=__doc__)
     parser.add_argument("--config", help="YAML config file (defaults built in)")
     parser.add_argument("--workdir", help="artifact directory (overrides config)")
     parser.add_argument("--seed", type=int, help="top-level seed (overrides config)")
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, *options) in COMMANDS.items():
+        command = sub.add_parser(name)
+        for flag, spec in options:
+            command.add_argument(flag, **spec)
 
-    sub.add_parser("synth")
-    p_ingest = sub.add_parser("ingest")
-    p_ingest.add_argument("--tracks", required=True)
-    p_ingest.add_argument("--meta", required=True)
-    p_detect = sub.add_parser("detect")
-    p_detect.add_argument("--method", choices=("rule", "ema"), default="rule")
-    sub.add_parser("extract")
-    sub.add_parser("augment")
-    p_train = sub.add_parser("train")
-    p_train.add_argument("--lambda-cl", type=float, default=None)
-    p_train.add_argument("--lambda-int", type=float, default=None)
-    p_train.add_argument("--tag", default="model")
-    p_cluster = sub.add_parser("cluster")
-    p_cluster.add_argument("--tag", default="model")
-    p_eval = sub.add_parser("evaluate")
-    p_eval.add_argument("--tag", default="model")
-    sub.add_parser("report")
-    sub.add_parser("gradcheck")
-    sub.add_parser("pipeline")
-
-    args = parser.parse_args(argv)
+    options = vars(parser.parse_args(argv))
+    run = COMMANDS[options.pop("command")][0]
+    config_path, workdir, seed = options.pop("config"), options.pop("workdir"), options.pop("seed")
     try:
-        cfg = config.load_config(args.config)
-        if args.workdir is not None:
-            cfg["workdir"] = args.workdir
-        if args.seed is not None:
-            cfg["seed"] = args.seed
-        workdir = Path(cfg["workdir"])
+        cfg = config.load_config(config_path)
+        cfg = dataclasses.replace(cfg, workdir=cfg.workdir if workdir is None else workdir,
+                                  seed=cfg.seed if seed is None else seed)
+        workdir = Path(cfg.workdir)
         workdir.mkdir(parents=True, exist_ok=True)
-
-        if args.command == "synth":
-            cmd_synth(cfg, workdir)
-        elif args.command == "ingest":
-            cmd_ingest(cfg, workdir, args.tracks, args.meta)
-        elif args.command == "detect":
-            cmd_detect(cfg, workdir, method=args.method)
-        elif args.command == "extract":
-            cmd_extract(cfg, workdir)
-        elif args.command == "augment":
-            cmd_augment(cfg, workdir)
-        elif args.command == "train":
-            cmd_train(cfg, workdir, args.lambda_cl, args.lambda_int, tag=args.tag)
-        elif args.command == "cluster":
-            cmd_cluster(cfg, workdir, tag=args.tag)
-        elif args.command == "evaluate":
-            cmd_evaluate_clustering(cfg, workdir, tag=args.tag)
-        elif args.command == "report":
-            cmd_report(cfg, workdir)
-        elif args.command == "gradcheck":
-            return cmd_gradcheck(cfg, workdir)
-        elif args.command == "pipeline":
-            cmd_pipeline(cfg, workdir)
-        return 0
+        return run(cfg, workdir, **options) or 0
     except config.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -604,8 +459,7 @@ def main(argv=None) -> int:
     except (ingest.ParseError, ingest.IntegrityError, ingest.ScriptError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 4
-    except (cvqvae.TrainingError, cvqvae.ContractError, detect.StateError,
-            extraction.AugmentationError) as exc:
+    except (cvqvae.TrainingError, cvqvae.ContractError, extraction.AugmentationError) as exc:
         print(f"run error: {exc}", file=sys.stderr)
         return 5
 

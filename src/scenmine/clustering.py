@@ -16,6 +16,21 @@ LINKAGES = ("ward", "average", "complete")
 
 
 @dataclass(frozen=True)
+class ClusterConfig:
+    backends: tuple[str, ...] = BACKENDS
+    linkage: str = "ward"  # hierarchical backend
+    max_iter: int = 300    # k-means Lloyd iterations
+
+    def __post_init__(self):
+        if not self.backends or any(b not in BACKENDS for b in self.backends):
+            raise ValueError(f"backends {list(self.backends)} must be some of {list(BACKENDS)}")
+        if self.linkage not in LINKAGES:
+            raise ValueError(f"unknown linkage {self.linkage!r}; expected one of {list(LINKAGES)}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+
+
+@dataclass(frozen=True)
 class ClusterAssignment:
     backend: str
     labels: np.ndarray  # per-record cluster index in [0, k)
@@ -43,10 +58,13 @@ def encode_latents(records: Sequence[ScenarioRecord], params: cvqvae.ModelParams
 
 
 def assign_codebook(
-    records: Sequence[ScenarioRecord], params: cvqvae.ModelParams
+    records: Sequence[ScenarioRecord],
+    params: cvqvae.ModelParams,
+    latents: Optional[np.ndarray] = None,
 ) -> ClusterAssignment:
-    """Nearest-codebook-entry assignment: the model's intrinsic clustering."""
-    z = encode_latents(records, params)
+    """Nearest-codebook-entry assignment: the model's intrinsic clustering.
+    ``latents`` are the records' ``encode_latents``, when already known."""
+    z = encode_latents(records, params) if latents is None else latents
     labels = cvqvae._quantize_batch(z, params.codebook)
     return ClusterAssignment(
         backend="codebook",
@@ -99,7 +117,7 @@ def kmeans(
     latents: np.ndarray,
     k: int,
     seed: int = 0,
-    max_iter: int = 300,
+    max_iter: int = ClusterConfig.max_iter,
     record_ids: tuple[str, ...] = (),
 ) -> tuple[ClusterAssignment, np.ndarray]:
     """Lloyd iterations to an assignment fixed point (or max_iter); empty
@@ -139,7 +157,7 @@ def kmeans_inertia(latents: np.ndarray, labels: np.ndarray, centroids: np.ndarra
 def hierarchical(
     latents: np.ndarray,
     k: int,
-    linkage: str = "ward",
+    linkage: str = ClusterConfig.linkage,
     record_ids: tuple[str, ...] = (),
 ) -> ClusterAssignment:
     assignment, _ = hierarchical_with_merges(latents, k, linkage, record_ids)
@@ -149,7 +167,7 @@ def hierarchical(
 def hierarchical_with_merges(
     latents: np.ndarray,
     k: int,
-    linkage: str = "ward",
+    linkage: str = ClusterConfig.linkage,
     record_ids: tuple[str, ...] = (),
 ) -> tuple[ClusterAssignment, list[tuple[int, int]]]:
     """Agglomerative merging until k clusters remain.

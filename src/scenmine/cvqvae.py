@@ -44,15 +44,15 @@ class TrainConfig:
     lambda_int: float = 1.0
     learning_rate: float = 1e-3
     batch_size: int = 32
-    epochs: int = 300
-    seed: int = 0
+    epochs: int = 60
+    seed: int = field(default=0, metadata={"supplied": True})  # the train stage seed
     commitment_weight: float = 0.25
     dead_code_threshold: float = 1e-3
     usage_decay: float = 0.99
     revival_noise: float = 0.01
-    hidden: tuple[int, ...] = (256, 256)
-    latent_dim: int = 64
-    codebook_size: int = 64
+    hidden: tuple[int, ...] = (128, 128)
+    latent_dim: int = 32
+    codebook_size: int = 16
 
     def __post_init__(self):
         if self.lambda_cl < 0 or self.lambda_int < 0:

@@ -1,5 +1,5 @@
 """Ego behavior-change detection: adaptive threshold rules, the EMA-energy
-and snippet-clustering baselines, and detector scoring against ground truth.
+baseline, and detector scoring against ground truth.
 """
 from __future__ import annotations
 
@@ -20,10 +20,6 @@ from .types import (
 DEFAULT_UP_PAIRS = ((0.2, 100), (0.3, 50), (0.4, 25))
 
 
-class StateError(Exception):
-    """Operation requires state (e.g. a trained model) that is missing."""
-
-
 @dataclass(frozen=True)
 class DetectorConfig:
     up_pairs: tuple[tuple[float, int], ...] = DEFAULT_UP_PAIRS
@@ -32,6 +28,9 @@ class DetectorConfig:
     tau_extreme: float = 2.5    # m/s^2
     tau_lc: float = 2.0         # m, > half lane width
     min_segment: int = 3        # frames; shorter segments are absorbed
+    eval_window: int = 50       # frames; match window when scoring against truth
+    ema_window_sizes: tuple[int, ...] = (30, 60, 90)  # frames; EMA-energy baseline
+    ema_alpha: float = 0.05
 
     def __post_init__(self):
         if not self.up_pairs:
@@ -45,6 +44,9 @@ class DetectorConfig:
             raise ValueError("tau_extreme must exceed every tau_up")
         if self.min_segment < 1:
             raise ValueError("min_segment must be >= 1")
+        if not self.ema_window_sizes or min(self.ema_window_sizes) < 1:
+            raise ValueError(
+                f"ema_window_sizes must be positive frame counts, got {list(self.ema_window_sizes)}")
 
 
 @dataclass(frozen=True)
@@ -260,8 +262,8 @@ def _ema(signal: np.ndarray, alpha: float) -> np.ndarray:
 
 def detect_ema(
     traj: Trajectory,
-    window_sizes: Sequence[int] = (30, 60, 90),
-    ema_alpha: float = 0.05,
+    window_sizes: Sequence[int] = DetectorConfig.ema_window_sizes,
+    ema_alpha: float = DetectorConfig.ema_alpha,
     peak_threshold: Optional[float] = None,
 ) -> list[int]:
     """Residual-energy change detector: events at strict local maxima of the
@@ -310,99 +312,13 @@ def detect_ema(
 
 
 # ---------------------------------------------------------------------------
-# Snippet-clustering baseline (reuses the quantizing autoencoder)
-# ---------------------------------------------------------------------------
-
-def snippet_features(traj: Trajectory, start: int, length: int) -> np.ndarray:
-    """(1, 6, length) single-vehicle snippet with positions relative to the
-    snippet's first frame, suitable as model input."""
-    sl = slice(start, start + length)
-    feats = np.stack(
-        [
-            traj.x[sl] - traj.x[start],
-            traj.y[sl] - traj.y[start],
-            traj.vx[sl],
-            traj.vy[sl],
-            traj.ax[sl],
-            traj.ay[sl],
-        ]
-    )
-    return feats[None, :, :]
-
-
-def train_snippet_model(
-    trajs: Sequence[Trajectory],
-    snippet_len: int = 50,
-    clusters: int = 64,
-    epochs: int = 50,
-    seed: int = 0,
-    hidden: tuple[int, int] = (64, 64),
-    latent_dim: int = 16,
-):
-    """Trains a snippet-level quantizing autoencoder for the baseline."""
-    from . import cvqvae
-
-    snippets = []
-    for traj in trajs:
-        for s in range(0, len(traj) - snippet_len + 1, snippet_len):
-            snippets.append(snippet_features(traj, s, snippet_len))
-    if not snippets:
-        raise StateError("no snippets available to train the baseline model")
-    inputs = np.stack(snippets)
-    masks = np.ones((len(snippets), 1, snippet_len), dtype=bool)
-    cfg = cvqvae.TrainConfig(
-        lambda_cl=0.0,
-        lambda_int=0.0,
-        epochs=epochs,
-        seed=seed,
-        hidden=hidden,
-        latent_dim=latent_dim,
-        codebook_size=clusters,
-    )
-    params, _ = cvqvae.train_arrays(
-        inputs, masks, class_targets=None, interaction_targets=None, cfg=cfg
-    )
-    return params
-
-
-def detect_snippet_cluster(
-    trajs: Sequence[Trajectory],
-    model,
-    snippet_len: int = 50,
-) -> list[list[int]]:
-    """Per trajectory: change frames where the codebook index assigned to
-    consecutive non-overlapping snippets switches."""
-    from . import cvqvae
-
-    if model is None:
-        raise StateError("snippet clustering requires a trained model")
-    results: list[list[int]] = []
-    for traj in trajs:
-        codes = []
-        starts = list(range(0, len(traj) - snippet_len + 1, snippet_len))
-        for s in starts:
-            feats = snippet_features(traj, s, snippet_len)
-            mask = np.ones((1, snippet_len), dtype=bool)
-            z = cvqvae.encode(feats, mask, model)
-            q, _ = cvqvae.quantize(z, model.codebook)
-            codes.append(q)
-        changes = [
-            traj.first_frame + starts[i + 1]
-            for i in range(len(codes) - 1)
-            if codes[i] != codes[i + 1]
-        ]
-        results.append(changes)
-    return results
-
-
-# ---------------------------------------------------------------------------
 # Detector scoring
 # ---------------------------------------------------------------------------
 
 def evaluate_detection(
     predicted: Sequence[tuple[int, Optional[CompositeLabel]]],
     truth: Sequence[tuple[int, CompositeLabel]],
-    window: int = 50,
+    window: int = DetectorConfig.eval_window,
     match_labels: bool = True,
 ) -> DetectionMatch:
     """Greedy one-to-one temporal matching of predictions to truth windows.

@@ -17,29 +17,22 @@ MIN_HEADING_SPEED = 0.1  # m/s; below this the heading falls back to +x
 
 
 @dataclass(frozen=True)
-class EggPotentialParams:
-    amplitude: float = 1.0       # A
+class DgsfmConfig:
+    amplitude: float = 1.0       # A of the egg potential
     sigma: float = 10.0          # m, base range
     forward_stretch: float = 2.0  # gamma_f >= 1
     rear_compress: float = 0.5    # gamma_b in (0, 1]
     lateral_scale: float = 0.6    # gamma_l > 0
+    tau_sum: float = 0.5
+    n_dg: int = 25               # extrapolation steps (1 s at 25 Hz)
+    dt: float = field(default=0.04, metadata={"supplied": True})  # s, the recording's frame time
+    softmax_temperature: float = 1.0
 
     def __post_init__(self):
         if min(self.amplitude, self.sigma, self.forward_stretch, self.rear_compress, self.lateral_scale) <= 0:
             raise ValueError("all egg-potential parameters must be positive")
         if not (self.forward_stretch >= 1.0 >= self.rear_compress):
             raise ValueError("requires forward_stretch >= 1 >= rear_compress")
-
-
-@dataclass(frozen=True)
-class DgsfmConfig:
-    egg: EggPotentialParams = field(default_factory=EggPotentialParams)
-    tau_sum: float = 0.5
-    n_dg: int = 25               # extrapolation steps (1 s at 25 Hz)
-    dt: float = 0.04
-    softmax_temperature: float = 1.0
-
-    def __post_init__(self):
         if not 0.0 <= self.tau_sum <= 1.0:
             raise ValueError("tau_sum must lie in [0, 1]")
         if self.n_dg < 1:
@@ -60,7 +53,7 @@ def v_egg(
     r_other: np.ndarray,
     r_self: np.ndarray,
     v_self: np.ndarray,
-    egg: EggPotentialParams,
+    cfg: DgsfmConfig,
 ) -> np.ndarray:
     """Anisotropic exponential repulsion of ``r_other`` inside the field of
     ``r_self`` heading along ``v_self``; range stretched forward, compressed
@@ -70,9 +63,9 @@ def v_egg(
     d = np.asarray(r_other, dtype=float) - np.asarray(r_self, dtype=float)
     d_long = d[..., 0] * h[..., 0] + d[..., 1] * h[..., 1]
     d_lat = -d[..., 0] * h[..., 1] + d[..., 1] * h[..., 0]
-    s = np.where(d_long >= 0, egg.forward_stretch * egg.sigma, egg.rear_compress * egg.sigma)
-    rho = np.hypot(d_long / s, d_lat / (egg.lateral_scale * egg.sigma))
-    return egg.amplitude * np.exp(-rho)
+    s = np.where(d_long >= 0, cfg.forward_stretch * cfg.sigma, cfg.rear_compress * cfg.sigma)
+    rho = np.hypot(d_long / s, d_lat / (cfg.lateral_scale * cfg.sigma))
+    return cfg.amplitude * np.exp(-rho)
 
 
 def beta_components(
@@ -85,11 +78,11 @@ def beta_components(
     """Intrusion depth into the ego's directional field (beta_a) and the
     short-horizon change of the ego's intrusion into the neighbor's field
     (beta_b; may be negative). Broadcasts like ``v_egg``."""
-    beta_a = v_egg(nb_pos, ego_pos, ego_vel, cfg.egg)
+    beta_a = v_egg(nb_pos, ego_pos, ego_vel, cfg)
     horizon = cfg.n_dg * cfg.dt
     ego_star = np.asarray(ego_pos, dtype=float) + horizon * np.asarray(ego_vel, dtype=float)
     nb_star = np.asarray(nb_pos, dtype=float) + horizon * np.asarray(nb_vel, dtype=float)
-    beta_b = v_egg(ego_star, nb_star, nb_vel, cfg.egg) - v_egg(ego_pos, nb_pos, nb_vel, cfg.egg)
+    beta_b = v_egg(ego_star, nb_star, nb_vel, cfg) - v_egg(ego_pos, nb_pos, nb_vel, cfg)
     return beta_a, beta_b
 
 

@@ -1,5 +1,5 @@
 """Scenario extraction: windowing around change points, neighbor slot
-assignment, padding, pseudo-class labeling, augmentation, and splitting.
+assignment, padding, pseudo-class labeling, and augmentation.
 """
 from __future__ import annotations
 
@@ -34,16 +34,15 @@ class ExtractionConfig:
     post_frames: int = 75
     tensor_offset: int = -25  # tensor start relative to t_c
     neighbor_radius: float = 100.0  # m, max anchor distance for slot candidates
-    n_slots: int = N_SLOTS
-    t_obs: int = T_OBS
-    # optional set of (before-lateral, after-lateral) pairs to keep
+    # optional set of (before-lateral, after-lateral) pairs to keep; None or
+    # an empty set keeps every class
     class_filter: Optional[frozenset[tuple[LatState, LatState]]] = None
 
     def __post_init__(self):
-        if self.pre_frames + self.post_frames + 1 < self.t_obs:
-            raise ValueError("extraction window must cover at least t_obs frames")
+        if self.pre_frames + self.post_frames + 1 < T_OBS:
+            raise ValueError(f"extraction window must cover at least {T_OBS} frames")
         if not (-self.pre_frames <= self.tensor_offset
-                and self.tensor_offset + self.t_obs - 1 <= self.post_frames):
+                and self.tensor_offset + T_OBS - 1 <= self.post_frames):
             raise ValueError("tensor window must lie inside the extraction window")
 
 
@@ -85,7 +84,7 @@ def extract(
             if not ego.covers(t_c - cfg.pre_frames, t_c + cfg.post_frames):
                 skipped += 1
                 continue
-            if cfg.class_filter is not None and (
+            if cfg.class_filter and (
                 cp.label_before.lateral,
                 cp.label_after.lateral,
             ) not in cfg.class_filter:
@@ -93,7 +92,7 @@ def extract(
                 continue
 
             t0 = t_c + cfg.tensor_offset
-            window = range(t0, t0 + cfg.t_obs)
+            window = range(t0, t0 + T_OBS)
             anchor_x = ego.x[t_c - ego.first_frame]
             anchor_y = ego.y[t_c - ego.first_frame]
 
@@ -110,12 +109,12 @@ def extract(
                 if dist <= cfg.neighbor_radius:
                     candidates.append((dist, other.vehicle_id, other))
             candidates.sort(key=lambda c: (c[0], c[1]))
-            neighbors = [c[2] for c in candidates[: cfg.n_slots - 1]]
+            neighbors = [c[2] for c in candidates[: N_SLOTS - 1]]
 
-            values = np.zeros((cfg.n_slots, len(FEATURE_NAMES), cfg.t_obs))
-            mask = np.zeros((cfg.n_slots, cfg.t_obs), dtype=bool)
-            positions = np.zeros((cfg.n_slots, cfg.t_obs, 2))
-            velocities = np.zeros((cfg.n_slots, cfg.t_obs, 2))
+            values = np.zeros((N_SLOTS, len(FEATURE_NAMES), T_OBS))
+            mask = np.zeros((N_SLOTS, T_OBS), dtype=bool)
+            positions = np.zeros((N_SLOTS, T_OBS, 2))
+            velocities = np.zeros((N_SLOTS, T_OBS, 2))
 
             def fill(slot: int, traj: Trajectory) -> None:
                 lo = max(window.start, traj.first_frame)
@@ -237,28 +236,3 @@ def augment_irrelevant(
         augmentation_parent=record.record_id,
     )
 
-
-def split(
-    records: Sequence[ScenarioRecord],
-    train_fraction: float = 0.85,
-    seed: int = 0,
-) -> tuple[list[ScenarioRecord], list[ScenarioRecord]]:
-    """Deterministic shuffle-split; augmented records follow their parent."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must lie in (0, 1)")
-    parents = [r for r in records if r.augmentation_parent is None]
-    children: dict[str, list[ScenarioRecord]] = {}
-    for r in records:
-        if r.augmentation_parent is not None:
-            children.setdefault(r.augmentation_parent, []).append(r)
-
-    order = np.random.default_rng(seed).permutation(len(parents))
-    n_train = math.ceil(train_fraction * len(parents))
-    train: list[ScenarioRecord] = []
-    val: list[ScenarioRecord] = []
-    for rank, idx in enumerate(order):
-        parent = parents[idx]
-        bucket = train if rank < n_train else val
-        bucket.append(parent)
-        bucket.extend(children.get(parent.record_id, []))
-    return train, val

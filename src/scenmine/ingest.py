@@ -56,8 +56,8 @@ class RecordingMeta:
     lane_directions: dict[int, int] = field(default_factory=dict)  # lane_id -> +1 / -1
 
     def __post_init__(self):
-        if self.frame_rate <= 0:
-            raise ValueError("frame_rate must be positive")
+        if not 0.0 < self.frame_rate < float("inf"):
+            raise ValueError(f"frame_rate must be positive and finite, got {self.frame_rate}")
         if self.lanes_per_direction < 1:
             raise ValueError("lanes_per_direction must be >= 1")
 
@@ -93,7 +93,10 @@ def parse_tracks(stream: TextIO | io.IOBase, meta: RecordingMeta) -> list[Trajec
     if not keys:
         return []
 
-    key_cols = np.array(keys, dtype=np.int64).reshape(-1, 3)
+    try:
+        key_cols = np.array(keys, dtype=np.int64).reshape(-1, 3)
+    except OverflowError as exc:
+        raise ParseError(f"an id, frame or laneId does not fit in 64 bits ({exc})") from exc
     order = np.lexsort((key_cols[:, 1], key_cols[:, 0]))  # stable: by vehicle, then frame
     vids, frames, lanes = key_cols[order].T.copy()
     feats = np.array(values, dtype=np.float64).reshape(-1, len(FEATURE_NAMES))[order].T.copy()
@@ -314,16 +317,26 @@ def write_meta_json(meta: RecordingMeta, path) -> None:
 
 
 def read_meta_json(path) -> RecordingMeta:
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    return RecordingMeta(
-        recording_id=obj["recording_id"],
-        frame_rate=float(obj["frame_rate"]),
-        lanes_per_direction=int(obj["lanes_per_direction"]),
-        lane_directions={int(k): int(v) for k, v in obj["lane_directions"].items()},
-    )
+    """Reads a file written by ``write_meta_json``; any other content raises
+    ParseError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+        if not isinstance(obj.get("recording_id"), str):
+            raise ValueError("recording_id must be a string")
+        return RecordingMeta(
+            recording_id=obj["recording_id"],
+            frame_rate=float(obj["frame_rate"]),
+            lanes_per_direction=int(obj["lanes_per_direction"]),
+            lane_directions={int(k): int(v) for k, v in obj["lane_directions"].items()},
+        )
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{path}: malformed recording metadata ({exc!r})") from exc
 
 
 def read_tracks_csv(path, meta: RecordingMeta) -> list[Trajectory]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return parse_tracks(fh, meta)
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return parse_tracks(fh, meta)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"{path}: not a UTF-8 CSV file ({exc})") from exc

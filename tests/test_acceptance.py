@@ -246,7 +246,7 @@ def test_criterion_8_dgsfm_identities():
         v = rng.normal(20.0, 5.0, size=2)
         _, beta_b = dgsfm.beta_components(r_i, v, r_j, v, cfg)
         assert abs(beta_b) <= 1e-12
-        assert dgsfm.v_egg(r_i, r_i, v, cfg.egg) == cfg.egg.amplitude
+        assert dgsfm.v_egg(r_i, r_i, v, cfg) == cfg.amplitude
     report("criterion 8", "beta_B = 0 for equal velocities; V(r, r, v) = A")
 
 

@@ -289,6 +289,23 @@ BAD_INPUTS = [
                  id="augment-count-not-int"),
     pytest.param("augment:\n  min_gap: -5\n", ["augment"], None, 2, "config error",
                  id="augment-gap-negative"),
+    pytest.param("split:\n  train_fraction: 0.85\n", ["pipeline"], None, 2, "config error", id="split-section"),
+    pytest.param("synth:\n  n_augment: 50\n", ["synth"], None, 2, "config error", id="synth-n-augment"),
+    pytest.param("train:\n  seed: 3\n", ["train"], None, 2, "config error", id="train-seed-key"),
+    pytest.param("dgsfm:\n  dt: 0.1\n", ["extract"], None, 2, "config error", id="dgsfm-dt-key"),
+    pytest.param("train:\n  epochs: 2.5\n", ["train"], None, 2, "config error", id="int-not-integral"),
+    pytest.param("synth:\n  n_trajectories: true\n", ["synth"], None, 2, "config error", id="int-bool"),
+    pytest.param("train:\n  learning_rate: yes\n", ["train"], None, 2, "config error", id="float-bool"),
+    pytest.param("", ["train", "--lambda-cl", "-1"], None, 2, "config error", id="lambda-flag-negative"),
+    pytest.param("", INGEST, ("meta.json", lambda b: b"{}"), 4, "input error", id="meta-missing-key"),
+    pytest.param("", INGEST, ("meta.json", lambda b: b"[1]"), 4, "input error", id="meta-not-mapping"),
+    pytest.param("", INGEST, ("meta.json", lambda b: b.replace(b'"frame_rate": 25.0', b'"frame_rate": "fast"')),
+                 4, "input error", id="meta-bad-number"),
+    pytest.param("", INGEST, ("meta.json", lambda b: b.replace(b'"1":', b'"a":')), 4, "input error",
+                 id="meta-lane-key"),
+    pytest.param("", INGEST, ("tracks.csv", _set_field(1, 2, b"\xff")), 4, "input error", id="tracks-not-utf8"),
+    pytest.param("", INGEST, ("tracks.csv", _set_field(1, 1, str(2**63).encode())), 4, "input error",
+                 id="tracks-id-overflow"),
     pytest.param("", INGEST, ("tracks.csv", _set_field(1, 2, b"nan")), 4, "input error", id="tracks-nan"),
     pytest.param("", INGEST, ("tracks.csv", _set_field(5, 6, b"-inf")), 4, "input error", id="tracks-inf"),
     pytest.param("", ["train"], (DATASET, lambda b: b[:-100]), 3, "stage error", id="dataset-truncated"),
@@ -362,7 +379,7 @@ def test_train_line_reports_revived_codes(tmp_path, capsys):
     assert cli.main(args + ["train"]) == 0
     line = capsys.readouterr().out.strip()
     records, _ = read_dataset(tmp_path / "wd" / "dataset.jsonl")
-    _, history = cvqvae.train(records, cli._train_config(config.load_config(str(cfg)), 4))
+    _, history = cvqvae.train(records, config.override(config.load_config(str(cfg)), "train", seed=4))
     revived = sum(h.revived for h in history)
     assert revived > 0
     assert line.startswith("[train] ") and line.endswith(f" revived={revived}")

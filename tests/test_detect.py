@@ -206,61 +206,6 @@ def test_ema_two_steps_two_events():
     assert len(events) >= 2
 
 
-# ------------------------- snippet baseline --------------------------------
-
-def snippet_model():
-    scripts = [
-        ingest.SyntheticScript(
-            maneuvers=(
-                ingest.Maneuver("cruise", 0, 200),
-                ingest.Maneuver("decelerate", 200, 200, accel=1.5),
-            ),
-            noise_sigma_accel=0.02,
-            vehicle_id=1,
-        )
-    ]
-    trajs, _ = ingest.generate_synthetic(scripts, DT, seed=4)
-    model = detect.train_snippet_model(trajs, snippet_len=50, clusters=8, epochs=20, seed=4)
-    return trajs, model
-
-
-def test_snippet_requires_model():
-    with pytest.raises(detect.StateError):
-        detect.detect_snippet_cluster([make_traj(n=100)], None)
-
-
-def test_snippet_short_trajectory_empty():
-    _, model = snippet_model()
-    (changes,) = detect.detect_snippet_cluster([make_traj(n=30)], model, snippet_len=50)
-    assert changes == []
-
-
-def test_snippet_changes_match_code_switch_oracle():
-    from scenmine import cvqvae
-
-    trajs, model = snippet_model()
-    (changes,) = detect.detect_snippet_cluster(trajs, model, snippet_len=50)
-    traj = trajs[0]
-    starts = list(range(0, len(traj) - 50 + 1, 50))
-    codes = []
-    for s in starts:
-        feats = detect.snippet_features(traj, s, 50)
-        z = cvqvae.encode(feats, np.ones((1, 50), dtype=bool), model)
-        codes.append(cvqvae.quantize(z, model.codebook)[0])
-    expected = [
-        traj.first_frame + starts[i + 1]
-        for i in range(len(codes) - 1)
-        if codes[i] != codes[i + 1]
-    ]
-    assert changes == expected
-
-
-def test_snippet_constant_trajectory_no_changes():
-    _, model = snippet_model()
-    (changes,) = detect.detect_snippet_cluster([make_traj(n=400)], model, snippet_len=50)
-    assert changes == []
-
-
 # ---------------------------- evaluation ------------------------------------
 
 def test_evaluate_table_rows():

@@ -8,7 +8,7 @@ from scenmine import dgsfm
 
 
 def egg(**kwargs):
-    return dgsfm.EggPotentialParams(**kwargs)
+    return dgsfm.DgsfmConfig(**kwargs)
 
 
 def test_v_egg_identity_at_origin():
@@ -70,7 +70,7 @@ def test_beta_a_identity_at_zero_separation():
         np.array([5.0, 1.0]), np.array([20.0, 0.0]),
         np.array([5.0, 1.0]), np.array([15.0, 0.0]), cfg,
     )
-    assert beta_a == cfg.egg.amplitude
+    assert beta_a == cfg.amplitude
 
 
 def test_beta_components_closing_gap_arithmetic():
@@ -81,9 +81,9 @@ def test_beta_components_closing_gap_arithmetic():
         np.array([0.0, 0.0]), np.array([20.0, 0.0]),
         np.array([30.0, 0.0]), np.array([15.0, 0.0]), cfg,
     )
-    expected_a = dgsfm.v_egg((30, 0), (0, 0), (20, 0), cfg.egg)
-    expected_b = dgsfm.v_egg((20, 0), (45, 0), (15, 0), cfg.egg) - dgsfm.v_egg(
-        (0, 0), (30, 0), (15, 0), cfg.egg
+    expected_a = dgsfm.v_egg((30, 0), (0, 0), (20, 0), cfg)
+    expected_b = dgsfm.v_egg((20, 0), (45, 0), (15, 0), cfg) - dgsfm.v_egg(
+        (0, 0), (30, 0), (15, 0), cfg
     )
     assert abs(beta_a - expected_a) < 1e-12
     assert abs(beta_b - expected_b) < 1e-12
@@ -220,11 +220,11 @@ def _reference_scores(ego_pos, ego_vel, nb_pos, nb_vel, presence, cfg):
             continue
         betas = np.empty(present.size)
         for k, j in enumerate(present):
-            beta_a = _reference_v_egg(nb_pos[j, t], ego_pos[t], ego_vel[t], cfg.egg)
+            beta_a = _reference_v_egg(nb_pos[j, t], ego_pos[t], ego_vel[t], cfg)
             ego_star = ego_pos[t] + horizon * ego_vel[t]
             nb_star = nb_pos[j, t] + horizon * nb_vel[j, t]
-            beta_b = _reference_v_egg(ego_star, nb_star, nb_vel[j, t], cfg.egg) - _reference_v_egg(
-                ego_pos[t], nb_pos[j, t], nb_vel[j, t], cfg.egg
+            beta_b = _reference_v_egg(ego_star, nb_star, nb_vel[j, t], cfg) - _reference_v_egg(
+                ego_pos[t], nb_pos[j, t], nb_vel[j, t], cfg
             )
             betas[k] = cfg.tau_sum * beta_a + (1.0 - cfg.tau_sum) * beta_b
         scaled = betas / cfg.softmax_temperature

@@ -194,34 +194,6 @@ def test_augment_unqualified_donor_is_error(parent_record):
         extraction.augment_irrelevant(parent_record, wiggly, seed=0)
 
 
-# -------------------------------- split -------------------------------------
-
-def test_split_85_15():
-    records = corpus.build_archetype_corpus(n_per_class=34, seed=2)[:100]
-    train, val = extraction.split(records, train_fraction=0.85, seed=0)
-    assert len(train) == 85
-    assert len(val) == 15
-    assert {r.record_id for r in train}.isdisjoint({r.record_id for r in val})
-
-
-def test_split_single_record_goes_to_train():
-    records = corpus.build_archetype_corpus(n_per_class=1, seed=2)[:1]
-    train, val = extraction.split(records, seed=0)
-    assert len(train) == 1 and val == []
-
-
-def test_split_children_follow_parents():
-    records = corpus.build_archetype_corpus(n_per_class=10, seed=4)
-    augmented, pairs = corpus.augment_corpus(records, n_augment=10, seed=4)
-    assert len(pairs) == 10
-    train, val = extraction.split(list(records) + augmented, seed=1)
-    train_ids = {r.record_id for r in train}
-    val_ids = {r.record_id for r in val}
-    for parent, child in pairs:
-        assert (parent in train_ids) == (child in train_ids)
-        assert (parent in val_ids) == (child in val_ids)
-
-
 def test_config_window_containment_validated():
     with pytest.raises(ValueError):
         extraction.ExtractionConfig(pre_frames=10, post_frames=10)
