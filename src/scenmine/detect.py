@@ -12,6 +12,7 @@ import numpy as np
 from .types import (
     ChangePoint,
     CompositeLabel,
+    DatasetFormatError,
     LatState,
     LongState,
     Trajectory,
@@ -44,6 +45,10 @@ class DetectorConfig:
             raise ValueError("tau_extreme must exceed every tau_up")
         if self.min_segment < 1:
             raise ValueError("min_segment must be >= 1")
+        if self.eval_window < 0:
+            raise ValueError(f"eval_window must be >= 0, got {self.eval_window}")
+        if not 0.0 < self.ema_alpha <= 1.0:
+            raise ValueError(f"ema_alpha must be in (0, 1], got {self.ema_alpha}")
         if not self.ema_window_sizes or min(self.ema_window_sizes) < 1:
             raise ValueError(
                 f"ema_window_sizes must be positive frame counts, got {list(self.ema_window_sizes)}")
@@ -366,18 +371,24 @@ def write_annotations(
             writer.writerow([recording_id, vehicle_id, center, label.to_string()])
 
 
+def _read_rows(path, convert) -> list:
+    """``convert(row)`` of every row of the CSV file at ``path``, as a dict
+    keyed by the header. A missing column, a value ``convert`` rejects or a
+    file that is not a UTF-8 CSV raise DatasetFormatError."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return [convert(row) for row in csv.DictReader(fh)]
+    except (KeyError, ValueError, TypeError, AttributeError, csv.Error) as exc:
+        raise DatasetFormatError(f"{path}: malformed row ({exc!r})") from exc
+
+
 def read_annotations(path) -> list[tuple[str, int, int, CompositeLabel]]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        return [
-            (
-                row["recording_id"],
-                int(row["vehicle_id"]),
-                int(row["window_center_frame"]),
-                CompositeLabel.from_string(row["composite_label"]),
-            )
-            for row in reader
-        ]
+    return _read_rows(path, lambda row: (
+        row["recording_id"],
+        int(row["vehicle_id"]),
+        int(row["window_center_frame"]),
+        CompositeLabel.from_string(row["composite_label"]),
+    ))
 
 
 def write_change_points(
@@ -399,17 +410,12 @@ def write_change_points(
 
 
 def read_change_points(path) -> list[tuple[str, int, ChangePoint]]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        return [
-            (
-                row["recording_id"],
-                int(row["vehicle_id"]),
-                ChangePoint(
-                    t_c=int(row["t_c"]),
-                    label_before=CompositeLabel.from_string(row["label_before"]),
-                    label_after=CompositeLabel.from_string(row["label_after"]),
-                ),
-            )
-            for row in reader
-        ]
+    return _read_rows(path, lambda row: (
+        row["recording_id"],
+        int(row["vehicle_id"]),
+        ChangePoint(
+            t_c=int(row["t_c"]),
+            label_before=CompositeLabel.from_string(row["label_before"]),
+            label_after=CompositeLabel.from_string(row["label_after"]),
+        ),
+    ))

@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, TextIO
 
@@ -60,16 +61,24 @@ class RecordingMeta:
             raise ValueError(f"frame_rate must be positive and finite, got {self.frame_rate}")
         if self.lanes_per_direction < 1:
             raise ValueError("lanes_per_direction must be >= 1")
+        if any(d not in (1, -1) for d in self.lane_directions.values()):
+            raise ValueError(f"lane directions must be +1 or -1, got {self.lane_directions}")
 
     @property
     def dt(self) -> float:
         return 1.0 / self.frame_rate
 
 
+# A tracks.csv row as read: int64 ids and the FEATURE_NAMES columns as one float64 subarray.
+_ROW = np.dtype([("frame", np.int64), ("id", np.int64),
+                 ("features", np.float64, (len(FEATURE_NAMES),)), ("laneId", np.int64)])
+
+
 def parse_tracks(stream: TextIO | io.IOBase, meta: RecordingMeta) -> list[Trajectory]:
     """Parses a highD-layout tracks CSV into one Trajectory per vehicle id.
 
-    Extra columns are ignored; missing mandatory columns are rejected.
+    Extra columns are ignored; missing mandatory columns are rejected. Fields
+    are ASCII decimal numbers, optionally quoted; blank lines are skipped.
     """
     reader = csv.reader(stream)
     header = next(reader, None)
@@ -79,27 +88,19 @@ def parse_tracks(stream: TextIO | io.IOBase, meta: RecordingMeta) -> list[Trajec
     if missing:
         raise ParseError(f"missing mandatory columns: {', '.join(missing)}")
     at = {name: i for i, name in enumerate(header)}
-    i_frame, i_id, i_x, i_y, i_vx, i_vy, i_ax, i_ay, i_lane = (at[c] for c in REQUIRED_COLUMNS)
-
-    keys: list[tuple[int, int, int]] = []  # (vehicle id, frame, lane id)
-    values: list[tuple[float, ...]] = []   # FEATURE_NAMES order
-    for line_no, row in enumerate(filter(None, reader), start=2):
-        try:
-            keys.append((int(row[i_id]), int(row[i_frame]), int(row[i_lane])))
-            values.append((float(row[i_x]), float(row[i_y]), float(row[i_vx]),
-                           float(row[i_vy]), float(row[i_ax]), float(row[i_ay])))
-        except (IndexError, ValueError) as exc:
-            raise ParseError(f"line {line_no}: malformed row ({exc})") from exc
-    if not keys:
+    lines = stream.read().split("\n")
+    if all(line in ("", "\r") for line in lines):  # no rows, only blank lines
         return []
-
+    unread = iter(lines)  # np.loadtxt takes one line at a time from an iterator
     try:
-        key_cols = np.array(keys, dtype=np.int64).reshape(-1, 3)
-    except OverflowError as exc:
-        raise ParseError(f"an id, frame or laneId does not fit in 64 bits ({exc})") from exc
-    order = np.lexsort((key_cols[:, 1], key_cols[:, 0]))  # stable: by vehicle, then frame
-    vids, frames, lanes = key_cols[order].T.copy()
-    feats = np.array(values, dtype=np.float64).reshape(-1, len(FEATURE_NAMES))[order].T.copy()
+        rows = np.loadtxt(unread, dtype=_ROW, delimiter=",", comments=None, quotechar='"',
+                          usecols=[at[c] for c in REQUIRED_COLUMNS], ndmin=1)
+    except ValueError as exc:  # so the last line taken holds the bad row
+        line_no = reader.line_num + len(lines) - operator.length_hint(unread)
+        raise ParseError(f"line {line_no}: malformed row ({exc})") from exc
+    rows = rows[np.lexsort((rows["frame"], rows["id"]))]  # stable: by vehicle, then frame
+    vids, frames, lanes = rows["id"], rows["frame"], rows["laneId"]
+    feats = rows["features"].T  # one row per feature
 
     same_vehicle = vids[1:] == vids[:-1]
     gaps = np.flatnonzero(same_vehicle & (frames[1:] != frames[:-1] + 1))
@@ -292,16 +293,15 @@ def generate_synthetic(
 # ---------------------------------------------------------------------------
 
 def write_tracks_csv(trajectories: Sequence[Trajectory], path) -> None:
+    """Writes the trajectories as a highD-layout CSV: one row per frame,
+    floats as their ``repr``, CRLF line ends."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REQUIRED_COLUMNS)
+        fh.write(",".join(REQUIRED_COLUMNS) + "\r\n")
         for traj in trajectories:
+            row = f"%d,{traj.vehicle_id},%r,%r,%r,%r,%r,%r,%d\r\n"
+            columns = (getattr(traj, name).tolist() for name in FEATURE_NAMES)
             frames = range(traj.first_frame, traj.last_frame + 1)
-            floats = [map(repr, getattr(traj, name).tolist()) for name in FEATURE_NAMES]
-            writer.writerows(
-                (frame, traj.vehicle_id, *row, lane)
-                for frame, *row, lane in zip(frames, *floats, traj.lane_id.tolist())
-            )
+            fh.write("".join(map(row.__mod__, zip(frames, *columns, traj.lane_id.tolist()))))
 
 
 def write_meta_json(meta: RecordingMeta, path) -> None:
@@ -316,6 +316,14 @@ def write_meta_json(meta: RecordingMeta, path) -> None:
         fh.write("\n")
 
 
+def _integral(value) -> int:
+    """``value`` as an int if it is an integer or an integral number; a
+    boolean, a string or a fraction raise ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def read_meta_json(path) -> RecordingMeta:
     """Reads a file written by ``write_meta_json``; any other content raises
     ParseError."""
@@ -327,8 +335,8 @@ def read_meta_json(path) -> RecordingMeta:
         return RecordingMeta(
             recording_id=obj["recording_id"],
             frame_rate=float(obj["frame_rate"]),
-            lanes_per_direction=int(obj["lanes_per_direction"]),
-            lane_directions={int(k): int(v) for k, v in obj["lane_directions"].items()},
+            lanes_per_direction=_integral(obj["lanes_per_direction"]),
+            lane_directions={int(k): _integral(v) for k, v in obj["lane_directions"].items()},
         )
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: malformed recording metadata ({exc!r})") from exc

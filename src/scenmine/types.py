@@ -299,7 +299,8 @@ def read_blocks(path, fmt: str, kind: str, layout, error: type[Exception]):
 
 
 class DatasetFormatError(Exception):
-    """Raised for unreadable or unsupported dataset files."""
+    """Raised for unreadable or unsupported dataset, change-point and
+    annotation files."""
 
 
 # The header entry of one record: key -> accepted JSON types.

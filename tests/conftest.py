@@ -1,8 +1,11 @@
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
+from scenmine.ingest import REQUIRED_COLUMNS, IntegrityError, ParseError
 from scenmine.types import FEATURE_NAMES, N_CLASSES, N_FEATURES, N_SLOTS, T_OBS, Trajectory
 
 
@@ -111,3 +114,80 @@ def overwrite_value(block: str, value: bytes, index: int = 0):
         at = block_offset(blob, block) + index * len(value)
         return blob[:at] + value + blob[at + len(value):]
     return damage
+
+
+def parse_tracks_v1(stream, meta) -> list[Trajectory]:
+    """The ``csv.reader`` parser of ``tracks.csv`` that ``ingest.parse_tracks``
+    replaced: ``int()``/``float()`` on every field of every non-empty row,
+    with ``read_tracks_csv``'s mapping of a csv error to ParseError. Kept as
+    the oracle of the column-wise reader."""
+    try:
+        reader = csv.reader(stream)
+        header = next(reader, None)
+        if header is None:
+            raise ParseError("empty tracks file")
+        missing = [c for c in REQUIRED_COLUMNS if c not in header]
+        if missing:
+            raise ParseError(f"missing mandatory columns: {', '.join(missing)}")
+        at = {name: i for i, name in enumerate(header)}
+        i_frame, i_id, i_x, i_y, i_vx, i_vy, i_ax, i_ay, i_lane = (at[c] for c in REQUIRED_COLUMNS)
+        keys, values = [], []
+        for line_no, row in enumerate(filter(None, reader), start=2):
+            try:
+                keys.append((int(row[i_id]), int(row[i_frame]), int(row[i_lane])))
+                values.append((float(row[i_x]), float(row[i_y]), float(row[i_vx]),
+                               float(row[i_vy]), float(row[i_ax]), float(row[i_ay])))
+            except (IndexError, ValueError) as exc:
+                raise ParseError(f"line {line_no}: malformed row ({exc})") from exc
+    except csv.Error as exc:
+        raise ParseError(f"not a CSV file ({exc})") from exc
+    if not keys:
+        return []
+
+    try:
+        key_cols = np.array(keys, dtype=np.int64).reshape(-1, 3)
+    except OverflowError as exc:
+        raise ParseError(f"an id, frame or laneId does not fit in 64 bits ({exc})") from exc
+    order = np.lexsort((key_cols[:, 1], key_cols[:, 0]))
+    vids, frames, lanes = key_cols[order].T.copy()
+    feats = np.array(values, dtype=np.float64).reshape(-1, len(FEATURE_NAMES))[order].T.copy()
+
+    same_vehicle = vids[1:] == vids[:-1]
+    gaps = np.flatnonzero(same_vehicle & (frames[1:] != frames[:-1] + 1))
+    if gaps.size:
+        raise IntegrityError(f"vehicle {vids[gaps[0]]}: gap in frame sequence")
+    non_finite = np.argwhere(~np.isfinite(feats.T))
+    if non_finite.size:
+        raise IntegrityError(f"vehicle {vids[non_finite[0][0]]}: non-finite value")
+    if (frames < 0).any():
+        raise IntegrityError("negative frame index")
+
+    starts = np.concatenate([[0], np.flatnonzero(~same_vehicle) + 1])
+    ends = np.append(starts[1:], len(vids))
+    return [
+        Trajectory(
+            vehicle_id=int(vids[lo]),
+            recording_id=meta.recording_id,
+            dt=meta.dt,
+            first_frame=int(frames[lo]),
+            **{name: col[lo:hi] for name, col in zip(FEATURE_NAMES, feats)},
+            lane_id=lanes[lo:hi],
+        )
+        for lo, hi in zip(starts.tolist(), ends.tolist())
+    ]
+
+
+def encode_tracks_v1(trajectories) -> bytes:
+    """The bytes the ``csv.writer`` writer of ``tracks.csv`` wrote for
+    ``trajectories``. Kept as the oracle of ``ingest.write_tracks_csv``."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(REQUIRED_COLUMNS)
+    for traj in trajectories:
+        frames = range(traj.first_frame, traj.last_frame + 1)
+        floats = [map(repr, getattr(traj, name).tolist()) for name in FEATURE_NAMES]
+        writer.writerows(
+            (frame, traj.vehicle_id, *row, lane)
+            for frame, *row, lane in zip(frames, *floats, traj.lane_id.tolist())
+        )
+    return out.getvalue().encode("utf-8")

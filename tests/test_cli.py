@@ -308,6 +308,33 @@ BAD_INPUTS = [
                  id="tracks-id-overflow"),
     pytest.param("", INGEST, ("tracks.csv", _set_field(1, 2, b"nan")), 4, "input error", id="tracks-nan"),
     pytest.param("", INGEST, ("tracks.csv", _set_field(5, 6, b"-inf")), 4, "input error", id="tracks-inf"),
+    pytest.param("", INGEST, ("tracks.csv", _set_field(1, 2, b"1_0")), 4, "input error",
+                 id="tracks-underscore-number"),
+    pytest.param("detect:\n  ema_alpha: 5\n", ["detect", "--method", "ema"], None, 2, "config error",
+                 id="ema-alpha-high"),
+    pytest.param("detect:\n  ema_alpha: 0\n", ["detect", "--method", "ema"], None, 2, "config error",
+                 id="ema-alpha-zero"),
+    pytest.param("detect:\n  eval_window: -5\n", ["detect"], None, 2, "config error", id="eval-window-negative"),
+    pytest.param("", INGEST, ("meta.json", lambda b: b.replace(b'"lanes_per_direction": 3', b'"lanes_per_direction": 3.7')),
+                 4, "input error", id="meta-lanes-fraction"),
+    pytest.param("", INGEST, ("meta.json", lambda b: b.replace(b'"lanes_per_direction": 3', b'"lanes_per_direction": true')),
+                 4, "input error", id="meta-lanes-bool"),
+    pytest.param("", INGEST, ("meta.json", lambda b: b.replace(b'"1": 1', b'"1": 0')), 4, "input error",
+                 id="meta-direction-zero"),
+    pytest.param("", INGEST, ("meta.json", lambda b: b.replace(b'"1": 1', b'"1": true')), 4, "input error",
+                 id="meta-direction-bool"),
+    pytest.param("", ["extract"], ("changepoints.csv", _set_field(1, 2, b"2.5")), 3, "stage error",
+                 id="changepoints-t-c-not-int"),
+    pytest.param("", ["extract"], ("changepoints.csv", lambda b: b.replace(b"t_c", b"tc", 1)), 3, "stage error",
+                 id="changepoints-missing-column"),
+    pytest.param("", ["extract"], ("changepoints.csv", _set_field(1, 3, b"zero/swerve")), 3, "stage error",
+                 id="changepoints-unknown-label"),
+    pytest.param("", ["detect"], ("truth.csv", _set_field(1, 1, b"x")), 3, "stage error",
+                 id="truth-vehicle-not-int"),
+    pytest.param("", ["detect"], ("truth.csv", lambda b: b.replace(b"composite_label", b"label", 1)), 3,
+                 "stage error", id="truth-missing-column"),
+    pytest.param("", ["detect"], ("truth.csv", _set_field(1, 3, b"zero/swerve\r")), 3, "stage error",
+                 id="truth-unknown-label"),
     pytest.param("", ["train"], (DATASET, lambda b: b[:-100]), 3, "stage error", id="dataset-truncated"),
     pytest.param("", ["train"], (DATASET, lambda b: b.replace(b"v2", b"v0", 1)), 3, "stage error",
                  id="dataset-format"),

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scenmine import detect, ingest
-from scenmine.types import ChangePoint, CompositeLabel, LatState, LongState
+from scenmine.types import ChangePoint, CompositeLabel, DatasetFormatError, LatState, LongState
 
 from conftest import make_traj
 
@@ -295,3 +295,25 @@ def test_change_point_csv_round_trip(tmp_path):
     path = tmp_path / "cps.csv"
     detect.write_change_points([("r1", 9, cp)], path)
     assert detect.read_change_points(path) == [("r1", 9, cp)]
+
+
+@pytest.mark.parametrize("text", [
+    "recording_id,vehicle_id,tc,label_before,label_after\nr1,9,55,zero/keep_lane,accelerate/keep_lane\n",
+    "recording_id,vehicle_id,t_c,label_before,label_after\nr1,9,5.5,zero/keep_lane,accelerate/keep_lane\n",
+    "recording_id,vehicle_id,t_c,label_before,label_after\nr1,x,55,zero/keep_lane,accelerate/keep_lane\n",
+    "recording_id,vehicle_id,t_c,label_before,label_after\nr1,9,55,zero/swerve,accelerate/keep_lane\n",
+    "recording_id,vehicle_id,t_c,label_before,label_after\nr1,9,55\n",
+])
+def test_damaged_change_point_csv_is_format_error(tmp_path, text):
+    path = tmp_path / "cps.csv"
+    path.write_text(text)
+    with pytest.raises(DatasetFormatError, match="cps.csv: malformed row"):
+        detect.read_change_points(path)
+
+
+@pytest.mark.parametrize("kwargs", [{"ema_alpha": 0.0}, {"ema_alpha": 5.0}, {"ema_alpha": float("nan")},
+                                    {"eval_window": -5}])
+def test_detector_config_rejects_out_of_range_ema_alpha_and_window(kwargs):
+    with pytest.raises(ValueError):
+        cfg(**kwargs)
+    assert cfg(ema_alpha=1.0, eval_window=0).ema_alpha == 1.0

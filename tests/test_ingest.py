@@ -1,4 +1,5 @@
 import io
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -87,6 +88,17 @@ def test_parse_malformed_row_names_line():
     stream = io.StringIO(HEADER + row(1, 7) + "2,7,not_a_number,0,0,0,0,0,2\n")
     with pytest.raises(ingest.ParseError, match="line 3"):
         ingest.parse_tracks(stream, meta())
+
+
+@pytest.mark.parametrize("body, line", [
+    (row(1, 7) + "\n\r\n" + "2,7,not_a_number,0,0,0,0,0,2\n", 5),
+    ("\n" + row(1, 7) + "\n2,7,0,0,0\n" + row(3, 7), 5),
+    ("\r\n\r\n\r\n3_0,7,0,0,0,0,0,0,2\r\n", 5),
+    (row(1, 7) * 3 + "\n" + row(4, 7) + row(5, 7) + "\n" + "6,7,0,0,0,0,0,0,2.5", 9),
+], ids=["blank-lines", "short-row", "crlf-underscore", "last-line-fraction"])
+def test_parse_malformed_row_after_blank_lines_names_file_line(body, line):
+    with pytest.raises(ingest.ParseError, match=f"^line {line}: malformed row"):
+        ingest.parse_tracks(io.StringIO(HEADER + body), meta())
 
 
 def test_parse_extra_columns_ignored():
@@ -226,6 +238,27 @@ def test_tracks_csv_round_trip(tmp_path):
     ingest.write_tracks_csv(trajs, path)
     loaded = ingest.read_tracks_csv(path, meta())
     assert_same_trajectories(loaded, trajs)
+
+
+@pytest.mark.parametrize("value, lanes", [(3, 3), (3.0, 3), (3.7, None), (True, None), ("3", None)])
+def test_meta_json_lane_count_must_be_integral(tmp_path, value, lanes):
+    path = tmp_path / "meta.json"
+    path.write_text(json.dumps({"recording_id": "r1", "frame_rate": 25.0, "lanes_per_direction": value,
+                                "lane_directions": {"1": 1}}))
+    if lanes is None:
+        with pytest.raises(ingest.ParseError):
+            ingest.read_meta_json(path)
+    else:
+        assert ingest.read_meta_json(path).lanes_per_direction == lanes
+
+
+@pytest.mark.parametrize("direction", [0, 2, -1.5, True, "1"])
+def test_meta_json_direction_must_be_plus_or_minus_one(tmp_path, direction):
+    path = tmp_path / "meta.json"
+    path.write_text(json.dumps({"recording_id": "r1", "frame_rate": 25.0, "lanes_per_direction": 3,
+                                "lane_directions": {"1": 1, "4": direction}}))
+    with pytest.raises(ingest.ParseError):
+        ingest.read_meta_json(path)
 
 
 def test_meta_json_round_trip(tmp_path):
