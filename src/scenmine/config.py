@@ -24,6 +24,7 @@ from .cvqvae import TrainConfig
 from .detect import DetectorConfig
 from .dgsfm import DgsfmConfig
 from .extraction import ExtractionConfig
+from .types import integral
 
 
 class ConfigError(Exception):
@@ -108,9 +109,8 @@ def _convert(hint, value, where: str):
             raise ConfigError(f"{where} must have {len(items)} entries, got {value!r}")
         return origin(_convert(h, v, f"{where}[{i}]") for i, (h, v) in enumerate(zip(items, value)))
     try:
-        if hint is int and isinstance(value, (int, float)) and not isinstance(value, bool):
-            if int(value) == value:
-                return int(value)
+        if hint is int:
+            return integral(value)
         elif hint is float and not isinstance(value, bool):
             return float(value)
         elif hint is str and isinstance(value, str):

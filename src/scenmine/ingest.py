@@ -7,6 +7,7 @@ import csv
 import io
 import json
 import operator
+import warnings
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, TextIO
 
@@ -19,6 +20,7 @@ from .types import (
     LatState,
     LongState,
     Trajectory,
+    integral,
 )
 
 LANE_WIDTH_M = 3.75  # standard German highway lane
@@ -93,9 +95,11 @@ def parse_tracks(stream: TextIO | io.IOBase, meta: RecordingMeta) -> list[Trajec
         return []
     unread = iter(lines)  # np.loadtxt takes one line at a time from an iterator
     try:
-        rows = np.loadtxt(unread, dtype=_ROW, delimiter=",", comments=None, quotechar='"',
-                          usecols=[at[c] for c in REQUIRED_COLUMNS], ndmin=1)
-    except ValueError as exc:  # so the last line taken holds the bad row
+        with warnings.catch_warnings():  # older numpy reads a bad int via float, with a warning
+            warnings.simplefilter("error", DeprecationWarning)
+            rows = np.loadtxt(unread, dtype=_ROW, delimiter=",", comments=None, quotechar='"',
+                              usecols=[at[c] for c in REQUIRED_COLUMNS], ndmin=1)
+    except (ValueError, DeprecationWarning) as exc:  # so the last line taken holds the bad row
         line_no = reader.line_num + len(lines) - operator.length_hint(unread)
         raise ParseError(f"line {line_no}: malformed row ({exc})") from exc
     rows = rows[np.lexsort((rows["frame"], rows["id"]))]  # stable: by vehicle, then frame
@@ -316,14 +320,6 @@ def write_meta_json(meta: RecordingMeta, path) -> None:
         fh.write("\n")
 
 
-def _integral(value) -> int:
-    """``value`` as an int if it is an integer or an integral number; a
-    boolean, a string or a fraction raise ValueError."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
 def read_meta_json(path) -> RecordingMeta:
     """Reads a file written by ``write_meta_json``; any other content raises
     ParseError."""
@@ -335,8 +331,8 @@ def read_meta_json(path) -> RecordingMeta:
         return RecordingMeta(
             recording_id=obj["recording_id"],
             frame_rate=float(obj["frame_rate"]),
-            lanes_per_direction=_integral(obj["lanes_per_direction"]),
-            lane_directions={int(k): _integral(v) for k, v in obj["lane_directions"].items()},
+            lanes_per_direction=integral(obj["lanes_per_direction"]),
+            lane_directions={int(k): integral(v) for k, v in obj["lane_directions"].items()},
         )
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: malformed recording metadata ({exc!r})") from exc

@@ -85,6 +85,15 @@ class ChangePoint:
             raise ValueError("change point requires label_before != label_after")
 
 
+def integral(value) -> int:
+    """``value`` as an int if it is an integer or an integral number; a
+    boolean, a non-number or a fraction raise ValueError, an infinity
+    OverflowError. The one rule for integers read from outside input."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _frozen(arr: np.ndarray, dtype) -> np.ndarray:
     out = np.ascontiguousarray(arr, dtype=dtype)
     out.setflags(write=False)

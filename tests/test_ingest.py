@@ -1,5 +1,6 @@
 import io
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -98,6 +99,27 @@ def test_parse_malformed_row_names_line():
 ], ids=["blank-lines", "short-row", "crlf-underscore", "last-line-fraction"])
 def test_parse_malformed_row_after_blank_lines_names_file_line(body, line):
     with pytest.raises(ingest.ParseError, match=f"^line {line}: malformed row"):
+        ingest.parse_tracks(io.StringIO(HEADER + body), meta())
+
+
+@pytest.mark.parametrize("field", ["2.5", "1e3", str(2**63)])
+def test_parse_integer_read_via_float_is_parse_error(monkeypatch, field):
+    """Older numpy reads an integer field that fails to parse as a float,
+    casts it and only warns (DeprecationWarning); the row is still malformed."""
+    loadtxt = np.loadtxt
+
+    def loadtxt_with_float_fallback(lines, **kwargs):
+        taken = []
+        for text in lines:
+            taken.append(text.replace(field, "2"))
+            if text != taken[-1]:
+                warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                              DeprecationWarning, stacklevel=2)
+        return loadtxt(taken, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt_with_float_fallback)
+    body = row(1, 7) + "\n" + f"2,7,0.0,0.0,0.0,0.0,0.0,0.0,{field}\n" + row(3, 7)
+    with pytest.raises(ingest.ParseError, match="^line 4: malformed row"):
         ingest.parse_tracks(io.StringIO(HEADER + body), meta())
 
 
