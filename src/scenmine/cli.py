@@ -90,7 +90,7 @@ def cmd_synth(cfg: Config, workdir: Path) -> None:
     if s.kind == "trajectories":
         scripts = _make_scripts(s.n_trajectories, s.noise_sigma_accel, seed)
         trajs, truths = ingest.generate_synthetic(scripts, dt, seed, recording_id="synthetic")
-        ingest.write_tracks_csv(trajs, workdir / "tracks.csv")
+        tracks = _write_tracks(trajs, workdir)
         meta = ingest.RecordingMeta(
             recording_id="synthetic",
             frame_rate=1.0 / dt,
@@ -110,7 +110,7 @@ def cmd_synth(cfg: Config, workdir: Path) -> None:
             n=len(trajs),
             events=len(truth_rows),
             seed=seed,
-            tracks=_sha256(workdir / "tracks.csv"),
+            tracks=tracks,
         )
     else:  # archetypes
         records = corpus.build_archetype_corpus(
@@ -129,16 +129,27 @@ def cmd_ingest(cfg: Config, workdir: Path, tracks: str, meta: str) -> None:
     normalized: list = []
     for m, ts in kept:
         normalized.extend(ingest.normalize_direction(t, m) for t in ts)
-    ingest.write_tracks_csv(normalized, workdir / "tracks.csv")
+    tracks = _write_tracks(normalized, workdir)
     ingest.write_meta_json(recording, workdir / "meta.json")
-    _log("ingest", recordings_kept=len(kept), trajectories=len(normalized),
-         tracks=_sha256(workdir / "tracks.csv"))
+    _log("ingest", recordings_kept=len(kept), trajectories=len(normalized), tracks=tracks)
+
+
+def _write_tracks(trajs: list, workdir: Path) -> str:
+    """Writes tracks.csv and its memo tracks.bin; returns tracks.csv's 12-hex hash."""
+    ingest.write_tracks_csv(trajs, workdir / "tracks.csv")
+    digest = hashlib.sha256((workdir / "tracks.csv").read_bytes()).hexdigest()
+    ingest.write_tracks_bin(trajs, digest, workdir / "tracks.bin")
+    return digest[:12]
 
 
 def _load_tracks(workdir: Path) -> tuple[ingest.RecordingMeta, list]:
+    """The recording's trajectories: from tracks.bin if it is the memo of
+    tracks.csv's bytes as they are now, else parsed from those bytes."""
     meta = ingest.read_meta_json(_require(workdir / "meta.json"))
-    trajs = ingest.read_tracks_csv(_require(workdir / "tracks.csv"), meta)
-    return meta, trajs
+    data = _require(workdir / "tracks.csv").read_bytes()
+    memo = workdir / "tracks.bin"
+    trajs = ingest.read_tracks_bin(memo, hashlib.sha256(data).hexdigest(), meta) if memo.exists() else None
+    return meta, ingest.read_tracks_csv(workdir / "tracks.csv", meta, data) if trajs is None else trajs
 
 
 def cmd_detect(cfg: Config, workdir: Path, method: str = "rule") -> None:

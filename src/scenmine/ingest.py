@@ -7,6 +7,7 @@ import csv
 import io
 import json
 import operator
+import re
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, TextIO
@@ -17,13 +18,17 @@ from .types import (
     FEATURE_NAMES,
     ChangePoint,
     CompositeLabel,
+    DatasetFormatError,
     LatState,
     LongState,
     Trajectory,
     integral,
+    read_blocks,
+    write_blocks,
 )
 
 LANE_WIDTH_M = 3.75  # standard German highway lane
+TRACKS_FORMAT_VERSION = "scenmine-tracks-v1"  # tracks.bin, the memo of a tracks.csv
 
 REQUIRED_COLUMNS = (
     "frame",
@@ -308,6 +313,52 @@ def write_tracks_csv(trajectories: Sequence[Trajectory], path) -> None:
             fh.write("".join(map(row.__mod__, zip(frames, *columns, traj.lane_id.tolist()))))
 
 
+def write_tracks_bin(trajectories: Sequence[Trajectory], digest: str, path) -> None:
+    """Writes the trajectories as the memo of the tracks.csv with SHA-256
+    ``digest``: one ``[vehicle_id, first_frame, n_rows]`` header entry each,
+    a ``(6, N)`` feature block and an ``(N,)`` lane block. Writes nothing
+    unless parsing that file gives back these trajectories: vehicle ids
+    strictly increasing, every feature finite."""
+    vids = [t.vehicle_id for t in trajectories]
+    feats = np.array([np.concatenate([getattr(t, name) for t in trajectories] + [np.empty(0)])
+                      for name in FEATURE_NAMES])
+    if vids == sorted(set(vids)) and np.isfinite(feats).all():
+        lanes = np.concatenate([t.lane_id for t in trajectories] + [np.empty(0, np.int64)])
+        entries = [[t.vehicle_id, t.first_frame, len(t)] for t in trajectories]
+        write_blocks(path, {"format": TRACKS_FORMAT_VERSION, "sha256": digest, "trajectories": entries},
+                     [("features", feats), ("lanes", lanes)])
+
+
+class _Stale(Exception):
+    """A memo of another tracks.csv."""
+
+
+def read_tracks_bin(path, digest: str, meta: RecordingMeta) -> Optional[list[Trajectory]]:
+    """The trajectories of a ``write_tracks_bin`` memo, or None if it is the
+    memo of a tracks.csv other than the one with SHA-256 ``digest``. Besides
+    the damage ``read_blocks`` finds, an entry other than three integers, a
+    negative first frame or no rows raise DatasetFormatError."""
+    def layout(header):
+        if header["sha256"] != digest:
+            raise _Stale
+        entries = header["trajectories"]
+        for entry in entries:
+            if len(entry) != 3 or not all(type(v) is int for v in entry) or entry[1] < 0 or entry[2] < 1:
+                raise ValueError(f"trajectory entry {entry!r}")
+        n = sum(entry[2] for entry in entries)
+        blocks = [("features", np.empty((len(FEATURE_NAMES), n))), ("lanes", np.empty(n, "<i8"))]
+        return (entries, blocks), blocks
+
+    try:
+        entries, [(_, feats), (_, lanes)] = read_blocks(
+            path, TRACKS_FORMAT_VERSION, "tracks memo", layout, DatasetFormatError)
+    except _Stale:
+        return None
+    ends = np.cumsum([n for _, _, n in entries], dtype=np.int64).tolist()
+    return [Trajectory(vid, meta.recording_id, meta.dt, first, *feats[:, end - n:end], lanes[end - n:end])
+            for (vid, first, n), end in zip(entries, ends)]
+
+
 def write_meta_json(meta: RecordingMeta, path) -> None:
     payload = {
         "recording_id": meta.recording_id,
@@ -328,6 +379,8 @@ def read_meta_json(path) -> RecordingMeta:
             obj = json.load(fh)
         if not isinstance(obj.get("recording_id"), str):
             raise ValueError("recording_id must be a string")
+        if not all(re.fullmatch(r" *[+-]?[0-9]+ *", key) for key in obj["lane_directions"]):
+            raise ValueError("lane keys must be ASCII decimal integers")
         return RecordingMeta(
             recording_id=obj["recording_id"],
             frame_rate=float(obj["frame_rate"]),
@@ -338,9 +391,11 @@ def read_meta_json(path) -> RecordingMeta:
         raise ParseError(f"{path}: malformed recording metadata ({exc!r})") from exc
 
 
-def read_tracks_csv(path, meta: RecordingMeta) -> list[Trajectory]:
+def read_tracks_csv(path, meta: RecordingMeta, data: Optional[bytes] = None) -> list[Trajectory]:
+    """Parses the tracks CSV at ``path``, whose bytes are ``data`` if already read."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        raw = open(path, "rb") if data is None else io.BytesIO(data)
+        with io.TextIOWrapper(raw, encoding="utf-8", newline="") as fh:
             return parse_tracks(fh, meta)
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(f"{path}: not a UTF-8 CSV file ({exc})") from exc

@@ -257,8 +257,8 @@ def validate_record(record: ScenarioRecord) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Binary container shared by datasets and checkpoints: one JSON header line,
-# then raw blocks (floats as <f8, flags as one 0/1 byte each).
+# Binary container of datasets, checkpoints and tracks memos: one JSON header
+# line, then raw blocks (floats as <f8, integers as <i8, flags as 0/1 bytes).
 # ---------------------------------------------------------------------------
 
 def write_blocks(path, header: dict, blocks: Sequence[tuple[str, np.ndarray]]) -> None:
@@ -269,7 +269,7 @@ def write_blocks(path, header: dict, blocks: Sequence[tuple[str, np.ndarray]]) -
         fh.write(json.dumps(full, separators=(",", ":"), sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
         for _, arr in blocks:
-            fh.write(np.ascontiguousarray(arr, dtype=bool if arr.dtype == bool else "<f8").data)
+            fh.write(np.ascontiguousarray(arr, dtype={"b": bool, "i": "<i8"}.get(arr.dtype.kind, "<f8")).data)
 
 
 def read_blocks(path, fmt: str, kind: str, layout, error: type[Exception]):
@@ -308,8 +308,8 @@ def read_blocks(path, fmt: str, kind: str, layout, error: type[Exception]):
 
 
 class DatasetFormatError(Exception):
-    """Raised for unreadable or unsupported dataset, change-point and
-    annotation files."""
+    """Raised for unreadable or unsupported dataset, tracks memo,
+    change-point and annotation files."""
 
 
 # The header entry of one record: key -> accepted JSON types.

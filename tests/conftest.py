@@ -1,10 +1,12 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from scenmine import cli, ingest
 from scenmine.ingest import REQUIRED_COLUMNS, IntegrityError, ParseError
 from scenmine.types import FEATURE_NAMES, N_CLASSES, N_FEATURES, N_SLOTS, T_OBS, Trajectory
 
@@ -48,13 +50,32 @@ def make_traj(
 
 
 def assert_same_trajectories(a, b):
-    """Exact equality of two trajectory lists: ids, dt, frames and columns."""
+    """Bit-for-bit equality of two trajectory lists: order, vehicle ids,
+    recording ids, dt, first frames, and every column's dtype and bits."""
     assert len(a) == len(b)
     for ta, tb in zip(a, b):
         assert (ta.vehicle_id, ta.recording_id, ta.dt, ta.first_frame) == (
             tb.vehicle_id, tb.recording_id, tb.dt, tb.first_frame)
         for name in FEATURE_NAMES + ("lane_id",):
-            assert np.array_equal(getattr(ta, name), getattr(tb, name)), name
+            x, y = getattr(ta, name), getattr(tb, name)
+            assert x.dtype == y.dtype and np.array_equal(x.view(np.int64), y.view(np.int64)), name
+
+
+def load_from_memo(workdir) -> list[Trajectory]:
+    """The trajectories ``cli._load_tracks`` returns with the CSV parser
+    switched off, so that they can only come from ``tracks.bin``."""
+    def no_parse(*args, **kwargs):
+        raise AssertionError("tracks.csv parsed although tracks.bin is its memo")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "parse_tracks", no_parse)
+        return cli._load_tracks(Path(workdir))[1]
+
+
+def parse_workdir(workdir) -> list[Trajectory]:
+    """The trajectories parsed from a workdir's tracks.csv and meta.json."""
+    workdir = Path(workdir)
+    return ingest.read_tracks_csv(workdir / "tracks.csv", ingest.read_meta_json(workdir / "meta.json"))
 
 
 @pytest.fixture

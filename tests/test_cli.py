@@ -8,7 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from conftest import encode_dataset_v1, make_traj, overwrite_value
+from conftest import (
+    assert_same_trajectories,
+    encode_dataset_v1,
+    load_from_memo,
+    make_traj,
+    overwrite_value,
+    parse_workdir,
+)
 from scenmine import cli, config, cvqvae, detect, ingest
 from scenmine.types import CompositeLabel, LatState, LongState, read_dataset, write_dataset
 
@@ -243,6 +250,7 @@ def _keep_records(n: int):
 
 INGEST = ["ingest", "--tracks", "tracks.csv", "--meta", "meta.json"]
 CKPT = "model.ckpt"
+MEMO = "tracks.bin"
 DATASET = "dataset.jsonl"
 
 # (config text, command, (artifact, rewrite) or None, exit code, stderr prefix).
@@ -310,6 +318,21 @@ BAD_INPUTS = [
     pytest.param("", INGEST, ("tracks.csv", _set_field(5, 6, b"-inf")), 4, "input error", id="tracks-inf"),
     pytest.param("", INGEST, ("tracks.csv", _set_field(1, 2, b"1_0")), 4, "input error",
                  id="tracks-underscore-number"),
+    # A workdir tracks.csv edited after synth is parsed again, not read from tracks.bin.
+    *(pytest.param("", [stage], ("tracks.csv", edit), 4, "input error", id=f"workdir-tracks-{name}-{stage}")
+      for name, edit in (("nan", _set_field(1, 2, b"nan")), ("frame-gap", _set_field(2, 0, b"5")),
+                         ("malformed", _set_field(1, 2, b"x")))
+      for stage in ("detect", "extract")),
+    pytest.param("", ["detect"], (MEMO, lambda b: b[:-8]), 3, "stage error", id="tracks-memo-truncated"),
+    pytest.param("", ["extract"], (MEMO, lambda b: b + b"\0"), 3, "stage error", id="tracks-memo-trailing-byte"),
+    pytest.param("", ["extract"], (MEMO, lambda b: b"{tracks\n" + b[_header_end(b):]), 3, "stage error",
+                 id="tracks-memo-header-not-json"),
+    pytest.param("", ["detect"], (MEMO, overwrite_value("features", struct.pack("<d", math.nan), 5)), 3,
+                 "stage error", id="tracks-memo-nan-value"),
+    pytest.param("", INGEST, ("meta.json", lambda b: b.replace(b'"1":', '"\u0663":'.encode())), 4, "input error",
+                 id="meta-lane-key-non-ascii"),
+    pytest.param("", INGEST, ("meta.json", lambda b: b.replace(b'"1":', b'" 1_0 ":')), 4, "input error",
+                 id="meta-lane-key-underscore"),
     pytest.param("detect:\n  ema_alpha: 5\n", ["detect", "--method", "ema"], None, 2, "config error",
                  id="ema-alpha-high"),
     pytest.param("detect:\n  ema_alpha: 0\n", ["detect", "--method", "ema"], None, 2, "config error",
@@ -458,9 +481,10 @@ def test_data_path_bytes_match_golden_digests(tmp_path):
     assert _digests(v1, GOLDEN_DATA_DIGESTS) == GOLDEN_DATA_DIGESTS
 
 
-def test_ingest_of_reversed_lanes_matches_golden_digests(tmp_path):
-    # Lanes 1-3 drive in -x: generated +x, flipped by normalize_direction,
-    # and flipped back by `scenmine ingest`.
+def _reversed_lane_recording(root: Path) -> Path:
+    """Writes recording/tracks.csv and recording/meta.json under ``root``: six
+    vehicles, lanes 1-3 drive in -x (generated +x, flipped by
+    normalize_direction, and flipped back by `scenmine ingest`)."""
     meta = ingest.RecordingMeta(
         recording_id="rev",
         frame_rate=25.0,
@@ -482,11 +506,77 @@ def test_ingest_of_reversed_lanes_matches_golden_digests(tmp_path):
         for i in range(6)
     ]
     trajs, _ = ingest.generate_synthetic(scripts, meta.dt, seed=4, recording_id="rev")
-    rec = tmp_path / "recording"
+    rec = root / "recording"
     rec.mkdir()
     ingest.write_tracks_csv([ingest.normalize_direction(t, meta) for t in trajs], rec / "tracks.csv")
     ingest.write_meta_json(meta, rec / "meta.json")
+    return rec
+
+
+def test_ingest_of_reversed_lanes_matches_golden_digests(tmp_path):
+    rec = _reversed_lane_recording(tmp_path)
     code = cli.main(["--workdir", str(tmp_path / "ingested"), "ingest",
                      "--tracks", str(rec / "tracks.csv"), "--meta", str(rec / "meta.json")])
     assert code == 0
     assert _digests(tmp_path, GOLDEN_INGEST_DIGESTS) == GOLDEN_INGEST_DIGESTS
+
+
+# --------------------------- tracks.bin memo ----------------------------------
+
+def test_tracks_memo_of_synth_equals_parse(tmp_path):
+    wd = tmp_path / "wd"
+    assert cli.main(["--config", str(write_config(tmp_path)), "--workdir", str(wd), "synth"]) == 0
+    assert_same_trajectories(load_from_memo(wd), parse_workdir(wd))
+
+
+def test_tracks_memo_of_reversed_lane_ingest_equals_parse(tmp_path):
+    rec = _reversed_lane_recording(tmp_path)
+    wd = tmp_path / "ingested"
+    assert cli.main(["--workdir", str(wd), "ingest", "--tracks", str(rec / "tracks.csv"),
+                     "--meta", str(rec / "meta.json")]) == 0
+    assert_same_trajectories(load_from_memo(wd), parse_workdir(wd))
+
+
+def test_detect_and_extract_artifacts_do_not_depend_on_the_memo(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path)
+    with_memo, without = tmp_path / "memo", tmp_path / "parse"
+    assert cli.main(["--config", str(cfg), "--workdir", str(with_memo), "synth"]) == 0
+    shutil.copytree(with_memo, without)
+    (without / "tracks.bin").unlink()
+    parse, parses, outputs = ingest.parse_tracks, [], []
+    monkeypatch.setattr(ingest, "parse_tracks", lambda *args: parses.append(1) or parse(*args))
+    for wd in (with_memo, without):
+        capsys.readouterr()
+        parses.clear()
+        for command in (["detect"], ["detect", "--method", "ema"], ["extract"]):
+            assert cli.main(["--config", str(cfg), "--workdir", str(wd)] + command) == 0
+        outputs.append((capsys.readouterr().out, len(parses)))
+    assert outputs[0] == (outputs[1][0], 0) and outputs[1][1] == 3
+    for name in ("changepoints.csv", "detection_rule.json", "detection_ema.json", "dataset.jsonl",
+                 "extract_summary.json"):
+        assert (with_memo / name).read_bytes() == (without / name).read_bytes(), name
+
+
+def test_edited_tracks_csv_is_parsed_again(tmp_path):
+    wd = tmp_path / "wd"
+    assert cli.main(["--config", str(write_config(tmp_path)), "--workdir", str(wd), "synth"]) == 0
+    memo = (wd / "tracks.bin").read_bytes()
+    (wd / "tracks.csv").write_bytes(_set_field(1, 2, b"1.5")((wd / "tracks.csv").read_bytes()))
+    _, trajs = cli._load_tracks(wd)
+    assert trajs[0].x[0] == 1.5 and (wd / "tracks.bin").read_bytes() == memo
+    assert_same_trajectories(trajs, parse_workdir(wd))
+
+
+@pytest.mark.parametrize("vehicle_ids", [(5, 2), (3, 3)], ids=["decreasing", "repeated"])
+def test_no_memo_unless_the_parse_gives_the_written_trajectories(tmp_path, vehicle_ids):
+    # The parse sorts vehicles by id and joins rows of one id into one trajectory.
+    first, second = vehicle_ids
+    trajs = [make_traj(n=4, vehicle_id=first, recording_id="rec"),
+             make_traj(n=3, vehicle_id=second, recording_id="rec", first_frame=4, lane_id=3)]
+    meta = ingest.RecordingMeta("rec", 25.0, 3, {lane: 1 for lane in range(1, 7)})
+    ingest.write_meta_json(meta, tmp_path / "meta.json")
+    cli._write_tracks(trajs, tmp_path)
+    assert not (tmp_path / "tracks.bin").exists()
+    _, loaded = cli._load_tracks(tmp_path)
+    assert [(t.vehicle_id, len(t)) for t in loaded] != [(t.vehicle_id, len(t)) for t in trajs]
+    assert_same_trajectories(loaded, parse_workdir(tmp_path))

@@ -1,8 +1,8 @@
-"""Fuzzing of the binary container readers: ``read_dataset`` and
-``load_checkpoint`` fed arbitrary bytes, or a valid file that is truncated,
-has one byte flipped, has bytes appended or has one float replaced, raise
-only their declared error or return a result that still holds the reader's
-guarantees."""
+"""Fuzzing of the binary container readers: ``read_dataset``,
+``load_checkpoint`` and ``ingest.read_tracks_bin`` fed arbitrary bytes, or a
+valid file that is truncated, has one byte flipped, has bytes appended or
+has one float replaced, raise only their declared error or return a result
+that still holds the reader's guarantees."""
 import json
 import math
 import struct
@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from scenmine import corpus, cvqvae
+from scenmine import corpus, cvqvae, ingest
 from scenmine.types import (
+    FEATURE_NAMES,
     N_CLASSES,
     N_FEATURES,
     N_SLOTS,
@@ -23,6 +24,8 @@ from scenmine.types import (
     read_dataset,
     write_dataset,
 )
+
+from conftest import make_traj
 
 FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -67,9 +70,31 @@ def _checkpoint_bytes() -> bytes:
         return path.read_bytes()
 
 
+MEMO_DIGEST = "0" * 64
+MEMO_META = ingest.RecordingMeta("fuzz", 25.0, 3, {lane: 1 for lane in range(1, 7)})
+
+
+def _memo_bytes() -> bytes:
+    trajs = [make_traj(n=3, vehicle_id=1), make_traj(n=2, vehicle_id=4, first_frame=7, lane_id=5)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "tracks.bin"
+        ingest.write_tracks_bin(trajs, MEMO_DIGEST, path)
+        return path.read_bytes()
+
+
+def _valid_memo(trajs) -> None:
+    """None (the memo of another tracks.csv) or valid trajectories."""
+    for t in trajs or []:
+        assert len(t) >= 1 and t.first_frame >= 0 and t.dt == MEMO_META.dt
+        assert t.lane_id.dtype == np.int64 and len(t.lane_id) == len(t)
+        assert all(np.isfinite(getattr(t, name)).all() for name in FEATURE_NAMES)
+
+
 READERS = {
     "dataset": (_dataset_bytes(), read_dataset, DatasetFormatError, _valid_dataset),
     "checkpoint": (_checkpoint_bytes(), cvqvae.load_checkpoint, cvqvae.ContractError, _valid_checkpoint),
+    "tracks_memo": (_memo_bytes(), lambda path: ingest.read_tracks_bin(path, MEMO_DIGEST, MEMO_META),
+                    DatasetFormatError, _valid_memo),
 }
 
 

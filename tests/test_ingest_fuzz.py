@@ -6,7 +6,9 @@ of the ``tracks.csv`` reader and writer.
 truncated, has one byte flipped or has bytes appended, raise only their
 documented errors or return a result that still holds the reader's
 guarantees. ``parse_tracks`` and ``write_tracks_csv`` agree bit for bit
-with the ``csv`` module implementations they replaced (``conftest``)."""
+with the ``csv`` module implementations they replaced (``conftest``), and
+the trajectories ``cli._load_tracks`` reads from a ``tracks.bin`` memo with
+those it parses."""
 import io
 import tempfile
 from decimal import Decimal
@@ -16,10 +18,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from scenmine import detect, ingest
+from scenmine import cli, detect, ingest
 from scenmine.types import FEATURE_NAMES, ChangePoint, CompositeLabel, DatasetFormatError
 
-from conftest import encode_tracks_v1, make_traj, parse_tracks_v1
+from conftest import assert_same_trajectories, encode_tracks_v1, load_from_memo, make_traj, parse_tracks_v1
 
 FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -231,8 +233,9 @@ def test_parse_tracks_equals_csv_module_oracle(case):
 
 
 @st.composite
-def trajectories(draw) -> list:
-    floats = st.floats(width=64)  # NaN, infinities, signed zeros and subnormals included
+def trajectories(draw, floats=st.floats(width=64)) -> list:
+    """Up to three trajectories of unique vehicle ids in any order; by default
+    with NaN, infinities, signed zeros and subnormals among the values."""
     out = []
     for vid in draw(st.lists(st.integers(-2**63, 2**63 - 1), max_size=3, unique=True)):
         n = draw(st.integers(1, 5))
@@ -249,3 +252,36 @@ def test_write_tracks_csv_bytes_equal_csv_module_oracle(trajs):
     path = Path(_SCRATCH.name) / "written.csv"
     ingest.write_tracks_csv(trajs, path)
     assert path.read_bytes() == encode_tracks_v1(trajs)
+
+
+# --------------------------- tracks.bin differential ---------------------------
+
+FINITE = st.floats(width=64, allow_nan=False, allow_infinity=False)
+
+
+def _load(load):
+    try:
+        return load()
+    except (ingest.ParseError, ingest.IntegrityError) as exc:
+        return type(exc)
+
+
+@FUZZ
+@given(trajs=st.one_of(trajectories(), trajectories(FINITE)), ordered=st.booleans())
+def test_tracks_memo_equals_parse(trajs, ordered):
+    if ordered:
+        trajs = sorted(trajs, key=lambda t: t.vehicle_id)
+    vids = [t.vehicle_id for t in trajs]
+    memo = vids == sorted(vids) and all(np.isfinite(getattr(t, name)).all()
+                                        for t in trajs for name in FEATURE_NAMES)
+    with tempfile.TemporaryDirectory() as tmp:
+        wd = Path(tmp)
+        ingest.write_meta_json(META, wd / "meta.json")
+        cli._write_tracks(trajs, wd)
+        assert (wd / "tracks.bin").exists() == memo
+        want = _load(lambda: ingest.read_tracks_csv(wd / "tracks.csv", META))
+        got = _load(lambda: load_from_memo(wd) if memo else cli._load_tracks(wd)[1])
+    if isinstance(want, type) or isinstance(got, type):
+        assert got is want
+    else:
+        assert_same_trajectories(got, want)
