@@ -459,7 +459,10 @@ def main(argv=None) -> int:
         cfg = dataclasses.replace(cfg, workdir=cfg.workdir if workdir is None else workdir,
                                   seed=cfg.seed if seed is None else seed)
         workdir = Path(cfg.workdir)
-        workdir.mkdir(parents=True, exist_ok=True)
+        try:
+            workdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise StageError(f"cannot use workdir {workdir}: {exc.strerror}") from exc
         return run(cfg, workdir, **options) or 0
     except config.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -146,10 +146,6 @@ def kmeans(
     return assignment, centroids
 
 
-def kmeans_inertia(latents: np.ndarray, labels: np.ndarray, centroids: np.ndarray) -> float:
-    return float(np.sum((latents - centroids[labels]) ** 2))
-
-
 # ---------------------------------------------------------------------------
 # Agglomerative hierarchical clustering
 # ---------------------------------------------------------------------------

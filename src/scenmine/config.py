@@ -142,8 +142,13 @@ def _build(cls, section, where: str):
 def load_config(path: str | None) -> Config:
     if path is None:
         return Config()
-    with open(path, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh) or {}
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = yaml.safe_load(fh) or {}
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
+    except (UnicodeDecodeError, yaml.YAMLError) as exc:
+        raise ConfigError(f"{path}: " + " ".join(str(exc).split())) from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
     return _build(Config, data, "")

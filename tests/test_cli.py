@@ -395,6 +395,11 @@ BAD_INPUTS = [
         "", ["cluster"], (CKPT, lambda b: b[:_header_end(b)] + struct.pack("<d", math.nan) + b[_header_end(b) + 8:]),
         3, "stage error", id="ckpt-nan-weight",
     ),
+    pytest.param(None, ["synth"], None, 2, "config error", id="config-file-missing"),
+    pytest.param("train:\n  hidden: [8,\n", ["train"], None, 2, "config error", id="config-yaml-syntax"),
+    pytest.param(b"train:\n  epochs: \xff\n", ["train"], None, 2, "config error", id="config-not-utf8"),
+    # The second --workdir wins: a regular file in the (current) workdir.
+    pytest.param("", ["--workdir", "meta.json", "synth"], None, 3, "stage error", id="workdir-is-file"),
 ]
 
 
@@ -408,7 +413,8 @@ def test_bad_input_exit_code(
         name, change = rewrite
         (wd / name).write_bytes(change((wd / name).read_bytes()))
     cfg = tmp_path / "bad.yaml"
-    cfg.write_text(config_text)
+    if config_text is not None:  # None: no config file
+        cfg.write_bytes(config_text if isinstance(config_text, bytes) else config_text.encode())
     monkeypatch.chdir(wd)
     capsys.readouterr()
     assert cli.main(["--config", str(cfg), "--workdir", str(wd)] + command) == code

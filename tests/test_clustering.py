@@ -6,6 +6,8 @@ import pytest
 
 from scenmine import cli, clustering, corpus, cvqvae
 
+from conftest import quantize
+
 
 def naive_ward_oracle(latents, k, linkage="ward"):
     """O(n^3) agglomeration oracle: recompute every pairwise linkage cost at
@@ -60,17 +62,22 @@ def test_assign_codebook_identical_records_identical_labels(trained):
 def test_assign_codebook_exact_code_returns_its_index(trained):
     _, params = trained
     for q in range(params.codebook_size):
-        idx, _ = cvqvae.quantize(params.codebook[q], params.codebook)
+        idx, _ = quantize(params.codebook[q], params.codebook)
         assert idx == q
 
 
 # ------------------------------- k-means --------------------------------------
 
+def kmeans_inertia(latents, labels, centroids):
+    """Sum of squared distances from each latent to its centroid."""
+    return float(np.sum((latents - centroids[labels]) ** 2))
+
+
 def test_kmeans_k_equals_n_singletons(rng):
     latents = rng.normal(size=(6, 3)) * 10
     assignment, centroids = clustering.kmeans(latents, k=6, seed=0)
     assert sorted(assignment.labels) == list(range(6))
-    assert clustering.kmeans_inertia(latents, assignment.labels, centroids) == 0.0
+    assert kmeans_inertia(latents, assignment.labels, centroids) == 0.0
 
 
 def test_kmeans_separated_blobs(rng):
@@ -96,7 +103,7 @@ def test_kmeans_inertia_non_increasing_over_iterations(rng):
     inertias = []
     for iters in range(1, 8):
         assignment, centroids = clustering.kmeans(latents, k=4, seed=2, max_iter=iters)
-        inertias.append(clustering.kmeans_inertia(latents, assignment.labels, centroids))
+        inertias.append(kmeans_inertia(latents, assignment.labels, centroids))
     for prev, cur in zip(inertias, inertias[1:]):
         assert cur <= prev + 1e-9
 

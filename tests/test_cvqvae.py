@@ -7,6 +7,8 @@ import pytest
 
 from scenmine import corpus, cvqvae
 
+from conftest import quantize
+
 
 def tiny_cfg(**kwargs):
     defaults = dict(hidden=(6, 6), latent_dim=4, codebook_size=4, seed=0)
@@ -77,7 +79,7 @@ def test_single_layer_identity_encoder():
 
 def test_quantize_nearest():
     codebook = np.array([[0.0, 0.0], [1.0, 1.0]])
-    q, z_q = cvqvae.quantize(np.array([0.1, 0.2]), codebook)
+    q, z_q = quantize(np.array([0.1, 0.2]), codebook)
     assert q == 0
     assert np.array_equal(z_q, codebook[0])
 
@@ -86,7 +88,7 @@ def test_quantize_tie_breaks_to_lowest_index():
     codebook = np.full((8, 2), 50.0)
     codebook[3] = [1.0, 0.0]
     codebook[7] = [-1.0, 0.0]
-    q, _ = cvqvae.quantize(np.array([0.0, 0.5]), codebook)
+    q, _ = quantize(np.array([0.0, 0.5]), codebook)
     assert q == 3
 
 
@@ -94,7 +96,7 @@ def test_quantize_matches_brute_force(rng):
     codebook = rng.normal(size=(64, 8))
     for _ in range(200):
         z = rng.normal(size=8)
-        q, _ = cvqvae.quantize(z, codebook)
+        q, _ = quantize(z, codebook)
         oracle = int(np.argmin(np.sum((codebook - z) ** 2, axis=1)))
         assert q == oracle
 
@@ -102,13 +104,13 @@ def test_quantize_matches_brute_force(rng):
 def test_quantize_idempotent(rng):
     codebook = rng.normal(size=(16, 4))
     for q in range(16):
-        q2, _ = cvqvae.quantize(codebook[q], codebook)
+        q2, _ = quantize(codebook[q], codebook)
         assert q2 == q
 
 
 def test_quantize_empty_codebook():
     with pytest.raises(ValueError):
-        cvqvae.quantize(np.zeros(2), np.zeros((0, 2)))
+        cvqvae._quantize_batch(np.zeros((1, 2)), np.zeros((0, 2)))
 
 
 # ------------------------------- decode -------------------------------------
@@ -136,16 +138,23 @@ def test_single_layer_linear_decoder_matches_matrix_product(rng):
 
 # ------------------------------- heads --------------------------------------
 
+def heads(z_q, params):
+    """Pseudo-class probabilities and the (N, T) interaction matrix that
+    ``cvqvae._decode_heads`` predicts from the single latent ``z_q``."""
+    fwd = cvqvae._decode_heads(np.asarray(z_q, dtype=float)[None], params)
+    return fwd["probs"][0], fwd["t_hat"][0].reshape(params.n_slots, params.t_obs)
+
+
 def test_classify_zero_head_uniform():
     params = zeroed(tiny_params())
-    p = cvqvae.classify(np.ones(4), params)
+    p = heads(np.ones(4), params)[0]
     assert np.allclose(p, 0.1)
 
 
 def test_classify_dominant_logit():
     params = zeroed(tiny_params())
     params.cl_b[0] = 10.0
-    p = cvqvae.classify(np.zeros(4), params)
+    p = heads(np.zeros(4), params)[0]
     expected = math.exp(10.0) / (math.exp(10.0) + 9.0)
     assert abs(p[0] - expected) < 1e-12
     assert p[0] > 0.999
@@ -153,25 +162,25 @@ def test_classify_dominant_logit():
 
 def test_classify_sums_to_one(rng):
     params = tiny_params()
-    p = cvqvae.classify(rng.normal(size=4), params)
+    p = heads(rng.normal(size=4), params)[0]
     assert np.all(p > 0)
     assert abs(p.sum() - 1.0) < 1e-9
 
 
 def test_predict_interaction_zero_head_half():
     params = zeroed(tiny_params())
-    t_hat = cvqvae.predict_interaction(np.zeros(4), params)
+    t_hat = heads(np.zeros(4), params)[1]
     assert t_hat.shape == (2, 5)
     assert np.all(t_hat == 0.5)
 
 
 def test_predict_interaction_range_and_value(rng):
     params = tiny_params()
-    t_hat = cvqvae.predict_interaction(rng.normal(size=4), params)
+    t_hat = heads(rng.normal(size=4), params)[1]
     assert np.all((t_hat > 0) & (t_hat < 1))
     params = zeroed(params)
     params.int_b[0] = 4.0
-    t_hat = cvqvae.predict_interaction(np.zeros(4), params)
+    t_hat = heads(np.zeros(4), params)[1]
     assert abs(t_hat.ravel()[0] - 1.0 / (1.0 + math.exp(-4.0))) < 1e-12
 
 
@@ -397,6 +406,87 @@ def test_train_empty_dataset_rejected():
         cvqvae.train([], tiny_cfg())
 
 
+# -------------------------- live slot prefix ---------------------------------
+
+# The archetype corpus fills slots 0-3 only; its augmented records reach slot 4.
+N_LIVE = 4
+
+
+def lead(like):
+    """The index of the leading block of an array with ``like``'s shape."""
+    return tuple(slice(0, n) for n in like.shape)
+
+
+def outside(arr, like):
+    """A copy of ``arr`` with its leading ``like``-shaped block zeroed."""
+    rest = arr.copy()
+    rest[lead(like)] = 0.0
+    return rest
+
+
+def test_live_prefix_step_matches_full_width_step():
+    records = corpus.build_archetype_corpus(n_per_class=11, seed=9)[:32]
+    inputs, masks, cls, inter = cvqvae._record_arrays(records)
+    assert masks[:, N_LIVE - 1].any() and not masks[:, N_LIVE:].any()
+    cfg = cvqvae.TrainConfig(seed=3)  # the default model and batch, lambda = 1
+    shift, scale = cvqvae.fit_standardization(inputs, masks)
+    params = cvqvae.init_params(cfg, np.random.default_rng(3), feature_shift=shift, feature_scale=scale)
+    full_batch, full_fwd = batch_forward(inputs, masks, cls, inter, params)
+    full = cvqvae._backward(full_fwd, full_batch, cfg, params)
+
+    live = cvqvae._live(params, N_LIVE)
+    assert live.codebook is params.codebook and live.enc_w[1] is params.enc_w[1]
+    batch, fwd = batch_forward(inputs[:, :N_LIVE], masks[:, :N_LIVE], cls, inter[:, :N_LIVE], live)
+    sliced = cvqvae._backward(fwd, batch, cfg, live)
+
+    assert np.array_equal(fwd["q"], full_fwd["q"])
+    whole = dict(cvqvae._param_arrays(params))
+    for name, arr in cvqvae._param_arrays(live):
+        assert np.shares_memory(arr, whole[name])
+        g_full = full[name]
+        # Scale-relative: an elementwise rtol fails on entries near zero.
+        np.testing.assert_allclose(sliced[name], g_full[lead(arr)], rtol=1e-12, atol=1e-12 * np.abs(g_full).max())
+        assert np.all(outside(g_full, arr) == 0.0), name
+
+
+def test_training_leaves_weights_outside_the_live_prefix_as_drawn():
+    records = corpus.build_archetype_corpus(n_per_class=2, seed=9)
+    cfg = cvqvae.TrainConfig(epochs=2, batch_size=4, seed=5)
+    params, _ = cvqvae.train(records, cfg)
+    inputs, masks, _, _ = cvqvae._record_arrays(records)
+    shift, scale = cvqvae.fit_standardization(inputs, masks)
+    initial = cvqvae.init_params(cfg, np.random.default_rng(cfg.seed), feature_shift=shift, feature_scale=scale)
+    assert params.input_dim == initial.input_dim  # the checkpoint keeps the full width
+    trained, drawn = dict(cvqvae._param_arrays(params)), dict(cvqvae._param_arrays(initial))
+    for name, arr in cvqvae._param_arrays(cvqvae._live(initial, N_LIVE)):
+        assert trained[name].shape == drawn[name].shape
+        assert np.array_equal(outside(trained[name], arr), outside(drawn[name], arr)), name
+
+    def moved_slots(after, before, per_slot):
+        """The slots whose block of ``per_slot`` leading-axis entries changed."""
+        blocks = [slice(s * per_slot, (s + 1) * per_slot) for s in range(initial.n_slots)]
+        return [s for s, rows in enumerate(blocks) if not np.array_equal(after[rows], before[rows])]
+
+    cells = initial.n_features * initial.t_obs
+    assert moved_slots(params.enc_w[0].T, initial.enc_w[0].T, cells) == list(range(N_LIVE))
+    assert moved_slots(params.dec_w[-1], initial.dec_w[-1], cells) == list(range(N_LIVE))
+    assert moved_slots(params.int_w, initial.int_w, initial.t_obs) == list(range(N_LIVE))
+
+
+def test_record_beyond_the_live_prefix_encodes_at_full_width():
+    base = corpus.build_archetype_corpus(n_per_class=2, seed=9)
+    augmented, _ = corpus.augment_corpus(base, n_augment=20, seed=12)
+    record = next(r for r in augmented if r.tensor.presence_mask[N_LIVE:].any())
+    params, _ = cvqvae.train(base, cvqvae.TrainConfig(epochs=1, seed=5))
+    values, mask = record.tensor.values, record.tensor.presence_mask
+    z = cvqvae.encode(values, mask, params)
+    cut = mask.copy()
+    cut[N_LIVE:] = False
+    assert not np.array_equal(z, cvqvae.encode(values, cut, params))  # the untrained columns are read
+    # epsilon as in criterion 4: below it the differences lose digits to rounding.
+    assert cvqvae.grad_check(record, params, cvqvae.TrainConfig(), epsilon=1e-3, n_checks=150, seed=1) < 1e-4
+
+
 # ---------------------------- gradient check --------------------------------
 
 def test_grad_check_linear_toy_model(rng):
@@ -536,6 +626,10 @@ def test_checkpoint_non_finite_array_is_contract_error(tmp_path, name, value):
 # SHA-256 of the checkpoint and loss-history bytes of a fixed-seed run,
 # recorded before the encoder and decoder shared one MLP routine. Any drift
 # in the training numerics changes them. Keyed by lambda_cl = lambda_int.
+# The loss history at weight 1 was re-recorded when training moved to the
+# live slot prefix: the squared residual is summed over 4 of 9 slots, and
+# numpy's pairwise sum of a shorter row rounds differently. The checkpoints
+# did not move.
 GOLDEN_DIGESTS = {
     0.0: (
         "906822d9609ee89f10700dab3b52289b14d7be241173e49a1dd6c3e3e77be4a4",
@@ -543,7 +637,7 @@ GOLDEN_DIGESTS = {
     ),
     1.0: (
         "67984902b67f47288fad450d6295342b8c72116e82d79b4601eff1258e74a777",
-        "e2b1fdfb777a149977db40c4faea7950a51b4f1f11fa7440569e3c062c5f061e",
+        "69fcac405b5a69255cff177800bd35c8d1638b44b6555838d3d3f4eacb81abac",
     ),
 }
 
@@ -567,15 +661,16 @@ def test_training_bytes_match_golden_digests(tmp_path, weight):
 # batches per epoch (4, 4 and a ragged 1 of 9 records), so activation and
 # gradient memory is reused across batches of different sizes, and with a
 # fast usage decay, so dead-code revival fires (four codes at weight 0, two
-# at weight 1). Recorded before the training step reused its buffers.
+# at weight 1). Recorded before the training step reused its buffers; both
+# loss histories re-recorded with the live slot prefix, as above.
 GOLDEN_RAGGED_DIGESTS = {
     0.0: (
         "0fbefcc056cde9d672181c6a77cfc72e967998f1bf1b7b4ec00eb694a71475ef",
-        "1e283e07ea55c252feb4cd5fd358dce89249fed69c2e724f30c069d586e8acdb",
+        "75bee16daaf3593034cc745603f9d44caaf0c24679784a7406cfb1dbdd782fec",
     ),
     1.0: (
         "6984c9cb430f954898b24a61133fa3d52fee4776a59ef8d25a3d732d67c9990c",
-        "b7b320e9a8c52e6e16197a56285e0e2908f607260fa7c64226218071b3c7bb23",
+        "6565929292220bcf54943946c20f0994d198740f37fc2dbe699fba365e7369bb",
     ),
 }
 
