@@ -7,7 +7,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import json
+import math
 import sys
 from pathlib import Path
 
@@ -15,7 +15,8 @@ import numpy as np
 
 from . import clustering, config, corpus, cvqvae, detect, extraction, ingest, metrics
 from .config import Config
-from .types import DatasetFormatError, read_dataset, validate_record, write_dataset
+from .types import (DatasetFormatError, read_csv, read_dataset, read_json, validate_record, write_csv,
+                    write_dataset, write_json)
 
 
 class StageError(Exception):
@@ -197,14 +198,20 @@ def cmd_detect(cfg: Config, workdir: Path, method: str = "rule") -> None:
             tp, fp, fn = tp + m.tp, fp + m.fp, fn + m.fn
         match = detect.DetectionMatch(tp, fp, fn)
         out = workdir / f"detection_{method}.json"
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(
-                {"method": method, "tp": tp, "fp": fp, "fn": fn,
-                 "precision": match.precision, "recall": match.recall},
-                fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json({"method": method, "tp": tp, "fp": fp, "fn": fn,
+                    "precision": match.precision, "recall": match.recall}, out)
         _log("evaluate-detection", method=method, precision=f"{match.precision:.3f}",
              recall=f"{match.recall:.3f}", report=_sha256(out))
+
+
+def _detection_match(path: Path, method: str) -> detect.DetectionMatch:
+    """The counts of a ``detection_<method>.json``; a file of another method
+    or a count that is not a non-negative integer raises DatasetFormatError."""
+    obj = read_json(path, DatasetFormatError)
+    counts = [obj.get(key) for key in ("tp", "fp", "fn")]
+    if obj.get("method") != method or not all(type(n) is int and n >= 0 for n in counts):
+        raise DatasetFormatError(f"{path}: not the non-negative tp/fp/fn counts of method {method!r}")
+    return detect.DetectionMatch(*counts)
 
 
 def cmd_extract(cfg: Config, workdir: Path) -> None:
@@ -217,16 +224,12 @@ def cmd_extract(cfg: Config, workdir: Path) -> None:
         trajs, by_vehicle, cfg.extract, config.override(cfg, "dgsfm", dt=meta.dt)
     )
     write_dataset(records, workdir / "dataset.jsonl", dt=meta.dt)
-    with open(workdir / "extract_summary.json", "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "extracted": summary.extracted,
-                "skipped_window": summary.skipped_window,
-                "filtered_class": summary.filtered_class,
-                "per_class_counts": {str(k): v for k, v in summary.per_class_counts.items()},
-            },
-            fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json({
+        "extracted": summary.extracted,
+        "skipped_window": summary.skipped_window,
+        "filtered_class": summary.filtered_class,
+        "per_class_counts": {str(k): v for k, v in summary.per_class_counts.items()},
+    }, workdir / "extract_summary.json")
     if not records:
         print("[extract] WARNING: zero records extracted (class filter or window coverage)")
     _log("extract", records=summary.extracted, skipped=summary.skipped_window,
@@ -313,45 +316,74 @@ def cmd_cluster(cfg: Config, workdir: Path, tag: str = "model") -> None:
         rows.extend((rid, backend, int(lbl)) for rid, lbl in labels.items())
 
     out = workdir / f"assignments_{tag}.csv"
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("record_id,backend,label\n")
-        for rid, backend, lbl in rows:
-            fh.write(f"{rid},{backend},{lbl}\n")
+    write_csv(out, ASSIGNMENT_COLUMNS, rows, lineterminator="\n")
     _log("cluster", tag=tag, rows=len(rows), seed=seed, assignments=_sha256(out))
 
 
-def _read_assignments(path: Path) -> dict[str, dict[str, int]]:
+ASSIGNMENT_COLUMNS = ("record_id", "backend", "label")
+
+
+def _assignment_labels(path: Path, record_ids: set) -> dict[str, dict[str, int]]:
+    """Backend -> record id -> label of an ``assignments_<tag>.csv``. Besides
+    the damage ``read_csv`` finds, no rows, a backend not in
+    ``clustering.BACKENDS``, a backend that does not assign each of
+    ``record_ids`` exactly once, or a label outside [0, len(record_ids))
+    raise DatasetFormatError. (Every backend has at most as many clusters
+    as base records.)"""
+    rows = read_csv(path, ASSIGNMENT_COLUMNS, lambda record_id, backend, label: (record_id, backend, int(label)))
     out: dict[str, dict[str, int]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        next(fh)
-        for line in fh:
-            rid, backend, lbl = line.strip().split(",")
-            out.setdefault(backend, {})[rid] = int(lbl)
+    for record_id, backend, label in rows:
+        out.setdefault(backend, {})[record_id] = label
+    if (not out or not out.keys() <= set(clustering.BACKENDS) or len(rows) != len(out) * len(record_ids)
+            or any(labels.keys() != record_ids for labels in out.values())
+            or not all(0 <= label < len(record_ids) for _, _, label in rows)):
+        raise DatasetFormatError(f"{path}: not one label in [0, {len(record_ids)}) per backend for each "
+                                 "record of dataset.jsonl and each child of pairs.csv")
     return out
 
 
 def cmd_evaluate_clustering(cfg: Config, workdir: Path, tag: str = "model") -> None:
     records, _ = read_dataset(_require(workdir / "dataset.jsonl"))
-    pairs = corpus.read_pairs(_require(workdir / "pairs.csv"))
-    assignments = _read_assignments(_require(workdir / f"assignments_{tag}.csv"))
+    pairs_path = _require(workdir / "pairs.csv")
+    pairs = corpus.read_pairs(pairs_path)
     class_of = {r.record_id: r.pseudo_class.index for r in records}
+    if not pairs or any(parent not in class_of for parent, _ in pairs):
+        raise DatasetFormatError(f"{pairs_path}: no pair, or a parent that is not a record of dataset.jsonl")
+    assignments = _assignment_labels(_require(workdir / f"assignments_{tag}.csv"),
+                                     class_of.keys() | {child for _, child in pairs})
     result = {}
     for backend, labels in sorted(assignments.items()):
-        base = [(rid, lbl) for rid, lbl in labels.items() if rid in class_of]
+        base = np.array([labels[rid] for rid in class_of])
         arr = clustering.ClusterAssignment(
             backend=backend,
-            labels=np.array([lbl for _, lbl in base]),
-            k=max(lbl for _, lbl in base) + 1,
-            record_ids=tuple(rid for rid, _ in base),
+            labels=base,
+            k=int(base.max()) + 1,
+            record_ids=tuple(class_of),
         )
-        _, h_avg = metrics.cluster_entropy(arr, [class_of[rid] for rid, _ in base])
+        _, h_avg = metrics.cluster_entropy(arr, list(class_of.values()))
         acc = metrics.augmentation_accuracy(labels, pairs)
         result[backend] = {"purity_entropy": h_avg, "augmentation_accuracy": acc}
     out = workdir / f"clustering_{tag}.json"
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(result, out)
     _log("evaluate-clustering", tag=tag, backends=len(result), report=_sha256(out))
+
+
+def _clustering_metrics(path: Path) -> dict[str, dict]:
+    """The backend -> metrics object of a ``clustering_<tag>.json``. No
+    backend, one not in ``clustering.BACKENDS``, or one without a finite
+    ``purity_entropy`` >= 0 and an ``augmentation_accuracy`` in [0, 1]
+    raise DatasetFormatError."""
+    obj = read_json(path, DatasetFormatError)
+    for backend, entry in obj.items():
+        purity, accuracy = (entry.get(key) if isinstance(entry, dict) else None
+                            for key in ("purity_entropy", "augmentation_accuracy"))
+        if not (backend in clustering.BACKENDS and {type(purity), type(accuracy)} <= {int, float}
+                and 0 <= purity < math.inf and 0 <= accuracy <= 1):
+            raise DatasetFormatError(f"{path}: backend {backend!r} needs a finite purity_entropy >= 0 "
+                                     "and an augmentation_accuracy in [0, 1]")
+    if not obj:
+        raise DatasetFormatError(f"{path}: no backend")
+    return obj
 
 
 def cmd_report(cfg: Config, workdir: Path) -> None:
@@ -359,19 +391,12 @@ def cmd_report(cfg: Config, workdir: Path) -> None:
     for method in ("rule", "ema"):
         path = workdir / f"detection_{method}.json"
         if path.exists():
-            with open(path, "r", encoding="utf-8") as fh:
-                obj = json.load(fh)
-            detection_rows.append(
-                (obj["method"], detect.DetectionMatch(obj["tp"], obj["fp"], obj["fn"]))
-            )
+            detection_rows.append((method, _detection_match(path, method)))
     clustering_rows = []
     no_dk = workdir / "clustering_no_dk.json"
     dk = workdir / "clustering_dk.json"
     if no_dk.exists() and dk.exists():
-        with open(no_dk, "r", encoding="utf-8") as fh:
-            nd = json.load(fh)
-        with open(dk, "r", encoding="utf-8") as fh:
-            d = json.load(fh)
+        nd, d = _clustering_metrics(no_dk), _clustering_metrics(dk)
         for backend in sorted(set(nd) & set(d)):
             clustering_rows.append(
                 metrics.ClusteringRow(
@@ -397,7 +422,7 @@ def cmd_gradcheck(cfg: Config, workdir: Path) -> int:
     params = cvqvae.init_params(
         tcfg, np.random.default_rng(seed), feature_shift=shift, feature_scale=scale
     )
-    err = cvqvae.grad_check(records[0], params, tcfg, epsilon=1e-3, n_checks=150, seed=seed)
+    err = cvqvae.grad_check(records[0], params, tcfg, n_checks=150, seed=seed)
     _log("gradcheck", max_rel_error=f"{err:.3e}", seed=seed)
     return 0 if err < 1e-4 else 1
 

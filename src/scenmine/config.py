@@ -65,8 +65,8 @@ class AugmentConfig:
     min_gap: float = 80.0  # m
 
     def __post_init__(self):
-        if self.n_augment < 0 or not 0.0 <= self.min_gap < math.inf:
-            raise ValueError("n_augment and min_gap must be non-negative, min_gap finite")
+        if self.n_augment < 1 or not 0.0 <= self.min_gap < math.inf:
+            raise ValueError("n_augment must be at least 1, min_gap non-negative and finite")
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ the nuisance vehicles, knowledge-guided clustering should not.
 """
 from __future__ import annotations
 
-import csv
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,6 +26,8 @@ from .types import (
     ScenarioRecord,
     ScenarioTensor,
     Trajectory,
+    read_csv,
+    write_csv,
 )
 
 ANCHOR_INDEX = 25  # tensor covers [t_c - 25, t_c + 74]
@@ -207,14 +208,12 @@ def augment_corpus(
     return augmented, pairs
 
 
+PAIR_COLUMNS = ("parent_id", "child_id")
+
+
 def write_pairs(pairs: Sequence[tuple[str, str]], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["parent_id", "child_id"])
-        writer.writerows(pairs)
+    write_csv(path, PAIR_COLUMNS, pairs)
 
 
 def read_pairs(path) -> list[tuple[str, str]]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        return [(row["parent_id"], row["child_id"]) for row in reader]
+    return read_csv(path, PAIR_COLUMNS, lambda parent, child: (parent, child))

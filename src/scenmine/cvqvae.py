@@ -20,6 +20,7 @@ from .types import (
     ScenarioRecord,
     read_blocks,
     write_blocks,
+    write_csv,
 )
 
 CHECKPOINT_FORMAT_VERSION = "scenmine-checkpoint-v1"
@@ -318,12 +319,6 @@ def encode(tensor_values: np.ndarray, mask: np.ndarray, params: ModelParams) -> 
     x = _standardize(tensor_values[None], mask[None], params)
     z, _ = _mlp_forward(x.reshape(1, -1), params.enc_w, params.enc_b)
     return z[0]
-
-
-def decode(z_q: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Reconstruction of the (standardized) scenario tensor from a latent."""
-    x_hat, _ = _mlp_forward(np.asarray(z_q, dtype=float)[None], params.dec_w, params.dec_b)
-    return x_hat[0].reshape(params.n_slots, params.n_features, params.t_obs)
 
 
 # ---------------------------------------------------------------------------
@@ -665,13 +660,14 @@ def grad_check_arrays(
     interaction_targets: Optional[np.ndarray],
     params: ModelParams,
     cfg: TrainConfig,
-    epsilon: float = 1e-5,
+    epsilon: float = 1e-3,
     n_checks: int = 120,
     seed: int = 0,
 ) -> float:
     """Max relative error between analytic gradients and central finite
     differences over a random parameter subset; the quantization index is
-    frozen at its base-point value for the numeric path."""
+    frozen at its base-point value for the numeric path. Below the default
+    ``epsilon`` the differences of a loss of ~3 lose digits to rounding."""
     batch = _batch(inputs, masks, class_targets, interaction_targets, params)
     fwd = _forward(batch["x_flat"], params)
     grads = _backward(fwd, batch, cfg, params)
@@ -709,7 +705,7 @@ def grad_check(
     record: ScenarioRecord,
     params: ModelParams,
     cfg: TrainConfig,
-    epsilon: float = 1e-5,
+    epsilon: float = 1e-3,
     n_checks: int = 120,
     seed: int = 0,
 ) -> float:
@@ -767,11 +763,11 @@ def load_checkpoint(path) -> ModelParams:
     return read_blocks(path, CHECKPOINT_FORMAT_VERSION, "checkpoint", layout, ContractError)
 
 
+LOSS_COLUMNS = ("epoch", "recon", "codebook", "commit", "cl", "int", "total")
+
+
 def write_loss_history(history: Sequence[LossBreakdown], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,recon,codebook,commit,cl,int,total\n")
-        for epoch, lb in enumerate(history):
-            fh.write(
-                f"{epoch},{lb.recon!r},{lb.codebook_term!r},{lb.commit_term!r},"
-                f"{lb.cl!r},{lb.inter!r},{lb.total!r}\n"
-            )
+    write_csv(path, LOSS_COLUMNS, (
+        (epoch, lb.recon, lb.codebook_term, lb.commit_term, lb.cl, lb.inter, lb.total)
+        for epoch, lb in enumerate(history)
+    ), lineterminator="\n")

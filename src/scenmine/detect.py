@@ -3,7 +3,6 @@ baseline, and detector scoring against ground truth.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -12,10 +11,11 @@ import numpy as np
 from .types import (
     ChangePoint,
     CompositeLabel,
-    DatasetFormatError,
     LatState,
     LongState,
     Trajectory,
+    read_csv,
+    write_csv,
 )
 
 DEFAULT_UP_PAIRS = ((0.2, 100), (0.3, 50), (0.4, 25))
@@ -359,63 +359,36 @@ def evaluate_detection(
 # ---------------------------------------------------------------------------
 
 ANNOTATION_COLUMNS = ("recording_id", "vehicle_id", "window_center_frame", "composite_label")
+CHANGE_POINT_COLUMNS = ("recording_id", "vehicle_id", "t_c", "label_before", "label_after")
 
 
 def write_annotations(
     rows: Sequence[tuple[str, int, int, CompositeLabel]], path
 ) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ANNOTATION_COLUMNS)
-        for recording_id, vehicle_id, center, label in rows:
-            writer.writerow([recording_id, vehicle_id, center, label.to_string()])
-
-
-def _read_rows(path, convert) -> list:
-    """``convert(row)`` of every row of the CSV file at ``path``, as a dict
-    keyed by the header. A missing column, a value ``convert`` rejects or a
-    file that is not a UTF-8 CSV raise DatasetFormatError."""
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            return [convert(row) for row in csv.DictReader(fh)]
-    except (KeyError, ValueError, TypeError, AttributeError, csv.Error) as exc:
-        raise DatasetFormatError(f"{path}: malformed row ({exc!r})") from exc
+    write_csv(path, ANNOTATION_COLUMNS, (
+        (recording_id, vehicle_id, center, label.to_string())
+        for recording_id, vehicle_id, center, label in rows
+    ))
 
 
 def read_annotations(path) -> list[tuple[str, int, int, CompositeLabel]]:
-    return _read_rows(path, lambda row: (
-        row["recording_id"],
-        int(row["vehicle_id"]),
-        int(row["window_center_frame"]),
-        CompositeLabel.from_string(row["composite_label"]),
+    return read_csv(path, ANNOTATION_COLUMNS, lambda recording_id, vehicle_id, center, label: (
+        recording_id, int(vehicle_id), int(center), CompositeLabel.from_string(label),
     ))
 
 
 def write_change_points(
     rows: Sequence[tuple[str, int, ChangePoint]], path
 ) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["recording_id", "vehicle_id", "t_c", "label_before", "label_after"])
-        for recording_id, vehicle_id, cp in rows:
-            writer.writerow(
-                [
-                    recording_id,
-                    vehicle_id,
-                    cp.t_c,
-                    cp.label_before.to_string(),
-                    cp.label_after.to_string(),
-                ]
-            )
+    write_csv(path, CHANGE_POINT_COLUMNS, (
+        (recording_id, vehicle_id, cp.t_c, cp.label_before.to_string(), cp.label_after.to_string())
+        for recording_id, vehicle_id, cp in rows
+    ))
 
 
 def read_change_points(path) -> list[tuple[str, int, ChangePoint]]:
-    return _read_rows(path, lambda row: (
-        row["recording_id"],
-        int(row["vehicle_id"]),
-        ChangePoint(
-            t_c=int(row["t_c"]),
-            label_before=CompositeLabel.from_string(row["label_before"]),
-            label_after=CompositeLabel.from_string(row["label_after"]),
-        ),
+    return read_csv(path, CHANGE_POINT_COLUMNS, lambda recording_id, vehicle_id, t_c, before, after: (
+        recording_id,
+        int(vehicle_id),
+        ChangePoint(int(t_c), CompositeLabel.from_string(before), CompositeLabel.from_string(after)),
     ))

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import operator
 import re
 import warnings
@@ -24,7 +23,9 @@ from .types import (
     Trajectory,
     integral,
     read_blocks,
+    read_json,
     write_blocks,
+    write_json,
 )
 
 LANE_WIDTH_M = 3.75  # standard German highway lane
@@ -366,17 +367,14 @@ def write_meta_json(meta: RecordingMeta, path) -> None:
         "lanes_per_direction": meta.lanes_per_direction,
         "lane_directions": {str(k): v for k, v in meta.lane_directions.items()},
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(payload, path)
 
 
 def read_meta_json(path) -> RecordingMeta:
     """Reads a file written by ``write_meta_json``; any other content raises
     ParseError."""
+    obj = read_json(path, ParseError)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
         if not isinstance(obj.get("recording_id"), str):
             raise ValueError("recording_id must be a string")
         if not all(re.fullmatch(r" *[+-]?[0-9]+ *", key) for key in obj["lane_directions"]):

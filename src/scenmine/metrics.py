@@ -3,16 +3,15 @@ rendering in the detection / clustering table layouts.
 """
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .clustering import ClusterAssignment
 from .detect import DetectionMatch
-from .types import N_CLASSES
+from .types import N_CLASSES, write_json
 
 
 def cluster_entropy(
@@ -148,10 +147,6 @@ def render_text(report: dict) -> str:
     return "\n".join(lines)
 
 
-def write_report(report: dict, json_path, text_path=None) -> None:
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    if text_path is not None:
-        with open(text_path, "w", encoding="utf-8") as fh:
-            fh.write(render_text(report))
+def write_report(report: dict, json_path, text_path) -> None:
+    write_json(report, json_path)
+    Path(text_path).write_text(render_text(report), encoding="utf-8")

@@ -6,10 +6,11 @@ workers without copying.
 """
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -308,8 +309,65 @@ def read_blocks(path, fmt: str, kind: str, layout, error: type[Exception]):
 
 
 class DatasetFormatError(Exception):
-    """Raised for unreadable or unsupported dataset, tracks memo,
-    change-point and annotation files."""
+    """Raised for unreadable or unsupported stage artifacts: datasets, tracks
+    memos and the small CSV and JSON files between stages."""
+
+
+def write_csv(path, columns: Sequence[str], rows: Iterable[Sequence], lineterminator: str = "\r\n") -> None:
+    """Writes the header ``columns``, then ``rows``, with ``csv.writer``
+    (fields quoted where needed, each line ended by ``lineterminator``)."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator=lineterminator)
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
+def read_csv(path, columns: Sequence[str], convert) -> list:
+    """``convert(*fields)`` of each non-blank row of the UTF-8 CSV file at
+    ``path``, ``fields`` being the row's values of ``columns``, which the
+    header names in any order among other columns. A missing column, a row
+    with more or fewer fields than the header, a ValueError or TypeError of
+    ``convert``, undecodable bytes or a ``csv.Error`` raise DatasetFormatError
+    naming the path and the line."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, [])
+            at = [header.index(name) for name in columns]  # a missing column raises ValueError
+            out = []
+            for row in filter(None, reader):
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} fields under a header of {len(header)}")
+                out.append(convert(*(row[i] for i in at)))
+            return out
+        except (ValueError, TypeError, csv.Error) as exc:  # ValueError includes UnicodeDecodeError
+            raise DatasetFormatError(f"{path}: malformed row (line {reader.line_num}: {exc})") from exc
+
+
+def write_json(obj: dict, path) -> None:
+    """Writes ``obj`` as indented, key-sorted JSON and a newline; a NaN or
+    infinity raises ValueError instead of being written as a bare constant."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
+
+
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def read_json(path, error: type[Exception]) -> dict:
+    """The JSON object in the file at ``path``. Bytes that are not UTF-8,
+    invalid JSON, the constants NaN and Infinity or a top level that is not
+    an object raise ``error`` naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            obj = json.load(fh, parse_constant=_no_constant)
+    except ValueError as exc:  # includes UnicodeDecodeError and JSONDecodeError
+        raise error(f"{path}: not a JSON file ({exc})") from exc
+    if not isinstance(obj, dict):
+        raise error(f"{path}: not a JSON object")
+    return obj
 
 
 # The header entry of one record: key -> accepted JSON types.

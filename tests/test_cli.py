@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import json
 import math
+import re
 import shutil
 import struct
 import tempfile
@@ -17,7 +19,7 @@ from conftest import (
     parse_workdir,
 )
 from scenmine import cli, config, cvqvae, detect, ingest
-from scenmine.types import CompositeLabel, LatState, LongState, read_dataset, write_dataset
+from scenmine.types import CompositeLabel, LatState, LongState, ScenarioRecord, read_dataset, write_dataset
 
 SMALL_CONFIG = """\
 seed: 13
@@ -201,8 +203,11 @@ train:
 
 @pytest.fixture(scope="module")
 def trained_workdir(tmp_path_factory):
-    """A workdir holding tracks.csv, meta.json and changepoints.csv of a small
-    trajectory corpus, plus an archetype dataset.jsonl and a valid model.ckpt."""
+    """A workdir holding tracks.csv, meta.json, changepoints.csv and
+    detection_rule.json of a small trajectory corpus, plus an archetype
+    dataset.jsonl, its augmentation and pairs.csv, and for each of the tags
+    model, no_dk and dk a valid checkpoint, assignments and clustering
+    metrics; then report.json."""
     root = tmp_path_factory.mktemp("trained")
     wd = root / "wd"
     tracks_cfg = root / "tracks.yaml"
@@ -211,7 +216,9 @@ def trained_workdir(tmp_path_factory):
         assert cli.main(["--config", str(tracks_cfg), "--workdir", str(wd)] + command) == 0
     cfg = root / "config.yaml"
     cfg.write_text(ARCHETYPE_CONFIG)
-    for command in (["synth"], ["train"], ["cluster"]):
+    tagged = [[stage, "--tag", tag] for tag in ("model", "no_dk", "dk")
+              for stage in ("train", "cluster", "evaluate")]
+    for command in (["synth"], ["augment"], *tagged, ["report"]):
         assert cli.main(["--config", str(cfg), "--workdir", str(wd)] + command) == 0
     return wd
 
@@ -252,6 +259,10 @@ INGEST = ["ingest", "--tracks", "tracks.csv", "--meta", "meta.json"]
 CKPT = "model.ckpt"
 MEMO = "tracks.bin"
 DATASET = "dataset.jsonl"
+ASSIGNMENTS = "assignments_model.csv"
+PAIRS = "pairs.csv"
+DETECTION = "detection_rule.json"
+CLUSTERING = "clustering_dk.json"
 
 # (config text, command, (artifact, rewrite) or None, exit code, stderr prefix).
 # Each row runs in a copy of the trained workdir (also the working directory)
@@ -400,6 +411,43 @@ BAD_INPUTS = [
     pytest.param(b"train:\n  epochs: \xff\n", ["train"], None, 2, "config error", id="config-not-utf8"),
     # The second --workdir wins: a regular file in the (current) workdir.
     pytest.param("", ["--workdir", "meta.json", "synth"], None, 3, "stage error", id="workdir-is-file"),
+    pytest.param("augment:\n  n_augment: 0\n", ["augment"], None, 2, "config error", id="augment-count-zero"),
+    pytest.param("", ["evaluate"], (ASSIGNMENTS, lambda b: re.sub(rb",[0-9]+\n", b"\n", b, count=1)), 3,
+                 "stage error", id="assignments-short-row"),
+    pytest.param("", ["evaluate"], (ASSIGNMENTS, _set_field(1, 2, b"x")), 3, "stage error",
+                 id="assignments-label-not-int"),
+    pytest.param("", ["evaluate"], (ASSIGNMENTS, _set_field(1, 2, b"-1")), 3, "stage error",
+                 id="assignments-label-negative"),
+    pytest.param("", ["evaluate"], (ASSIGNMENTS, _set_field(1, 2, str(10**30).encode())), 3, "stage error",
+                 id="assignments-label-huge"),
+    pytest.param("", ["evaluate"], (ASSIGNMENTS, lambda b: b""), 3, "stage error", id="assignments-empty"),
+    pytest.param("", ["evaluate"], (ASSIGNMENTS, _set_field(1, 0, b"\xff")), 3, "stage error",
+                 id="assignments-not-utf8"),
+    pytest.param("", ["evaluate"], (ASSIGNMENTS, lambda b: b[:_header_end(b)]), 3, "stage error",
+                 id="assignments-header-only"),
+    pytest.param("", ["evaluate"], (ASSIGNMENTS, _set_field(1, 0, b"ghost")), 3, "stage error",
+                 id="assignments-unknown-record"),
+    pytest.param("", ["evaluate"], (PAIRS, lambda b: b.replace(b"child_id", b"child", 1)), 3, "stage error",
+                 id="pairs-wrong-header"),
+    pytest.param("", ["evaluate"], (PAIRS, lambda b: b""), 3, "stage error", id="pairs-empty"),
+    pytest.param("", ["evaluate"], (PAIRS, lambda b: b[:_header_end(b)]), 3, "stage error", id="pairs-header-only"),
+    pytest.param("", ["evaluate"], (PAIRS, _set_field(1, 1, b"ghost:aug\r")), 3, "stage error",
+                 id="pairs-child-not-assigned"),
+    pytest.param("", ["report"], (DETECTION, lambda b: b"[" + b + b"]"), 3, "stage error", id="detection-list"),
+    pytest.param("", ["report"], (DETECTION, lambda b: re.sub(rb'"tp": (\d+)', rb'"tp": "\1"', b)), 3,
+                 "stage error", id="detection-tp-string"),
+    pytest.param("", ["report"], (DETECTION, lambda b: b.replace(b'"tp"', b'"hits"')), 3, "stage error",
+                 id="detection-missing-tp"),
+    pytest.param("", ["report"], (DETECTION, lambda b: b[:-3]), 3, "stage error", id="detection-not-json"),
+    pytest.param("", ["report"], (DETECTION, lambda b: b.replace(b'"rule"', b'"ema"')), 3, "stage error",
+                 id="detection-other-method"),
+    pytest.param("", ["report"], (CLUSTERING, lambda b: b"\xff" + b), 3, "stage error", id="clustering-not-utf8"),
+    pytest.param("", ["report"], (CLUSTERING, lambda b: b.replace(b'"augmentation_accuracy"', b'"accuracy"')), 3,
+                 "stage error", id="clustering-missing-metric"),
+    pytest.param("", ["report"], (CLUSTERING, lambda b: b"{}\n"), 3, "stage error", id="clustering-empty-object"),
+    pytest.param("", ["report"], (CLUSTERING, lambda b: b"[]\n"), 3, "stage error", id="clustering-list"),
+    pytest.param("", ["report"], (CLUSTERING, lambda b: b.replace(b'"purity_entropy": ', b'"purity_entropy": NaN, "was": ', 1)),
+                 3, "stage error", id="clustering-nan"),
 ]
 
 
@@ -423,6 +471,18 @@ def test_bad_input_exit_code(
     assert err.startswith(prefix + ":")
     assert err.count("\n") == 1 and err.endswith("\n")
     assert "Traceback" not in err + captured.out
+
+
+def test_recording_id_with_comma_goes_through_cluster_and_evaluate(trained_workdir, tmp_path):
+    wd = tmp_path / "wd"
+    shutil.copytree(trained_workdir, wd)
+    records, dt = read_dataset(wd / DATASET)
+    write_dataset([dataclasses.replace(r, recording_id="syn,thetic", record_id=ScenarioRecord.make_record_id(
+        "syn,thetic", r.vehicle_id, r.anchor.t_c)) for r in records], wd / DATASET, dt=dt)
+    for command in (["augment"], ["cluster"], ["evaluate"]):
+        assert cli.main(["--workdir", str(wd)] + command) == 0
+    assert (wd / ASSIGNMENTS).read_text().split("\n")[1].startswith('"syn,thetic:1:25",codebook,')
+    assert set(json.loads((wd / "clustering_model.json").read_text())) == {"codebook", "kmeans", "hierarchical"}
 
 
 def test_train_line_reports_revived_codes(tmp_path, capsys):

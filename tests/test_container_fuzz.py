@@ -1,10 +1,16 @@
-"""Fuzzing of the binary container readers: ``read_dataset``,
-``load_checkpoint`` and ``ingest.read_tracks_bin`` fed arbitrary bytes, or a
-valid file that is truncated, has one byte flipped, has bytes appended or
-has one float replaced, raise only their declared error or return a result
-that still holds the reader's guarantees."""
+"""Fuzzing of the artifact readers. The binary container readers
+``read_dataset``, ``load_checkpoint`` and ``ingest.read_tracks_bin`` fed
+arbitrary bytes, or a valid file that is truncated, has one byte flipped,
+has bytes appended or has one float replaced, raise only their declared
+error or return a result that still holds the reader's guarantees. So do
+the readers of the small CSV and JSON artifacts (``read_annotations``,
+``read_change_points``, ``read_pairs``, the assignments reader and the
+detection and clustering JSON readers) fed arbitrary bytes after a valid
+first line, or a valid file that is truncated, has one byte flipped or has
+one number replaced by a value out of range or of another type."""
 import json
 import math
+import re
 import struct
 import tempfile
 from pathlib import Path
@@ -13,16 +19,20 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from scenmine import corpus, cvqvae, ingest
+from scenmine import cli, clustering, corpus, cvqvae, detect, ingest
 from scenmine.types import (
     FEATURE_NAMES,
     N_CLASSES,
     N_FEATURES,
     N_SLOTS,
     T_OBS,
+    ChangePoint,
+    CompositeLabel,
     DatasetFormatError,
     read_dataset,
+    write_csv,
     write_dataset,
+    write_json,
 )
 
 from conftest import make_traj
@@ -98,6 +108,78 @@ READERS = {
 }
 
 
+def _file_bytes(write) -> bytes:
+    """The bytes ``write(path)`` writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "valid"
+        write(path)
+        return path.read_bytes()
+
+
+ZERO_KL = CompositeLabel.from_string("zero/keep_lane")
+ACC_KL = CompositeLabel.from_string("accelerate/keep_lane")
+ASSIGNED = ("fuzz:1:40", "fuzz,2:9:7", "fuzz:1:40:aug")
+
+
+def _valid_annotations(rows) -> None:
+    for recording_id, vehicle_id, center, label in rows:
+        assert isinstance(recording_id, str) and type(vehicle_id) is int
+        assert type(center) is int and isinstance(label, CompositeLabel)
+
+
+def _valid_change_points(rows) -> None:
+    for recording_id, vehicle_id, cp in rows:
+        assert isinstance(recording_id, str) and type(vehicle_id) is int
+        assert isinstance(cp, ChangePoint) and type(cp.t_c) is int and cp.label_before != cp.label_after
+
+
+def _valid_pairs(rows) -> None:
+    assert all(isinstance(parent, str) and isinstance(child, str) for parent, child in rows)
+
+
+def _valid_assignments(by_backend) -> None:
+    assert by_backend and set(by_backend) <= set(clustering.BACKENDS)
+    for labels in by_backend.values():
+        assert set(labels) == set(ASSIGNED)
+        assert all(type(label) is int and 0 <= label < len(ASSIGNED) for label in labels.values())
+
+
+def _valid_detection(match) -> None:
+    assert all(type(n) is int and n >= 0 for n in (match.tp, match.fp, match.fn))
+
+
+def _valid_clustering(by_backend) -> None:
+    assert by_backend and set(by_backend) <= set(clustering.BACKENDS)
+    for entry in by_backend.values():
+        assert 0 <= entry["purity_entropy"] < math.inf and 0 <= entry["augmentation_accuracy"] <= 1
+
+
+# kind -> (valid file, reader, declared error, check of a result), like READERS.
+TEXT_READERS = {
+    "truth": (_file_bytes(lambda path: detect.write_annotations(
+        [("fuzz", 1, 40, ACC_KL), ("fuzz,2", 9, 7, ZERO_KL)], path)),
+        detect.read_annotations, DatasetFormatError, _valid_annotations),
+    "changepoints": (_file_bytes(lambda path: detect.write_change_points(
+        [("fuzz", 1, ChangePoint(40, ZERO_KL, ACC_KL)), ("fuzz,2", 9, ChangePoint(7, ACC_KL, ZERO_KL))], path)),
+        detect.read_change_points, DatasetFormatError, _valid_change_points),
+    "pairs": (_file_bytes(lambda path: corpus.write_pairs([(ASSIGNED[0], ASSIGNED[2])], path)),
+              corpus.read_pairs, DatasetFormatError, _valid_pairs),
+    "assignments": (_file_bytes(lambda path: write_csv(  # as `scenmine cluster` writes it
+        path, cli.ASSIGNMENT_COLUMNS,
+        [(rid, backend, i) for backend in ("codebook", "kmeans") for i, rid in enumerate(ASSIGNED)],
+        lineterminator="\n")),
+        lambda path: cli._assignment_labels(path, set(ASSIGNED)), DatasetFormatError, _valid_assignments),
+    "detection": (_file_bytes(lambda path: write_json(
+        {"method": "rule", "tp": 3, "fp": 1, "fn": 0, "precision": 0.75, "recall": 1.0}, path)),
+        lambda path: cli._detection_match(path, "rule"), DatasetFormatError, _valid_detection),
+    "clustering": (_file_bytes(lambda path: write_json(
+        {"codebook": {"purity_entropy": 0.5, "augmentation_accuracy": 1.0},
+         "kmeans": {"purity_entropy": 0.0, "augmentation_accuracy": 0.25}}, path)),
+        cli._clustering_metrics, DatasetFormatError, _valid_clustering),
+}
+ALL_READERS = {**READERS, **TEXT_READERS}
+
+
 def _regions(valid: bytes) -> list[tuple[int, int, int]]:
     """(start, end, item size) of the header line and of each block."""
     start = valid.index(b"\n") + 1
@@ -109,6 +191,21 @@ def _regions(valid: bytes) -> list[tuple[int, int, int]]:
             regions.append((start, end, size))
         start = end
     return regions
+
+
+@st.composite
+def damaged_text(draw, valid: bytes) -> bytes:
+    """``valid`` truncated at a random offset, with one byte changed, or with
+    one number replaced by a value out of range or of another type."""
+    kind = draw(st.sampled_from(["truncate", "flip", "number"]))
+    if kind == "number":
+        number = draw(st.sampled_from(list(re.finditer(rb"-?[0-9][0-9.e+-]*", valid))))
+        value = draw(st.sampled_from([b"-1", b"2", b"0.5", b"1e999", b"true", b'"3"', b"x", b""]))
+        return valid[:number.start()] + value + valid[number.end():]
+    at = draw(st.integers(0, len(valid) - 1))
+    if kind == "truncate":
+        return valid[:at]
+    return valid[:at] + bytes([valid[at] ^ draw(st.integers(1, 255))]) + valid[at + 1:]
 
 
 @st.composite
@@ -132,7 +229,7 @@ def damaged(draw, valid: bytes) -> bytes:
 
 
 def _read(kind: str, blob: bytes) -> None:
-    _, reader, error, check = READERS[kind]
+    _, reader, error, check = ALL_READERS[kind]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzzed"
         path.write_bytes(blob)
@@ -144,16 +241,21 @@ def _read(kind: str, blob: bytes) -> None:
     check(result)
 
 
-@pytest.mark.parametrize("kind", sorted(READERS))
+@pytest.mark.parametrize("kind", sorted(ALL_READERS))
 def test_valid_file_reads_back(kind):
-    _read(kind, READERS[kind][0])
+    valid, reader, _, check = ALL_READERS[kind]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "valid"
+        path.write_bytes(valid)
+        check(reader(path))
 
 
-@pytest.mark.parametrize("kind", sorted(READERS))
+@pytest.mark.parametrize("kind", sorted(ALL_READERS))
 @FUZZ
 @given(data=st.data())
 def test_arbitrary_bytes_raise_only_the_declared_error(kind, data):
-    prefix = data.draw(st.sampled_from([b"", READERS[kind][0][: READERS[kind][0].index(b"\n") + 1]]))
+    valid = ALL_READERS[kind][0]
+    prefix = data.draw(st.sampled_from([b"", valid[: valid.index(b"\n") + 1]]))
     _read(kind, prefix + data.draw(st.binary(max_size=256)))
 
 
@@ -162,3 +264,10 @@ def test_arbitrary_bytes_raise_only_the_declared_error(kind, data):
 @given(data=st.data())
 def test_damaged_file_raises_only_the_declared_error(kind, data):
     _read(kind, data.draw(damaged(READERS[kind][0])))
+
+
+@pytest.mark.parametrize("kind", sorted(TEXT_READERS))
+@FUZZ
+@given(data=st.data())
+def test_damaged_text_file_raises_only_the_declared_error(kind, data):
+    _read(kind, data.draw(damaged_text(TEXT_READERS[kind][0])))

@@ -115,9 +115,16 @@ def test_quantize_empty_codebook():
 
 # ------------------------------- decode -------------------------------------
 
+def decode(z_q, params):
+    """The (standardized) scenario tensor that the decoder reconstructs from
+    the single latent ``z_q``."""
+    x_hat, _ = cvqvae._mlp_forward(np.asarray(z_q, dtype=float)[None], params.dec_w, params.dec_b)
+    return x_hat[0].reshape(params.n_slots, params.n_features, params.t_obs)
+
+
 def test_decode_zero_weights_zero_tensor():
     params = zeroed(tiny_params())
-    out = cvqvae.decode(np.ones(4), params)
+    out = decode(np.ones(4), params)
     assert out.shape == (2, 3, 5)
     assert np.all(out == 0.0)
 
@@ -125,7 +132,7 @@ def test_decode_zero_weights_zero_tensor():
 def test_decode_deterministic(rng):
     params = tiny_params()
     z = rng.normal(size=4)
-    assert np.array_equal(cvqvae.decode(z, params), cvqvae.decode(z, params))
+    assert np.array_equal(decode(z, params), decode(z, params))
 
 
 def test_single_layer_linear_decoder_matches_matrix_product(rng):
@@ -133,7 +140,7 @@ def test_single_layer_linear_decoder_matches_matrix_product(rng):
     params = tiny_params(cfg, n_slots=1, n_features=1, t_obs=4)
     z = rng.normal(size=4)
     expected = params.dec_w[0] @ z + params.dec_b[0]
-    assert np.allclose(cvqvae.decode(z, params).ravel(), expected)
+    assert np.allclose(decode(z, params).ravel(), expected)
 
 
 # ------------------------------- heads --------------------------------------

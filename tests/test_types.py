@@ -15,9 +15,12 @@ from scenmine.types import (
     LongState,
     N_CLASSES,
     PseudoClassLabel,
+    read_csv,
     read_dataset,
     validate_record,
+    write_csv,
     write_dataset,
+    write_json,
 )
 
 
@@ -168,3 +171,17 @@ def test_dataset_write_is_deterministic(records, tmp_path):
     write_dataset(records, p1)
     write_dataset(records, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_write_json_refuses_non_finite_numbers(tmp_path, value):
+    with pytest.raises(ValueError):
+        write_json({"purity_entropy": value}, tmp_path / "metrics.json")
+
+
+def test_csv_reads_named_columns_in_any_order_and_quoted_fields(tmp_path):
+    path = tmp_path / "pairs.csv"
+    write_csv(path, ("extra", "child_id", "parent_id"), [("x", "syn,thetic:1:25:aug", "syn,thetic:1:25")])
+    assert path.read_bytes() == b'extra,child_id,parent_id\r\nx,"syn,thetic:1:25:aug","syn,thetic:1:25"\r\n'
+    rows = read_csv(path, ("parent_id", "child_id"), lambda parent, child: (parent, child))
+    assert rows == [("syn,thetic:1:25", "syn,thetic:1:25:aug")]
