@@ -397,7 +397,11 @@ def cmd_report(cfg: Config, workdir: Path) -> None:
     dk = workdir / "clustering_dk.json"
     if no_dk.exists() and dk.exists():
         nd, d = _clustering_metrics(no_dk), _clustering_metrics(dk)
-        for backend in sorted(set(nd) & set(d)):
+        missing = [f"{path.name} lacks {', '.join(sorted(other.keys() - held.keys()))}"
+                   for path, held, other in ((no_dk, nd, d), (dk, d, nd)) if other.keys() - held.keys()]
+        if missing:
+            raise DatasetFormatError(f"the clustering files hold different backends: {'; '.join(missing)}")
+        for backend in sorted(nd):
             clustering_rows.append(
                 metrics.ClusteringRow(
                     backend=backend,

@@ -48,18 +48,6 @@ ARCHETYPE_LABELS = {
 }
 
 
-def _integrate(ax: np.ndarray, v0: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    n = len(ax)
-    v = np.empty(n)
-    x = np.empty(n)
-    v[0] = v0
-    x[0] = 0.0
-    for t in range(n - 1):
-        v[t + 1] = v[t] + ax[t] * dt
-        x[t + 1] = x[t] + v[t] * dt + 0.5 * ax[t] * dt * dt
-    return x, v
-
-
 def _ego_kinematics(kind: str, rng: np.random.Generator, dt: float):
     """Ego features with the maneuver starting at the anchor index."""
     v0 = 25.0 + rng.normal(0.0, 0.5)
@@ -77,7 +65,7 @@ def _ego_kinematics(kind: str, rng: np.random.Generator, dt: float):
         ay[ANCHOR_INDEX : ANCHOR_INDEX + duration] = dprofile
     else:
         raise ValueError(f"unknown archetype {kind!r}")
-    x, vx = _integrate(ax, v0, dt)
+    x, vx = ingest._integrate(ax, v0, dt)
     y = np.concatenate([[0.0], np.cumsum(vy[:-1] * dt)])
     return x, y, vx, vy, ax, ay
 

@@ -4,6 +4,7 @@ baseline, and detector scoring against ground truth.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, groupby
 from typing import Optional, Sequence
 
 import numpy as np
@@ -86,17 +87,14 @@ class DetectionMatch:
 
 def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
     """Maximal runs of True as (start, end_inclusive)."""
-    out = []
-    n = len(mask)
-    t = 0
-    while t < n:
-        if mask[t]:
-            s = t
-            while t + 1 < n and mask[t + 1]:
-                t += 1
-            out.append((s, t))
-        t += 1
-    return out
+    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
+    return list(zip(edges[::2].tolist(), (edges[1::2] - 1).tolist()))
+
+
+def _segments(values: np.ndarray) -> list[tuple[int, int]]:
+    """Maximal runs of equal values as (start, end_inclusive), covering the array."""
+    starts = [0, *(np.flatnonzero(values[1:] != values[:-1]) + 1).tolist()] if len(values) else []
+    return list(zip(starts, [s - 1 for s in starts[1:]] + [len(values) - 1]))
 
 
 def detect_longitudinal(traj: Trajectory, cfg: DetectorConfig) -> list[LongState]:
@@ -105,7 +103,8 @@ def detect_longitudinal(traj: Trajectory, cfg: DetectorConfig) -> list[LongState
     State machine: start in ZERO; leave ZERO at the first frame of any run
     where some (tau_up, n_up) pair is satisfied; return to ZERO at the start
     of a run of n_down frames with |ax| < tau_down; |ax| > tau_extreme
-    switches to the extreme state immediately.
+    switches to the extreme state immediately. The machine steps only at
+    those event frames and holds its state in between.
     """
     ax = traj.ax
     n = len(ax)
@@ -122,23 +121,27 @@ def detect_longitudinal(traj: Trajectory, cfg: DetectorConfig) -> list[LongState
     zero_onsets = {
         s for s, e in _runs(np.abs(ax) < cfg.tau_down) if e - s + 1 >= cfg.n_down
     }
+    extreme_acc = ax > cfg.tau_extreme
+    extreme_dec = ax < -cfg.tau_extreme
+    extreme = set(np.flatnonzero(extreme_acc | extreme_dec).tolist())
 
     states: list[LongState] = []
     cur = LongState.ZERO
-    for t in range(n):
-        if ax[t] > cfg.tau_extreme:
+    for t in sorted(pos_onsets | neg_onsets | zero_onsets | extreme):
+        states += [cur] * (t - len(states))
+        if extreme_acc[t]:
             cur = LongState.EXTREME_ACCELERATE
-        elif ax[t] < -cfg.tau_extreme:
+        elif extreme_dec[t]:
             cur = LongState.EXTREME_DECELERATE
         elif cur is LongState.ZERO:
             if t in pos_onsets:
                 cur = LongState.ACCELERATE
             elif t in neg_onsets:
                 cur = LongState.DECELERATE
-        else:
-            if t in zero_onsets:
-                cur = LongState.ZERO
+        elif t in zero_onsets:
+            cur = LongState.ZERO
         states.append(cur)
+    states += [cur] * (n - len(states))
     return states
 
 
@@ -147,19 +150,17 @@ def detect_lateral(traj: Trajectory, cfg: DetectorConfig) -> list[Segment]:
     labels each LANE_CHANGE iff its accumulated |sum(vy * dt)| exceeds tau_LC.
     """
     vy = traj.vy
-    signs = np.sign(vy)
     segments: list[Segment] = []
-    t = 0
-    n = len(vy)
-    while t < n:
-        s = t
-        while t + 1 < n and signs[t + 1] == signs[s]:
-            t += 1
-        displacement = float(np.sum(vy[s : t + 1]) * traj.dt)
+    for s, e in _segments(np.sign(vy)):
+        displacement = float(np.sum(vy[s : e + 1]) * traj.dt)
         label = LatState.LANE_CHANGE if abs(displacement) > cfg.tau_lc else LatState.KEEP_LANE
-        segments.append(Segment(traj.first_frame + s, traj.first_frame + t, label))
-        t += 1
+        segments.append(Segment(traj.first_frame + s, traj.first_frame + e, label))
     return segments
+
+
+# Per-frame label codes whose sum is the CompositeLabel index.
+_LONG_CODE = {state: CompositeLabel(state, LatState.KEEP_LANE).to_index() for state in LongState}
+_LAT_CODE = {state: CompositeLabel(LongState.ZERO, state).to_index() for state in LatState}
 
 
 def _merge_equal_neighbors(segments: list[Segment]) -> list[Segment]:
@@ -186,23 +187,24 @@ def postprocess(
     the longitudinal state of the longer constituent.
     """
     n = len(longitudinal)
-    lat_per_frame = [LatState.KEEP_LANE] * n
+    codes = np.zeros(n, np.int64)
+    end = 0
+    for state, run in groupby(longitudinal):
+        start, end = end, end + len(list(run))
+        codes[start:end] = _LONG_CODE[state]
+    lat_codes = np.zeros(n, np.int64)
     for seg in lateral:
-        for t in range(seg.start_frame - first_frame, seg.end_frame - first_frame + 1):
-            if not 0 <= t < n:
-                raise ValueError("lateral segments must cover the longitudinal frame range")
-            lat_per_frame[t] = seg.label
+        lo, hi = seg.start_frame - first_frame, seg.end_frame - first_frame + 1
+        if lo < 0 or hi > n:
+            raise ValueError("lateral segments must cover the longitudinal frame range")
+        lat_codes[lo:hi] = _LAT_CODE[seg.label]
+    codes += lat_codes  # the CompositeLabel index of each frame
 
     # Frame-wise composite labels -> maximal same-label segments.
-    segments: list[Segment] = []
-    t = 0
-    while t < n:
-        s = t
-        label = CompositeLabel(longitudinal[s], lat_per_frame[s])
-        while t + 1 < n and CompositeLabel(longitudinal[t + 1], lat_per_frame[t + 1]) == label:
-            t += 1
-        segments.append(Segment(s + first_frame, t + first_frame, label))
-        t += 1
+    segments = [
+        Segment(s + first_frame, e + first_frame, CompositeLabel.from_index(int(codes[s])))
+        for s, e in _segments(codes)
+    ]
 
     # Absorb short segments into their predecessor (the first segment, having
     # no predecessor, is absorbed into its successor), then re-merge.
@@ -258,11 +260,14 @@ def detect_rule_based(traj: Trajectory, cfg: DetectorConfig) -> list[ChangePoint
 # ---------------------------------------------------------------------------
 
 def _ema(signal: np.ndarray, alpha: float) -> np.ndarray:
-    out = np.empty_like(signal)
-    out[0] = signal[0]
-    for t in range(1, len(signal)):
-        out[t] = alpha * signal[t] + (1 - alpha) * out[t - 1]
-    return out
+    """out[0] = signal[0], out[t] = alpha * signal[t] + (1 - alpha) * out[t - 1],
+    stepped over Python floats (the same float64 roundings as numpy scalars)."""
+    beta = 1 - alpha
+
+    def step(prev: float, v: float) -> float:
+        return alpha * v + beta * prev
+
+    return np.fromiter(accumulate(signal.tolist(), step), np.float64, len(signal))
 
 
 def detect_ema(
@@ -298,13 +303,10 @@ def detect_ema(
             peak = int(np.argmax(energy))
             if best_global is None or energy[peak] > best_global[0]:
                 best_global = (float(energy[peak]), peak)
-            interior = np.arange(1, n - 1)
-            local_max = (energy[interior] > energy[interior - 1]) & (
-                energy[interior] > energy[interior + 1]
-            )
-            for t in interior[local_max]:
-                if energy[t] > threshold:
-                    candidates.append((float(energy[t]), int(t)))
+            head = energy[:n]  # a window longer than n makes energy longer than n
+            mid = head[1:-1]
+            peaks = np.flatnonzero((mid > head[:-2]) & (mid > head[2:]) & (mid > threshold)) + 1
+            candidates.extend(zip(head[peaks].tolist(), peaks.tolist()))
 
     min_distance = min(window_sizes)
     kept: list[int] = []

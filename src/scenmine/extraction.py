@@ -169,13 +169,14 @@ def extract(
 
 
 def _donor_segment_starts(donor: Trajectory, length: int, max_abs_ay: float = 0.1) -> list[int]:
+    """Starts of the ``length``-frame windows in which |ay| < max_abs_ay and
+    the lane is the donor's first lane at every frame."""
+    if length > len(donor):
+        return []
     lane = donor.lane_id
     ok = (np.abs(donor.ay) < max_abs_ay) & (lane == lane[0])
-    starts = []
-    for s in range(len(donor) - length + 1):
-        if ok[s : s + length].all() and (lane[s : s + length] == lane[s]).all():
-            starts.append(s)
-    return starts
+    count = np.concatenate([[0], np.cumsum(ok)])  # count[s] = ok[:s].sum()
+    return np.flatnonzero(count[length:] - count[:len(count) - length] == length).tolist()
 
 
 def augment_irrelevant(

@@ -232,6 +232,18 @@ def _lane_change_profile(duration: int, dt: float, direction: int) -> tuple[np.n
     return vy, ay
 
 
+def _integrate(ax: np.ndarray, v0: float, dt: float, x0: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Position and velocity of the explicit steps v[t+1] = v[t] + ax[t]*dt and
+    x[t+1] = x[t] + v[t]*dt + 0.5*ax[t]*dt*dt, as sequential running sums
+    (x takes its two adds per step from one interleaved array)."""
+    v = np.add.accumulate(np.concatenate([[v0], ax[:-1] * dt]))
+    steps = np.empty(2 * len(ax) - 1)
+    steps[0] = x0
+    steps[1::2] = v[:-1] * dt
+    steps[2::2] = 0.5 * ax[:-1] * dt * dt
+    return np.add.accumulate(steps)[::2], v
+
+
 def generate_synthetic(
     scripts: Sequence[SyntheticScript],
     dt: float,
@@ -255,31 +267,21 @@ def generate_synthetic(
         ax_base = np.zeros(n)
         vy = np.zeros(n)
         ay = np.zeros(n)
-        long_labels = [LongState.ZERO] * n
-        lat_labels = [LatState.KEEP_LANE] * n
+        labels = np.full(n, CompositeLabel(LongState.ZERO, LatState.KEEP_LANE).to_index())
         for m in script.maneuvers:
             sl = slice(m.start_frame, m.end_frame)
+            lateral = LatState.KEEP_LANE
             if m.kind in ("accelerate", "decelerate", "extreme_brake"):
                 sign = 1.0 if m.kind == "accelerate" else -1.0
                 ax_base[sl] = sign * abs(m.accel)
             elif m.kind == "lane_change":
                 vy[sl], ay[sl] = _lane_change_profile(m.duration, dt, m.lane_direction)
-                for t in range(m.start_frame, m.end_frame):
-                    lat_labels[t] = LatState.LANE_CHANGE
-            for t in range(m.start_frame, m.end_frame):
-                long_labels[t] = _LONG_OF_KIND[m.kind]
+                lateral = LatState.LANE_CHANGE
+            labels[sl] = CompositeLabel(_LONG_OF_KIND[m.kind], lateral).to_index()
 
         ax = ax_base + rng.normal(0.0, script.noise_sigma_accel, size=n)
-        vx = np.empty(n)
-        x = np.empty(n)
-        y = np.empty(n)
-        vx[0] = script.initial_vx
-        x[0] = script.initial_x
-        y[0] = script.initial_y
-        for t in range(n - 1):
-            vx[t + 1] = vx[t] + ax[t] * dt
-            x[t + 1] = x[t] + vx[t] * dt + 0.5 * ax[t] * dt * dt
-            y[t + 1] = y[t] + vy[t] * dt
+        x, vx = _integrate(ax, script.initial_vx, dt, script.initial_x)
+        y = np.add.accumulate(np.concatenate([[script.initial_y], vy[:-1] * dt]))
 
         vid = script.vehicle_id if script.vehicle_id is not None else idx + 1
         trajectories.append(
@@ -287,12 +289,10 @@ def generate_synthetic(
                        lane_id=np.full(n, script.initial_lane))
         )
 
-        changes: list[ChangePoint] = []
-        for t in range(1, n):
-            before = CompositeLabel(long_labels[t - 1], lat_labels[t - 1])
-            after = CompositeLabel(long_labels[t], lat_labels[t])
-            if before != after:
-                changes.append(ChangePoint(t_c=t, label_before=before, label_after=after))
+        boundaries = (np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist()
+        changes = [ChangePoint(t_c=t, label_before=CompositeLabel.from_index(int(labels[t - 1])),
+                               label_after=CompositeLabel.from_index(int(labels[t])))
+                   for t in boundaries]
         truths.append(changes)
 
     return trajectories, truths

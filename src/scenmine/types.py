@@ -7,6 +7,7 @@ workers without copying.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -329,19 +330,23 @@ def read_csv(path, columns: Sequence[str], convert) -> list:
     with more or fewer fields than the header, a ValueError or TypeError of
     ``convert``, undecodable bytes or a ``csv.Error`` raise DatasetFormatError
     naming the path and the line."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, [])
-            at = [header.index(name) for name in columns]  # a missing column raises ValueError
-            out = []
-            for row in filter(None, reader):
-                if len(row) != len(header):
-                    raise ValueError(f"{len(row)} fields under a header of {len(header)}")
-                out.append(convert(*(row[i] for i in at)))
-            return out
-        except (ValueError, TypeError, csv.Error) as exc:  # ValueError includes UnicodeDecodeError
-            raise DatasetFormatError(f"{path}: malformed row (line {reader.line_num}: {exc})") from exc
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:  # decoded whole, so that a bad byte's line is known
+        reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+        header = next(reader, [])
+        at = [header.index(name) for name in columns]  # a missing column raises ValueError
+        out = []
+        for row in filter(None, reader):
+            if len(row) != len(header):
+                raise ValueError(f"{len(row)} fields under a header of {len(header)}")
+            out.append(convert(*(row[i] for i in at)))
+        return out
+    except UnicodeDecodeError as exc:
+        line = len((data[:exc.start] + b".").splitlines())  # the physical line of the bad byte
+        raise DatasetFormatError(f"{path}: malformed row (line {line}: {exc})") from exc
+    except (ValueError, TypeError, csv.Error) as exc:
+        raise DatasetFormatError(f"{path}: malformed row (line {reader.line_num}: {exc})") from exc
 
 
 def write_json(obj: dict, path) -> None:

@@ -227,6 +227,11 @@ def _header_end(blob: bytes) -> int:
     return blob.index(b"\n") + 1
 
 
+def _keep_backends(*backends: str):
+    """Rewrite of a clustering metrics file that keeps only ``backends``."""
+    return lambda b: json.dumps({k: v for k, v in json.loads(b).items() if k in backends}).encode()
+
+
 def _set_field(line: int, column: int, value: bytes):
     """Rewrite that replaces one comma-separated field of one line."""
     def rewrite(blob: bytes) -> bytes:
@@ -448,6 +453,8 @@ BAD_INPUTS = [
     pytest.param("", ["report"], (CLUSTERING, lambda b: b"[]\n"), 3, "stage error", id="clustering-list"),
     pytest.param("", ["report"], (CLUSTERING, lambda b: b.replace(b'"purity_entropy": ', b'"purity_entropy": NaN, "was": ', 1)),
                  3, "stage error", id="clustering-nan"),
+    pytest.param("", ["report"], (CLUSTERING, _keep_backends("codebook")), 3, "stage error",
+                 id="clustering-backends-differ"),
 ]
 
 
@@ -471,6 +478,15 @@ def test_bad_input_exit_code(
     assert err.startswith(prefix + ":")
     assert err.count("\n") == 1 and err.endswith("\n")
     assert "Traceback" not in err + captured.out
+
+
+def test_report_names_the_backends_one_clustering_file_lacks(trained_workdir, tmp_path, capsys):
+    wd = tmp_path / "wd"
+    shutil.copytree(trained_workdir, wd)
+    (wd / "clustering_no_dk.json").write_bytes(_keep_backends("codebook")((wd / CLUSTERING).read_bytes()))
+    capsys.readouterr()
+    assert cli.main(["--workdir", str(wd), "report"]) == 3
+    assert "clustering_no_dk.json lacks hierarchical, kmeans" in capsys.readouterr().err
 
 
 def test_recording_id_with_comma_goes_through_cluster_and_evaluate(trained_workdir, tmp_path):

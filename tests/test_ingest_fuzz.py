@@ -1,11 +1,11 @@
-"""Fuzzing of the recording and detection readers, and differential tests
-of the ``tracks.csv`` reader and writer.
+"""Fuzzing of the recording readers, and differential tests of the
+``tracks.csv`` reader and writer.
 
-``read_tracks_csv``, ``read_meta_json``, ``read_change_points`` and
-``read_annotations`` fed arbitrary bytes, or a valid file that is
-truncated, has one byte flipped or has bytes appended, raise only their
-documented errors or return a result that still holds the reader's
-guarantees. ``parse_tracks`` and ``write_tracks_csv`` agree bit for bit
+``read_tracks_csv`` and ``read_meta_json`` fed arbitrary bytes, or a valid
+file that is truncated, has one byte flipped or has bytes appended, raise
+only their documented errors or return a result that still holds the
+reader's guarantees. (``test_container_fuzz`` fuzzes the change-point and
+annotation readers.) ``parse_tracks`` and ``write_tracks_csv`` agree bit for bit
 with the ``csv`` module implementations they replaced (``conftest``), and
 the trajectories ``cli._load_tracks`` reads from a ``tracks.bin`` memo with
 those it parses."""
@@ -18,8 +18,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from scenmine import cli, detect, ingest
-from scenmine.types import FEATURE_NAMES, ChangePoint, CompositeLabel, DatasetFormatError
+from scenmine import cli, ingest
+from scenmine.types import FEATURE_NAMES
 
 from conftest import assert_same_trajectories, encode_tracks_v1, load_from_memo, make_traj, parse_tracks_v1
 
@@ -49,18 +49,6 @@ def _valid_meta(meta) -> None:
     assert all(isinstance(k, int) and isinstance(v, int) for k, v in meta.lane_directions.items())
 
 
-def _valid_change_points(rows) -> None:
-    for recording_id, vehicle_id, cp in rows:
-        assert isinstance(recording_id, str) and isinstance(vehicle_id, int)
-        assert isinstance(cp, ChangePoint) and isinstance(cp.t_c, int)
-
-
-def _valid_annotations(rows) -> None:
-    for recording_id, vehicle_id, center, label in rows:
-        assert isinstance(recording_id, str) and isinstance(vehicle_id, int)
-        assert isinstance(center, int) and isinstance(label, CompositeLabel)
-
-
 def _file_bytes(write, value) -> bytes:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "valid"
@@ -68,8 +56,6 @@ def _file_bytes(write, value) -> bytes:
         return path.read_bytes()
 
 
-ZERO_KL = CompositeLabel.from_string("zero/keep_lane")
-ACC_KL = CompositeLabel.from_string("accelerate/keep_lane")
 INGEST_ERRORS = (ingest.ParseError, ingest.IntegrityError)
 
 # kind -> (valid file, reader, check of a result, errors the reader may raise)
@@ -82,19 +68,6 @@ READERS = {
         INGEST_ERRORS,
     ),
     "meta": (_file_bytes(ingest.write_meta_json, META), ingest.read_meta_json, _valid_meta, INGEST_ERRORS),
-    "changepoints": (
-        _file_bytes(detect.write_change_points, [("fuzz", 1, ChangePoint(40, ZERO_KL, ACC_KL)),
-                                                 ("fuzz", 9, ChangePoint(7, ACC_KL, ZERO_KL))]),
-        detect.read_change_points,
-        _valid_change_points,
-        DatasetFormatError,
-    ),
-    "truth": (
-        _file_bytes(detect.write_annotations, [("fuzz", 1, 40, ACC_KL), ("fuzz", 9, 7, ZERO_KL)]),
-        detect.read_annotations,
-        _valid_annotations,
-        DatasetFormatError,
-    ),
 }
 
 

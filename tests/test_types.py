@@ -185,3 +185,11 @@ def test_csv_reads_named_columns_in_any_order_and_quoted_fields(tmp_path):
     assert path.read_bytes() == b'extra,child_id,parent_id\r\nx,"syn,thetic:1:25:aug","syn,thetic:1:25"\r\n'
     rows = read_csv(path, ("parent_id", "child_id"), lambda parent, child: (parent, child))
     assert rows == [("syn,thetic:1:25", "syn,thetic:1:25:aug")]
+
+
+@pytest.mark.parametrize("ending", [b"\n", b"\r\n", b"\r"])
+def test_csv_names_the_line_of_an_undecodable_byte(tmp_path, ending):
+    path = tmp_path / "pairs.csv"
+    path.write_bytes(ending.join([b"parent_id,child_id", b"a,\xff", b"c,d", b""]))
+    with pytest.raises(DatasetFormatError, match=r"pairs.csv: malformed row \(line 2: 'utf-8' codec"):
+        read_csv(path, ("parent_id", "child_id"), lambda parent, child: (parent, child))
