@@ -264,7 +264,8 @@ def cmd_train(cfg: Config, workdir: Path, lambda_cl=None, lambda_int=None, tag: 
     params, history = cvqvae.train(records, tcfg)
     cvqvae.save_checkpoint(params, workdir / f"{tag}.ckpt")
     cvqvae.write_loss_history(history, workdir / f"{tag}_loss.csv")
-    _log("train", tag=tag, records=len(records), epochs=tcfg.epochs, seed=seed,
+    live = cvqvae.live_slots(np.stack([r.tensor.presence_mask for r in records]))
+    _log("train", tag=tag, records=len(records), live_slots=live, epochs=tcfg.epochs, seed=seed,
          lambda_cl=tcfg.lambda_cl, lambda_int=tcfg.lambda_int,
          final_loss=f"{history[-1].total:.6f}",
          checkpoint=_sha256(workdir / f"{tag}.ckpt"),

@@ -3,7 +3,8 @@
 Feed-forward encoder/decoder with a finite codebook, straight-through
 gradient estimation, auxiliary pseudo-class and interaction heads, plain SGD
 training with dead-code revival, and finite-difference gradient checking.
-All gradients are hand-derived; numpy only.
+All gradients are hand-derived; numpy only. Training steps in float32; the
+checkpoint, ``encode``, ``loss`` and the gradient check are float64.
 """
 from __future__ import annotations
 
@@ -29,6 +30,10 @@ CHECKPOINT_FORMAT_VERSION = "scenmine-checkpoint-v1"
 LOSS_TERMS = ("recon", "codebook_term", "commit_term", "cl", "inter")
 # Rows of the masked residual that ``_per_term_losses`` squares at once.
 _SQUARE_ROWS = 8
+# The trainable arrays of ``ModelParams``: lists of per-layer arrays, then
+# single arrays.
+_LAYER_KINDS = ("enc_w", "enc_b", "dec_w", "dec_b")
+_SINGLE_NAMES = ("codebook", "cl_w", "cl_b", "int_w", "int_b")
 
 
 class TrainingError(Exception):
@@ -132,7 +137,9 @@ def init_params(
     feature_scale: Optional[np.ndarray] = None,
 ) -> ModelParams:
     """Random initial weights; with ``rng=None`` every weight is zero, for a
-    caller that only needs the layout (a checkpoint load fills it)."""
+    caller that only needs the layout (a checkpoint load fills it). Each
+    drawn weight is rounded to float32, so the float32 copy that training
+    steps on starts from exactly these values."""
     input_dim = n_slots * n_features * t_obs
     enc_sizes = [input_dim, *cfg.hidden, cfg.latent_dim]
     dec_sizes = [cfg.latent_dim, *reversed(cfg.hidden), input_dim]
@@ -140,7 +147,7 @@ def init_params(
     def draw(n_out, n_in, std):
         if rng is None:
             return np.zeros((n_out, n_in))
-        return rng.normal(0.0, std, size=(n_out, n_in))
+        return rng.normal(0.0, std, size=(n_out, n_in)).astype(np.float32).astype(np.float64)
 
     def layer(n_out, n_in):
         return draw(n_out, n_in, 1.0 / np.sqrt(n_in))
@@ -188,15 +195,31 @@ def _live(params: ModelParams, n_live: int) -> ModelParams:
     )
 
 
+def live_slots(masks: np.ndarray) -> int:
+    """The width a training run steps on: 1 plus the last slot present in
+    any record of the (B, N, T) ``masks``."""
+    return int(max(np.flatnonzero(masks.any(axis=(0, 2))), default=0)) + 1
+
+
+def _cast(params: ModelParams, dtype) -> ModelParams:
+    """A copy of ``params`` whose trainable arrays are cast to ``dtype``;
+    the standardization and ``usage`` are shared."""
+    return replace(
+        params,
+        **{kind: [arr.astype(dtype) for arr in getattr(params, kind)] for kind in _LAYER_KINDS},
+        **{name: getattr(params, name).astype(dtype) for name in _SINGLE_NAMES},
+    )
+
+
 def _param_arrays(params: ModelParams) -> list[tuple[str, np.ndarray]]:
     """The trainable arrays in their fixed order, by the names that
     ``_backward`` keys its gradients with and checkpoints store."""
     named = [
         (f"{kind}[{i}]", arr)
-        for kind in ("enc_w", "enc_b", "dec_w", "dec_b")
+        for kind in _LAYER_KINDS
         for i, arr in enumerate(getattr(params, kind))
     ]
-    for name in ("codebook", "cl_w", "cl_b", "int_w", "int_b"):
+    for name in _SINGLE_NAMES:
         named.append((name, getattr(params, name)))
     return named
 
@@ -222,7 +245,7 @@ def _fresh(name: str, *shape: int) -> None:
 
 
 class _Buffers:
-    """The ``out`` of one training run: arrays lent by name to each of its
+    """The ``out`` of one training run: float32 arrays lent by name to its
     steps, so activations and gradients land in memory that is already
     mapped. A request gets the first ``shape[0]`` rows of the named array;
     the first batch of a run is its largest, so each is allocated once."""
@@ -233,7 +256,7 @@ class _Buffers:
     def __call__(self, name: str, *shape: int) -> np.ndarray:
         arr = self._arrays.get(name)
         if arr is None or arr.shape[0] < shape[0]:
-            arr = self._arrays[name] = np.empty(shape)
+            arr = self._arrays[name] = np.empty(shape, np.float32)
         return arr[: shape[0]]
 
 
@@ -405,12 +428,12 @@ def _per_term_losses(
     ``z_q``, which is what training uses. Besides the ``LOSS_TERMS`` the dict
     holds the ``"residual"`` of ``_masked_residual``, which ``_backward``
     can reuse."""
-    b = fwd["z"].shape[0]
+    b, dtype = fwd["z"].shape[0], fwd["z"].dtype  # every term takes the step's dtype
     class_targets, interaction_targets = batch["class_targets"], batch["interaction_targets"]
     diff = _masked_residual(fwd, batch, params, out)
     # Squared 8 rows at a time (a row's sum does not depend on the other
     # rows), so the squares take a quarter of a batch of 32 rows.
-    recon = np.empty(b)
+    recon = np.empty(b, dtype)
     for start in range(0, b, _SQUARE_ROWS):
         rows = diff[start:start + _SQUARE_ROWS]
         recon[start:start + len(rows)] = np.multiply(rows, rows, out=out("recon_sq", *rows.shape)).sum(axis=1)
@@ -422,15 +445,17 @@ def _per_term_losses(
     commit_term = cfg.commitment_weight * np.mean(commit_gap * commit_gap, axis=1)
 
     if class_targets is not None:
-        cl = -np.sum(class_targets * np.log(np.maximum(fwd["probs"], 1e-300)), axis=1)
+        # An underflowed probability is floored at the dtype's smallest
+        # normal number, so its log stays finite in float32 too.
+        cl = -np.sum(class_targets * np.log(np.maximum(fwd["probs"], np.finfo(dtype).tiny)), axis=1)
     else:
-        cl = np.zeros(b)
+        cl = np.zeros(b, dtype)
 
     if interaction_targets is not None:
         idiff = (fwd["t_hat"] - interaction_targets) * batch["slot_mask"]
         inter = (idiff * idiff).sum(axis=1) / batch["slot_counts"]
     else:
-        inter = np.zeros(b)
+        inter = np.zeros(b, dtype)
 
     return {**dict(zip(LOSS_TERMS, (recon, codebook_term, commit_term, cl, inter))), "residual": diff}
 
@@ -549,7 +574,9 @@ def train_arrays(
     cfg: TrainConfig,
     n_classes: int = N_CLASSES,
 ) -> tuple[ModelParams, list[LossBreakdown]]:
-    """Mini-batch SGD over raw arrays. See ``train`` for the record API."""
+    """Mini-batch SGD over raw arrays. See ``train`` for the record API.
+    Every step runs in float32 on a copy of the live weights, which is
+    written back (exactly) into the float64 params at the end."""
     if inputs.shape[0] == 0:
         raise ValueError("dataset must be non-empty")
     n_samples, n_slots, n_features, t_obs = inputs.shape
@@ -568,13 +595,14 @@ def train_arrays(
 
     # A slot after the last one present in any record gets exactly zero
     # gradient, so the step runs on the live prefix and leaves it as drawn.
-    n_live = int(max(np.flatnonzero(masks.any(axis=(0, 2))), default=0)) + 1
+    n_live = live_slots(masks)
     live = _live(params, n_live)
-    registry = _param_arrays(live)
-    run = _batch(
+    step = _cast(live, np.float32)
+    registry = _param_arrays(step)
+    run = {key: None if arr is None else arr.astype(np.float32) for key, arr in _batch(
         inputs[:, :n_live], masks[:, :n_live], class_targets,
         None if interaction_targets is None else interaction_targets[:, :n_live], live,
-    )
+    ).items()}
     buffers = _Buffers()
     history: list[LossBreakdown] = []
     for epoch in range(cfg.epochs):
@@ -589,14 +617,14 @@ def train_arrays(
                 else np.take(arr, idx, axis=0, out=buffers(key, len(idx), *arr.shape[1:]), mode="clip")
                 for key, arr in run.items()
             }
-            fwd = _forward(batch["x_flat"], live, buffers)
-            terms = _per_term_losses(fwd, batch, cfg, live, out=buffers)
+            fwd = _forward(batch["x_flat"], step, buffers)
+            terms = _per_term_losses(fwd, batch, cfg, step, out=buffers)
             batch_total = _total(terms, cfg).mean()
             if not np.isfinite(batch_total):
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, batch {batch_no}"
                 )
-            grads = _backward(fwd, batch, cfg, live, buffers, terms["residual"])
+            grads = _backward(fwd, batch, cfg, step, buffers, terms["residual"])
             for name, arr in registry:  # in place: arr -= lr * grad
                 arr -= np.multiply(cfg.learning_rate, grads[name], out=grads[name])
 
@@ -611,7 +639,7 @@ def train_arrays(
         dead = np.flatnonzero(params.usage < cfg.dead_code_threshold)
         for q in dead:
             pick = recent_z[int(rng.integers(recent_z.shape[0]))]
-            params.codebook[q] = pick + rng.normal(0.0, cfg.revival_noise, cfg.latent_dim)
+            step.codebook[q] = pick + rng.normal(0.0, cfg.revival_noise, cfg.latent_dim)
             params.usage[q] = 1.0 / cfg.codebook_size
         history.append(
             LossBreakdown.combine(
@@ -619,6 +647,8 @@ def train_arrays(
                 revived=int(dead.size),
             )
         )
+    for (_, arr), (_, trained) in zip(_param_arrays(live), registry):
+        arr[...] = trained
     return params, history
 
 

@@ -517,6 +517,18 @@ def test_train_line_reports_revived_codes(tmp_path, capsys):
     assert line.startswith("[train] ") and line.endswith(f" revived={revived}")
 
 
+def test_train_line_reports_live_slots(tmp_path, capsys):
+    # The default data; the number of epochs does not change the live width.
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text("train:\n  epochs: 1\n")
+    args = ["--config", str(cfg), "--workdir", str(tmp_path / "wd")]
+    for command in (["synth"], ["detect"], ["extract"]):
+        assert cli.main(args + command) == 0
+    capsys.readouterr()
+    assert cli.main(args + ["train"]) == 0
+    assert " records=50 live_slots=5 " in capsys.readouterr().out
+
+
 # --------------------------- golden data path --------------------------------
 
 # SHA-256 of the data-path artifacts of a fixed-seed run, recorded before the

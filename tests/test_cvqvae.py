@@ -494,6 +494,76 @@ def test_record_beyond_the_live_prefix_encodes_at_full_width():
     assert cvqvae.grad_check(record, params, cvqvae.TrainConfig(), epsilon=1e-3, n_checks=150, seed=1) < 1e-4
 
 
+# ------------------------------ float32 step ---------------------------------
+
+def float32_step(inputs, masks, cls, inter, params, cfg):
+    """One training step as ``train_arrays`` takes it: the float64 batch
+    cast to float32, a float32 copy of ``params`` and float32 buffers."""
+    step, buffers = cvqvae._cast(params, np.float32), cvqvae._Buffers()
+    batch = {key: None if arr is None else arr.astype(np.float32)
+             for key, arr in cvqvae._batch(inputs, masks, cls, inter, params).items()}
+    fwd = cvqvae._forward(batch["x_flat"], step, buffers)
+    terms = cvqvae._per_term_losses(fwd, batch, cfg, step, out=buffers)
+    grads = cvqvae._backward(fwd, batch, cfg, step, buffers, terms["residual"])
+    return fwd, terms, grads, buffers
+
+
+def default_live_batch():
+    """A default batch of 32 archetype records at the live width, with
+    default weights (float32-exact as drawn) on the live prefix."""
+    records = corpus.build_archetype_corpus(n_per_class=11, seed=9)[:32]
+    inputs, masks, cls, inter = cvqvae._record_arrays(records)
+    cfg = cvqvae.TrainConfig(seed=3)  # the default model, lambda = 1
+    shift, scale = cvqvae.fit_standardization(inputs, masks)
+    params = cvqvae.init_params(cfg, np.random.default_rng(3), feature_shift=shift, feature_scale=scale)
+    live = cvqvae._live(params, N_LIVE)
+    return (inputs[:, :N_LIVE], masks[:, :N_LIVE], cls, inter[:, :N_LIVE], live), cfg
+
+
+def test_drawn_weights_are_float32_exact():
+    for name, arr in cvqvae._param_arrays(tiny_params()):
+        assert np.array_equal(arr.astype(np.float32).astype(np.float64), arr), name
+
+
+def test_float32_step_matches_float64_step():
+    args, cfg = default_live_batch()
+    batch, fwd = batch_forward(*args)
+    want = cvqvae._backward(fwd, batch, cfg, args[-1])
+    fwd32, _, got, _ = float32_step(*args, cfg)
+    assert np.array_equal(fwd32["q"], fwd["q"])
+    # float32 keeps ~7 digits: each gradient is within ~4e-7 of its largest
+    # entry here, and sums over up to 2400 products may lose a few more.
+    for name, g in want.items():
+        assert got[name].dtype == np.float32, name
+        np.testing.assert_allclose(got[name], g, rtol=1e-4, atol=1e-5 * np.abs(g).max(), err_msg=name)
+
+
+def test_float32_step_stays_float32():
+    # A stray float64 scalar or array would promote a term to float64 under
+    # NEP 50, and under value-based casting only where its value is large.
+    args, cfg = default_live_batch()
+    fwd, terms, grads, buffers = float32_step(*args, cfg)
+    arrays = {f"fwd {key}": value for key, value in fwd.items() if key != "q"}
+    for key in ("enc_cache", "dec_cache"):
+        arrays.update((f"fwd {key}[{i}]", arr) for i, arr in enumerate(arrays.pop(f"fwd {key}")))
+    arrays.update((f"term {key}", value) for key, value in terms.items())
+    arrays.update((f"grad {key}", value) for key, value in grads.items())
+    arrays.update((f"buffer {key}", value) for key, value in buffers._arrays.items())
+    assert {name: arr.dtype for name, arr in arrays.items() if arr.dtype != np.float32} == {}
+    assert fwd["q"].dtype.kind == "i"
+
+
+def test_float32_class_loss_of_an_underflowed_probability_is_finite():
+    cfg = tiny_cfg()
+    params = zeroed(tiny_params(cfg))
+    params.cl_b[3] = -200.0  # exp(-200) is 0 in float32
+    cls = np.eye(10)[[3]]
+    fwd, terms, _, _ = float32_step(np.zeros((1, 2, 3, 5)), np.ones((1, 2, 5), dtype=bool), cls, None, params, cfg)
+    assert fwd["probs"][0, 3] == 0.0
+    assert terms["cl"].dtype == np.float32
+    assert terms["cl"][0] == -np.log(np.finfo(np.float32).tiny)
+
+
 # ---------------------------- gradient check --------------------------------
 
 def test_grad_check_linear_toy_model(rng):
@@ -636,15 +706,17 @@ def test_checkpoint_non_finite_array_is_contract_error(tmp_path, name, value):
 # The loss history at weight 1 was re-recorded when training moved to the
 # live slot prefix: the squared residual is summed over 4 of 9 slots, and
 # numpy's pairwise sum of a shorter row rounds differently. The checkpoints
-# did not move.
+# did not move. All four re-recorded when the training step moved to
+# float32: the weights are drawn float32-exact and every step rounds in
+# float32.
 GOLDEN_DIGESTS = {
     0.0: (
-        "906822d9609ee89f10700dab3b52289b14d7be241173e49a1dd6c3e3e77be4a4",
-        "ab08f6fea8e5dab4988ad0381bebc62b30f503758e5d76d6793559b9a497c80c",
+        "533f6775cfe6b17c335721257601a34e9346fe34670b292ad62e258f5d38c0f2",
+        "00cdda1dd192951df0edcdfe9dfdf5e8c1c690f053e4e5ee4803486c7ab9c5a9",
     ),
     1.0: (
-        "67984902b67f47288fad450d6295342b8c72116e82d79b4601eff1258e74a777",
-        "69fcac405b5a69255cff177800bd35c8d1638b44b6555838d3d3f4eacb81abac",
+        "a033bb4e348386654b328949dd67fd23b783e8b39031aad100f9e57cb26083b8",
+        "474813de843e24a3cb2439f52c8cf7f7500e59e23f08589ea9b109dfd3dfaffd",
     ),
 }
 
@@ -669,15 +741,16 @@ def test_training_bytes_match_golden_digests(tmp_path, weight):
 # gradient memory is reused across batches of different sizes, and with a
 # fast usage decay, so dead-code revival fires (four codes at weight 0, two
 # at weight 1). Recorded before the training step reused its buffers; both
-# loss histories re-recorded with the live slot prefix, as above.
+# loss histories re-recorded with the live slot prefix, and all four with
+# the float32 step, as above.
 GOLDEN_RAGGED_DIGESTS = {
     0.0: (
-        "0fbefcc056cde9d672181c6a77cfc72e967998f1bf1b7b4ec00eb694a71475ef",
-        "75bee16daaf3593034cc745603f9d44caaf0c24679784a7406cfb1dbdd782fec",
+        "a10ba688674f3f2b1e663a8f57edb849e1b0ff9b682593ba6d222a20b88f46a9",
+        "cb9c416b16ddf6e687bafa4b5f431c08aa304dc5130bbcd580002dcd232714ec",
     ),
     1.0: (
-        "6984c9cb430f954898b24a61133fa3d52fee4776a59ef8d25a3d732d67c9990c",
-        "6565929292220bcf54943946c20f0994d198740f37fc2dbe699fba365e7369bb",
+        "20be76821fd0d8a99ef361e472814f6efe2f074f2c4019608a677058ef867df1",
+        "ae2024b7cb6033e20850c4870197c571deedea3b8fa6818af5e2ca458f108786",
     ),
 }
 
