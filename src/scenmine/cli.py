@@ -268,16 +268,19 @@ def cmd_train(cfg: Config, workdir: Path, lambda_cl=None, lambda_int=None, tag: 
     _log("train", tag=tag, records=len(records), live_slots=live, epochs=tcfg.epochs, seed=seed,
          lambda_cl=tcfg.lambda_cl, lambda_int=tcfg.lambda_int,
          final_loss=f"{history[-1].total:.6f}",
-         checkpoint=_sha256(workdir / f"{tag}.ckpt"),
-         revived=sum(h.revived for h in history))
+         checkpoint=_sha256(workdir / f"{tag}.ckpt"))
 
 
 def cmd_cluster(cfg: Config, workdir: Path, tag: str = "model") -> None:
     records, _ = read_dataset(_require(workdir / "dataset.jsonl"))
     aug_path = workdir / "dataset_augmented.jsonl"
     all_records = read_dataset(aug_path)[0] if aug_path.exists() else records
+    base_ids = {r.record_id for r in records}
+    extra = [r for r in all_records if r.record_id not in base_ids]
     try:
         params = cvqvae.load_checkpoint(_require(workdir / f"{tag}.ckpt"))
+        train_latents = clustering.encode_latents(records, params)
+        extra_latents = clustering.encode_latents(extra, params) if extra else np.zeros((0, params.latent_dim))
     except cvqvae.ContractError as exc:
         raise StageError(f"invalid checkpoint: {exc}") from exc
     k = params.codebook_size
@@ -285,10 +288,6 @@ def cmd_cluster(cfg: Config, workdir: Path, tag: str = "model") -> None:
         raise StageError(f"dataset.jsonl holds {len(records)} base records, fewer than "
                          f"the checkpoint's codebook_size {k}")
     seed = config.stage_seed(cfg, "cluster")
-    base_ids = {r.record_id for r in records}
-    train_latents = clustering.encode_latents(records, params)
-    extra = [r for r in all_records if r.record_id not in base_ids]
-    extra_latents = clustering.encode_latents(extra, params) if extra else np.zeros((0, params.latent_dim))
 
     rows: list[tuple[str, str, int]] = []
     for backend in cfg.cluster.backends:

@@ -50,11 +50,10 @@ class ClusterAssignment:
 
 
 def encode_latents(records: Sequence[ScenarioRecord], params: cvqvae.ModelParams) -> np.ndarray:
-    """(M, d) continuous latents from the trained encoder."""
+    """(M, d) continuous latents from the trained encoder; records that do
+    not fit the model's layout raise ``cvqvae.ContractError``."""
     inputs, masks, _, _ = cvqvae._record_arrays(records)
-    x = cvqvae._standardize(inputs, masks, params)
-    z, _ = cvqvae._mlp_forward(x.reshape(x.shape[0], -1), params.enc_w, params.enc_b)
-    return z
+    return cvqvae.encode(inputs, masks, params)
 
 
 def assign_codebook(

@@ -55,8 +55,8 @@ class SynthConfig:
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.n_trajectories < 1 or self.n_per_class < 1:
             raise ValueError("n_trajectories and n_per_class must be at least 1")
-        if not (0.0 < self.dt < math.inf and 0.0 <= self.noise_sigma_accel < math.inf):
-            raise ValueError("dt must be positive and noise_sigma_accel non-negative, both finite")
+        if not (0.0 < self.dt and 0.0 <= self.noise_sigma_accel):
+            raise ValueError("dt must be positive and noise_sigma_accel non-negative")
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,8 @@ class AugmentConfig:
     min_gap: float = 80.0  # m
 
     def __post_init__(self):
-        if self.n_augment < 1 or not 0.0 <= self.min_gap < math.inf:
-            raise ValueError("n_augment must be at least 1, min_gap non-negative and finite")
+        if self.n_augment < 1 or not 0.0 <= self.min_gap:
+            raise ValueError("n_augment must be at least 1 and min_gap non-negative")
 
 
 @dataclass(frozen=True)
@@ -90,11 +90,12 @@ def keys(cls) -> dict[str, object]:
     return {f.name: hints[f.name] for f in dataclasses.fields(cls) if not f.metadata.get("supplied")}
 
 
-_KINDS = {int: "an integer", float: "a number", str: "a string"}
+_KINDS = {int: "an integer", float: "a finite number", str: "a string"}
 
 
 def _convert(hint, value, where: str):
-    """``value`` converted to the annotation ``hint``, element by element."""
+    """``value`` converted to the annotation ``hint``, element by element;
+    a float must be finite."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if dataclasses.is_dataclass(hint):
         return _build(hint, value, where)
@@ -111,8 +112,8 @@ def _convert(hint, value, where: str):
     try:
         if hint is int:
             return integral(value)
-        elif hint is float and not isinstance(value, bool):
-            return float(value)
+        elif hint is float and not isinstance(value, bool) and math.isfinite(number := float(value)):
+            return number
         elif hint is str and isinstance(value, str):
             return value
         elif isinstance(hint, type) and issubclass(hint, enum.Enum):
@@ -156,10 +157,13 @@ def load_config(path: str | None) -> Config:
 
 def override(cfg: Config, section: str, **changes):
     """``cfg``'s section with ``changes`` applied (fields the program
-    supplies, or CLI overrides); a value the section rejects is a
-    ConfigError."""
+    supplies, or CLI overrides), each converted as a file key is; a value
+    that fails the conversion or that the section rejects is a ConfigError."""
+    current = getattr(cfg, section)
+    hints = typing.get_type_hints(type(current))
+    changes = {name: _convert(hints[name], value, f"{section}.{name}") for name, value in changes.items()}
     try:
-        return dataclasses.replace(getattr(cfg, section), **changes)
+        return dataclasses.replace(current, **changes)
     except ValueError as exc:
         raise ConfigError(f"invalid {section} section: {exc}") from exc
 

@@ -2,9 +2,9 @@
 
 Feed-forward encoder/decoder with a finite codebook, straight-through
 gradient estimation, auxiliary pseudo-class and interaction heads, plain SGD
-training with dead-code revival, and finite-difference gradient checking.
-All gradients are hand-derived; numpy only. Training steps in float32; the
-checkpoint, ``encode``, ``loss`` and the gradient check are float64.
+training, and finite-difference gradient checking. All gradients are
+hand-derived; numpy only. Training steps in float32; the checkpoint,
+``encode``, ``loss`` and the gradient check are float64.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from .types import (
     write_csv,
 )
 
-CHECKPOINT_FORMAT_VERSION = "scenmine-checkpoint-v1"
+CHECKPOINT_FORMAT_VERSION = "scenmine-checkpoint-v2"
 
 # Loss keys of ``_per_term_losses``, in ``LossBreakdown`` field order.
 LOSS_TERMS = ("recon", "codebook_term", "commit_term", "cl", "inter")
@@ -53,26 +53,19 @@ class TrainConfig:
     epochs: int = 60
     seed: int = field(default=0, metadata={"supplied": True})  # the train stage seed
     commitment_weight: float = 0.25
-    dead_code_threshold: float = 1e-3
-    usage_decay: float = 0.99
-    revival_noise: float = 0.01
     hidden: tuple[int, ...] = (128, 128)
     latent_dim: int = 32
     codebook_size: int = 16
 
     def __post_init__(self):
-        if self.lambda_cl < 0 or self.lambda_int < 0:
-            raise ValueError("loss weights must be non-negative")
+        if self.lambda_cl < 0 or self.lambda_int < 0 or self.commitment_weight < 0:
+            raise ValueError("loss weights lambda_cl, lambda_int and commitment_weight must be non-negative")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be at least 1")
         if self.latent_dim < 1 or self.codebook_size < 1 or any(h < 1 for h in self.hidden):
             raise ValueError("latent_dim, codebook_size and every hidden width must be at least 1")
-        if not 0.0 <= self.learning_rate < np.inf:  # 0 freezes the weights
-            raise ValueError(f"learning_rate must be non-negative and finite, got {self.learning_rate}")
-        if not 0.0 <= self.usage_decay <= 1.0:
-            raise ValueError(f"usage_decay must lie in [0, 1], got {self.usage_decay}")
-        if not (0.0 <= self.revival_noise < np.inf and 0.0 <= self.dead_code_threshold < np.inf):
-            raise ValueError("revival_noise and dead_code_threshold must be non-negative and finite")
+        if not 0.0 <= self.learning_rate:  # 0 freezes the weights
+            raise ValueError(f"learning_rate must be non-negative, got {self.learning_rate}")
 
 
 @dataclass(frozen=True)
@@ -83,21 +76,19 @@ class LossBreakdown:
     cl: float
     inter: float
     total: float
-    revived: int = 0  # codes revived at the end of a training epoch
 
     @staticmethod
-    def combine(recon, codebook_term, commit_term, cl, inter, lambda_cl, lambda_int, revived=0):
+    def combine(recon, codebook_term, commit_term, cl, inter, lambda_cl, lambda_int):
         total = recon + codebook_term + commit_term + lambda_cl * cl + lambda_int * inter
-        return LossBreakdown(recon, codebook_term, commit_term, cl, inter, total, revived)
+        return LossBreakdown(recon, codebook_term, commit_term, cl, inter, total)
 
 
 @dataclass
 class ModelParams:
-    """All weights of the model plus input standardization and code usage.
+    """All weights of the model plus input standardization.
 
     Arrays are mutable during training and must be treated as read-only
-    afterwards. ``codebook_update`` documents the chosen update rule for the
-    checkpoint.
+    afterwards.
     """
 
     n_slots: int
@@ -118,8 +109,6 @@ class ModelParams:
     int_b: np.ndarray
     feature_shift: np.ndarray  # (n_features,)
     feature_scale: np.ndarray  # (n_features,)
-    usage: np.ndarray          # (Q,), exponential moving usage per code
-    codebook_update: str = "sgd-gradient"
 
     @property
     def input_dim(self) -> int:
@@ -175,7 +164,6 @@ def init_params(
         feature_scale=(
             feature_scale if feature_scale is not None else np.ones(n_features)
         ).astype(float),
-        usage=np.full(cfg.codebook_size, 1.0 / cfg.codebook_size),
     )
 
 
@@ -203,7 +191,7 @@ def live_slots(masks: np.ndarray) -> int:
 
 def _cast(params: ModelParams, dtype) -> ModelParams:
     """A copy of ``params`` whose trainable arrays are cast to ``dtype``;
-    the standardization and ``usage`` are shared."""
+    the standardization is shared."""
     return replace(
         params,
         **{kind: [arr.astype(dtype) for arr in getattr(params, kind)] for kind in _LAYER_KINDS},
@@ -327,21 +315,19 @@ def _sigmoid(u: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Single-record operations (public surface)
+# Encoder (public surface)
 # ---------------------------------------------------------------------------
 
-def _check_shape(tensor_values: np.ndarray, params: ModelParams) -> None:
+def encode(inputs: np.ndarray, masks: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Deterministic encoder map of a (B, N, F, T) batch with its (B, N, T)
+    presence masks to (B, d) continuous latents. Records whose (N, F, T)
+    is not the model's raise ContractError."""
     expected = (params.n_slots, params.n_features, params.t_obs)
-    if tensor_values.shape != expected:
-        raise ContractError(f"input shape {tensor_values.shape} != {expected}")
-
-
-def encode(tensor_values: np.ndarray, mask: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Deterministic encoder map to the continuous latent in R^d."""
-    _check_shape(tensor_values, params)
-    x = _standardize(tensor_values[None], mask[None], params)
-    z, _ = _mlp_forward(x.reshape(1, -1), params.enc_w, params.enc_b)
-    return z[0]
+    if inputs.shape[1:] != expected:
+        raise ContractError(f"record shape {inputs.shape[1:]} != the model's {expected}")
+    x = _standardize(inputs, masks, params)
+    z, _ = _mlp_forward(x.reshape(x.shape[0], -1), params.enc_w, params.enc_b)
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -627,25 +613,10 @@ def train_arrays(
             grads = _backward(fwd, batch, cfg, step, buffers, terms["residual"])
             for name, arr in registry:  # in place: arr -= lr * grad
                 arr -= np.multiply(cfg.learning_rate, grads[name], out=grads[name])
-
-            counts = np.bincount(fwd["q"], minlength=cfg.codebook_size) / len(idx)
-            params.usage = cfg.usage_decay * params.usage + (1.0 - cfg.usage_decay) * counts
             for key in sums:
                 sums[key] += float(terms[key].sum())
-
-        # Dead-code revival from the encoder outputs of the epoch's last batch,
-        # still in their buffer: only the next epoch's first forward writes it.
-        recent_z = fwd["z"]
-        dead = np.flatnonzero(params.usage < cfg.dead_code_threshold)
-        for q in dead:
-            pick = recent_z[int(rng.integers(recent_z.shape[0]))]
-            step.codebook[q] = pick + rng.normal(0.0, cfg.revival_noise, cfg.latent_dim)
-            params.usage[q] = 1.0 / cfg.codebook_size
         history.append(
-            LossBreakdown.combine(
-                *(sums[key] / n_samples for key in LOSS_TERMS), cfg.lambda_cl, cfg.lambda_int,
-                revived=int(dead.size),
-            )
+            LossBreakdown.combine(*(sums[key] / n_samples for key in LOSS_TERMS), cfg.lambda_cl, cfg.lambda_int)
         )
     for (_, arr), (_, trained) in zip(_param_arrays(live), registry):
         arr[...] = trained
@@ -751,7 +722,6 @@ def _checkpoint_arrays(params: ModelParams) -> list[tuple[str, np.ndarray]]:
     return _param_arrays(params) + [
         ("feature_shift", params.feature_shift),
         ("feature_scale", params.feature_scale),
-        ("usage", params.usage),
     ]
 
 
@@ -765,7 +735,6 @@ def save_checkpoint(params: ModelParams, path) -> None:
         "hidden": list(params.hidden),
         "latent_dim": params.latent_dim,
         "codebook_size": params.codebook_size,
-        "codebook_update": params.codebook_update,
     }, _checkpoint_arrays(params))
 
 
@@ -787,7 +756,6 @@ def load_checkpoint(path) -> ModelParams:
             t_obs=header["t_obs"],
             n_classes=header["n_classes"],
         )
-        params.codebook_update = str(header["codebook_update"])
         return params, _checkpoint_arrays(params)
 
     return read_blocks(path, CHECKPOINT_FORMAT_VERSION, "checkpoint", layout, ContractError)

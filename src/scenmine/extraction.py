@@ -44,6 +44,8 @@ class ExtractionConfig:
         if not (-self.pre_frames <= self.tensor_offset
                 and self.tensor_offset + T_OBS - 1 <= self.post_frames):
             raise ValueError("tensor window must lie inside the extraction window")
+        if not self.neighbor_radius > 0:
+            raise ValueError(f"neighbor_radius must be positive, got {self.neighbor_radius}")
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,12 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
 import shutil
 import struct
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -18,7 +21,7 @@ from conftest import (
     overwrite_value,
     parse_workdir,
 )
-from scenmine import cli, config, cvqvae, detect, ingest
+from scenmine import cli, cvqvae, detect, ingest
 from scenmine.types import CompositeLabel, LatState, LongState, ScenarioRecord, read_dataset, write_dataset
 
 SMALL_CONFIG = """\
@@ -119,6 +122,38 @@ def test_pipeline_equals_stage_composition(tmp_path):
     assert cli.main(args + ["report"]) == 0
     for name in ("dataset.jsonl", "dk.ckpt", "report.json"):
         assert (wd1 / name).read_bytes() == (wd2 / name).read_bytes(), name
+
+
+# The stdout of `scenmine pipeline` at the built-in defaults: every stage's
+# counts and 12-hex artifact hashes, final_loss and live_slots included.
+# Recorded with BLAS on one thread: a threaded GEMM of the default model sums
+# in another order, which moves the checkpoint bytes (and nothing else).
+GOLDEN_PIPELINE_OUTPUT = """\
+[synth] kind=trajectories n=40 events=50 seed=1 tracks=82d1934a03f0
+[detect] method=rule events=50 changepoints=1a63e83f36e6
+[evaluate-detection] method=rule precision=1.000 recall=1.000 report=f84aa7b3f8cb
+[detect] method=ema events=92 skipped_short=0
+[evaluate-detection] method=ema precision=0.435 recall=0.800 report=7d45fab565c4
+[extract] records=50 skipped=0 filtered=0 dataset=316890acecb4
+[augment] pairs=10 seed=2 dataset=fd48db7c88bb
+[train] tag=no_dk records=50 live_slots=5 epochs=60 seed=4 lambda_cl=0.0 lambda_int=0.0 final_loss=1.099153 checkpoint=4716e850654f
+[train] tag=dk records=50 live_slots=5 epochs=60 seed=4 lambda_cl=1.0 lambda_int=1.0 final_loss=3.820140 checkpoint=40fe204cd3c9
+[cluster] tag=no_dk rows=180 seed=5 assignments=4016855f4088
+[evaluate-clustering] tag=no_dk backends=3 report=e4c5d78bc669
+[cluster] tag=dk rows=180 seed=5 assignments=c22e830d1681
+[evaluate-clustering] tag=dk backends=3 report=88982eb4e02c
+[report] detection_rows=2 clustering_rows=3 report=5e9079c081ec
+"""
+
+
+def test_default_pipeline_prints_golden_lines(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+    run = subprocess.run([sys.executable, "-m", "scenmine.cli", "--workdir", str(tmp_path / "wd"), "pipeline"],
+                         env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout == GOLDEN_PIPELINE_OUTPUT
 
 
 def test_report_has_no_dk_and_dk_sections(tmp_path):
@@ -255,6 +290,15 @@ def _through_records(write):
     return rewrite
 
 
+def _other_layout_checkpoint() -> bytes:
+    """A valid checkpoint of a model of 2 slots, 3 features and 5 frames."""
+    params = cvqvae.init_params(cvqvae.TrainConfig(hidden=(8,), latent_dim=4, codebook_size=4), None,
+                                n_slots=2, n_features=3, t_obs=5)
+    with tempfile.TemporaryDirectory() as tmp:
+        cvqvae.save_checkpoint(params, Path(tmp) / CKPT)
+        return (Path(tmp) / CKPT).read_bytes()
+
+
 def _keep_records(n: int):
     """Rewrite to a valid dataset file of the first ``n`` records."""
     return _through_records(lambda records, dt, path: write_dataset(records[:n], path, dt=dt))
@@ -280,9 +324,27 @@ BAD_INPUTS = [
     pytest.param("train:\n  codebook_size: 0\n", ["train"], None, 2, "config error", id="codebook-size-zero"),
     pytest.param("train:\n  latent_dim: 0\n", ["train"], None, 2, "config error", id="latent-dim-zero"),
     pytest.param("train:\n  learning_rate: -0.001\n", ["train"], None, 2, "config error", id="rate-negative"),
-    pytest.param("train:\n  usage_decay: 1.5\n", ["train"], None, 2, "config error", id="usage-decay-high"),
-    pytest.param("train:\n  revival_noise: -1\n", ["train"], None, 2, "config error",
-                 id="revival-noise-negative"),
+    pytest.param("train:\n  commitment_weight: -1\n", ["train"], None, 2, "config error",
+                 id="commitment-weight-negative"),
+    pytest.param("extract:\n  neighbor_radius: -1\n", ["extract"], None, 2, "config error",
+                 id="neighbor-radius-negative"),
+    # A non-finite float where the section's own checks would let it through.
+    *(pytest.param(f"{section}:\n  {key}: {value}\n", [command], None, 2, "config error",
+                   id=f"{section}-{key}-{value[1:]}".replace("_", "-"))
+      for section, command, key, value in (
+          ("detect", "detect", "tau_down", ".nan"),
+          ("detect", "detect", "tau_extreme", ".inf"),
+          ("detect", "detect", "tau_lc", ".nan"),
+          ("dgsfm", "extract", "amplitude", ".inf"),
+          ("dgsfm", "extract", "sigma", ".nan"),
+          ("dgsfm", "extract", "lateral_scale", ".inf"),
+          ("dgsfm", "extract", "softmax_temperature", ".nan"),
+          ("dgsfm", "extract", "forward_stretch", ".inf"),
+          ("extract", "extract", "neighbor_radius", ".nan"),
+          ("train", "train", "lambda_cl", ".inf"),
+          ("train", "train", "lambda_int", ".nan"),
+          ("train", "train", "commitment_weight", ".inf"),
+      )),
     pytest.param("cluster:\n  linkage: single\n", ["cluster"], None, 2, "config error", id="linkage-unknown"),
     pytest.param("cluster:\n  max_iter: 0\n", ["cluster"], None, 2, "config error", id="max-iter-zero"),
     pytest.param("cluster:\n  linkage: single\n", ["pipeline"], None, 2, "config error",
@@ -321,6 +383,8 @@ BAD_INPUTS = [
     pytest.param("synth:\n  n_trajectories: true\n", ["synth"], None, 2, "config error", id="int-bool"),
     pytest.param("train:\n  learning_rate: yes\n", ["train"], None, 2, "config error", id="float-bool"),
     pytest.param("", ["train", "--lambda-cl", "-1"], None, 2, "config error", id="lambda-flag-negative"),
+    pytest.param("", ["train", "--lambda-cl", "nan"], None, 2, "config error", id="lambda-cl-flag-nan"),
+    pytest.param("", ["train", "--lambda-int", "inf"], None, 2, "config error", id="lambda-int-flag-inf"),
     pytest.param("", INGEST, ("meta.json", lambda b: b"{}"), 4, "input error", id="meta-missing-key"),
     pytest.param("", INGEST, ("meta.json", lambda b: b"[1]"), 4, "input error", id="meta-not-mapping"),
     pytest.param("", INGEST, ("meta.json", lambda b: b.replace(b'"frame_rate": 25.0', b'"frame_rate": "fast"')),
@@ -398,7 +462,7 @@ BAD_INPUTS = [
     pytest.param("", ["cluster"], (CKPT, lambda b: b + b"\0"), 3, "stage error", id="ckpt-trailing-byte"),
     pytest.param("", ["cluster"], (CKPT, lambda b: b"\xff\xfe\n" + b), 3, "stage error", id="ckpt-garbage-header"),
     pytest.param("", ["cluster"], (CKPT, lambda b: b"[]\n" + b), 3, "stage error", id="ckpt-header-not-mapping"),
-    pytest.param("", ["cluster"], (CKPT, lambda b: b.replace(b"v1", b"v0", 1)), 3, "stage error", id="ckpt-format"),
+    pytest.param("", ["cluster"], (CKPT, lambda b: b.replace(b"v2", b"v0", 1)), 3, "stage error", id="ckpt-format"),
     pytest.param(
         "", ["cluster"], (CKPT, lambda b: b.replace(b'"latent_dim":4', b'"latent_dim":5', 1)), 3,
         "stage error", id="ckpt-layout-mismatch",
@@ -411,6 +475,8 @@ BAD_INPUTS = [
         "", ["cluster"], (CKPT, lambda b: b[:_header_end(b)] + struct.pack("<d", math.nan) + b[_header_end(b) + 8:]),
         3, "stage error", id="ckpt-nan-weight",
     ),
+    pytest.param("", ["cluster"], (CKPT, lambda b: _other_layout_checkpoint()), 3, "stage error",
+                 id="ckpt-other-layout"),
     pytest.param(None, ["synth"], None, 2, "config error", id="config-file-missing"),
     pytest.param("train:\n  hidden: [8,\n", ["train"], None, 2, "config error", id="config-yaml-syntax"),
     pytest.param(b"train:\n  epochs: \xff\n", ["train"], None, 2, "config error", id="config-not-utf8"),
@@ -501,20 +567,14 @@ def test_recording_id_with_comma_goes_through_cluster_and_evaluate(trained_workd
     assert set(json.loads((wd / "clustering_model.json").read_text())) == {"codebook", "kmeans", "hierarchical"}
 
 
-def test_train_line_reports_revived_codes(tmp_path, capsys):
+def test_non_finite_config_float_fails_before_a_stage_writes(tmp_path, capsys):
+    # synth does not read the dgsfm section.
     cfg = tmp_path / "config.yaml"
-    cfg.write_text(ARCHETYPE_CONFIG.replace("epochs: 1", "epochs: 4\n  batch_size: 4\n  usage_decay: 0.5\n"
-                                           "  dead_code_threshold: 0.05"))
-    args = ["--config", str(cfg), "--workdir", str(tmp_path / "wd")]
-    assert cli.main(args + ["synth"]) == 0
-    capsys.readouterr()
-    assert cli.main(args + ["train"]) == 0
-    line = capsys.readouterr().out.strip()
-    records, _ = read_dataset(tmp_path / "wd" / "dataset.jsonl")
-    _, history = cvqvae.train(records, config.override(config.load_config(str(cfg)), "train", seed=4))
-    revived = sum(h.revived for h in history)
-    assert revived > 0
-    assert line.startswith("[train] ") and line.endswith(f" revived={revived}")
+    cfg.write_text("dgsfm:\n  sigma: .nan\n")
+    wd = tmp_path / "wd"
+    assert cli.main(["--config", str(cfg), "--workdir", str(wd), "synth"]) == 2
+    assert capsys.readouterr().err == "config error: dgsfm.sigma must be a finite number, got nan\n"
+    assert not wd.exists()
 
 
 def test_train_line_reports_live_slots(tmp_path, capsys):

@@ -44,15 +44,15 @@ def zeroed(params):
 
 def test_encode_zero_weights_zero_latent():
     params = zeroed(tiny_params())
-    x = np.ones((2, 3, 5))
-    mask = np.ones((2, 5), dtype=bool)
+    x = np.ones((1, 2, 3, 5))
+    mask = np.ones((1, 2, 5), dtype=bool)
     assert np.all(cvqvae.encode(x, mask, params) == 0.0)
 
 
 def test_encode_deterministic(rng):
     params = tiny_params()
-    x = rng.normal(size=(2, 3, 5))
-    mask = np.ones((2, 5), dtype=bool)
+    x = rng.normal(size=(1, 2, 3, 5))
+    mask = np.ones((1, 2, 5), dtype=bool)
     a = cvqvae.encode(x, mask, params)
     assert np.array_equal(a, cvqvae.encode(x, mask, params))
 
@@ -60,7 +60,7 @@ def test_encode_deterministic(rng):
 def test_encode_shape_mismatch_is_contract_error():
     params = tiny_params()
     with pytest.raises(cvqvae.ContractError):
-        cvqvae.encode(np.zeros((3, 3, 5)), np.ones((3, 5), dtype=bool), params)
+        cvqvae.encode(np.zeros((1, 3, 3, 5)), np.ones((1, 3, 5), dtype=bool), params)
 
 
 def test_single_layer_identity_encoder():
@@ -70,9 +70,9 @@ def test_single_layer_identity_encoder():
     params = tiny_params(cfg, n_slots=1, n_features=1, t_obs=4)
     params.enc_w[0][:] = np.eye(4)
     params.enc_b[0][:] = 0.0
-    x = np.arange(4.0).reshape(1, 1, 4)
-    mask = np.ones((1, 4), dtype=bool)
-    assert np.allclose(cvqvae.encode(x, mask, params), x.ravel())
+    x = np.arange(4.0).reshape(1, 1, 1, 4)
+    mask = np.ones((1, 1, 4), dtype=bool)
+    assert np.allclose(cvqvae.encode(x, mask, params), x.reshape(1, -1))
 
 
 # ------------------------------ quantize ------------------------------------
@@ -400,14 +400,6 @@ def test_train_divergence_raises():
             cvqvae.train_arrays(inputs, masks, None, None, cfg)
 
 
-def test_train_usage_positive_with_revival():
-    rng = np.random.default_rng(5)
-    inputs, masks, _ = toy_dataset(rng, n=80)
-    cfg = tiny_cfg(epochs=40, hidden=(8,), latent_dim=3, codebook_size=8, learning_rate=0.01)
-    params, _ = cvqvae.train_arrays(inputs, masks, None, None, cfg)
-    assert np.all(params.usage > 0)
-
-
 def test_train_empty_dataset_rejected():
     with pytest.raises(ValueError):
         cvqvae.train([], tiny_cfg())
@@ -485,10 +477,10 @@ def test_record_beyond_the_live_prefix_encodes_at_full_width():
     augmented, _ = corpus.augment_corpus(base, n_augment=20, seed=12)
     record = next(r for r in augmented if r.tensor.presence_mask[N_LIVE:].any())
     params, _ = cvqvae.train(base, cvqvae.TrainConfig(epochs=1, seed=5))
-    values, mask = record.tensor.values, record.tensor.presence_mask
+    values, mask = record.tensor.values[None], record.tensor.presence_mask[None]
     z = cvqvae.encode(values, mask, params)
     cut = mask.copy()
-    cut[N_LIVE:] = False
+    cut[:, N_LIVE:] = False
     assert not np.array_equal(z, cvqvae.encode(values, cut, params))  # the untrained columns are read
     # epsilon as in criterion 4: below it the differences lose digits to rounding.
     assert cvqvae.grad_check(record, params, cvqvae.TrainConfig(), epsilon=1e-3, n_checks=150, seed=1) < 1e-4
@@ -638,10 +630,8 @@ def test_checkpoint_round_trip(tmp_path):
     cvqvae.save_checkpoint(params, path)
     loaded = cvqvae.load_checkpoint(path)
     assert loaded.hidden == params.hidden
-    assert loaded.codebook_update == params.codebook_update
     assert np.array_equal(loaded.codebook, params.codebook)
     assert np.array_equal(loaded.feature_shift, params.feature_shift)
-    assert np.array_equal(loaded.usage, params.usage)
     for a, b in zip(loaded.enc_w, params.enc_w):
         assert np.array_equal(a, b)
     second = tmp_path / "again.ckpt"
@@ -672,25 +662,22 @@ def test_model_sizes_below_one_rejected(sizes):
         cvqvae.TrainConfig(**sizes)
 
 
+# A non-finite value of a config key is rejected when the config is loaded.
 @pytest.mark.parametrize("field, value", [
-    ("learning_rate", -1e-3), ("learning_rate", np.inf), ("learning_rate", np.nan),
-    ("usage_decay", -0.01), ("usage_decay", 1.5), ("usage_decay", np.nan),
-    ("revival_noise", -1.0), ("revival_noise", np.inf),
-    ("dead_code_threshold", -1e-3), ("dead_code_threshold", np.nan),
+    ("learning_rate", -1e-3), ("learning_rate", np.nan), ("commitment_weight", -0.25),
 ])
 def test_out_of_range_training_settings_rejected(field, value):
     with pytest.raises(ValueError, match=field):
         cvqvae.TrainConfig(**{field: value})
 
 
-@pytest.mark.parametrize("field, value", [("learning_rate", 0.0), ("usage_decay", 0.0), ("usage_decay", 1.0),
-                                          ("revival_noise", 0.0),
-                                          ("dead_code_threshold", 0.0)])
+@pytest.mark.parametrize("field, value", [("learning_rate", 0.0), ("commitment_weight", 0.0)])
 def test_boundary_training_settings_accepted(field, value):
     assert getattr(cvqvae.TrainConfig(**{field: value}), field) == value
 
 
-@pytest.mark.parametrize("name, value", [("enc_w[0]", np.nan), ("codebook", np.inf), ("usage", -np.inf)])
+@pytest.mark.parametrize("name, value", [("enc_w[0]", np.nan), ("codebook", np.inf),
+                                         ("feature_scale", -np.inf)])
 def test_checkpoint_non_finite_array_is_contract_error(tmp_path, name, value):
     params = tiny_params()
     dict(cvqvae._checkpoint_arrays(params))[name].flat[1] = value
@@ -708,14 +695,15 @@ def test_checkpoint_non_finite_array_is_contract_error(tmp_path, name, value):
 # numpy's pairwise sum of a shorter row rounds differently. The checkpoints
 # did not move. All four re-recorded when the training step moved to
 # float32: the weights are drawn float32-exact and every step rounds in
-# float32.
+# float32. The checkpoints re-recorded when they lost the code-usage block
+# and the ``codebook_update`` header key (format v2).
 GOLDEN_DIGESTS = {
     0.0: (
-        "533f6775cfe6b17c335721257601a34e9346fe34670b292ad62e258f5d38c0f2",
+        "976196e5501ea52097b75e36dc85ce489f5a961f4cf554918a4bccbf46aa40d1",
         "00cdda1dd192951df0edcdfe9dfdf5e8c1c690f053e4e5ee4803486c7ab9c5a9",
     ),
     1.0: (
-        "a033bb4e348386654b328949dd67fd23b783e8b39031aad100f9e57cb26083b8",
+        "44136ed06fe58632be9b152d7150d185289f6cd8712ee6abc677fc0418770f75",
         "474813de843e24a3cb2439f52c8cf7f7500e59e23f08589ea9b109dfd3dfaffd",
     ),
 }
@@ -738,32 +726,31 @@ def test_training_bytes_match_golden_digests(tmp_path, weight):
 
 # SHA-256 of the checkpoint and loss-history bytes of a run with three
 # batches per epoch (4, 4 and a ragged 1 of 9 records), so activation and
-# gradient memory is reused across batches of different sizes, and with a
-# fast usage decay, so dead-code revival fires (four codes at weight 0, two
-# at weight 1). Recorded before the training step reused its buffers; both
-# loss histories re-recorded with the live slot prefix, and all four with
-# the float32 step, as above.
+# gradient memory is reused across batches of different sizes. Recorded
+# before the training step reused its buffers; both loss histories
+# re-recorded with the live slot prefix, all four with the float32 step, as
+# above, and all four when dead-code revival, which these runs once set off,
+# was removed.
 GOLDEN_RAGGED_DIGESTS = {
     0.0: (
-        "a10ba688674f3f2b1e663a8f57edb849e1b0ff9b682593ba6d222a20b88f46a9",
-        "cb9c416b16ddf6e687bafa4b5f431c08aa304dc5130bbcd580002dcd232714ec",
+        "2e24db30ac38e0f526122677aa6a75c82cbf891477f676d6d0e5b37ea827b44d",
+        "052f4b6a1ff32cf938fbe7c608b1ea9b18e4db153e135b0ae3b8e13fb68ea4ce",
     ),
     1.0: (
-        "20be76821fd0d8a99ef361e472814f6efe2f074f2c4019608a677058ef867df1",
-        "ae2024b7cb6033e20850c4870197c571deedea3b8fa6818af5e2ca458f108786",
+        "7bb272f3f6b6fbd0650cec60eb7cfb8ac2c7b7854e43fc9b1f09139f76c29140",
+        "122cc6572e849b15ab8ba3e8978b40d4d67216304c972ff3439951230651eefc",
     ),
 }
 
 
 def ragged_run(weight):
     records = corpus.build_archetype_corpus(n_per_class=3, seed=9)
-    cfg = tiny_cfg(epochs=4, batch_size=4, dead_code_threshold=0.05, usage_decay=0.5,
-                   lambda_cl=weight, lambda_int=weight)
+    cfg = tiny_cfg(epochs=4, batch_size=4, lambda_cl=weight, lambda_int=weight)
     return cvqvae.train(records, cfg)
 
 
 @pytest.mark.parametrize("weight", sorted(GOLDEN_RAGGED_DIGESTS))
-def test_ragged_batches_with_revival_match_golden_digests(tmp_path, weight):
+def test_ragged_batches_match_golden_digests(tmp_path, weight):
     params, history = ragged_run(weight)
     cvqvae.save_checkpoint(params, tmp_path / "model.ckpt")
     cvqvae.write_loss_history(history, tmp_path / "loss.csv")
@@ -772,10 +759,3 @@ def test_ragged_batches_with_revival_match_golden_digests(tmp_path, weight):
         for name in ("model.ckpt", "loss.csv")
     )
     assert digests == GOLDEN_RAGGED_DIGESTS[weight]
-
-
-@pytest.mark.parametrize("weight, revived", [(0.0, [1, 0, 2, 1]), (1.0, [0, 0, 2, 0])])
-def test_revivals_counted_per_epoch(weight, revived):
-    # Counts seen at the commit that recorded GOLDEN_RAGGED_DIGESTS.
-    _, history = ragged_run(weight)
-    assert [h.revived for h in history] == revived
