@@ -283,37 +283,14 @@ def cmd_cluster(cfg: Config, workdir: Path, tag: str = "model") -> None:
         extra_latents = clustering.encode_latents(extra, params) if extra else np.zeros((0, params.latent_dim))
     except cvqvae.ContractError as exc:
         raise StageError(f"invalid checkpoint: {exc}") from exc
-    k = params.codebook_size
-    if len(records) < k:
+    if len(records) < params.codebook_size:
         raise StageError(f"dataset.jsonl holds {len(records)} base records, fewer than "
-                         f"the checkpoint's codebook_size {k}")
+                         f"the checkpoint's codebook_size {params.codebook_size}")
     seed = config.stage_seed(cfg, "cluster")
-
-    rows: list[tuple[str, str, int]] = []
-    for backend in cfg.cluster.backends:
-        if backend == "codebook":
-            assign = clustering.assign_codebook(
-                records + extra, params, latents=np.concatenate([train_latents, extra_latents]))
-            labels = dict(zip(assign.record_ids, assign.labels))
-        elif backend == "kmeans":
-            assign, centroids = clustering.kmeans(
-                train_latents, k, seed=seed, max_iter=cfg.cluster.max_iter,
-                record_ids=tuple(r.record_id for r in records))
-            labels = dict(zip(assign.record_ids, assign.labels))
-            if extra:
-                for r, lbl in zip(extra, clustering.assign_to_centroids(extra_latents, centroids)):
-                    labels[r.record_id] = lbl
-        else:  # hierarchical
-            assign = clustering.hierarchical(
-                train_latents, k, linkage=cfg.cluster.linkage,
-                record_ids=tuple(r.record_id for r in records))
-            labels = dict(zip(assign.record_ids, assign.labels))
-            if extra:
-                extra_labels = clustering.assign_to_nearest_member(
-                    extra_latents, train_latents, assign.labels)
-                for r, lbl in zip(extra, extra_labels):
-                    labels[r.record_id] = lbl
-        rows.extend((rid, backend, int(lbl)) for rid, lbl in labels.items())
+    ids = [r.record_id for r in records + extra]
+    rows = [(rid, backend, int(label)) for backend in cfg.cluster.backends
+            for rid, label in zip(ids, clustering.assign(backend, train_latents, extra_latents,
+                                                          params.codebook, cfg.cluster, seed))]
 
     out = workdir / f"assignments_{tag}.csv"
     write_csv(out, ASSIGNMENT_COLUMNS, rows, lineterminator="\n")
@@ -354,13 +331,7 @@ def cmd_evaluate_clustering(cfg: Config, workdir: Path, tag: str = "model") -> N
     result = {}
     for backend, labels in sorted(assignments.items()):
         base = np.array([labels[rid] for rid in class_of])
-        arr = clustering.ClusterAssignment(
-            backend=backend,
-            labels=base,
-            k=int(base.max()) + 1,
-            record_ids=tuple(class_of),
-        )
-        _, h_avg = metrics.cluster_entropy(arr, list(class_of.values()))
+        _, h_avg = metrics.cluster_entropy(base, list(class_of.values()))
         acc = metrics.augmentation_accuracy(labels, pairs)
         result[backend] = {"purity_entropy": h_avg, "augmentation_accuracy": acc}
     out = workdir / f"clustering_{tag}.json"

@@ -4,7 +4,7 @@ k-means++ seeding, and agglomerative hierarchical clustering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,31 +22,13 @@ class ClusterConfig:
     max_iter: int = 300    # k-means Lloyd iterations
 
     def __post_init__(self):
-        if not self.backends or any(b not in BACKENDS for b in self.backends):
-            raise ValueError(f"backends {list(self.backends)} must be some of {list(BACKENDS)}")
+        if (not self.backends or any(b not in BACKENDS for b in self.backends)
+                or len(set(self.backends)) != len(self.backends)):
+            raise ValueError(f"backends {list(self.backends)} must be distinct, some of {list(BACKENDS)}")
         if self.linkage not in LINKAGES:
             raise ValueError(f"unknown linkage {self.linkage!r}; expected one of {list(LINKAGES)}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-
-
-@dataclass(frozen=True)
-class ClusterAssignment:
-    backend: str
-    labels: np.ndarray  # per-record cluster index in [0, k)
-    k: int
-    record_ids: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.int64)
-        object.__setattr__(self, "labels", labels)
-        if self.backend not in BACKENDS:
-            raise ValueError(f"unknown backend {self.backend!r}")
-        if labels.size and (labels.min() < 0 or labels.max() >= self.k):
-            raise ValueError("cluster labels must lie in [0, k)")
-
-    def as_mapping(self) -> dict[str, int]:
-        return {rid: int(lbl) for rid, lbl in zip(self.record_ids, self.labels)}
 
 
 def encode_latents(records: Sequence[ScenarioRecord], params: cvqvae.ModelParams) -> np.ndarray:
@@ -56,34 +38,40 @@ def encode_latents(records: Sequence[ScenarioRecord], params: cvqvae.ModelParams
     return cvqvae.encode(inputs, masks, params)
 
 
-def assign_codebook(
-    records: Sequence[ScenarioRecord],
-    params: cvqvae.ModelParams,
-    latents: Optional[np.ndarray] = None,
-) -> ClusterAssignment:
-    """Nearest-codebook-entry assignment: the model's intrinsic clustering.
-    ``latents`` are the records' ``encode_latents``, when already known."""
-    z = encode_latents(records, params) if latents is None else latents
-    labels = cvqvae._quantize_batch(z, params.codebook)
-    return ClusterAssignment(
-        backend="codebook",
-        labels=labels,
-        k=params.codebook_size,
-        record_ids=tuple(r.record_id for r in records),
-    )
+def assign(
+    backend: str,
+    base_latents: np.ndarray,
+    held_out_latents: np.ndarray,
+    codebook: np.ndarray,
+    cfg: ClusterConfig,
+    seed: int,
+) -> np.ndarray:
+    """Labels of the base rows, then of the held-out rows, in
+    [0, len(codebook)). ``codebook`` labels every row by its nearest code.
+    ``kmeans`` and ``hierarchical`` cluster the base rows alone into
+    len(codebook) clusters; a held-out row takes the label of its nearest
+    k-means centroid, or of its nearest base row."""
+    if backend == "codebook":
+        return _nearest(np.concatenate([base_latents, held_out_latents]), codebook)
+    k = len(codebook)
+    if backend == "kmeans":
+        labels, centers = kmeans(base_latents, k, seed=seed, max_iter=cfg.max_iter)
+        center_labels = np.arange(k)
+    elif backend == "hierarchical":
+        labels, _ = hierarchical(base_latents, k, linkage=cfg.linkage)
+        centers, center_labels = base_latents, labels
+    else:
+        raise ValueError(f"unknown backend {backend!r}")
+    return np.concatenate([labels, center_labels[_nearest(held_out_latents, centers)]])
 
 
 # ---------------------------------------------------------------------------
 # k-means (Lloyd, k-means++ init)
 # ---------------------------------------------------------------------------
 
-def _nearest(latents: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    d2 = (
-        np.sum(latents * latents, axis=1, keepdims=True)
-        - 2.0 * latents @ centroids.T
-        + np.sum(centroids * centroids, axis=1)
-    )
-    return np.argmin(d2, axis=1)
+# (latents, centers) -> index of each latent's nearest center, ties to the
+# lowest index: the codebook quantizer, shared by assign and kmeans.
+_nearest = cvqvae._quantize_batch
 
 
 def _kmeans_pp_init(latents: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -117,10 +105,10 @@ def kmeans(
     k: int,
     seed: int = 0,
     max_iter: int = ClusterConfig.max_iter,
-    record_ids: tuple[str, ...] = (),
-) -> tuple[ClusterAssignment, np.ndarray]:
-    """Lloyd iterations to an assignment fixed point (or max_iter); empty
-    clusters are re-seeded from the point farthest from its centroid."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Labels in [0, k) and centroids after Lloyd iterations to an
+    assignment fixed point (or max_iter); empty clusters are re-seeded from
+    the point farthest from its centroid."""
     latents = _checked_latents(latents, k)
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_init(latents, k, rng)
@@ -139,10 +127,7 @@ def kmeans(
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-    assignment = ClusterAssignment(
-        backend="kmeans", labels=labels, k=k, record_ids=record_ids
-    )
-    return assignment, centroids
+    return labels, centroids
 
 
 # ---------------------------------------------------------------------------
@@ -150,27 +135,14 @@ def kmeans(
 # ---------------------------------------------------------------------------
 
 def hierarchical(
-    latents: np.ndarray,
-    k: int,
-    linkage: str = ClusterConfig.linkage,
-    record_ids: tuple[str, ...] = (),
-) -> ClusterAssignment:
-    assignment, _ = hierarchical_with_merges(latents, k, linkage, record_ids)
-    return assignment
-
-
-def hierarchical_with_merges(
-    latents: np.ndarray,
-    k: int,
-    linkage: str = ClusterConfig.linkage,
-    record_ids: tuple[str, ...] = (),
-) -> tuple[ClusterAssignment, list[tuple[int, int]]]:
+    latents: np.ndarray, k: int, linkage: str = ClusterConfig.linkage
+) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """Agglomerative merging until k clusters remain.
 
     Ward linkage merges the pair with the minimum variance increase
     |A||B|/(|A|+|B|) * ||mu_A - mu_B||^2; ties (costs within 1e-15 of the
     minimum) break to the lowest pair of active-cluster positions. Returns
-    the assignment and the merge sequence as (i, j) positions into the
+    labels in [0, k) and the merge sequence as (i, j) positions into the
     then-active cluster list (i < j).
     """
     if linkage not in LINKAGES:
@@ -184,10 +156,7 @@ def hierarchical_with_merges(
     for new_label, cluster in enumerate(sorted((m for m in members if m), key=min)):
         for idx in cluster:
             labels[idx] = new_label
-    assignment = ClusterAssignment(
-        backend="hierarchical", labels=labels, k=k, record_ids=record_ids
-    )
-    return assignment, merges
+    return labels, merges
 
 
 def _merge_steps(latents: np.ndarray, k: int, linkage: str, members: list[list[int]]):
@@ -275,21 +244,3 @@ def _linkage_cost(latents: np.ndarray, a: list[int], b: list[int], linkage: str)
     diffs = latents[a][:, None, :] - latents[b][None, :, :]
     dists = np.sqrt(np.sum(diffs * diffs, axis=2))
     return float(dists.mean() if linkage == "average" else dists.max())
-
-
-def assign_to_centroids(latents: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Nearest-centroid labels for held-out latents (k-means inference)."""
-    return _nearest(np.asarray(latents, dtype=float), centroids)
-
-
-def assign_to_nearest_member(
-    latents: np.ndarray, train_latents: np.ndarray, train_labels: np.ndarray
-) -> np.ndarray:
-    """Label held-out latents by their nearest training latent (used for the
-    hierarchical backend, which has no centroid model)."""
-    d2 = (
-        np.sum(latents * latents, axis=1, keepdims=True)
-        - 2.0 * latents @ train_latents.T
-        + np.sum(train_latents * train_latents, axis=1)
-    )
-    return train_labels[np.argmin(d2, axis=1)]

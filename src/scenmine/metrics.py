@@ -9,21 +9,21 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .clustering import ClusterAssignment
 from .detect import DetectionMatch
 from .types import N_CLASSES, write_json
 
 
 def cluster_entropy(
-    assignment: ClusterAssignment, class_indices: Sequence[int]
+    labels: np.ndarray, class_indices: Sequence[int]
 ) -> tuple[dict[int, float], float]:
     """Shannon entropy (bits) of the empirical pseudo-class composition of
-    each non-empty cluster, and their unweighted mean."""
-    labels = assignment.labels
+    each non-empty cluster of the per-record cluster ``labels``, and their
+    unweighted mean."""
+    labels = np.asarray(labels)
     if labels.size == 0:
-        raise ValueError("assignment must be non-empty")
+        raise ValueError("labels must be non-empty")
     if labels.size != len(class_indices):
-        raise ValueError("assignment and labels must cover the same records")
+        raise ValueError("labels and class indices must cover the same records")
     class_arr = np.asarray(class_indices)
     per_cluster: dict[int, float] = {}
     for q in np.unique(labels):

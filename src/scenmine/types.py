@@ -421,8 +421,8 @@ def read_dataset(path) -> tuple[list[ScenarioRecord], float]:
     """Reads a file of ``write_dataset``; the records' arrays are read-only
     views into its blocks. Besides the damage ``read_blocks`` finds, a
     ``dt`` that is not positive and finite, a malformed record entry, a
-    pseudo-class outside [0, N_CLASSES) or equal anchor labels raise
-    DatasetFormatError naming the file."""
+    pseudo-class outside [0, N_CLASSES), equal anchor labels or a repeated
+    record id raise DatasetFormatError naming the file."""
     def layout(header):
         dt, entries, n = float(header["dt"]), header["records"], header["n_records"]
         if not 0.0 < dt < np.inf:
@@ -434,7 +434,11 @@ def read_dataset(path) -> tuple[list[ScenarioRecord], float]:
             ("mask", np.empty((n, N_SLOTS, T_OBS), dtype=bool)),
             ("interaction", np.empty((n, N_SLOTS, T_OBS))),
         ]
-        return (dt, [_record_fields(e) for e in entries], blocks), blocks
+        fields = [_record_fields(e) for e in entries]
+        ids = [f["record_id"] for f in fields]
+        if len(set(ids)) != n:
+            raise ValueError(f"record_id {next(i for i in ids if ids.count(i) > 1)!r} is repeated")
+        return (dt, fields, blocks), blocks
 
     dt, fields, blocks = read_blocks(path, DATASET_FORMAT_VERSION, "dataset", layout, DatasetFormatError)
     tensors, masks, interactions = (arr for _, arr in blocks)

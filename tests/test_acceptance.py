@@ -102,13 +102,9 @@ def test_criterion_2_synthetic_detection_quality():
 # 3 -------------------------------------------------------------------------
 
 def test_criterion_3_entropy_bounds():
-    pure = clustering.ClusterAssignment(
-        backend="kmeans", labels=np.array([0, 0, 1, 1]), k=2
-    )
-    _, h_pure = metrics.cluster_entropy(pure, [2, 2, 5, 5])
+    _, h_pure = metrics.cluster_entropy(np.array([0, 0, 1, 1]), [2, 2, 5, 5])
     assert h_pure == 0.0
-    mixed = clustering.ClusterAssignment(backend="kmeans", labels=np.zeros(10, dtype=int), k=1)
-    _, h_mixed = metrics.cluster_entropy(mixed, list(range(10)))
+    _, h_mixed = metrics.cluster_entropy(np.zeros(10, dtype=int), list(range(10)))
     assert abs(h_mixed - math.log2(10)) <= 1e-9
     report("criterion 3", f"pure H=0, uniform H={h_mixed:.12f} = log2(10) within 1e-9")
 
@@ -160,6 +156,19 @@ def test_criterion_6_directional_knowledge_guidance():
     records = corpus.build_archetype_corpus(n_per_class=200, seed=11)
     augmented, pairs = corpus.augment_corpus(records, n_augment=50, seed=12)
     base = list(records)
+    ids = [r.record_id for r in base + augmented]
+
+    def labels_of(backend, params):
+        """The ``cluster`` stage's labels: record id -> label."""
+        labels = clustering.assign(
+            backend,
+            clustering.encode_latents(base, params),
+            clustering.encode_latents(augmented, params),
+            params.codebook,
+            clustering.ClusterConfig(),
+            seed=20,
+        )
+        return dict(zip(ids, labels.tolist()))
 
     def run(lambda_cl, lambda_int):
         cfg = cvqvae.TrainConfig(
@@ -172,11 +181,9 @@ def test_criterion_6_directional_knowledge_guidance():
             codebook_size=16,
         )
         params, _ = cvqvae.train(base, cfg)
-        assignment = clustering.assign_codebook(base + augmented, params)
-        labels = assignment.as_mapping()
-        train_only = clustering.assign_codebook(base, params)
+        labels = labels_of("codebook", params)
         _, h_avg = metrics.cluster_entropy(
-            train_only, [r.pseudo_class.index for r in base]
+            np.array([labels[r.record_id] for r in base]), [r.pseudo_class.index for r in base]
         )
         accuracy = metrics.augmentation_accuracy(labels, pairs)
         return params, h_avg, accuracy
@@ -187,15 +194,7 @@ def test_criterion_6_directional_knowledge_guidance():
     assert acc_dk - acc_no_dk >= 0.2
     assert h_dk < h_no_dk
 
-    latents = clustering.encode_latents(base, params_dk)
-    km_assign, centroids = clustering.kmeans(
-        latents, k=16, seed=20, record_ids=tuple(r.record_id for r in base)
-    )
-    km_labels = km_assign.as_mapping()
-    aug_latents = clustering.encode_latents(augmented, params_dk)
-    for record, label in zip(augmented, clustering.assign_to_centroids(aug_latents, centroids)):
-        km_labels[record.record_id] = int(label)
-    acc_km = metrics.augmentation_accuracy(km_labels, pairs)
+    acc_km = metrics.augmentation_accuracy(labels_of("kmeans", params_dk), pairs)
     soft = acc_dk >= acc_km
     if not soft:
         print(f"WARNING: codebook accuracy {acc_dk:.3f} < k-means accuracy {acc_km:.3f}")
@@ -280,7 +279,7 @@ def test_criterion_10_clustering_oracles():
         n = int(rng.integers(10, 51))
         k = int(rng.integers(2, 6))
         latents = rng.normal(size=(n, 4))
-        _, merges = clustering.hierarchical_with_merges(latents, k)
+        _, merges = clustering.hierarchical(latents, k)
         clusters = [[i] for i in range(n)]
         expected = []
         while len(clusters) > k:
@@ -295,10 +294,8 @@ def test_criterion_10_clustering_oracles():
             del clusters[b]
         assert merges == expected
 
-        assignment, centroids = clustering.kmeans(latents, k, seed=int(rng.integers(1000)))
-        assert np.array_equal(
-            clustering._nearest(latents, centroids), assignment.labels
-        )
+        labels, centroids = clustering.kmeans(latents, k, seed=int(rng.integers(1000)))
+        assert np.array_equal(clustering._nearest(latents, centroids), labels)
     elapsed = time.monotonic() - t0
     assert elapsed <= 60.0
     report("criterion 10", f"20 instances match naive agglomeration oracle, {elapsed:.1f}s")

@@ -308,6 +308,7 @@ INGEST = ["ingest", "--tracks", "tracks.csv", "--meta", "meta.json"]
 CKPT = "model.ckpt"
 MEMO = "tracks.bin"
 DATASET = "dataset.jsonl"
+AUGMENTED = "dataset_augmented.jsonl"
 ASSIGNMENTS = "assignments_model.csv"
 PAIRS = "pairs.csv"
 DETECTION = "detection_rule.json"
@@ -352,6 +353,8 @@ BAD_INPUTS = [
     pytest.param("cluster:\n  backends: [codebook, dbscan]\n", ["cluster"], None, 2, "config error",
                  id="backend-unknown"),
     pytest.param("cluster:\n  backends: []\n", ["cluster"], None, 2, "config error", id="backends-empty"),
+    pytest.param("cluster:\n  backends: [kmeans, kmeans]\n", ["cluster"], None, 2, "config error",
+                 id="backends-repeated"),
     pytest.param("seed: abc\n", ["synth"], None, 2, "config error", id="seed-not-int"),
     pytest.param("seed: 1.5\n", ["synth"], None, 2, "config error", id="seed-float"),
     pytest.param("detect:\n  tau_extreme: 0.1\n", ["detect"], None, 2, "config error", id="tau-extreme-low"),
@@ -455,6 +458,12 @@ BAD_INPUTS = [
         lambda records, dt, path: path.write_bytes(encode_dataset_v1(records, dt)))), 3,
                  "stage error", id="dataset-v1-file"),
     pytest.param("", ["train"], (DATASET, _keep_records(0)), 3, "stage error", id="dataset-empty"),
+    pytest.param("", ["train"], (DATASET, _through_records(
+        lambda records, dt, path: write_dataset(records + records[:1], path, dt=dt))), 3,
+                 "stage error", id="dataset-repeated-id"),
+    pytest.param("", ["cluster"], (AUGMENTED, _through_records(
+        lambda records, dt, path: write_dataset(records[:1] + records, path, dt=dt))), 3,
+                 "stage error", id="augmented-repeated-id"),
     pytest.param("", ["cluster"], (DATASET, _keep_records(3)), 3, "stage error",
                  id="cluster-too-few-records"),
     pytest.param("", ["cluster"], (CKPT, lambda b: b[:-8]), 3, "stage error", id="ckpt-truncated"),

@@ -43,20 +43,25 @@ def trained():
     return records, params
 
 
+def codebook_labels(records, params):
+    latents = clustering.encode_latents(records, params)
+    return clustering.assign("codebook", latents, latents[:0], params.codebook,
+                             clustering.ClusterConfig(), seed=0)
+
+
 def test_assign_codebook_matches_brute_force(trained):
     records, params = trained
-    assignment = clustering.assign_codebook(records, params)
+    labels = codebook_labels(records, params)
     latents = clustering.encode_latents(records, params)
-    for label, z in zip(assignment.labels, latents):
+    for label, z in zip(labels, latents):
         oracle = int(np.argmin(np.sum((params.codebook - z) ** 2, axis=1)))
         assert label == oracle
 
 
 def test_assign_codebook_identical_records_identical_labels(trained):
     records, params = trained
-    double = [records[0], records[0], records[1]]
-    assignment = clustering.assign_codebook(double, params)
-    assert assignment.labels[0] == assignment.labels[1]
+    labels = codebook_labels([records[0], records[0], records[1]], params)
+    assert labels[0] == labels[1]
 
 
 def test_assign_codebook_exact_code_returns_its_index(trained):
@@ -75,17 +80,16 @@ def kmeans_inertia(latents, labels, centroids):
 
 def test_kmeans_k_equals_n_singletons(rng):
     latents = rng.normal(size=(6, 3)) * 10
-    assignment, centroids = clustering.kmeans(latents, k=6, seed=0)
-    assert sorted(assignment.labels) == list(range(6))
-    assert kmeans_inertia(latents, assignment.labels, centroids) == 0.0
+    labels, centroids = clustering.kmeans(latents, k=6, seed=0)
+    assert sorted(labels) == list(range(6))
+    assert kmeans_inertia(latents, labels, centroids) == 0.0
 
 
 def test_kmeans_separated_blobs(rng):
     blob_a = rng.normal(0.0, 0.5, size=(20, 2))
     blob_b = rng.normal(50.0, 0.5, size=(20, 2))
     latents = np.vstack([blob_a, blob_b])
-    assignment, _ = clustering.kmeans(latents, k=2, seed=3)
-    labels = assignment.labels
+    labels, _ = clustering.kmeans(latents, k=2, seed=3)
     assert len(set(labels[:20])) == 1
     assert len(set(labels[20:])) == 1
     assert labels[0] != labels[20]
@@ -93,17 +97,17 @@ def test_kmeans_separated_blobs(rng):
 
 def test_kmeans_terminates_at_fixed_point(rng):
     latents = rng.normal(size=(40, 4))
-    assignment, centroids = clustering.kmeans(latents, k=5, seed=7)
+    labels, centroids = clustering.kmeans(latents, k=5, seed=7)
     reassigned = clustering._nearest(latents, centroids)
-    assert np.array_equal(reassigned, assignment.labels)
+    assert np.array_equal(reassigned, labels)
 
 
 def test_kmeans_inertia_non_increasing_over_iterations(rng):
     latents = rng.normal(size=(60, 3))
     inertias = []
     for iters in range(1, 8):
-        assignment, centroids = clustering.kmeans(latents, k=4, seed=2, max_iter=iters)
-        inertias.append(kmeans_inertia(latents, assignment.labels, centroids))
+        labels, centroids = clustering.kmeans(latents, k=4, seed=2, max_iter=iters)
+        inertias.append(kmeans_inertia(latents, labels, centroids))
     for prev, cur in zip(inertias, inertias[1:]):
         assert cur <= prev + 1e-9
 
@@ -117,15 +121,15 @@ def test_kmeans_too_few_latents(rng):
 
 def test_hierarchical_n_equals_k_singletons(rng):
     latents = rng.normal(size=(5, 2))
-    assignment = clustering.hierarchical(latents, k=5)
-    assert sorted(assignment.labels) == list(range(5))
+    labels, _ = clustering.hierarchical(latents, k=5)
+    assert sorted(labels) == list(range(5))
 
 
 def test_hierarchical_collinear_points_merge_closest():
     latents = np.array([[0.0], [1.0], [10.0]])
-    assignment, merges = clustering.hierarchical_with_merges(latents, k=2)
+    labels, merges = clustering.hierarchical(latents, k=2)
     assert merges[0] == (0, 1)
-    assert assignment.labels[0] == assignment.labels[1] != assignment.labels[2]
+    assert labels[0] == labels[1] != labels[2]
 
 
 @pytest.mark.parametrize("linkage", ["ward", "average", "complete"])
@@ -134,7 +138,7 @@ def test_hierarchical_matches_naive_oracle(linkage, rng):
         n = int(rng.integers(8, 20))
         k = int(rng.integers(2, 5))
         latents = rng.normal(size=(n, 3))
-        _, merges = clustering.hierarchical_with_merges(latents, k, linkage=linkage)
+        _, merges = clustering.hierarchical(latents, k, linkage=linkage)
         expected, _ = naive_ward_oracle(latents, k, linkage=linkage)
         assert merges == expected
 
@@ -183,7 +187,7 @@ def test_hierarchical_tie_heavy_matches_naive_oracle(linkage, rng):
         latents = np.round(rng.normal(size=(n, 2)) * 1.5)
         latents[rng.integers(n, size=n // 3)] = latents[0]  # duplicated points
         for k in range(1, 5):
-            _, merges = clustering.hierarchical_with_merges(latents, k, linkage=linkage)
+            _, merges = clustering.hierarchical(latents, k, linkage=linkage)
             expected, _ = naive_ward_oracle(latents, k, linkage=linkage)
             assert merges == expected
 
@@ -192,20 +196,20 @@ def test_hierarchical_tie_heavy_matches_naive_oracle(linkage, rng):
 @pytest.mark.parametrize("linkage", ["ward", "average", "complete"])
 def test_hierarchical_overflowed_costs_merge_lowest_pair(linkage):
     latents = np.array([[0.0], [1e200], [-1e200], [3e200]])
-    _, merges = clustering.hierarchical_with_merges(latents, 1, linkage=linkage)
+    _, merges = clustering.hierarchical(latents, 1, linkage=linkage)
     expected, _ = naive_ward_oracle(latents, 1, linkage=linkage)
     assert merges == expected
 
 
 def test_hierarchical_600_latents_ward(rng):
     latents = rng.normal(size=(600, 32))
-    base, merges = clustering.hierarchical_with_merges(latents, 16)
+    base, merges = clustering.hierarchical(latents, 16)
     assert len(merges) == 584
-    assert sorted(set(base.labels.tolist())) == list(range(16))
+    assert sorted(set(base.tolist())) == list(range(16))
     perm = rng.permutation(600)
     restored = np.empty(600, dtype=np.int64)
-    restored[perm] = clustering.hierarchical(latents[perm], 16).labels
-    assert np.array_equal(co_membership(base.labels), co_membership(restored))
+    restored[perm] = clustering.hierarchical(latents[perm], 16)[0]
+    assert np.array_equal(co_membership(base), co_membership(restored))
 
 
 @pytest.mark.parametrize("backend", ["kmeans", "hierarchical"])
@@ -227,8 +231,8 @@ def test_non_finite_latents_or_bad_k_rejected(backend, rng):
 def test_hierarchical_partition_permutation_invariant(rng):
     latents = rng.normal(size=(25, 3))
     perm = rng.permutation(25)
-    base = clustering.hierarchical(latents, k=4).labels
-    shuffled = clustering.hierarchical(latents[perm], k=4).labels
+    base = clustering.hierarchical(latents, k=4)[0]
+    shuffled = clustering.hierarchical(latents[perm], k=4)[0]
     restored = np.empty(25, dtype=int)
     restored[perm] = shuffled
     assert np.array_equal(co_membership(base), co_membership(restored))
@@ -238,8 +242,8 @@ def test_codebook_partition_permutation_invariant(trained):
     records, params = trained
     rng = np.random.default_rng(1)
     perm = rng.permutation(len(records))
-    base = clustering.assign_codebook(records, params).labels
-    shuffled = clustering.assign_codebook([records[i] for i in perm], params).labels
+    base = codebook_labels(records, params)
+    shuffled = codebook_labels([records[i] for i in perm], params)
     restored = np.empty(len(records), dtype=int)
     restored[perm] = shuffled
     assert np.array_equal(base, restored)
@@ -250,33 +254,56 @@ def test_kmeans_partition_stable_on_separated_data(rng):
     blob_b = rng.normal(40.0, 0.3, size=(15, 2))
     latents = np.vstack([blob_a, blob_b])
     perm = rng.permutation(30)
-    base = clustering.kmeans(latents, k=2, seed=5)[0].labels
-    shuffled = clustering.kmeans(latents[perm], k=2, seed=5)[0].labels
+    base = clustering.kmeans(latents, k=2, seed=5)[0]
+    shuffled = clustering.kmeans(latents[perm], k=2, seed=5)[0]
     restored = np.empty(30, dtype=int)
     restored[perm] = shuffled
     assert np.array_equal(co_membership(base), co_membership(restored))
 
 
-# ------------------------------- inference ------------------------------------
+# -------------------------- base and held-out rows ----------------------------
 
-def test_assign_to_centroids(rng):
-    centroids = np.array([[0.0, 0.0], [10.0, 10.0]])
-    points = np.array([[1.0, 1.0], [9.0, 9.0]])
-    assert list(clustering.assign_to_centroids(points, centroids)) == [0, 1]
-
-
-def test_assign_to_nearest_member(rng):
-    train = np.array([[0.0], [1.0], [10.0]])
-    labels = np.array([0, 0, 1])
-    out = clustering.assign_to_nearest_member(np.array([[0.4], [9.0]]), train, labels)
-    assert list(out) == [0, 1]
+def brute_nearest(z, centers):
+    d2 = [float(np.sum((z - c) ** 2)) for c in centers]
+    return d2.index(min(d2))
 
 
-def test_assignment_label_bounds():
-    with pytest.raises(ValueError):
-        clustering.ClusterAssignment(backend="kmeans", labels=np.array([0, 5]), k=3)
-    with pytest.raises(ValueError):
-        clustering.ClusterAssignment(backend="nope", labels=np.array([0]), k=1)
+@pytest.mark.parametrize("backend, linkage", [
+    ("codebook", "ward"), ("kmeans", "ward"),
+    *(("hierarchical", linkage) for linkage in clustering.LINKAGES),
+])
+def test_assign_labels_base_by_fit_and_held_out_by_nearest_center(backend, linkage, rng):
+    base = rng.normal(size=(30, 4))
+    held_out = np.vstack([rng.normal(size=(9, 4)), base[3]])  # the last row is a base row
+    codebook = rng.normal(size=(5, 4))
+    cfg = clustering.ClusterConfig(linkage=linkage, max_iter=50)
+    labels = clustering.assign(backend, base, held_out, codebook, cfg, seed=4)
+    if backend == "codebook":
+        centers, center_labels = codebook, np.arange(5)
+        base_labels = [brute_nearest(z, codebook) for z in base]
+    elif backend == "kmeans":
+        base_labels, centers = clustering.kmeans(base, 5, seed=4, max_iter=50)
+        center_labels = np.arange(5)
+    else:
+        base_labels, _ = clustering.hierarchical(base, 5, linkage=linkage)
+        centers, center_labels = base, base_labels
+    assert labels.tolist()[:30] == list(base_labels)
+    assert labels.tolist()[30:] == [center_labels[brute_nearest(z, centers)] for z in held_out]
+    assert labels[-1] == labels[3]
+
+
+def test_assign_without_held_out_rows(rng):
+    base = rng.normal(size=(12, 3))
+    cfg = clustering.ClusterConfig()
+    for backend in clustering.BACKENDS:
+        labels = clustering.assign(backend, base, base[:0], base[:3], cfg, seed=0)
+        assert labels.shape == (12,) and set(labels.tolist()) <= {0, 1, 2}
+
+
+def test_assign_unknown_backend_rejected(rng):
+    base = rng.normal(size=(6, 2))
+    with pytest.raises(ValueError, match="unknown backend"):
+        clustering.assign("dbscan", base, base[:1], base[:2], clustering.ClusterConfig(), seed=0)
 
 
 # ------------------------- golden clustering output ---------------------------

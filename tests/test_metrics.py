@@ -5,25 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from scenmine import clustering, metrics
+from scenmine import metrics
 from scenmine.detect import DetectionMatch
-
-
-def assignment(labels, backend="kmeans"):
-    labels = np.asarray(labels)
-    return clustering.ClusterAssignment(
-        backend=backend,
-        labels=labels,
-        k=int(labels.max()) + 1 if labels.size else 1,
-        record_ids=tuple(f"r{i}" for i in range(len(labels))),
-    )
 
 
 # ------------------------------ entropy --------------------------------------
 
 def test_entropy_pure_clusters_zero():
     per_cluster, h_avg = metrics.cluster_entropy(
-        assignment([0, 0, 1, 1, 2]), [3, 3, 7, 7, 1]
+        np.array([0, 0, 1, 1, 2]), [3, 3, 7, 7, 1]
     )
     assert all(h == 0.0 for h in per_cluster.values())
     assert h_avg == 0.0
@@ -31,33 +21,33 @@ def test_entropy_pure_clusters_zero():
 
 def test_entropy_uniform_ten_classes_is_log2_10():
     per_cluster, h_avg = metrics.cluster_entropy(
-        assignment([0] * 10), list(range(10))
+        np.array([0] * 10), list(range(10))
     )
     assert abs(per_cluster[0] - math.log2(10)) < 1e-9
     assert abs(h_avg - math.log2(10)) < 1e-9
 
 
 def test_entropy_half_half_is_one_bit():
-    _, h_avg = metrics.cluster_entropy(assignment([0, 0, 0, 0]), [1, 1, 2, 2])
+    _, h_avg = metrics.cluster_entropy(np.array([0, 0, 0, 0]), [1, 1, 2, 2])
     assert abs(h_avg - 1.0) < 1e-12
 
 
 def test_entropy_unweighted_mean_over_nonempty():
     # Cluster 0 pure (H=0), cluster 1 half-half (H=1); sizes differ.
     _, h_avg = metrics.cluster_entropy(
-        assignment([0, 0, 0, 0, 0, 0, 1, 1]), [4, 4, 4, 4, 4, 4, 0, 1]
+        np.array([0, 0, 0, 0, 0, 0, 1, 1]), [4, 4, 4, 4, 4, 4, 0, 1]
     )
     assert abs(h_avg - 0.5) < 1e-12
 
 
 def test_entropy_empty_assignment_is_error():
     with pytest.raises(ValueError):
-        metrics.cluster_entropy(assignment([]), [])
+        metrics.cluster_entropy(np.array([]), [])
 
 
 def test_entropy_length_mismatch_is_error():
     with pytest.raises(ValueError):
-        metrics.cluster_entropy(assignment([0, 1]), [0])
+        metrics.cluster_entropy(np.array([0, 1]), [0])
 
 
 def test_entropy_bounds_random_partitions(rng):
@@ -65,7 +55,7 @@ def test_entropy_bounds_random_partitions(rng):
         n = int(rng.integers(2, 40))
         labels = rng.integers(0, 5, size=n)
         classes = rng.integers(0, 10, size=n)
-        per_cluster, h_avg = metrics.cluster_entropy(assignment(labels), list(classes))
+        per_cluster, h_avg = metrics.cluster_entropy(np.array(labels), list(classes))
         for h in per_cluster.values():
             assert -1e-12 <= h <= math.log2(10) + 1e-12
         assert -1e-12 <= h_avg <= math.log2(10) + 1e-12
@@ -77,9 +67,9 @@ def test_entropy_merge_concavity(rng):
     for _ in range(20):
         a = list(rng.integers(0, 4, size=int(rng.integers(2, 15))))
         b = list(rng.integers(0, 4, size=int(rng.integers(2, 15))))
-        h_a = metrics.cluster_entropy(assignment([0] * len(a)), a)[1]
-        h_b = metrics.cluster_entropy(assignment([0] * len(b)), b)[1]
-        h_ab = metrics.cluster_entropy(assignment([0] * (len(a) + len(b))), a + b)[1]
+        h_a = metrics.cluster_entropy(np.array([0] * len(a)), a)[1]
+        h_b = metrics.cluster_entropy(np.array([0] * len(b)), b)[1]
+        h_ab = metrics.cluster_entropy(np.array([0] * (len(a) + len(b))), a + b)[1]
         assert h_ab >= min(h_a, h_b) - 1e-12
 
 
