@@ -3,8 +3,9 @@
 Feed-forward encoder/decoder with a finite codebook, straight-through
 gradient estimation, auxiliary pseudo-class and interaction heads, plain SGD
 training, and finite-difference gradient checking. All gradients are
-hand-derived; numpy only. Training steps in float32; the checkpoint,
-``encode``, ``loss`` and the gradient check are float64.
+hand-derived; numpy only. Training steps in float32; ``encode``, ``loss``
+and the gradient check are float64, and checkpoints store the weights,
+which are float32-exact, as float32.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from .types import (
     write_csv,
 )
 
-CHECKPOINT_FORMAT_VERSION = "scenmine-checkpoint-v2"
+CHECKPOINT_FORMAT_VERSION = "scenmine-checkpoint-v3"
 
 # Loss keys of ``_per_term_losses``, in ``LossBreakdown`` field order.
 LOSS_TERMS = ("recon", "codebook_term", "commit_term", "cl", "inter")
@@ -216,12 +217,12 @@ def _param_arrays(params: ModelParams) -> list[tuple[str, np.ndarray]]:
 # Forward pieces
 # ---------------------------------------------------------------------------
 
-def _standardize(inputs: np.ndarray, masks: np.ndarray, params: ModelParams) -> np.ndarray:
-    """(B, N, F, T) -> standardized, absent cells forced to zero. One
-    (B, N, F, T) array is allocated; the division and the masking are done
-    in place in it."""
-    x = inputs - params.feature_shift[None, None, :, None]
-    x /= params.feature_scale[None, None, :, None]
+def _standardize(inputs: np.ndarray, masks: np.ndarray, shift: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """(B, N, F, T) -> standardized by the per-feature ``shift`` and
+    ``scale``, absent cells forced to zero. One (B, N, F, T) array is
+    allocated; the division and the masking are done in place in it."""
+    x = inputs - shift[None, None, :, None]
+    x /= scale[None, None, :, None]
     x *= masks[:, :, None, :].astype(float)
     return x
 
@@ -325,7 +326,7 @@ def encode(inputs: np.ndarray, masks: np.ndarray, params: ModelParams) -> np.nda
     expected = (params.n_slots, params.n_features, params.t_obs)
     if inputs.shape[1:] != expected:
         raise ContractError(f"record shape {inputs.shape[1:]} != the model's {expected}")
-    x = _standardize(inputs, masks, params)
+    x = _standardize(inputs, masks, params.feature_shift, params.feature_scale)
     z, _ = _mlp_forward(x.reshape(x.shape[0], -1), params.enc_w, params.enc_b)
     return z
 
@@ -339,18 +340,19 @@ def _batch(
     masks: np.ndarray,
     class_targets: Optional[np.ndarray],
     interaction_targets: Optional[np.ndarray],
-    params: ModelParams,
+    shift: np.ndarray,
+    scale: np.ndarray,
 ) -> dict[str, Optional[np.ndarray]]:
-    """One float row per record of everything a step reads: the standardized
-    flat input, the present-slot mask as 0/1, the present-cell and
-    present-slot counts floored at 1, and the flat targets (None when
-    absent). Each row depends on its record only, so training builds this
+    """One float row per record of everything a step reads: the flat input
+    standardized by ``shift`` and ``scale``, the present-slot mask as 0/1,
+    the present-cell and present-slot counts floored at 1, and the flat
+    targets (None when absent). Each row depends on its record only, so training builds this
     once per run and gathers the rows of each batch."""
     b = inputs.shape[0]
     slot_mask = masks.reshape(b, -1).astype(float)
     return {
-        "x_flat": _standardize(inputs, masks, params).reshape(b, -1),
-        "cell_counts": np.maximum(params.n_features * slot_mask.sum(axis=1), 1.0),
+        "x_flat": _standardize(inputs, masks, shift, scale).reshape(b, -1),
+        "cell_counts": np.maximum(inputs.shape[2] * slot_mask.sum(axis=1), 1.0),
         "slot_mask": slot_mask,
         "slot_counts": np.maximum(slot_mask.sum(axis=1), 1.0),
         "class_targets": None if class_targets is None else np.asarray(class_targets, dtype=float),
@@ -519,7 +521,7 @@ def _backward(
 
 def loss(record: ScenarioRecord, params: ModelParams, cfg: TrainConfig) -> LossBreakdown:
     """Full loss decomposition for one record."""
-    batch = _batch(*_record_arrays([record]), params)
+    batch = _batch(*_record_arrays([record]), params.feature_shift, params.feature_scale)
     terms = _per_term_losses(_forward(batch["x_flat"], params), batch, cfg, params)
     return LossBreakdown.combine(
         *(float(terms[key][0]) for key in LOSS_TERMS), cfg.lambda_cl, cfg.lambda_int
@@ -552,6 +554,22 @@ def fit_standardization(inputs: np.ndarray, masks: np.ndarray) -> tuple[np.ndarr
     return shift, scale
 
 
+def _row_basis(x: np.ndarray) -> np.ndarray:
+    """A (K, R) basis V of the row space of the (N, K) ``x`` with
+    ``x @ V @ V.T == x``: the reduced QR factor of ``x.T`` when N < K
+    (R = N), else the identity (R = K). The rows of cells that are 0 in
+    every row of ``x`` are 0."""
+    n, k = x.shape
+    if n >= k:
+        return np.eye(k)
+    basis = np.linalg.qr(x.T)[0]
+    # The row space has no part on such a cell, but the factor's columns past
+    # the rank of ``x`` may; zeroed, the identity above still holds and the
+    # cell's first-layer weights stay exactly as drawn.
+    basis[~x.any(axis=0)] = 0.0
+    return basis
+
+
 def train_arrays(
     inputs: np.ndarray,
     masks: np.ndarray,
@@ -562,12 +580,30 @@ def train_arrays(
 ) -> tuple[ModelParams, list[LossBreakdown]]:
     """Mini-batch SGD over raw arrays. See ``train`` for the record API.
     Every step runs in float32 on a copy of the live weights, which is
-    written back (exactly) into the float64 params at the end."""
+    written back into the float64 params at the end.
+
+    SGD moves the first encoder layer W only by sums of ``g.T @ x_b`` over
+    batches of the standardized inputs, so W - W0 stays in their row space.
+    With V its basis from ``_row_basis``, the step feeds the coordinates
+    c = x V to M = W0 V, which takes the steps of W V, and writes
+    W0 + (M - M0) V.T back, rounded to float32. With fewer records N than
+    live input cells K this layer steps N columns wide instead of K."""
     if inputs.shape[0] == 0:
         raise ValueError("dataset must be non-empty")
-    n_samples, n_slots, n_features, t_obs = inputs.shape
-    rng = np.random.default_rng(cfg.seed)
+    _, n_slots, n_features, t_obs = inputs.shape
     shift, scale = fit_standardization(inputs, masks)
+    # A slot after the last one present in any record gets exactly zero
+    # gradient, so the step runs on the live prefix and leaves it as drawn.
+    n_live = live_slots(masks)
+    run = _batch(
+        inputs[:, :n_live], masks[:, :n_live], class_targets,
+        None if interaction_targets is None else interaction_targets[:, :n_live], shift, scale,
+    )
+    basis = _row_basis(run["x_flat"])
+    run["coords"] = run["x_flat"] @ basis
+    run = {key: None if arr is None else arr.astype(np.float32) for key, arr in run.items()}
+
+    rng = np.random.default_rng(cfg.seed)
     params = init_params(
         cfg,
         rng,
@@ -578,17 +614,25 @@ def train_arrays(
         feature_shift=shift,
         feature_scale=scale,
     )
-
-    # A slot after the last one present in any record gets exactly zero
-    # gradient, so the step runs on the live prefix and leaves it as drawn.
-    n_live = live_slots(masks)
     live = _live(params, n_live)
-    step = _cast(live, np.float32)
+    step = _cast(replace(live, enc_w=[live.enc_w[0] @ basis, *live.enc_w[1:]]), np.float32)
+    m0 = step.enc_w[0].copy()
+    history = _sgd(step, run, cfg, rng)
+    (_, w0), *rest = _param_arrays(live)
+    w0 += np.subtract(step.enc_w[0], m0, dtype=float) @ basis.T
+    w0[...] = w0.astype(np.float32)
+    for (_, arr), (_, trained) in zip(rest, _param_arrays(step)[1:]):
+        arr[...] = trained
+    return params, history
+
+
+def _sgd(step: ModelParams, run: dict, cfg: TrainConfig, rng: np.random.Generator) -> list[LossBreakdown]:
+    """``cfg.epochs`` epochs of mini-batch SGD, in place, on the float32
+    ``step`` fed the rows of ``run`` in an order that ``rng`` draws each
+    epoch. Returns each epoch's mean losses; the step's activation and
+    gradient buffers are freed on return."""
+    n_samples = len(run["x_flat"])
     registry = _param_arrays(step)
-    run = {key: None if arr is None else arr.astype(np.float32) for key, arr in _batch(
-        inputs[:, :n_live], masks[:, :n_live], class_targets,
-        None if interaction_targets is None else interaction_targets[:, :n_live], live,
-    ).items()}
     buffers = _Buffers()
     history: list[LossBreakdown] = []
     for epoch in range(cfg.epochs):
@@ -603,7 +647,7 @@ def train_arrays(
                 else np.take(arr, idx, axis=0, out=buffers(key, len(idx), *arr.shape[1:]), mode="clip")
                 for key, arr in run.items()
             }
-            fwd = _forward(batch["x_flat"], step, buffers)
+            fwd = _forward(batch["coords"], step, buffers)
             terms = _per_term_losses(fwd, batch, cfg, step, out=buffers)
             batch_total = _total(terms, cfg).mean()
             if not np.isfinite(batch_total):
@@ -618,9 +662,7 @@ def train_arrays(
         history.append(
             LossBreakdown.combine(*(sums[key] / n_samples for key in LOSS_TERMS), cfg.lambda_cl, cfg.lambda_int)
         )
-    for (_, arr), (_, trained) in zip(_param_arrays(live), registry):
-        arr[...] = trained
-    return params, history
+    return history
 
 
 def train(
@@ -669,7 +711,7 @@ def grad_check_arrays(
     differences over a random parameter subset; the quantization index is
     frozen at its base-point value for the numeric path. Below the default
     ``epsilon`` the differences of a loss of ~3 lose digits to rounding."""
-    batch = _batch(inputs, masks, class_targets, interaction_targets, params)
+    batch = _batch(inputs, masks, class_targets, interaction_targets, params.feature_shift, params.feature_scale)
     fwd = _forward(batch["x_flat"], params)
     grads = _backward(fwd, batch, cfg, params)
     q0 = fwd["q"].copy()
@@ -715,17 +757,45 @@ def grad_check(
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint persistence (versioned header + raw float64 arrays)
+# Checkpoint persistence (versioned header, float32 weights, float64
+# standardization)
 # ---------------------------------------------------------------------------
 
-def _checkpoint_arrays(params: ModelParams) -> list[tuple[str, np.ndarray]]:
-    return _param_arrays(params) + [
+def _checkpoint_arrays(params: ModelParams, weight=lambda arr: arr) -> list[tuple[str, np.ndarray]]:
+    """The blocks of a checkpoint in order: ``weight`` of each trainable
+    array (``<f4``), then the standardization (``<f8``)."""
+    return [(name, weight(arr)) for name, arr in _param_arrays(params)] + [
         ("feature_shift", params.feature_shift),
         ("feature_scale", params.feature_scale),
     ]
 
 
+def _front32(arr: np.ndarray) -> np.ndarray:
+    """The float32 view, shaped like the float64 ``arr``, of the front half
+    of ``arr``'s buffer."""
+    return arr.reshape(-1).view(np.float32)[: arr.size].reshape(arr.shape)
+
+
+def _widen(arr: np.ndarray) -> None:
+    """Widens the float32 values of ``_front32(arr)`` into the float64
+    ``arr`` in place. Each pass widens the back half of the values left:
+    their float64 slots lie past every float32 value still to be read, so
+    no pass reads what it writes."""
+    wide = arr.reshape(-1)
+    narrow = wide.view(np.float32)
+    n = wide.size
+    while n > 1:
+        half = (n + 1) // 2
+        wide[half:n] = narrow[half:n]
+        n = half
+    if n:
+        wide[0] = narrow[0]
+
+
 def save_checkpoint(params: ModelParams, path) -> None:
+    """Writes the trainable arrays as ``<f4`` blocks, which hold every
+    weight that ``init_params`` draws and ``train_arrays`` writes exactly,
+    and the standardization as ``<f8``. A NaN or inf raises ContractError."""
     write_blocks(path, {
         "format": CHECKPOINT_FORMAT_VERSION,
         "n_slots": params.n_slots,
@@ -735,13 +805,15 @@ def save_checkpoint(params: ModelParams, path) -> None:
         "hidden": list(params.hidden),
         "latent_dim": params.latent_dim,
         "codebook_size": params.codebook_size,
-    }, _checkpoint_arrays(params))
+    }, _checkpoint_arrays(params), ContractError, f4={name for name, _ in _param_arrays(params)})
 
 
 def load_checkpoint(path) -> ModelParams:
-    """Reads a checkpoint written by ``save_checkpoint``. A header that does
-    not describe this model layout, a short array block, a NaN or inf value
-    or trailing bytes raise ContractError."""
+    """Reads a checkpoint written by ``save_checkpoint``. Each ``<f4`` block
+    is read into the front half of its float64 array and widened there
+    (exactly), so no float32 copy of the weights is allocated. A header that
+    does not describe this model layout, a short array block, a NaN or inf
+    value or trailing bytes raise ContractError."""
     def layout(header):
         cfg = TrainConfig(
             hidden=tuple(header["hidden"]),
@@ -756,9 +828,12 @@ def load_checkpoint(path) -> ModelParams:
             t_obs=header["t_obs"],
             n_classes=header["n_classes"],
         )
-        return params, _checkpoint_arrays(params)
+        return params, _checkpoint_arrays(params, _front32)
 
-    return read_blocks(path, CHECKPOINT_FORMAT_VERSION, "checkpoint", layout, ContractError)
+    params = read_blocks(path, CHECKPOINT_FORMAT_VERSION, "checkpoint", layout, ContractError)
+    for _, arr in _param_arrays(params):
+        _widen(arr)
+    return params
 
 
 LOSS_COLUMNS = ("epoch", "recon", "codebook", "commit", "cl", "int", "total")

@@ -318,16 +318,17 @@ def write_tracks_bin(trajectories: Sequence[Trajectory], digest: str, path) -> N
     """Writes the trajectories as the memo of the tracks.csv with SHA-256
     ``digest``: one ``[vehicle_id, first_frame, n_rows]`` header entry each,
     a ``(6, N)`` feature block and an ``(N,)`` lane block. Writes nothing
-    unless parsing that file gives back these trajectories: vehicle ids
-    strictly increasing, every feature finite."""
+    unless parsing that file gives back these trajectories, in order of
+    strictly increasing vehicle id. A non-finite feature, which parsing
+    rejects, raises DatasetFormatError."""
     vids = [t.vehicle_id for t in trajectories]
-    feats = np.array([np.concatenate([getattr(t, name) for t in trajectories] + [np.empty(0)])
-                      for name in FEATURE_NAMES])
-    if vids == sorted(set(vids)) and np.isfinite(feats).all():
+    if vids == sorted(set(vids)):
+        feats = np.array([np.concatenate([getattr(t, name) for t in trajectories] + [np.empty(0)])
+                          for name in FEATURE_NAMES])
         lanes = np.concatenate([t.lane_id for t in trajectories] + [np.empty(0, np.int64)])
         entries = [[t.vehicle_id, t.first_frame, len(t)] for t in trajectories]
         write_blocks(path, {"format": TRACKS_FORMAT_VERSION, "sha256": digest, "trajectories": entries},
-                     [("features", feats), ("lanes", lanes)])
+                     [("features", feats), ("lanes", lanes)], DatasetFormatError)
 
 
 class _Stale(Exception):

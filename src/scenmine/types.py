@@ -11,7 +11,7 @@ import io
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -260,18 +260,34 @@ def validate_record(record: ScenarioRecord) -> list[str]:
 
 # ---------------------------------------------------------------------------
 # Binary container of datasets, checkpoints and tracks memos: one JSON header
-# line, then raw blocks (floats as <f8, integers as <i8, flags as 0/1 bytes).
+# line, then raw blocks (floats as <f8, or <f4 where the writer says so,
+# integers as <i8, flags as 0/1 bytes).
 # ---------------------------------------------------------------------------
 
-def write_blocks(path, header: dict, blocks: Sequence[tuple[str, np.ndarray]]) -> None:
+def _finite(arr: np.ndarray) -> bool:
+    """True if ``arr`` holds no NaN or infinity. Its min and max carry any
+    NaN through, so no temporary of ``arr``'s size is made."""
+    return arr.size == 0 or bool(np.isfinite(arr.min()) and np.isfinite(arr.max()))
+
+
+def write_blocks(
+    path, header: dict, blocks: Sequence[tuple[str, np.ndarray]], error: type[Exception], f4: Collection[str] = ()
+) -> None:
     """Writes ``header`` plus an ``"arrays"`` list of ``[name, shape]`` as one
-    compact, key-sorted JSON line, then the bytes of each block in order."""
+    compact, key-sorted JSON line, then the bytes of each block in order.
+    The float blocks named in ``f4`` are rounded to float32 one at a time as
+    they are written. A NaN or infinity in a float block raises ``error``
+    naming ``path`` before the file is opened."""
+    for name, arr in blocks:
+        if arr.dtype.kind == "f" and not _finite(arr):
+            raise error(f"{path}: non-finite value in array {name}")
     full = {**header, "arrays": [[name, list(arr.shape)] for name, arr in blocks]}
     with open(path, "wb") as fh:
         fh.write(json.dumps(full, separators=(",", ":"), sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
-        for _, arr in blocks:
-            fh.write(np.ascontiguousarray(arr, dtype={"b": bool, "i": "<i8"}.get(arr.dtype.kind, "<f8")).data)
+        for name, arr in blocks:
+            disk = "<f4" if name in f4 else {"b": bool, "i": "<i8"}.get(arr.dtype.kind, "<f8")
+            fh.write(np.ascontiguousarray(arr, dtype=disk).data)
 
 
 def read_blocks(path, fmt: str, kind: str, layout, error: type[Exception]):
@@ -302,7 +318,7 @@ def read_blocks(path, fmt: str, kind: str, layout, error: type[Exception]):
             if arr.dtype == bool:
                 if np.any(raw > 1):
                     raise error(f"{path}: byte other than 0 or 1 in array {name}")
-            elif not np.isfinite(arr).all():
+            elif not _finite(arr):
                 raise error(f"{path}: non-finite value in array {name}")
         if fh.read(1):
             raise error(f"{path}: trailing bytes after the last array")
@@ -414,7 +430,7 @@ def write_dataset(records: Sequence[ScenarioRecord], path, dt: float = DEFAULT_D
         ("tensor", np.array([r.tensor.values for r in records]).reshape(n, N_SLOTS, N_FEATURES, T_OBS)),
         ("mask", np.array([r.tensor.presence_mask for r in records], dtype=bool).reshape(n, N_SLOTS, T_OBS)),
         ("interaction", np.array([r.interaction.values for r in records]).reshape(n, N_SLOTS, T_OBS)),
-    ])
+    ], DatasetFormatError)
 
 
 def read_dataset(path) -> tuple[list[ScenarioRecord], float]:

@@ -22,7 +22,8 @@ from conftest import (
     parse_workdir,
 )
 from scenmine import cli, cvqvae, detect, ingest
-from scenmine.types import CompositeLabel, LatState, LongState, ScenarioRecord, read_dataset, write_dataset
+from scenmine.types import (CompositeLabel, LatState, LongState, ScenarioRecord, read_dataset, write_blocks,
+                            write_dataset)
 
 SMALL_CONFIG = """\
 seed: 13
@@ -136,8 +137,8 @@ GOLDEN_PIPELINE_OUTPUT = """\
 [evaluate-detection] method=ema precision=0.435 recall=0.800 report=7d45fab565c4
 [extract] records=50 skipped=0 filtered=0 dataset=316890acecb4
 [augment] pairs=10 seed=2 dataset=fd48db7c88bb
-[train] tag=no_dk records=50 live_slots=5 epochs=60 seed=4 lambda_cl=0.0 lambda_int=0.0 final_loss=1.099153 checkpoint=4716e850654f
-[train] tag=dk records=50 live_slots=5 epochs=60 seed=4 lambda_cl=1.0 lambda_int=1.0 final_loss=3.820140 checkpoint=40fe204cd3c9
+[train] tag=no_dk records=50 live_slots=5 epochs=60 seed=4 lambda_cl=0.0 lambda_int=0.0 final_loss=1.099153 checkpoint=9dd0acf2bcfc
+[train] tag=dk records=50 live_slots=5 epochs=60 seed=4 lambda_cl=1.0 lambda_int=1.0 final_loss=3.820140 checkpoint=4279744fb470
 [cluster] tag=no_dk rows=180 seed=5 assignments=4016855f4088
 [evaluate-clustering] tag=no_dk backends=3 report=e4c5d78bc669
 [cluster] tag=dk rows=180 seed=5 assignments=c22e830d1681
@@ -297,6 +298,20 @@ def _other_layout_checkpoint() -> bytes:
     with tempfile.TemporaryDirectory() as tmp:
         cvqvae.save_checkpoint(params, Path(tmp) / CKPT)
         return (Path(tmp) / CKPT).read_bytes()
+
+
+def _v2_checkpoint(blob: bytes) -> bytes:
+    """The same model as a checkpoint of format v2, which stored every array
+    as <f8."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / CKPT
+        path.write_bytes(blob)
+        params = cvqvae.load_checkpoint(path)
+        header = json.loads(blob[:_header_end(blob)])
+        del header["arrays"]
+        write_blocks(path, {**header, "format": "scenmine-checkpoint-v2"}, cvqvae._checkpoint_arrays(params),
+                     cvqvae.ContractError)
+        return path.read_bytes()
 
 
 def _keep_records(n: int):
@@ -471,7 +486,10 @@ BAD_INPUTS = [
     pytest.param("", ["cluster"], (CKPT, lambda b: b + b"\0"), 3, "stage error", id="ckpt-trailing-byte"),
     pytest.param("", ["cluster"], (CKPT, lambda b: b"\xff\xfe\n" + b), 3, "stage error", id="ckpt-garbage-header"),
     pytest.param("", ["cluster"], (CKPT, lambda b: b"[]\n" + b), 3, "stage error", id="ckpt-header-not-mapping"),
-    pytest.param("", ["cluster"], (CKPT, lambda b: b.replace(b"v2", b"v0", 1)), 3, "stage error", id="ckpt-format"),
+    pytest.param("", ["cluster"], (CKPT, lambda b: b.replace(b"v3", b"v0", 1)), 3, "stage error", id="ckpt-format"),
+    pytest.param("", ["cluster"], (CKPT, _v2_checkpoint), 3, "stage error", id="ckpt-v2-file"),
+    pytest.param("", ["cluster"], (CKPT, lambda b: b[:_header_end(b) + 6]), 3, "stage error",
+                 id="ckpt-truncated-in-f4-block"),
     pytest.param(
         "", ["cluster"], (CKPT, lambda b: b.replace(b'"latent_dim":4', b'"latent_dim":5', 1)), 3,
         "stage error", id="ckpt-layout-mismatch",
@@ -481,7 +499,7 @@ BAD_INPUTS = [
         "stage error", id="ckpt-codebook-zero",
     ),
     pytest.param(
-        "", ["cluster"], (CKPT, lambda b: b[:_header_end(b)] + struct.pack("<d", math.nan) + b[_header_end(b) + 8:]),
+        "", ["cluster"], (CKPT, lambda b: b[:_header_end(b)] + struct.pack("<f", math.nan) + b[_header_end(b) + 4:]),
         3, "stage error", id="ckpt-nan-weight",
     ),
     pytest.param("", ["cluster"], (CKPT, lambda b: _other_layout_checkpoint()), 3, "stage error",

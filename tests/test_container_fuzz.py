@@ -180,12 +180,21 @@ TEXT_READERS = {
 ALL_READERS = {**READERS, **TEXT_READERS}
 
 
+def _item_size(header: dict, name: str) -> int:
+    """The bytes per value of block ``name``: flags 1, checkpoint weights 4
+    (<f4), every other block 8."""
+    if name == "mask":
+        return 1
+    return 4 if header["format"] == cvqvae.CHECKPOINT_FORMAT_VERSION and not name.startswith("feature_") else 8
+
+
 def _regions(valid: bytes) -> list[tuple[int, int, int]]:
     """(start, end, item size) of the header line and of each block."""
     start = valid.index(b"\n") + 1
     regions = [(0, start, 1)]
-    for name, shape in json.loads(valid[:start])["arrays"]:
-        size = 1 if name == "mask" else 8
+    header = json.loads(valid[:start])
+    for name, shape in header["arrays"]:
+        size = _item_size(header, name)
         end = start + int(np.prod(shape)) * size
         if end > start:
             regions.append((start, end, size))
@@ -219,9 +228,10 @@ def damaged(draw, valid: bytes) -> bytes:
     if kind == "append":
         return valid + draw(st.binary(min_size=1, max_size=16))
     start, end, size = draw(st.sampled_from(_regions(valid)))
-    if kind == "float" and size == 8:
-        at = start + 8 * draw(st.integers(0, (end - start) // 8 - 1))
-        return valid[:at] + struct.pack("<d", draw(st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats())) + valid[at + 8:]
+    if kind == "float" and size > 1:
+        at = start + size * draw(st.integers(0, (end - start) // size - 1))
+        value = draw(st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats(width=8 * size))
+        return valid[:at] + struct.pack({4: "<f", 8: "<d"}[size], value) + valid[at + size:]
     at = draw(st.integers(start, end - 1))
     if kind == "truncate":
         return valid[:at]

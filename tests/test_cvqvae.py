@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -220,7 +221,7 @@ def test_sigmoid_bit_identical_to_masked_reference():
 # -------------------------------- loss --------------------------------------
 
 def batch_forward(inputs, masks, cls, inter, params):
-    batch = cvqvae._batch(inputs, masks, cls, inter, params)
+    batch = cvqvae._batch(inputs, masks, cls, inter, params.feature_shift, params.feature_scale)
     return batch, cvqvae._forward(batch["x_flat"], params)
 
 
@@ -294,7 +295,8 @@ def test_lambda_zero_reproduces_plain_objective(rng):
     inter = rng.random((4, 2, 5))
     batch, fwd = batch_forward(inputs, masks, cls, inter, params)
     with_targets = cvqvae._backward(fwd, batch, cfg0, params)
-    without = cvqvae._backward(fwd, cvqvae._batch(inputs, masks, None, None, params), cfg0, params)
+    plain = cvqvae._batch(inputs, masks, None, None, params.feature_shift, params.feature_scale)
+    without = cvqvae._backward(fwd, plain, cfg0, params)
     for i in range(len(params.enc_w)):
         assert np.array_equal(with_targets[f"enc_w[{i}]"], without[f"enc_w[{i}]"])
         assert np.array_equal(with_targets[f"dec_w[{i}]"], without[f"dec_w[{i}]"])
@@ -360,7 +362,7 @@ def test_train_separates_archetypes():
     inputs, masks, labels = toy_dataset(rng, n=60)
     cfg = tiny_cfg(epochs=250, hidden=(8,), latent_dim=3, codebook_size=3, learning_rate=0.05)
     params, _ = cvqvae.train_arrays(inputs, masks, None, None, cfg)
-    x = cvqvae._standardize(inputs, masks, params)
+    x = cvqvae._standardize(inputs, masks, params.feature_shift, params.feature_scale)
     z, _ = cvqvae._mlp_forward(x.reshape(x.shape[0], -1), params.enc_w, params.enc_b)
     codes = cvqvae._quantize_batch(z, params.codebook)
     # Each archetype maps to one code and codes are distinct across archetypes.
@@ -493,7 +495,8 @@ def float32_step(inputs, masks, cls, inter, params, cfg):
     cast to float32, a float32 copy of ``params`` and float32 buffers."""
     step, buffers = cvqvae._cast(params, np.float32), cvqvae._Buffers()
     batch = {key: None if arr is None else arr.astype(np.float32)
-             for key, arr in cvqvae._batch(inputs, masks, cls, inter, params).items()}
+             for key, arr in cvqvae._batch(inputs, masks, cls, inter, params.feature_shift,
+                                           params.feature_scale).items()}
     fwd = cvqvae._forward(batch["x_flat"], step, buffers)
     terms = cvqvae._per_term_losses(fwd, batch, cfg, step, out=buffers)
     grads = cvqvae._backward(fwd, batch, cfg, step, buffers, terms["residual"])
@@ -639,6 +642,32 @@ def test_checkpoint_round_trip(tmp_path):
     assert path.read_bytes() == second.read_bytes()
 
 
+def test_checkpoint_weights_are_f4_blocks(tmp_path):
+    params = tiny_params()
+    rng = np.random.default_rng(2)
+    for _, arr in cvqvae._param_arrays(params):  # biases too: 1-D blocks widen like 2-D ones
+        arr[...] = rng.normal(size=arr.shape).astype(np.float32)
+    params.feature_shift[:] = rng.normal(size=params.n_features)  # not float32-exact
+    path = tmp_path / "model.ckpt"
+    cvqvae.save_checkpoint(params, path)
+    blob = path.read_bytes()
+    weights = sum(arr.size for _, arr in cvqvae._param_arrays(params))
+    assert len(blob) == blob.index(b"\n") + 1 + 4 * weights + 8 * 2 * params.n_features
+    loaded = cvqvae.load_checkpoint(path)
+    for (name, a), (_, b) in zip(cvqvae._checkpoint_arrays(loaded), cvqvae._checkpoint_arrays(params)):
+        assert a.dtype == np.float64 and a.flags.c_contiguous, name
+        assert np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("shape", [(0,), (1,), (2,), (3,), (7,), (64,), (65,), (3, 5), (128, 33)])
+def test_widen_in_place_equals_astype(shape):
+    arr = np.zeros(shape)
+    narrow = np.random.default_rng(1).normal(size=shape).astype(np.float32)
+    cvqvae._front32(arr)[...] = narrow
+    cvqvae._widen(arr)
+    assert arr.tobytes() == narrow.astype(np.float64).tobytes()
+
+
 def test_loss_history_csv(tmp_path):
     records = corpus.build_archetype_corpus(n_per_class=1, seed=9)
     _, history = cvqvae.train(records, tiny_cfg(epochs=3))
@@ -680,11 +709,32 @@ def test_boundary_training_settings_accepted(field, value):
                                          ("feature_scale", -np.inf)])
 def test_checkpoint_non_finite_array_is_contract_error(tmp_path, name, value):
     params = tiny_params()
-    dict(cvqvae._checkpoint_arrays(params))[name].flat[1] = value
     path = tmp_path / "model.ckpt"
     cvqvae.save_checkpoint(params, path)
+    # The writer refuses the value, so it is put into the file's bytes: the
+    # weights are <f4 blocks, the standardization <f8.
+    blob = bytearray(path.read_bytes())
+    at = blob.index(b"\n") + 1
+    for block, arr in cvqvae._checkpoint_arrays(params):
+        fmt = "<d" if block.startswith("feature_") else "<f"
+        if block == name:
+            struct.pack_into(fmt, blob, at + struct.calcsize(fmt), value)  # flat[1]
+            break
+        at += arr.size * struct.calcsize(fmt)
+    path.write_bytes(bytes(blob))
     with pytest.raises(cvqvae.ContractError, match=re.escape(f"array {name}")):
         cvqvae.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("name, value", [("enc_w[0]", np.nan), ("codebook", np.inf),
+                                         ("feature_scale", -np.inf)])
+def test_save_checkpoint_refuses_a_non_finite_array(tmp_path, name, value):
+    params = tiny_params()
+    dict(cvqvae._checkpoint_arrays(params))[name].flat[1] = value
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(cvqvae.ContractError, match=re.escape(f"{path}: non-finite value in array {name}")):
+        cvqvae.save_checkpoint(params, path)
+    assert not path.exists()
 
 
 # SHA-256 of the checkpoint and loss-history bytes of a fixed-seed run,
@@ -696,15 +746,18 @@ def test_checkpoint_non_finite_array_is_contract_error(tmp_path, name, value):
 # did not move. All four re-recorded when the training step moved to
 # float32: the weights are drawn float32-exact and every step rounds in
 # float32. The checkpoints re-recorded when they lost the code-usage block
-# and the ``codebook_update`` header key (format v2).
+# and the ``codebook_update`` header key (format v2). All four re-recorded
+# when the first encoder layer moved to the row space of the 3 training
+# records (its sums round differently) and the checkpoint weights to <f4
+# blocks (format v3).
 GOLDEN_DIGESTS = {
     0.0: (
-        "976196e5501ea52097b75e36dc85ce489f5a961f4cf554918a4bccbf46aa40d1",
-        "00cdda1dd192951df0edcdfe9dfdf5e8c1c690f053e4e5ee4803486c7ab9c5a9",
+        "a55f0bf05ffd3a7dc79b63a35324f9f7812dd00b4a4e17104665b15494e4b010",
+        "e8f9d9e5be2c88b988610ebfcf4965f6a8557e45301bf24db5096934b3e7c91f",
     ),
     1.0: (
-        "44136ed06fe58632be9b152d7150d185289f6cd8712ee6abc677fc0418770f75",
-        "474813de843e24a3cb2439f52c8cf7f7500e59e23f08589ea9b109dfd3dfaffd",
+        "7ad42405d85271de33a197783ddb55c4badc59d1eb0315c2c6101caad9a933b4",
+        "a1621fefd0a724ba5a1c1b254d36633e42eb4801f144de650efb4a2cb4856232",
     ),
 }
 
@@ -729,16 +782,17 @@ def test_training_bytes_match_golden_digests(tmp_path, weight):
 # gradient memory is reused across batches of different sizes. Recorded
 # before the training step reused its buffers; both loss histories
 # re-recorded with the live slot prefix, all four with the float32 step, as
-# above, and all four when dead-code revival, which these runs once set off,
-# was removed.
+# above, all four when dead-code revival, which these runs once set off,
+# was removed, and all four with the row-space first layer and format v3,
+# as above.
 GOLDEN_RAGGED_DIGESTS = {
     0.0: (
-        "2e24db30ac38e0f526122677aa6a75c82cbf891477f676d6d0e5b37ea827b44d",
-        "052f4b6a1ff32cf938fbe7c608b1ea9b18e4db153e135b0ae3b8e13fb68ea4ce",
+        "502722e36c7155959f8696b7644bdf15d620018196168840570bf3d910f549c1",
+        "3f49ab0d73b10f27df9efd1a777304733594371c91b09919871a9631d167423c",
     ),
     1.0: (
-        "7bb272f3f6b6fbd0650cec60eb7cfb8ac2c7b7854e43fc9b1f09139f76c29140",
-        "122cc6572e849b15ab8ba3e8978b40d4d67216304c972ff3439951230651eefc",
+        "49e5a06f9200b251abfc217e97c6ca28f89a8dfcec80a49a5913a797b0cabb75",
+        "c2fc0685708529ac297c6fadc3a73643f0344836a42034fae986fa14939589a9",
     ),
 }
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from scenmine import ingest
-from scenmine.types import FEATURE_NAMES, LatState, LongState
+from scenmine.types import FEATURE_NAMES, DatasetFormatError, LatState, LongState
 
 from conftest import assert_same_trajectories, make_traj
 
@@ -260,6 +260,14 @@ def test_tracks_csv_round_trip(tmp_path):
     ingest.write_tracks_csv(trajs, path)
     loaded = ingest.read_tracks_csv(path, meta())
     assert_same_trajectories(loaded, trajs)
+
+
+def test_tracks_memo_refuses_a_non_finite_feature(tmp_path):
+    trajs = [make_traj(n=3, vehicle_id=1), make_traj(ax=[0.0, np.inf, 0.0], vehicle_id=2)]
+    path = tmp_path / "tracks.bin"
+    with pytest.raises(DatasetFormatError, match="non-finite value in array features"):
+        ingest.write_tracks_bin(trajs, "0" * 64, path)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("value, lanes", [(3, 3), (3.0, 3), (3.7, None), (True, None), ("3", None)])

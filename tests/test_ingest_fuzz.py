@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from scenmine import cli, ingest
-from scenmine.types import FEATURE_NAMES
+from scenmine.types import FEATURE_NAMES, DatasetFormatError
 
 from conftest import assert_same_trajectories, encode_tracks_v1, load_from_memo, make_traj, parse_tracks_v1
 
@@ -245,12 +245,16 @@ def test_tracks_memo_equals_parse(trajs, ordered):
     if ordered:
         trajs = sorted(trajs, key=lambda t: t.vehicle_id)
     vids = [t.vehicle_id for t in trajs]
-    memo = vids == sorted(vids) and all(np.isfinite(getattr(t, name)).all()
-                                        for t in trajs for name in FEATURE_NAMES)
+    finite = all(np.isfinite(getattr(t, name)).all() for t in trajs for name in FEATURE_NAMES)
+    memo = vids == sorted(vids) and finite
     with tempfile.TemporaryDirectory() as tmp:
         wd = Path(tmp)
         ingest.write_meta_json(META, wd / "meta.json")
-        cli._write_tracks(trajs, wd)
+        if vids == sorted(vids) and not finite:  # the memo writer refuses what parsing rejects
+            with pytest.raises(DatasetFormatError, match="non-finite value"):
+                cli._write_tracks(trajs, wd)
+        else:
+            cli._write_tracks(trajs, wd)
         assert (wd / "tracks.bin").exists() == memo
         want = _load(lambda: ingest.read_tracks_csv(wd / "tracks.csv", META))
         got = _load(lambda: load_from_memo(wd) if memo else cli._load_tracks(wd)[1])

@@ -1,15 +1,23 @@
-"""The per-frame Python loops the data layer used before its array kernels,
-kept as oracles: run finding, the rule detector, the EMA baseline,
-trajectory integration, the synthetic ground truth and the donor scan.
-Every comparison is exact: equal lists and segments, floats equal bit for
-bit (so -0.0 and 0.0 differ)."""
+"""The loops the program used before its faster kernels, kept as oracles.
+
+The per-frame Python loops of the data layer (run finding, the rule
+detector, the EMA baseline, trajectory integration, the synthetic ground
+truth and the donor scan): every comparison is exact, equal lists and
+segments, floats equal bit for bit (so -0.0 and 0.0 differ).
+
+The primal training loop, whose first encoder layer steps at the full live
+width of the inputs: ``cvqvae.train_arrays`` steps that layer in the row
+space of the training inputs instead, which is the same SGD up to float32
+rounding, and the same arithmetic bit for bit when the records are at least
+as many as the input cells."""
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scenmine import detect, extraction, ingest
+from scenmine import corpus, cvqvae, detect, extraction, ingest
 from scenmine.detect import DetectorConfig, Segment
 from scenmine.types import ChangePoint, CompositeLabel, LatState, LongState, Trajectory
 
@@ -433,3 +441,167 @@ def test_donor_segment_starts_match_loop(ay, lanes, length, max_abs_ay):
     donor = Trajectory(1, "d", 0.04, 0, *np.zeros((4, len(ay))), np.zeros(len(ay)), ay, lane_id=lane)
     assert extraction._donor_segment_starts(donor, length, max_abs_ay) == donor_segment_starts_loop(
         donor, length, max_abs_ay)
+
+
+# ---------------------------------------------------------------------------
+# Training: the primal loop
+# ---------------------------------------------------------------------------
+
+
+def train_arrays_primal(inputs, masks, class_targets, interaction_targets, cfg):
+    """``cvqvae.train_arrays`` with the first encoder layer stepped at the
+    full live width: each batch feeds its standardized inputs to that layer's
+    float32 copy, and every trained weight is copied back as it is."""
+    n_samples, n_slots, n_features, t_obs = inputs.shape
+    rng = np.random.default_rng(cfg.seed)
+    shift, scale = cvqvae.fit_standardization(inputs, masks)
+    params = cvqvae.init_params(cfg, rng, n_slots=n_slots, n_features=n_features, t_obs=t_obs,
+                                feature_shift=shift, feature_scale=scale)
+    n_live = cvqvae.live_slots(masks)
+    live = cvqvae._live(params, n_live)
+    step = cvqvae._cast(live, np.float32)
+    registry = cvqvae._param_arrays(step)
+    run = {key: None if arr is None else arr.astype(np.float32) for key, arr in cvqvae._batch(
+        inputs[:, :n_live], masks[:, :n_live], class_targets,
+        None if interaction_targets is None else interaction_targets[:, :n_live], shift, scale,
+    ).items()}
+    buffers = cvqvae._Buffers()
+    history = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n_samples)
+        sums = dict.fromkeys(cvqvae.LOSS_TERMS, 0.0)
+        for start in range(0, n_samples, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            batch = {key: None if arr is None
+                     else np.take(arr, idx, axis=0, out=buffers(key, len(idx), *arr.shape[1:]), mode="clip")
+                     for key, arr in run.items()}
+            fwd = cvqvae._forward(batch["x_flat"], step, buffers)
+            terms = cvqvae._per_term_losses(fwd, batch, cfg, step, out=buffers)
+            grads = cvqvae._backward(fwd, batch, cfg, step, buffers, terms["residual"])
+            for name, arr in registry:
+                arr -= np.multiply(cfg.learning_rate, grads[name], out=grads[name])
+            for key in sums:
+                sums[key] += float(terms[key].sum())
+        history.append(cvqvae.LossBreakdown.combine(
+            *(sums[key] / n_samples for key in cvqvae.LOSS_TERMS), cfg.lambda_cl, cfg.lambda_int))
+    for (_, arr), (_, trained) in zip(cvqvae._param_arrays(live), registry):
+        arr[...] = trained
+    return params, history
+
+
+def small_layout_arrays(n=40, seed=4):
+    """``n`` records of a 1-slot, 2-feature, 10-frame layout (20 input
+    cells), each with a few absent frames."""
+    rng = np.random.default_rng(seed)
+    inputs = rng.normal(size=(n, 1, 2, 10))
+    masks = rng.random((n, 1, 10)) < 0.8
+    masks[:, 0, 0] = True
+    cls = np.eye(10)[rng.integers(0, 10, size=n)]
+    inter = rng.random((n, 1, 10))
+    return inputs, masks, cls, inter
+
+
+def archetype_arrays(n_per_class=10):
+    """The archetype corpus: 3 * ``n_per_class`` records, 4 live slots, so
+    far fewer records than the 2400 live input cells."""
+    return cvqvae._record_arrays(corpus.build_archetype_corpus(n_per_class=n_per_class, seed=9))
+
+
+def recording_codes(monkeypatch):
+    """The list that every code assignment of ``cvqvae._forward`` is
+    appended to from now on."""
+    codes = []
+    quantize = cvqvae._quantize_batch
+
+    def recorded(z, codebook):
+        q = quantize(z, codebook)
+        codes.append(q.copy())
+        return q
+
+    monkeypatch.setattr(cvqvae, "_quantize_batch", recorded)
+    return codes
+
+
+def test_training_with_as_many_records_as_cells_equals_the_primal_loop_bit_for_bit():
+    args = small_layout_arrays()
+    assert args[0].shape[0] >= args[0][0].size  # N >= K: the basis is the identity
+    cfg = cvqvae.TrainConfig(hidden=(8,), latent_dim=4, codebook_size=4, epochs=5, batch_size=16,
+                             learning_rate=0.05, seed=2)
+    want, want_history = train_arrays_primal(*args, cfg)
+    got, got_history = cvqvae.train_arrays(*args, cfg)
+    assert got_history == want_history
+    for (name, a), (_, b) in zip(cvqvae._checkpoint_arrays(got), cvqvae._checkpoint_arrays(want)):
+        assert a.tobytes() == b.tobytes(), name
+
+
+def test_row_space_training_matches_the_primal_loop(monkeypatch):
+    args = archetype_arrays()
+    cfg = cvqvae.TrainConfig(epochs=10, batch_size=8, seed=3)  # the default model, lambda = 1
+    codes = recording_codes(monkeypatch)
+    want, want_history = train_arrays_primal(*args, cfg)
+    want_codes = codes[:]
+    codes.clear()
+    got, got_history = cvqvae.train_arrays(*args, cfg)
+    assert len(codes) == len(want_codes) == 10 * 4  # 30 records in batches of 8
+    for i, (a, b) in enumerate(zip(codes, want_codes)):
+        assert np.array_equal(a, b), f"batch {i}"
+    # Scale-relative: an elementwise rtol fails on entries near zero.
+    for (name, a), (_, b) in zip(cvqvae._param_arrays(got), cvqvae._param_arrays(want)):
+        np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-5 * np.abs(b).max(), err_msg=name)
+    for a, b in zip(got_history, want_history):
+        for key in ("recon", "codebook_term", "commit_term", "cl", "inter", "total"):
+            assert getattr(a, key) == pytest.approx(getattr(b, key), rel=1e-6), key
+
+
+@pytest.mark.parametrize("arrays", [small_layout_arrays, archetype_arrays])
+def test_learning_rate_zero_leaves_the_drawn_weights(arrays):
+    inputs, masks, cls, inter = arrays()
+    cfg = cvqvae.TrainConfig(hidden=(16,), latent_dim=4, codebook_size=4, epochs=2, batch_size=8,
+                             learning_rate=0.0, seed=5)
+    params, _ = cvqvae.train_arrays(inputs, masks, cls, inter, cfg)
+    shift, scale = cvqvae.fit_standardization(inputs, masks)
+    drawn = cvqvae.init_params(cfg, np.random.default_rng(cfg.seed), n_slots=inputs.shape[1],
+                               n_features=inputs.shape[2], t_obs=inputs.shape[3],
+                               feature_shift=shift, feature_scale=scale)
+    for (name, a), (_, b) in zip(cvqvae._checkpoint_arrays(params), cvqvae._checkpoint_arrays(drawn)):
+        assert a.tobytes() == b.tobytes(), name
+
+
+def test_columns_of_never_present_cells_keep_their_drawn_weights():
+    inputs, masks, cls, inter = archetype_arrays()
+    masks = masks.copy()
+    # In no record: slot 0's first 10 frames, whose cells 0-9 are among the
+    # first 30 rows of the QR factor, where it need not be 0 for these
+    # rank-13 inputs, and slot 1's first 30 frames.
+    masks[:, 0, :10] = False
+    masks[:, 1, :30] = False
+    cfg = cvqvae.TrainConfig(hidden=(32,), latent_dim=8, codebook_size=4, epochs=3, batch_size=8, seed=5)
+    params, _ = cvqvae.train_arrays(inputs, masks, cls, inter, cfg)
+    shift, scale = cvqvae.fit_standardization(inputs, masks)
+    drawn = cvqvae.init_params(cfg, np.random.default_rng(cfg.seed), feature_shift=shift, feature_scale=scale)
+    never = ~np.broadcast_to(masks.any(axis=0)[:, None, :], inputs.shape[1:]).reshape(-1)
+    assert never[4 * 600:].all()  # the slots past n_live
+    assert never[:10].all() and never[:600].sum() == 6 * 10 and never[600:1200].sum() == 6 * 30
+    w, w0 = params.enc_w[0], drawn.enc_w[0]
+    assert w[:, never].tobytes() == w0[:, never].tobytes()
+    assert not np.array_equal(w[:, ~never], w0[:, ~never])  # the present cells' columns moved
+
+
+def test_row_space_step_is_the_primal_step_in_coordinates():
+    inputs, masks, cls, inter = archetype_arrays()
+    n_live = cvqvae.live_slots(masks)
+    cfg = cvqvae.TrainConfig(seed=3)
+    shift, scale = cvqvae.fit_standardization(inputs, masks)
+    params = cvqvae.init_params(cfg, np.random.default_rng(3), feature_shift=shift, feature_scale=scale)
+    live = cvqvae._live(params, n_live)
+    run = cvqvae._batch(inputs[:, :n_live], masks[:, :n_live], cls, inter[:, :n_live], shift, scale)
+    basis = cvqvae._row_basis(run["x_flat"])
+    assert basis.shape == (n_live * 600, len(inputs))
+    np.testing.assert_allclose(basis.T @ basis, np.eye(len(inputs)), atol=1e-12)
+    batch = {key: arr[:16] for key, arr in run.items()}
+    primal = cvqvae._backward(cvqvae._forward(batch["x_flat"], live), batch, cfg, live)["enc_w[0]"]
+    rowspace = replace(live, enc_w=[live.enc_w[0] @ basis, *live.enc_w[1:]])
+    fwd = cvqvae._forward(batch["x_flat"] @ basis, rowspace)
+    coords = cvqvae._backward(fwd, batch, cfg, rowspace)["enc_w[0]"]
+    assert np.linalg.norm(coords) == pytest.approx(np.linalg.norm(primal), rel=1e-5)
+    np.testing.assert_allclose(coords @ basis.T, primal, rtol=1e-5, atol=1e-9 * np.abs(primal).max())

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 import struct
 
 import numpy as np
@@ -113,6 +115,16 @@ def test_dataset_round_trip_bit_identical(records, tmp_path):
         first, last = array_of(loaded[0]), array_of(loaded[-1])
         assert first.base is not None and first.base is last.base
         assert not first.flags.writeable
+
+
+def test_write_dataset_refuses_a_non_finite_value(records, tmp_path):
+    values = records[1].tensor.values.copy()
+    values[0, 2, 5] = np.nan
+    bad = dataclasses.replace(records[1], tensor=dataclasses.replace(records[1].tensor, values=values))
+    path = tmp_path / "ds.jsonl"
+    with pytest.raises(DatasetFormatError, match=re.escape(f"{path}: non-finite value in array tensor")):
+        write_dataset([records[0], bad], path)
+    assert not path.exists()
 
 
 def test_dataset_round_trip_of_zero_records(tmp_path):
