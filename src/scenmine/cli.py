@@ -15,8 +15,8 @@ import numpy as np
 
 from . import clustering, config, corpus, cvqvae, detect, extraction, ingest, metrics
 from .config import Config
-from .types import (DatasetFormatError, read_csv, read_dataset, read_json, validate_record, write_csv,
-                    write_dataset, write_json)
+from .types import (DatasetFormatError, read_csv, read_dataset, read_dataset_arrays, read_dataset_header,
+                    read_json, validate_record, write_csv, write_dataset, write_json)
 
 
 class StageError(Exception):
@@ -272,24 +272,34 @@ def cmd_train(cfg: Config, workdir: Path, lambda_cl=None, lambda_int=None, tag: 
 
 
 def cmd_cluster(cfg: Config, workdir: Path, tag: str = "model") -> None:
-    records, _ = read_dataset(_require(workdir / "dataset.jsonl"))
-    aug_path = workdir / "dataset_augmented.jsonl"
-    all_records = read_dataset(aug_path)[0] if aug_path.exists() else records
-    base_ids = {r.record_id for r in records}
-    extra = [r for r in all_records if r.record_id not in base_ids]
+    path, aug_path = _require(workdir / "dataset.jsonl"), workdir / "dataset_augmented.jsonl"
+    if aug_path.exists():  # the base records again, then the held-out ones
+        base, _ = read_dataset_header(path)
+        fields, _, tensor, mask, _ = read_dataset_arrays(aug_path)
+    else:
+        fields, _, tensor, mask, _ = read_dataset_arrays(path)
+        base = fields
+    n = len(base)
     try:
         params = cvqvae.load_checkpoint(_require(workdir / f"{tag}.ckpt"))
-        train_latents = clustering.encode_latents(records, params)
-        extra_latents = clustering.encode_latents(extra, params) if extra else np.zeros((0, params.latent_dim))
     except cvqvae.ContractError as exc:
         raise StageError(f"invalid checkpoint: {exc}") from exc
-    if len(records) < params.codebook_size:
-        raise StageError(f"dataset.jsonl holds {len(records)} base records, fewer than "
+    if n < params.codebook_size:
+        raise StageError(f"dataset.jsonl holds {n} base records, fewer than "
                          f"the checkpoint's codebook_size {params.codebook_size}")
+    base_ids = {f["record_id"] for f in base}
+    if fields[:n] != base or any(f["augmentation_parent"] not in base_ids for f in fields[n:]):
+        raise StageError(f"{aug_path} is not the records of dataset.jsonl followed by their "
+                         "augmentations; re-run augment")
+    try:
+        base_latents = cvqvae.encode(tensor[:n], mask[:n], params)
+        held_out_latents = cvqvae.encode(tensor[n:], mask[n:], params)
+    except cvqvae.ContractError as exc:
+        raise StageError(f"invalid checkpoint: {exc}") from exc
     seed = config.stage_seed(cfg, "cluster")
-    ids = [r.record_id for r in records + extra]
+    ids = [f["record_id"] for f in fields]
     rows = [(rid, backend, int(label)) for backend in cfg.cluster.backends
-            for rid, label in zip(ids, clustering.assign(backend, train_latents, extra_latents,
+            for rid, label in zip(ids, clustering.assign(backend, base_latents, held_out_latents,
                                                           params.codebook, cfg.cluster, seed))]
 
     out = workdir / f"assignments_{tag}.csv"
@@ -320,10 +330,10 @@ def _assignment_labels(path: Path, record_ids: set) -> dict[str, dict[str, int]]
 
 
 def cmd_evaluate_clustering(cfg: Config, workdir: Path, tag: str = "model") -> None:
-    records, _ = read_dataset(_require(workdir / "dataset.jsonl"))
+    fields, _ = read_dataset_header(_require(workdir / "dataset.jsonl"))
     pairs_path = _require(workdir / "pairs.csv")
     pairs = corpus.read_pairs(pairs_path)
-    class_of = {r.record_id: r.pseudo_class.index for r in records}
+    class_of = {f["record_id"]: f["pseudo_class"] for f in fields}
     if not pairs or any(parent not in class_of for parent, _ in pairs):
         raise DatasetFormatError(f"{pairs_path}: no pair, or a parent that is not a record of dataset.jsonl")
     assignments = _assignment_labels(_require(workdir / f"assignments_{tag}.csv"),

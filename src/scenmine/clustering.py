@@ -4,12 +4,10 @@ k-means++ seeding, and agglomerative hierarchical clustering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import cvqvae
-from .types import ScenarioRecord
 
 BACKENDS = ("codebook", "kmeans", "hierarchical")
 LINKAGES = ("ward", "average", "complete")
@@ -29,13 +27,6 @@ class ClusterConfig:
             raise ValueError(f"unknown linkage {self.linkage!r}; expected one of {list(LINKAGES)}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-
-
-def encode_latents(records: Sequence[ScenarioRecord], params: cvqvae.ModelParams) -> np.ndarray:
-    """(M, d) continuous latents from the trained encoder; records that do
-    not fit the model's layout raise ``cvqvae.ContractError``."""
-    inputs, masks, _, _ = cvqvae._record_arrays(records)
-    return cvqvae.encode(inputs, masks, params)
 
 
 def assign(

@@ -111,10 +111,6 @@ class ModelParams:
     feature_shift: np.ndarray  # (n_features,)
     feature_scale: np.ndarray  # (n_features,)
 
-    @property
-    def input_dim(self) -> int:
-        return self.n_slots * self.n_features * self.t_obs
-
 
 def init_params(
     cfg: TrainConfig,
@@ -517,15 +513,6 @@ def _backward(
     g_z = g_zq + cfg.commitment_weight * 2.0 * (fwd["z"] - fwd["z_q"]) / params.latent_dim / b
     _mlp_backward(g_z, fwd["enc_cache"], params.enc_w, "enc", grads, False, out)
     return grads
-
-
-def loss(record: ScenarioRecord, params: ModelParams, cfg: TrainConfig) -> LossBreakdown:
-    """Full loss decomposition for one record."""
-    batch = _batch(*_record_arrays([record]), params.feature_shift, params.feature_scale)
-    terms = _per_term_losses(_forward(batch["x_flat"], params), batch, cfg, params)
-    return LossBreakdown.combine(
-        *(float(terms[key][0]) for key in LOSS_TERMS), cfg.lambda_cl, cfg.lambda_int
-    )
 
 
 def _record_arrays(records: Sequence[ScenarioRecord]):

@@ -290,27 +290,35 @@ def write_blocks(
             fh.write(np.ascontiguousarray(arr, dtype=disk).data)
 
 
+def _read_header(fh, path, fmt: str, kind: str, layout, error: type[Exception]):
+    """``layout(header) -> (result, blocks)`` of the header line that ``fh``
+    reads from a ``write_blocks`` file in format ``fmt``; the header's
+    array list must name the ``(name, array)`` list ``blocks``. Any damage
+    (see the checks below, and a KeyError, TypeError or ValueError of
+    ``layout``) raises ``error`` naming ``path``."""
+    try:
+        header = json.loads(fh.readline().decode("utf-8"))
+    except ValueError as exc:  # includes UnicodeDecodeError
+        raise error(f"{path}: unreadable {kind} header") from exc
+    if not isinstance(header, dict):
+        raise error(f"{path}: {kind} header is not a mapping")
+    if header.get("format") != fmt:
+        raise error(f"{path}: unsupported {kind} format {header.get('format')!r}")
+    try:
+        result, blocks = layout(header)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise error(f"{path}: invalid {kind} header ({exc!r})") from exc
+    if header.get("arrays") != [[name, list(arr.shape)] for name, arr in blocks]:
+        raise error(f"{path}: array list does not match the {kind} header")
+    return result, blocks
+
+
 def read_blocks(path, fmt: str, kind: str, layout, error: type[Exception]):
-    """Reads a file of ``write_blocks`` in format ``fmt`` and returns the
-    ``result`` of ``layout(header) -> (result, blocks)`` once the ``(name,
-    array)`` list ``blocks`` is filled from the file. Any damage (see the
-    checks below, and a KeyError, TypeError or ValueError of ``layout``)
-    raises ``error`` naming ``path``."""
+    """The ``result`` of ``_read_header`` once its blocks are filled from
+    the file; a short block, a non-finite float, a flag byte other than 0
+    or 1 or bytes after the last block raise ``error`` naming ``path``."""
     with open(path, "rb") as fh:
-        try:
-            header = json.loads(fh.readline().decode("utf-8"))
-        except ValueError as exc:  # includes UnicodeDecodeError
-            raise error(f"{path}: unreadable {kind} header") from exc
-        if not isinstance(header, dict):
-            raise error(f"{path}: {kind} header is not a mapping")
-        if header.get("format") != fmt:
-            raise error(f"{path}: unsupported {kind} format {header.get('format')!r}")
-        try:
-            result, blocks = layout(header)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise error(f"{path}: invalid {kind} header ({exc!r})") from exc
-        if header.get("arrays") != [[name, list(arr.shape)] for name, arr in blocks]:
-            raise error(f"{path}: array list does not match the {kind} header")
+        result, blocks = _read_header(fh, path, fmt, kind, layout, error)
         for name, arr in blocks:
             raw = arr.reshape(-1).view(np.uint8)
             if fh.readinto(raw) != raw.size:
@@ -397,7 +405,9 @@ _RECORD_FIELDS = {"record_id": str, "recording_id": str, "vehicle_id": int, "t_c
 
 
 def _record_fields(entry: dict) -> dict:
-    """The ScenarioRecord arguments but the arrays of one header entry."""
+    """The fields of one header entry: its record id, recording id, vehicle
+    id and augmentation parent, its ``pseudo_class`` index and its
+    ``anchor`` ChangePoint."""
     for key, kind in _RECORD_FIELDS.items():
         if not isinstance(entry[key], kind) or isinstance(entry[key], bool):
             raise TypeError(f"record field {key}={entry[key]!r}")
@@ -405,8 +415,8 @@ def _record_fields(entry: dict) -> dict:
         raise ValueError(f"pseudo_class {entry['pseudo_class']} outside [0, {N_CLASSES})")
     before, after = (CompositeLabel.from_string(entry[key]) for key in ("before", "after"))
     return {
-        **{key: entry[key] for key in ("record_id", "recording_id", "vehicle_id", "augmentation_parent")},
-        "pseudo_class": PseudoClassLabel.from_index(entry["pseudo_class"]),
+        **{key: entry[key] for key in ("record_id", "recording_id", "vehicle_id", "augmentation_parent",
+                                       "pseudo_class")},
         "anchor": ChangePoint(entry["t_c"], before, after),
     }
 
@@ -433,34 +443,56 @@ def write_dataset(records: Sequence[ScenarioRecord], path, dt: float = DEFAULT_D
     ], DatasetFormatError)
 
 
-def read_dataset(path) -> tuple[list[ScenarioRecord], float]:
-    """Reads a file of ``write_dataset``; the records' arrays are read-only
-    views into its blocks. Besides the damage ``read_blocks`` finds, a
-    ``dt`` that is not positive and finite, a malformed record entry, a
-    pseudo-class outside [0, N_CLASSES), equal anchor labels or a repeated
-    record id raise DatasetFormatError naming the file."""
-    def layout(header):
-        dt, entries, n = float(header["dt"]), header["records"], header["n_records"]
-        if not 0.0 < dt < np.inf:
-            raise ValueError(f"dt {dt} is not positive and finite")
-        if not isinstance(entries, list) or n != len(entries):
-            raise ValueError(f"n_records {n!r} does not count the record entries")
-        blocks = [
-            ("tensor", np.empty((n, N_SLOTS, N_FEATURES, T_OBS))),
-            ("mask", np.empty((n, N_SLOTS, T_OBS), dtype=bool)),
-            ("interaction", np.empty((n, N_SLOTS, T_OBS))),
-        ]
-        fields = [_record_fields(e) for e in entries]
-        ids = [f["record_id"] for f in fields]
-        if len(set(ids)) != n:
-            raise ValueError(f"record_id {next(i for i in ids if ids.count(i) > 1)!r} is repeated")
-        return (dt, fields, blocks), blocks
+def _dataset_layout(header):
+    """``((fields, dt, blocks), blocks)`` of a dataset header, the blocks
+    empty; a ``dt`` that is not positive and finite, a malformed record
+    entry or a repeated record id raise ValueError, KeyError or TypeError."""
+    dt, entries, n = float(header["dt"]), header["records"], header["n_records"]
+    if not 0.0 < dt < np.inf:
+        raise ValueError(f"dt {dt} is not positive and finite")
+    if not isinstance(entries, list) or n != len(entries):
+        raise ValueError(f"n_records {n!r} does not count the record entries")
+    blocks = [
+        ("tensor", np.empty((n, N_SLOTS, N_FEATURES, T_OBS))),
+        ("mask", np.empty((n, N_SLOTS, T_OBS), dtype=bool)),
+        ("interaction", np.empty((n, N_SLOTS, T_OBS))),
+    ]
+    fields = [_record_fields(e) for e in entries]
+    ids = [f["record_id"] for f in fields]
+    if len(set(ids)) != n:
+        raise ValueError(f"record_id {next(i for i in ids if ids.count(i) > 1)!r} is repeated")
+    return (fields, dt, blocks), blocks
 
-    dt, fields, blocks = read_blocks(path, DATASET_FORMAT_VERSION, "dataset", layout, DatasetFormatError)
-    tensors, masks, interactions = (arr for _, arr in blocks)
-    for arr in tensors, masks, interactions:
+
+def read_dataset_header(path) -> tuple[list[dict], float]:
+    """The record fields (see ``_record_fields``) and ``dt`` of a file of
+    ``write_dataset``, read from its header alone. Any damage to the header
+    (see ``_read_header`` and ``_dataset_layout``) raises DatasetFormatError
+    naming the file."""
+    with open(path, "rb") as fh:
+        (fields, dt, _), _ = _read_header(fh, path, DATASET_FORMAT_VERSION, "dataset", _dataset_layout,
+                                         DatasetFormatError)
+    return fields, dt
+
+
+def read_dataset_arrays(path):
+    """``read_dataset_header``'s fields and ``dt``, then the read-only
+    (M, N, F, T) tensors, (M, N, T) presence masks and (M, N, T) interaction
+    matrices of the M records; damage that ``read_blocks`` finds raises
+    DatasetFormatError."""
+    fields, dt, blocks = read_blocks(path, DATASET_FORMAT_VERSION, "dataset", _dataset_layout, DatasetFormatError)
+    for _, arr in blocks:
         arr.setflags(write=False)
+    return (fields, dt, *(arr for _, arr in blocks))
+
+
+def read_dataset(path) -> tuple[list[ScenarioRecord], float]:
+    """The records and ``dt`` of a file of ``write_dataset``, which
+    ``read_dataset_arrays`` reads; the records' arrays are read-only views
+    into its blocks."""
+    fields, dt, tensors, masks, interactions = read_dataset_arrays(path)
     return [
-        ScenarioRecord(ScenarioTensor(tensors[i], masks[i]), interaction=InteractionMatrix(interactions[i]), **f)
+        ScenarioRecord(ScenarioTensor(tensors[i], masks[i]), interaction=InteractionMatrix(interactions[i]),
+                       **{**f, "pseudo_class": PseudoClassLabel.from_index(f["pseudo_class"])})
         for i, f in enumerate(fields)
     ], dt

@@ -91,6 +91,13 @@ def quantize(z, codebook):
     return q, codebook[q].copy()
 
 
+def encode_records(records, params) -> np.ndarray:
+    """(M, d) latents of ``records`` from the trained encoder, as ``cluster``
+    encodes rows of a dataset's tensor and mask blocks."""
+    return cvqvae.encode(np.stack([r.tensor.values for r in records]),
+                         np.stack([r.tensor.presence_mask for r in records]), params)
+
+
 def encode_dataset_v1(records, dt) -> bytes:
     """The bytes the JSON-lines writer of ``scenmine-dataset-v1`` wrote for
     ``records``: one header line, then one JSON object per record. Kept as the

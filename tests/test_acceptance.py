@@ -8,7 +8,7 @@ import numpy as np
 
 from scenmine import cli, clustering, corpus, cvqvae, detect, dgsfm, ingest, metrics
 
-from conftest import quantize
+from conftest import encode_records, quantize
 
 
 def report(name, detail):
@@ -162,8 +162,8 @@ def test_criterion_6_directional_knowledge_guidance():
         """The ``cluster`` stage's labels: record id -> label."""
         labels = clustering.assign(
             backend,
-            clustering.encode_latents(base, params),
-            clustering.encode_latents(augmented, params),
+            encode_records(base, params),
+            encode_records(augmented, params),
             params.codebook,
             clustering.ClusterConfig(),
             seed=20,

@@ -481,6 +481,12 @@ BAD_INPUTS = [
                  "stage error", id="augmented-repeated-id"),
     pytest.param("", ["cluster"], (DATASET, _keep_records(3)), 3, "stage error",
                  id="cluster-too-few-records"),
+    # An augmented file that is not dataset.jsonl's records followed by their augmentations.
+    pytest.param("", ["cluster"], (DATASET, _keep_records(4)), 3, "stage error",
+                 id="augmented-stale-after-dataset-cut"),
+    pytest.param("", ["cluster"], (AUGMENTED, _through_records(
+        lambda records, dt, path: write_dataset(records[1:], path, dt=dt))), 3,
+                 "stage error", id="augmented-first-record-dropped"),
     pytest.param("", ["cluster"], (CKPT, lambda b: b[:-8]), 3, "stage error", id="ckpt-truncated"),
     pytest.param("", ["cluster"], (CKPT, lambda b: b[:_header_end(b)]), 3, "stage error", id="ckpt-header-only"),
     pytest.param("", ["cluster"], (CKPT, lambda b: b + b"\0"), 3, "stage error", id="ckpt-trailing-byte"),

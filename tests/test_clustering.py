@@ -6,7 +6,7 @@ import pytest
 
 from scenmine import cli, clustering, corpus, cvqvae
 
-from conftest import quantize
+from conftest import encode_records, quantize
 
 
 def naive_ward_oracle(latents, k, linkage="ward"):
@@ -44,7 +44,7 @@ def trained():
 
 
 def codebook_labels(records, params):
-    latents = clustering.encode_latents(records, params)
+    latents = encode_records(records, params)
     return clustering.assign("codebook", latents, latents[:0], params.codebook,
                              clustering.ClusterConfig(), seed=0)
 
@@ -52,7 +52,7 @@ def codebook_labels(records, params):
 def test_assign_codebook_matches_brute_force(trained):
     records, params = trained
     labels = codebook_labels(records, params)
-    latents = clustering.encode_latents(records, params)
+    latents = encode_records(records, params)
     for label, z in zip(labels, latents):
         oracle = int(np.argmin(np.sum((params.codebook - z) ** 2, axis=1)))
         assert label == oracle

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import re
 import struct
@@ -19,6 +20,8 @@ from scenmine.types import (
     PseudoClassLabel,
     read_csv,
     read_dataset,
+    read_dataset_arrays,
+    read_dataset_header,
     validate_record,
     write_csv,
     write_dataset,
@@ -148,34 +151,75 @@ def test_dataset_v1_file_is_unsupported(records, tmp_path):
         read_dataset(path)
 
 
+def test_header_and_array_readers_agree_with_read_dataset(records, tmp_path):
+    augmented, _ = corpus.augment_corpus(records, n_augment=3, seed=4)
+    path = tmp_path / "ds.jsonl"
+    write_dataset(records + augmented, path, dt=0.04)
+    loaded, dt = read_dataset(path)
+    fields, header_dt = read_dataset_header(path)
+    array_fields, array_dt, tensor, mask, interaction = read_dataset_arrays(path)
+    assert header_dt == array_dt == dt == 0.04
+    assert fields == array_fields
+    assert fields == [{"record_id": r.record_id, "recording_id": r.recording_id, "vehicle_id": r.vehicle_id,
+                       "augmentation_parent": r.augmentation_parent, "pseudo_class": r.pseudo_class.index,
+                       "anchor": r.anchor} for r in loaded]
+    assert sum(f["augmentation_parent"] is not None for f in fields) == 3
+    for arr, array_of in ((tensor, lambda r: r.tensor.values), (mask, lambda r: r.tensor.presence_mask),
+                          (interaction, lambda r: r.interaction.values)):
+        assert arr.flags.c_contiguous and not arr.flags.writeable
+        want = np.stack([array_of(r) for r in loaded])
+        assert arr.dtype == want.dtype and arr.shape == want.shape and arr.tobytes() == want.tobytes()
+
+
+def _edit_header(edit):
+    """Rewrite of a dataset file whose header object goes through ``edit``."""
+    def rewrite(blob: bytes) -> bytes:
+        end = blob.index(b"\n")
+        header = json.loads(blob[:end])
+        edit(header)
+        return json.dumps(header).encode() + blob[end:]
+    return rewrite
+
+
 @pytest.mark.parametrize(
-    "damage",
+    "damage, in_header",
     [
-        lambda b: b[:-10],                                  # truncated block
-        lambda b: b.replace(b'"t_c":', b'"tc":', 1),        # missing key
-        lambda b: b.replace(b'["tensor",[', b'["tensor",[1,', 1),  # wrong block shape
-        lambda b: b.replace(b'"pseudo_class":', b'"pseudo_class":99,"x":', 1),
-        lambda b: b.replace(b'"dt":', b'"step":', 1),       # header without dt
-        lambda b: b"[]\n" + b,                              # header not a mapping
-        lambda b: b.replace(b"{", b"{\xff", 1),             # undecodable header
-        lambda b: b + b"\xff\n",                            # trailing bytes
-        overwrite_value("tensor", struct.pack("<d", math.nan), 7),
-        overwrite_value("interaction", struct.pack("<d", -math.inf), 900),
-        overwrite_value("mask", b"\x02", 5),
-        lambda b: b.replace(b'"pseudo_class":', b'"pseudo_class":-1,"x":', 1),
-        lambda b: b.replace(b'"n_records":2', b'"n_records":3', 1),
-        lambda b: b.replace(b'"vehicle_id":', b'"vehicle_id":"7","x":', 1),
+        pytest.param(lambda b: b[:-10], False, id="truncated"),
+        pytest.param(lambda b: b.replace(b'"t_c":', b'"tc":', 1), True, id="missing-key"),
+        pytest.param(lambda b: b.replace(b'["tensor",[', b'["tensor",[1,', 1), True, id="array-length"),
+        pytest.param(lambda b: b.replace(b'"pseudo_class":', b'"pseudo_class":99,"x":', 1), True, id="class-range"),
+        pytest.param(lambda b: b.replace(b'"dt":', b'"step":', 1), True, id="no-dt"),
+        pytest.param(lambda b: b"[]\n" + b, True, id="header-list"),
+        pytest.param(lambda b: b.replace(b"{", b"{\xff", 1), True, id="undecodable"),
+        pytest.param(lambda b: b + b"\xff\n", False, id="trailing-bytes"),
+        pytest.param(overwrite_value("tensor", struct.pack("<d", math.nan), 7), False, id="tensor-nan"),
+        pytest.param(overwrite_value("interaction", struct.pack("<d", -math.inf), 900), False, id="interaction-inf"),
+        pytest.param(overwrite_value("mask", b"\x02", 5), False, id="mask-byte"),
+        pytest.param(lambda b: b.replace(b'"pseudo_class":', b'"pseudo_class":-1,"x":', 1), True,
+                     id="class-negative"),
+        pytest.param(lambda b: b.replace(b'"n_records":2', b'"n_records":3', 1), True, id="record-count"),
+        pytest.param(lambda b: b.replace(b'"vehicle_id":', b'"vehicle_id":"7","x":', 1), True,
+                     id="vehicle-id-type"),
+        pytest.param(_edit_header(lambda h: h.update(format="scenmine-dataset-v1")), True, id="other-format"),
+        pytest.param(_edit_header(lambda h: h.update(dt=-0.04)), True, id="dt-negative"),
+        pytest.param(_edit_header(lambda h: h["records"][1].update(after=h["records"][1]["before"])), True,
+                     id="equal-anchor-labels"),
+        pytest.param(_edit_header(lambda h: h["records"][1].update(record_id=h["records"][0]["record_id"])), True,
+                     id="repeated-id"),
     ],
-    ids=["truncated", "missing-key", "array-length", "class-range", "no-dt",
-         "header-list", "undecodable", "trailing-bytes", "tensor-nan", "interaction-inf",
-         "mask-byte", "class-negative", "record-count", "vehicle-id-type"],
 )
-def test_dataset_damage_is_format_error(records, tmp_path, damage):
+def test_dataset_damage_is_format_error(records, tmp_path, damage, in_header):
+    """Every reader rejects damage to the header. The header reader reads no
+    block, so for damage to the blocks it returns the intact header."""
     path = tmp_path / "ds.jsonl"
     write_dataset(records[:2], path)
+    intact = read_dataset_header(path)
     path.write_bytes(damage(path.read_bytes()))
-    with pytest.raises(DatasetFormatError, match="ds.jsonl"):
-        read_dataset(path)
+    for read in (read_dataset, read_dataset_arrays) + ((read_dataset_header,) if in_header else ()):
+        with pytest.raises(DatasetFormatError, match="ds.jsonl"):
+            read(path)
+    if not in_header:
+        assert read_dataset_header(path) == intact
 
 
 def test_dataset_write_is_deterministic(records, tmp_path):
