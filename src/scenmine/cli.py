@@ -15,8 +15,8 @@ import numpy as np
 
 from . import clustering, config, corpus, cvqvae, detect, extraction, ingest, metrics
 from .config import Config
-from .types import (DatasetFormatError, read_csv, read_dataset, read_dataset_arrays, read_dataset_header,
-                    read_json, validate_record, write_csv, write_dataset, write_json)
+from .types import (N_CLASSES, DatasetFormatError, read_csv, read_dataset, read_dataset_arrays,
+                    read_dataset_header, read_json, validate_arrays, write_csv, write_dataset, write_json)
 
 
 class StageError(Exception):
@@ -254,18 +254,18 @@ def cmd_train(cfg: Config, workdir: Path, lambda_cl=None, lambda_int=None, tag: 
     flags = {"lambda_cl": lambda_cl, "lambda_int": lambda_int}
     tcfg = config.override(cfg, "train", seed=seed,
                            **{name: value for name, value in flags.items() if value is not None})
-    path = workdir / "dataset.jsonl"
-    records, _ = read_dataset(_require(path))
-    if not records:
+    path = _require(workdir / "dataset.jsonl")
+    fields, _, tensor, mask, interaction = read_dataset_arrays(path)
+    if not fields:
         raise StageError(f"{path} holds 0 records; nothing to train on")
-    invalid = sum(1 for r in records if validate_record(r))
+    invalid = sum(1 for violations in validate_arrays(tensor, mask, interaction) if violations)
     if invalid:
         raise StageError(f"{invalid} invalid records in {path}")
-    params, history = cvqvae.train(records, tcfg)
+    pseudo_class = np.eye(N_CLASSES)[[f["pseudo_class"] for f in fields]]
+    params, history = cvqvae.train_arrays(tensor, mask, pseudo_class, interaction, tcfg)
     cvqvae.save_checkpoint(params, workdir / f"{tag}.ckpt")
     cvqvae.write_loss_history(history, workdir / f"{tag}_loss.csv")
-    live = cvqvae.live_slots(np.stack([r.tensor.presence_mask for r in records]))
-    _log("train", tag=tag, records=len(records), live_slots=live, epochs=tcfg.epochs, seed=seed,
+    _log("train", tag=tag, records=len(fields), live_slots=cvqvae.live_slots(mask), epochs=tcfg.epochs, seed=seed,
          lambda_cl=tcfg.lambda_cl, lambda_int=tcfg.lambda_int,
          final_loss=f"{history[-1].total:.6f}",
          checkpoint=_sha256(workdir / f"{tag}.ckpt"))

@@ -29,8 +29,6 @@ CHECKPOINT_FORMAT_VERSION = "scenmine-checkpoint-v3"
 
 # Loss keys of ``_per_term_losses``, in ``LossBreakdown`` field order.
 LOSS_TERMS = ("recon", "codebook_term", "commit_term", "cl", "inter")
-# Rows of the masked residual that ``_per_term_losses`` squares at once.
-_SQUARE_ROWS = 8
 # The trainable arrays of ``ModelParams``: lists of per-layer arrays, then
 # single arrays.
 _LAYER_KINDS = ("enc_w", "enc_b", "dec_w", "dec_b")
@@ -223,38 +221,15 @@ def _standardize(inputs: np.ndarray, masks: np.ndarray, shift: np.ndarray, scale
     return x
 
 
-def _fresh(name: str, *shape: int) -> None:
-    """The default ``out`` of the step functions: it lends no array, so every
-    ``out=`` is None and numpy allocates."""
-    return None
-
-
-class _Buffers:
-    """The ``out`` of one training run: float32 arrays lent by name to its
-    steps, so activations and gradients land in memory that is already
-    mapped. A request gets the first ``shape[0]`` rows of the named array;
-    the first batch of a run is its largest, so each is allocated once."""
-
-    def __init__(self) -> None:
-        self._arrays: dict[str, np.ndarray] = {}
-
-    def __call__(self, name: str, *shape: int) -> np.ndarray:
-        arr = self._arrays.get(name)
-        if arr is None or arr.shape[0] < shape[0]:
-            arr = self._arrays[name] = np.empty(shape, np.float32)
-        return arr[: shape[0]]
-
-
 def _mlp_forward(
-    h: np.ndarray, ws: Sequence[np.ndarray], bs: Sequence[np.ndarray], out=_fresh, prefix: str = ""
+    h: np.ndarray, ws: Sequence[np.ndarray], bs: Sequence[np.ndarray]
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Affine layers with tanh between them (none after the last). Returns the
-    output and the cache of layer activations, the input first. Layer i
-    writes into ``out(f"{prefix}[{i}]", rows, width)``."""
+    output and the cache of layer activations, the input first."""
     cache = [h]
     last = len(ws) - 1
     for i, (w, b) in enumerate(zip(ws, bs)):
-        h = np.matmul(h, w.T, out=out(f"{prefix}[{i}]", h.shape[0], w.shape[0]))
+        h = h @ w.T
         h += b
         if i < last:
             np.tanh(h, out=h)
@@ -269,23 +244,19 @@ def _mlp_backward(
     prefix: str,
     grads: dict[str, np.ndarray],
     input_grad: bool,
-    out=_fresh,
 ) -> Optional[np.ndarray]:
     """Backprop of ``_mlp_forward`` from the output gradient ``g``. Stores the
-    layer gradients in ``grads`` (and ``out``) under the registry names of
-    ``prefix`` and returns the input gradient if ``input_grad`` is set. The
-    cache is only read."""
+    layer gradients in ``grads`` under the registry names of ``prefix`` and
+    returns the input gradient if ``input_grad`` is set. The cache is only
+    read."""
     for i in range(len(ws) - 1, -1, -1):
-        w_name, b_name = f"{prefix}_w[{i}]", f"{prefix}_b[{i}]"
-        grads[w_name] = np.matmul(g.T, cache[i], out=out(w_name, *ws[i].shape))
-        grads[b_name] = np.sum(g, axis=0, out=out(b_name, g.shape[1]))
+        grads[f"{prefix}_w[{i}]"] = g.T @ cache[i]
+        grads[f"{prefix}_b[{i}]"] = g.sum(axis=0)
         if i == 0 and not input_grad:
             return None
-        g = np.matmul(g, ws[i], out=out(f"{prefix}_g[{i}]", g.shape[0], ws[i].shape[1]))
+        g = g @ ws[i]
         if i > 0:
-            slope = np.multiply(cache[i], cache[i], out=out(f"{prefix}_slope[{i}]", *g.shape))
-            np.subtract(1.0, slope, out=slope)
-            g *= slope
+            g *= 1.0 - cache[i] * cache[i]
     return g
 
 
@@ -359,9 +330,9 @@ def _batch(
     }
 
 
-def _decode_heads(z_q: np.ndarray, params: ModelParams, out=_fresh) -> dict:
+def _decode_heads(z_q: np.ndarray, params: ModelParams) -> dict:
     """Decoder and both heads, all fed the (quantized) latent."""
-    x_hat, dec_cache = _mlp_forward(z_q, params.dec_w, params.dec_b, out, "dec")
+    x_hat, dec_cache = _mlp_forward(z_q, params.dec_w, params.dec_b)
     return {
         "dec_cache": dec_cache,
         "x_hat": x_hat,
@@ -370,10 +341,10 @@ def _decode_heads(z_q: np.ndarray, params: ModelParams, out=_fresh) -> dict:
     }
 
 
-def _forward(x_flat: np.ndarray, params: ModelParams, out=_fresh) -> dict:
+def _forward(x_flat: np.ndarray, params: ModelParams) -> dict:
     """Encoder, quantization, decoder and heads for the ``x_flat`` of a
     ``_batch``."""
-    z, enc_cache = _mlp_forward(x_flat, params.enc_w, params.enc_b, out, "enc")
+    z, enc_cache = _mlp_forward(x_flat, params.enc_w, params.enc_b)
     q = _quantize_batch(z, params.codebook)
     z_q = params.codebook[q]
     return {
@@ -381,15 +352,14 @@ def _forward(x_flat: np.ndarray, params: ModelParams, out=_fresh) -> dict:
         "z": z,
         "q": q,
         "z_q": z_q,
-        **_decode_heads(z_q, params, out),
+        **_decode_heads(z_q, params),
     }
 
 
-def _masked_residual(fwd: dict, batch: dict, params: ModelParams, out) -> np.ndarray:
-    """x_hat - x_flat with absent cells multiplied by 0, written into
-    ``out("residual", ...)``: every feature of a slot and frame takes that
-    slot and frame's 0/1 mask."""
-    diff = np.subtract(fwd["x_hat"], batch["x_flat"], out=out("residual", *fwd["x_hat"].shape))
+def _masked_residual(fwd: dict, batch: dict, params: ModelParams) -> np.ndarray:
+    """x_hat - x_flat with absent cells multiplied by 0: every feature of a
+    slot and frame takes that slot and frame's 0/1 mask."""
+    diff = fwd["x_hat"] - batch["x_flat"]
     cells = diff.reshape(-1, params.n_slots, params.n_features, params.t_obs)  # a view
     cells *= batch["slot_mask"].reshape(-1, params.n_slots, 1, params.t_obs)
     return diff
@@ -403,7 +373,6 @@ def _per_term_losses(
     *,
     z_sg: Optional[np.ndarray] = None,
     z_q_sg: Optional[np.ndarray] = None,
-    out=_fresh,
 ) -> dict[str, np.ndarray]:
     """Per-sample loss terms. Reconstruction and interaction errors are mean
     squared error over present cells only; codebook and commitment terms are
@@ -414,14 +383,8 @@ def _per_term_losses(
     can reuse."""
     b, dtype = fwd["z"].shape[0], fwd["z"].dtype  # every term takes the step's dtype
     class_targets, interaction_targets = batch["class_targets"], batch["interaction_targets"]
-    diff = _masked_residual(fwd, batch, params, out)
-    # Squared 8 rows at a time (a row's sum does not depend on the other
-    # rows), so the squares take a quarter of a batch of 32 rows.
-    recon = np.empty(b, dtype)
-    for start in range(0, b, _SQUARE_ROWS):
-        rows = diff[start:start + _SQUARE_ROWS]
-        recon[start:start + len(rows)] = np.multiply(rows, rows, out=out("recon_sq", *rows.shape)).sum(axis=1)
-    recon /= batch["cell_counts"]
+    diff = _masked_residual(fwd, batch, params)
+    recon = (diff * diff).sum(axis=1) / batch["cell_counts"]
 
     codebook_gap = (fwd["z"] if z_sg is None else z_sg) - fwd["z_q"]
     codebook_term = np.mean(codebook_gap * codebook_gap, axis=1)
@@ -456,7 +419,7 @@ def _total(terms: dict[str, np.ndarray], cfg: TrainConfig) -> np.ndarray:
 
 
 def _backward(
-    fwd: dict, batch: dict, cfg: TrainConfig, params: ModelParams, out=_fresh, residual=None
+    fwd: dict, batch: dict, cfg: TrainConfig, params: ModelParams, residual=None
 ) -> dict[str, np.ndarray]:
     """Gradients of the batch-mean total loss, keyed by the names of
     ``_param_arrays``. The quantization gap gradient is passed straight
@@ -471,11 +434,11 @@ def _backward(
     class_targets, interaction_targets = batch["class_targets"], batch["interaction_targets"]
 
     # (d * mask) * 2.0 is 2.0 * mask * d bit for bit, since the mask is 0 or 1.
-    g_xhat = _masked_residual(fwd, batch, params, out) if residual is None else residual
+    g_xhat = _masked_residual(fwd, batch, params) if residual is None else residual
     g_xhat *= 2.0
     g_xhat /= batch["cell_counts"][:, None]
     g_xhat /= b
-    g_zq = _mlp_backward(g_xhat, fwd["dec_cache"], params.dec_w, "dec", grads, True, out)
+    g_zq = _mlp_backward(g_xhat, fwd["dec_cache"], params.dec_w, "dec", grads, True)
 
     # Heads (inputs are z_q; gradients reach the encoder via straight-through).
     if class_targets is not None and cfg.lambda_cl > 0:
@@ -511,7 +474,7 @@ def _backward(
 
     # Encoder: straight-through decoder/head gradient plus commitment term.
     g_z = g_zq + cfg.commitment_weight * 2.0 * (fwd["z"] - fwd["z_q"]) / params.latent_dim / b
-    _mlp_backward(g_z, fwd["enc_cache"], params.enc_w, "enc", grads, False, out)
+    _mlp_backward(g_z, fwd["enc_cache"], params.enc_w, "enc", grads, False)
     return grads
 
 
@@ -565,9 +528,11 @@ def train_arrays(
     cfg: TrainConfig,
     n_classes: int = N_CLASSES,
 ) -> tuple[ModelParams, list[LossBreakdown]]:
-    """Mini-batch SGD over raw arrays. See ``train`` for the record API.
-    Every step runs in float32 on a copy of the live weights, which is
-    written back into the float64 params at the end.
+    """Mini-batch SGD over the (B, N, F, T) ``inputs`` with their (B, N, T)
+    presence masks, (B, S) one-hot class targets and (B, N, T) interaction
+    targets (either target may be None); deterministic for a fixed
+    ``cfg.seed``. Every step runs in float32 on a copy of the live weights,
+    which is written back into the float64 params at the end.
 
     SGD moves the first encoder layer W only by sums of ``g.T @ x_b`` over
     batches of the standardized inputs, so W - W0 stays in their row space.
@@ -616,32 +581,24 @@ def train_arrays(
 def _sgd(step: ModelParams, run: dict, cfg: TrainConfig, rng: np.random.Generator) -> list[LossBreakdown]:
     """``cfg.epochs`` epochs of mini-batch SGD, in place, on the float32
     ``step`` fed the rows of ``run`` in an order that ``rng`` draws each
-    epoch. Returns each epoch's mean losses; the step's activation and
-    gradient buffers are freed on return."""
+    epoch. Returns each epoch's mean losses."""
     n_samples = len(run["x_flat"])
     registry = _param_arrays(step)
-    buffers = _Buffers()
     history: list[LossBreakdown] = []
     for epoch in range(cfg.epochs):
         order = rng.permutation(n_samples)
         sums = dict.fromkeys(LOSS_TERMS, 0.0)
         for batch_no, start in enumerate(range(0, n_samples, cfg.batch_size)):
             idx = order[start : start + cfg.batch_size]
-            # mode="clip" lets np.take write into ``out`` directly; every
-            # index is in range.
-            batch = {
-                key: None if arr is None
-                else np.take(arr, idx, axis=0, out=buffers(key, len(idx), *arr.shape[1:]), mode="clip")
-                for key, arr in run.items()
-            }
-            fwd = _forward(batch["coords"], step, buffers)
-            terms = _per_term_losses(fwd, batch, cfg, step, out=buffers)
+            batch = {key: None if arr is None else arr[idx] for key, arr in run.items()}
+            fwd = _forward(batch["coords"], step)
+            terms = _per_term_losses(fwd, batch, cfg, step)
             batch_total = _total(terms, cfg).mean()
             if not np.isfinite(batch_total):
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, batch {batch_no}"
                 )
-            grads = _backward(fwd, batch, cfg, step, buffers, terms["residual"])
+            grads = _backward(fwd, batch, cfg, step, terms["residual"])
             for name, arr in registry:  # in place: arr -= lr * grad
                 arr -= np.multiply(cfg.learning_rate, grads[name], out=grads[name])
             for key in sums:
@@ -650,16 +607,6 @@ def _sgd(step: ModelParams, run: dict, cfg: TrainConfig, rng: np.random.Generato
             LossBreakdown.combine(*(sums[key] / n_samples for key in LOSS_TERMS), cfg.lambda_cl, cfg.lambda_int)
         )
     return history
-
-
-def train(
-    dataset: Sequence[ScenarioRecord], cfg: TrainConfig
-) -> tuple[ModelParams, list[LossBreakdown]]:
-    """Trains on ScenarioRecords; deterministic for a fixed seed."""
-    if not dataset:
-        raise ValueError("dataset must be non-empty")
-    inputs, masks, cls, inter = _record_arrays(dataset)
-    return train_arrays(inputs, masks, cls, inter, cfg)
 
 
 # ---------------------------------------------------------------------------

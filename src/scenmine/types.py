@@ -217,44 +217,38 @@ class ScenarioRecord:
 _SUM_TOL = 1e-9
 
 
+def validate_arrays(tensors: np.ndarray, masks: np.ndarray, interactions: np.ndarray) -> list[list[str]]:
+    """Every invariant violation of each of M records, given as the (M, N, F,
+    T) tensors, (M, N, T) presence masks and (M, N, T) interaction matrices
+    of a dataset's blocks, checked in one batched pass. Record i is valid iff
+    list i is empty; violations are data, not errors."""
+    absent = ~masks
+    neighbors = masks[:, 1:]
+    sums = (interactions[:, 1:] * neighbors).sum(axis=1)  # (M, T)
+    checks = (
+        (~np.isfinite(tensors).all(axis=(1, 2, 3)), "tensor contains non-finite values"),
+        (~masks[:, 0].all(axis=1), "ego slot (0) must be present at every frame"),
+        (((tensors != 0.0) & absent[:, :, None, :]).any(axis=(1, 2, 3)),
+         "pseudo-vehicle slots must carry all-zero features"),
+        (((interactions < 0.0) | (interactions > 1.0)).any(axis=(1, 2)), "interaction entries must lie in [0, 1]"),
+        ((interactions[:, 0] != 1.0).any(axis=1), "interaction ego row must equal 1 at every frame"),
+        (((interactions[:, 1:] != 0.0) & absent[:, 1:]).any(axis=(1, 2)),
+         "interaction rows of absent slots must equal 0"),
+        (((np.abs(sums - 1.0) > _SUM_TOL) & neighbors.any(axis=1)).any(axis=1),
+         "present-neighbor interaction entries must sum to 1 per frame"),
+    )
+    flags = np.stack([bad for bad, _ in checks], axis=1).tolist()
+    return [[message for (_, message), bad in zip(checks, row) if bad] for row in flags]
+
+
 def validate_record(record: ScenarioRecord) -> list[str]:
-    """Collects every invariant violation of a ScenarioRecord.
-
-    Returns an empty list iff the record is valid; violations are data,
-    not errors.
-    """
-    violations: list[str] = []
-    vals = record.tensor.values
-    mask = record.tensor.presence_mask
-    inter = record.interaction.values
-
-    if not np.all(np.isfinite(vals)):
-        violations.append("tensor contains non-finite values")
-    if not np.all(mask[0]):
-        violations.append("ego slot (0) must be present at every frame")
-    absent = ~mask  # (N, T)
-    if np.any(vals[absent[:, None, :].repeat(N_FEATURES, axis=1)] != 0.0):
-        violations.append("pseudo-vehicle slots must carry all-zero features")
-
+    """``validate_arrays`` of the one record, then whether its pseudo-class
+    is exactly one-hot."""
+    tensor = record.tensor
+    violations = validate_arrays(tensor.values[None], tensor.presence_mask[None], record.interaction.values[None])[0]
     one_hot = record.pseudo_class.one_hot
     if not (np.count_nonzero(one_hot == 1.0) == 1 and np.count_nonzero(one_hot) == 1):
         violations.append("pseudo-class must be exactly one-hot")
-
-    if np.any(inter < 0.0) or np.any(inter > 1.0):
-        violations.append("interaction entries must lie in [0, 1]")
-    if not np.all(inter[0] == 1.0):
-        violations.append("interaction ego row must equal 1 at every frame")
-    if np.any(inter[1:][~mask[1:]] != 0.0):
-        violations.append("interaction rows of absent slots must equal 0")
-    neighbor_present = mask[1:]  # (N-1, T)
-    any_neighbor = neighbor_present.any(axis=0)
-    sums = (inter[1:] * neighbor_present).sum(axis=0)
-    if np.any(np.abs(sums[any_neighbor] - 1.0) > _SUM_TOL):
-        violations.append("present-neighbor interaction entries must sum to 1 per frame")
-
-    if record.anchor.label_before == record.anchor.label_after:
-        violations.append("anchor labels before and after the change must differ")
-
     return violations
 
 

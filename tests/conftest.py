@@ -98,6 +98,13 @@ def encode_records(records, params) -> np.ndarray:
                          np.stack([r.tensor.presence_mask for r in records]), params)
 
 
+def train_records(records, cfg):
+    """``cvqvae.train_arrays`` of ``records``' stacked tensors, masks,
+    one-hot pseudo-classes and interaction matrices, as ``train`` trains on
+    a dataset's blocks."""
+    return cvqvae.train_arrays(*cvqvae._record_arrays(records), cfg)
+
+
 def encode_dataset_v1(records, dt) -> bytes:
     """The bytes the JSON-lines writer of ``scenmine-dataset-v1`` wrote for
     ``records``: one header line, then one JSON object per record. Kept as the

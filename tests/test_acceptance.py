@@ -8,7 +8,7 @@ import numpy as np
 
 from scenmine import cli, clustering, corpus, cvqvae, detect, dgsfm, ingest, metrics
 
-from conftest import encode_records, quantize
+from conftest import encode_records, quantize, train_records
 
 
 def report(name, detail):
@@ -180,7 +180,7 @@ def test_criterion_6_directional_knowledge_guidance():
             latent_dim=32,
             codebook_size=16,
         )
-        params, _ = cvqvae.train(base, cfg)
+        params, _ = train_records(base, cfg)
         labels = labels_of("codebook", params)
         _, h_avg = metrics.cluster_entropy(
             np.array([labels[r.record_id] for r in base]), [r.pseudo_class.index for r in base]

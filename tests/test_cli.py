@@ -329,6 +329,13 @@ PAIRS = "pairs.csv"
 DETECTION = "detection_rule.json"
 CLUSTERING = "clustering_dk.json"
 
+# Damage of dataset.jsonl that ``read_dataset_arrays`` accepts and
+# ``validate_arrays`` flags in the first record.
+INVALID_RECORD = {
+    "ego-absent": overwrite_value("mask", b"\x00"),
+    "ego-interaction-not-1": overwrite_value("interaction", struct.pack("<d", 0.5)),
+}
+
 # (config text, command, (artifact, rewrite) or None, exit code, stderr prefix).
 # Each row runs in a copy of the trained workdir (also the working directory)
 # after rewriting the named artifact in place.
@@ -476,6 +483,9 @@ BAD_INPUTS = [
     pytest.param("", ["train"], (DATASET, _through_records(
         lambda records, dt, path: write_dataset(records + records[:1], path, dt=dt))), 3,
                  "stage error", id="dataset-repeated-id"),
+    # A dataset file that is valid as a file but whose first record breaks an invariant.
+    *(pytest.param("", ["train"], (DATASET, damage), 3, "stage error", id=f"dataset-{name}")
+      for name, damage in INVALID_RECORD.items()),
     pytest.param("", ["cluster"], (AUGMENTED, _through_records(
         lambda records, dt, path: write_dataset(records[:1] + records, path, dt=dt))), 3,
                  "stage error", id="augmented-repeated-id"),
@@ -577,6 +587,16 @@ def test_bad_input_exit_code(
     assert err.startswith(prefix + ":")
     assert err.count("\n") == 1 and err.endswith("\n")
     assert "Traceback" not in err + captured.out
+
+
+@pytest.mark.parametrize("damage", INVALID_RECORD.values(), ids=INVALID_RECORD.keys())
+def test_train_counts_the_invalid_records(trained_workdir, tmp_path, capsys, damage):
+    wd = tmp_path / "wd"
+    shutil.copytree(trained_workdir, wd)
+    (wd / DATASET).write_bytes(damage((wd / DATASET).read_bytes()))
+    capsys.readouterr()
+    assert cli.main(["--workdir", str(wd), "train"]) == 3
+    assert capsys.readouterr().err == f"stage error: 1 invalid records in {wd / DATASET}\n"
 
 
 def test_report_names_the_backends_one_clustering_file_lacks(trained_workdir, tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 
 from scenmine import cli, clustering, corpus, cvqvae
 
-from conftest import encode_records, quantize
+from conftest import encode_records, quantize, train_records
 
 
 def naive_ward_oracle(latents, k, linkage="ward"):
@@ -39,7 +39,7 @@ def co_membership(labels):
 def trained():
     records = corpus.build_archetype_corpus(n_per_class=4, seed=11)
     cfg = cvqvae.TrainConfig(hidden=(16, 16), latent_dim=6, codebook_size=4, epochs=5, seed=1)
-    params, _ = cvqvae.train(records, cfg)
+    params, _ = train_records(records, cfg)
     return records, params
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from scenmine import corpus, cvqvae
 
-from conftest import quantize
+from conftest import quantize, train_records
 
 
 def tiny_cfg(**kwargs):
@@ -398,8 +398,8 @@ def test_train_loss_non_increasing_within_tolerance():
 def test_train_deterministic_for_seed():
     records = corpus.build_archetype_corpus(n_per_class=2, seed=6)
     cfg = tiny_cfg(epochs=3)
-    a, ha = cvqvae.train(records, cfg)
-    b, hb = cvqvae.train(records, cfg)
+    a, ha = train_records(records, cfg)
+    b, hb = train_records(records, cfg)
     assert ha == hb
     assert np.array_equal(a.codebook, b.codebook)
     for wa, wb in zip(a.enc_w, b.enc_w):
@@ -416,8 +416,8 @@ def test_train_divergence_raises():
 
 
 def test_train_empty_dataset_rejected():
-    with pytest.raises(ValueError):
-        cvqvae.train([], tiny_cfg())
+    with pytest.raises(ValueError, match="non-empty"):
+        cvqvae.train_arrays(np.empty((0, 2, 3, 5)), np.empty((0, 2, 5), dtype=bool), None, None, tiny_cfg())
 
 
 # -------------------------- live slot prefix ---------------------------------
@@ -466,7 +466,7 @@ def test_live_prefix_step_matches_full_width_step():
 def test_training_leaves_weights_outside_the_live_prefix_as_drawn():
     records = corpus.build_archetype_corpus(n_per_class=2, seed=9)
     cfg = cvqvae.TrainConfig(epochs=2, batch_size=4, seed=5)
-    params, _ = cvqvae.train(records, cfg)
+    params, _ = train_records(records, cfg)
     inputs, masks, _, _ = cvqvae._record_arrays(records)
     shift, scale = cvqvae.fit_standardization(inputs, masks)
     initial = cvqvae.init_params(cfg, np.random.default_rng(cfg.seed), feature_shift=shift, feature_scale=scale)
@@ -491,7 +491,7 @@ def test_record_beyond_the_live_prefix_encodes_at_full_width():
     base = corpus.build_archetype_corpus(n_per_class=2, seed=9)
     augmented, _ = corpus.augment_corpus(base, n_augment=20, seed=12)
     record = next(r for r in augmented if r.tensor.presence_mask[N_LIVE:].any())
-    params, _ = cvqvae.train(base, cvqvae.TrainConfig(epochs=1, seed=5))
+    params, _ = train_records(base, cvqvae.TrainConfig(epochs=1, seed=5))
     values, mask = record.tensor.values[None], record.tensor.presence_mask[None]
     z = cvqvae.encode(values, mask, params)
     cut = mask.copy()
@@ -505,15 +505,15 @@ def test_record_beyond_the_live_prefix_encodes_at_full_width():
 
 def float32_step(inputs, masks, cls, inter, params, cfg):
     """One training step as ``train_arrays`` takes it: the float64 batch
-    cast to float32, a float32 copy of ``params`` and float32 buffers."""
-    step, buffers = cvqvae._cast(params, np.float32), cvqvae._Buffers()
+    cast to float32 and a float32 copy of ``params``."""
+    step = cvqvae._cast(params, np.float32)
     batch = {key: None if arr is None else arr.astype(np.float32)
              for key, arr in cvqvae._batch(inputs, masks, cls, inter, params.feature_shift,
                                            params.feature_scale).items()}
-    fwd = cvqvae._forward(batch["x_flat"], step, buffers)
-    terms = cvqvae._per_term_losses(fwd, batch, cfg, step, out=buffers)
-    grads = cvqvae._backward(fwd, batch, cfg, step, buffers, terms["residual"])
-    return fwd, terms, grads, buffers
+    fwd = cvqvae._forward(batch["x_flat"], step)
+    terms = cvqvae._per_term_losses(fwd, batch, cfg, step)
+    grads = cvqvae._backward(fwd, batch, cfg, step, terms["residual"])
+    return fwd, terms, grads
 
 
 def default_live_batch():
@@ -537,7 +537,7 @@ def test_float32_step_matches_float64_step():
     args, cfg = default_live_batch()
     batch, fwd = batch_forward(*args)
     want = cvqvae._backward(fwd, batch, cfg, args[-1])
-    fwd32, _, got, _ = float32_step(*args, cfg)
+    fwd32, _, got = float32_step(*args, cfg)
     assert np.array_equal(fwd32["q"], fwd["q"])
     # float32 keeps ~7 digits: each gradient is within ~4e-7 of its largest
     # entry here, and sums over up to 2400 products may lose a few more.
@@ -550,13 +550,12 @@ def test_float32_step_stays_float32():
     # A stray float64 scalar or array would promote a term to float64 under
     # NEP 50, and under value-based casting only where its value is large.
     args, cfg = default_live_batch()
-    fwd, terms, grads, buffers = float32_step(*args, cfg)
+    fwd, terms, grads = float32_step(*args, cfg)
     arrays = {f"fwd {key}": value for key, value in fwd.items() if key != "q"}
     for key in ("enc_cache", "dec_cache"):
         arrays.update((f"fwd {key}[{i}]", arr) for i, arr in enumerate(arrays.pop(f"fwd {key}")))
     arrays.update((f"term {key}", value) for key, value in terms.items())
     arrays.update((f"grad {key}", value) for key, value in grads.items())
-    arrays.update((f"buffer {key}", value) for key, value in buffers._arrays.items())
     assert {name: arr.dtype for name, arr in arrays.items() if arr.dtype != np.float32} == {}
     assert fwd["q"].dtype.kind == "i"
 
@@ -566,7 +565,7 @@ def test_float32_class_loss_of_an_underflowed_probability_is_finite():
     params = zeroed(tiny_params(cfg))
     params.cl_b[3] = -200.0  # exp(-200) is 0 in float32
     cls = np.eye(10)[[3]]
-    fwd, terms, _, _ = float32_step(np.zeros((1, 2, 3, 5)), np.ones((1, 2, 5), dtype=bool), cls, None, params, cfg)
+    fwd, terms, _ = float32_step(np.zeros((1, 2, 3, 5)), np.ones((1, 2, 5), dtype=bool), cls, None, params, cfg)
     assert fwd["probs"][0, 3] == 0.0
     assert terms["cl"].dtype == np.float32
     assert terms["cl"][0] == -np.log(np.finfo(np.float32).tiny)
@@ -641,7 +640,7 @@ def test_grad_check_detects_corrupted_gradient(rng):
 def test_checkpoint_round_trip(tmp_path):
     records = corpus.build_archetype_corpus(n_per_class=1, seed=9)
     cfg = tiny_cfg(epochs=2)
-    params, _ = cvqvae.train(records, cfg)
+    params, _ = train_records(records, cfg)
     path = tmp_path / "model.ckpt"
     cvqvae.save_checkpoint(params, path)
     loaded = cvqvae.load_checkpoint(path)
@@ -683,7 +682,7 @@ def test_widen_in_place_equals_astype(shape):
 
 def test_loss_history_csv(tmp_path):
     records = corpus.build_archetype_corpus(n_per_class=1, seed=9)
-    _, history = cvqvae.train(records, tiny_cfg(epochs=3))
+    _, history = train_records(records, tiny_cfg(epochs=3))
     path = tmp_path / "loss.csv"
     cvqvae.write_loss_history(history, path)
     lines = path.read_text().strip().splitlines()
@@ -778,7 +777,7 @@ GOLDEN_DIGESTS = {
 @pytest.mark.parametrize("weight", sorted(GOLDEN_DIGESTS))
 def test_training_bytes_match_golden_digests(tmp_path, weight):
     records = corpus.build_archetype_corpus(n_per_class=1, seed=9)
-    params, history = cvqvae.train(
+    params, history = train_records(
         records, tiny_cfg(epochs=3, lambda_cl=weight, lambda_int=weight)
     )
     cvqvae.save_checkpoint(params, tmp_path / "model.ckpt")
@@ -791,13 +790,13 @@ def test_training_bytes_match_golden_digests(tmp_path, weight):
 
 
 # SHA-256 of the checkpoint and loss-history bytes of a run with three
-# batches per epoch (4, 4 and a ragged 1 of 9 records), so activation and
-# gradient memory is reused across batches of different sizes. Recorded
-# before the training step reused its buffers; both loss histories
-# re-recorded with the live slot prefix, all four with the float32 step, as
-# above, all four when dead-code revival, which these runs once set off,
-# was removed, and all four with the row-space first layer and format v3,
-# as above.
+# batches per epoch (4, 4 and a ragged 1 of 9 records): they pin a last
+# batch smaller than the others. Recorded before the training step reused
+# its activation and gradient memory across batches; neither that reuse nor
+# its removal moved them. Both loss histories re-recorded with the live
+# slot prefix, all four with the float32 step, as above, all four when
+# dead-code revival, which these runs once set off, was removed, and all
+# four with the row-space first layer and format v3, as above.
 GOLDEN_RAGGED_DIGESTS = {
     0.0: (
         "502722e36c7155959f8696b7644bdf15d620018196168840570bf3d910f549c1",
@@ -813,7 +812,7 @@ GOLDEN_RAGGED_DIGESTS = {
 def ragged_run(weight):
     records = corpus.build_archetype_corpus(n_per_class=3, seed=9)
     cfg = tiny_cfg(epochs=4, batch_size=4, lambda_cl=weight, lambda_int=weight)
-    return cvqvae.train(records, cfg)
+    return train_records(records, cfg)
 
 
 @pytest.mark.parametrize("weight", sorted(GOLDEN_RAGGED_DIGESTS))

@@ -465,19 +465,16 @@ def train_arrays_primal(inputs, masks, class_targets, interaction_targets, cfg):
         inputs[:, :n_live], masks[:, :n_live], class_targets,
         None if interaction_targets is None else interaction_targets[:, :n_live], shift, scale,
     ).items()}
-    buffers = cvqvae._Buffers()
     history = []
     for _ in range(cfg.epochs):
         order = rng.permutation(n_samples)
         sums = dict.fromkeys(cvqvae.LOSS_TERMS, 0.0)
         for start in range(0, n_samples, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            batch = {key: None if arr is None
-                     else np.take(arr, idx, axis=0, out=buffers(key, len(idx), *arr.shape[1:]), mode="clip")
-                     for key, arr in run.items()}
-            fwd = cvqvae._forward(batch["x_flat"], step, buffers)
-            terms = cvqvae._per_term_losses(fwd, batch, cfg, step, out=buffers)
-            grads = cvqvae._backward(fwd, batch, cfg, step, buffers, terms["residual"])
+            batch = {key: None if arr is None else arr[idx] for key, arr in run.items()}
+            fwd = cvqvae._forward(batch["x_flat"], step)
+            terms = cvqvae._per_term_losses(fwd, batch, cfg, step)
+            grads = cvqvae._backward(fwd, batch, cfg, step, terms["residual"])
             for name, arr in registry:
                 arr -= np.multiply(cfg.learning_rate, grads[name], out=grads[name])
             for key in sums:

@@ -18,10 +18,12 @@ from scenmine.types import (
     LongState,
     N_CLASSES,
     PseudoClassLabel,
+    ScenarioTensor,
     read_csv,
     read_dataset,
     read_dataset_arrays,
     read_dataset_header,
+    validate_arrays,
     validate_record,
     write_csv,
     write_dataset,
@@ -82,20 +84,60 @@ def test_validate_record_accepts_generated(records):
         assert validate_record(record) == []
 
 
-def test_validate_record_flags_broken_interaction(records):
-    record = records[0]
-    bad = record.interaction.values.copy()
-    bad[0, 0] = 0.5  # ego row must be 1
-    broken = type(record)(
-        tensor=record.tensor,
-        pseudo_class=record.pseudo_class,
-        interaction=InteractionMatrix(bad),
-        anchor=record.anchor,
-        recording_id=record.recording_id,
-        vehicle_id=record.vehicle_id,
-        record_id=record.record_id,
-    )
-    assert any("ego" in v for v in validate_record(broken))
+# Each invariant of ``validate_arrays``, and (array, index, value)
+# assignments that break it alone in an archetype record, whose slots 0-3
+# are present at every frame and slot 8 at none. Neighbor entries that sum
+# to 1 cannot exceed 1 without one below 0, so the range has a second row.
+VIOLATIONS = [
+    pytest.param("tensor contains non-finite values", [("tensor", (0, 0, 0), math.nan)], id="tensor-nan"),
+    pytest.param("ego slot (0) must be present at every frame",
+                 [("mask", (0, 0), False), ("tensor", (0, slice(None), 0), 0.0)], id="ego-absent"),
+    pytest.param("pseudo-vehicle slots must carry all-zero features", [("tensor", (8, 0, 0), 1.0)],
+                 id="absent-slot-feature"),
+    pytest.param("interaction entries must lie in [0, 1]", [("interaction", (slice(1, 4), 0), [1.5, -0.5, 0.0])],
+                 id="interaction-range"),
+    pytest.param("interaction entries must lie in [0, 1]", [("interaction", (slice(1, 4), 0), [1.0, -0.5, 0.5])],
+                 id="interaction-negative"),
+    pytest.param("interaction ego row must equal 1 at every frame", [("interaction", (0, 0), 0.5)],
+                 id="interaction-ego-row"),
+    pytest.param("interaction rows of absent slots must equal 0", [("interaction", (8, 0), 0.5)],
+                 id="interaction-absent-slot"),
+    pytest.param("present-neighbor interaction entries must sum to 1 per frame", [("interaction", (1, 0), 0.0)],
+                 id="interaction-sum"),
+]
+
+
+def broken(record, edits):
+    """``record`` with copies of its tensor, mask and interaction arrays
+    changed by the ``(array, index, value)`` assignments ``edits``."""
+    arrays = {"tensor": record.tensor.values.copy(), "mask": record.tensor.presence_mask.copy(),
+              "interaction": record.interaction.values.copy()}
+    for name, index, value in edits:
+        arrays[name][index] = value
+    return dataclasses.replace(record, tensor=ScenarioTensor(arrays["tensor"], arrays["mask"]),
+                               interaction=InteractionMatrix(arrays["interaction"]))
+
+
+@pytest.mark.parametrize("message, edits", VIOLATIONS)
+def test_validate_record_flags_each_violation_alone(records, message, edits):
+    assert validate_record(broken(records[0], edits)) == [message]
+
+
+def test_validate_record_flags_a_pseudo_class_that_is_not_one_hot(records):
+    record = dataclasses.replace(records[0], pseudo_class=PseudoClassLabel(np.full(N_CLASSES, 0.1)))
+    assert validate_record(record) == ["pseudo-class must be exactly one-hot"]
+
+
+def test_validate_arrays_matches_validate_record_per_record(records):
+    # Valid too: a frame without any present neighbor has no sum to check.
+    alone = broken(records[0], [("mask", (slice(1, 4), 0), False), ("tensor", (slice(1, 4), slice(None), 0), 0.0),
+                                ("interaction", (slice(1, 4), 0), 0.0)])
+    valid = [*records, alone]
+    batch = valid + [broken(records[0], param.values[1]) for param in VIOLATIONS]
+    got = validate_arrays(np.stack([r.tensor.values for r in batch]), np.stack([r.tensor.presence_mask for r in batch]),
+                          np.stack([r.interaction.values for r in batch]))
+    assert got == [validate_record(r) for r in batch]
+    assert got == [[]] * len(valid) + [[param.values[0]] for param in VIOLATIONS]
 
 
 def test_dataset_round_trip_bit_identical(records, tmp_path):
