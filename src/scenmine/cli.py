@@ -291,6 +291,9 @@ def cmd_cluster(cfg: Config, workdir: Path, tag: str = "model") -> None:
     if fields[:n] != base or any(f["augmentation_parent"] not in base_ids for f in fields[n:]):
         raise StageError(f"{aug_path} is not the records of dataset.jsonl followed by their "
                          "augmentations; re-run augment")
+    # encode multiplies in float64: the float32 encoder weights are cast once
+    # for both calls, and dropped.
+    params = dataclasses.replace(params, enc_w=[w.astype(np.float64) for w in params.enc_w])
     try:
         base_latents = cvqvae.encode(tensor[:n], mask[:n], params)
         held_out_latents = cvqvae.encode(tensor[n:], mask[n:], params)
@@ -402,12 +405,12 @@ def cmd_gradcheck(cfg: Config, workdir: Path) -> int:
     seed = config.stage_seed(cfg, "gradcheck")
     records = corpus.build_archetype_corpus(n_per_class=1, seed=seed)
     tcfg = cvqvae.TrainConfig(hidden=(16, 16), latent_dim=8, codebook_size=4, seed=seed)
-    inputs, masks, _, _ = cvqvae._record_arrays(records[:1])
+    inputs, masks, cls, inter = cvqvae._record_arrays(records[:1])
     shift, scale = cvqvae.fit_standardization(inputs, masks)
     params = cvqvae.init_params(
         tcfg, np.random.default_rng(seed), feature_shift=shift, feature_scale=scale
     )
-    err = cvqvae.grad_check(records[0], params, tcfg, n_checks=150, seed=seed)
+    err = cvqvae.grad_check_arrays(inputs, masks, cls, inter, params, tcfg, n_checks=150, seed=seed)
     _log("gradcheck", max_rel_error=f"{err:.3e}", seed=seed)
     return 0 if err < 1e-4 else 1
 

@@ -3,9 +3,10 @@
 Feed-forward encoder/decoder with a finite codebook, straight-through
 gradient estimation, auxiliary pseudo-class and interaction heads, plain SGD
 training, and finite-difference gradient checking. All gradients are
-hand-derived; numpy only. Training steps in float32; ``encode``, ``loss``
-and the gradient check are float64, and checkpoints store the weights,
-which are float32-exact, as float32.
+hand-derived; numpy only. The weights are float32 from the draw on:
+training steps them in place and checkpoints store them as they are. The
+input standardization is float64, and ``encode`` and the gradient check
+compute in float64 on float64 casts of the weights.
 """
 from __future__ import annotations
 
@@ -33,6 +34,8 @@ LOSS_TERMS = ("recon", "codebook_term", "commit_term", "cl", "inter")
 # single arrays.
 _LAYER_KINDS = ("enc_w", "enc_b", "dec_w", "dec_b")
 _SINGLE_NAMES = ("codebook", "cl_w", "cl_b", "int_w", "int_b")
+# The float64 values that ``init_params`` draws at a time.
+_DRAW_VALUES = 1 << 16
 
 
 class TrainingError(Exception):
@@ -84,7 +87,8 @@ class LossBreakdown:
 
 @dataclass
 class ModelParams:
-    """All weights of the model plus input standardization.
+    """All weights of the model plus input standardization. The trainable
+    arrays (see ``_param_arrays``) are float32, the standardization float64.
 
     Arrays are mutable during training and must be treated as read-only
     afterwards.
@@ -120,18 +124,24 @@ def init_params(
     feature_shift: Optional[np.ndarray] = None,
     feature_scale: Optional[np.ndarray] = None,
 ) -> ModelParams:
-    """Random initial weights; with ``rng=None`` every weight is zero, for a
-    caller that only needs the layout (a checkpoint load fills it). Each
-    drawn weight is rounded to float32, so the float32 copy that training
-    steps on starts from exactly these values."""
+    """Random initial float32 weights; with ``rng=None`` every weight is
+    zero, for a caller that only needs the layout (a checkpoint load fills
+    it). Each weight is a float64 normal draw rounded to float32. A layer is
+    drawn a chunk of rows at a time straight into its float32 array: the
+    draws fill it in row-major order, so the values are those of one draw of
+    the whole layer."""
     input_dim = n_slots * n_features * t_obs
     enc_sizes = [input_dim, *cfg.hidden, cfg.latent_dim]
     dec_sizes = [cfg.latent_dim, *reversed(cfg.hidden), input_dim]
 
     def draw(n_out, n_in, std):
-        if rng is None:
-            return np.zeros((n_out, n_in))
-        return rng.normal(0.0, std, size=(n_out, n_in)).astype(np.float32).astype(np.float64)
+        out = np.zeros((n_out, n_in), np.float32)
+        if rng is not None:
+            rows = max(1, _DRAW_VALUES // max(1, n_in))
+            for start in range(0, n_out, rows):
+                chunk = out[start:start + rows]
+                chunk[...] = rng.normal(0.0, std, size=chunk.shape)
+        return out
 
     def layer(n_out, n_in):
         return draw(n_out, n_in, 1.0 / np.sqrt(n_in))
@@ -145,14 +155,14 @@ def init_params(
         latent_dim=cfg.latent_dim,
         codebook_size=cfg.codebook_size,
         enc_w=[layer(b, a) for a, b in zip(enc_sizes, enc_sizes[1:])],
-        enc_b=[np.zeros(b) for b in enc_sizes[1:]],
+        enc_b=[np.zeros(b, np.float32) for b in enc_sizes[1:]],
         dec_w=[layer(b, a) for a, b in zip(dec_sizes, dec_sizes[1:])],
-        dec_b=[np.zeros(b) for b in dec_sizes[1:]],
+        dec_b=[np.zeros(b, np.float32) for b in dec_sizes[1:]],
         codebook=draw(cfg.codebook_size, cfg.latent_dim, 0.1),
         cl_w=layer(n_classes, cfg.latent_dim),
-        cl_b=np.zeros(n_classes),
+        cl_b=np.zeros(n_classes, np.float32),
         int_w=layer(n_slots * t_obs, cfg.latent_dim),
-        int_b=np.zeros(n_slots * t_obs),
+        int_b=np.zeros(n_slots * t_obs, np.float32),
         feature_shift=(
             feature_shift if feature_shift is not None else np.zeros(n_features)
         ).astype(float),
@@ -261,6 +271,9 @@ def _mlp_backward(
 
 
 def _quantize_batch(z: np.ndarray, codebook: np.ndarray) -> np.ndarray:
+    """The index of the code nearest to each row of ``z``, ties to the
+    lowest; the distances are taken in ``z``'s dtype."""
+    codebook = codebook.astype(z.dtype, copy=False)
     d2 = (
         np.sum(z * z, axis=1, keepdims=True)
         - 2.0 * z @ codebook.T
@@ -288,13 +301,18 @@ def _sigmoid(u: np.ndarray) -> np.ndarray:
 
 def encode(inputs: np.ndarray, masks: np.ndarray, params: ModelParams) -> np.ndarray:
     """Deterministic encoder map of a (B, N, F, T) batch with its (B, N, T)
-    presence masks to (B, d) continuous latents. Records whose (N, F, T)
-    is not the model's raise ContractError."""
+    presence masks to (B, d) continuous float64 latents. Records whose
+    (N, F, T) is not the model's raise ContractError.
+
+    The layers are float64 BLAS products: float32 weights are cast to
+    float64 for the call (numpy's float64 @ float32 is another product),
+    float64 ones are used as they are. A float32 bias adds exactly."""
     expected = (params.n_slots, params.n_features, params.t_obs)
     if inputs.shape[1:] != expected:
         raise ContractError(f"record shape {inputs.shape[1:]} != the model's {expected}")
     x = _standardize(inputs, masks, params.feature_shift, params.feature_scale)
-    z, _ = _mlp_forward(x.reshape(x.shape[0], -1), params.enc_w, params.enc_b)
+    ws = [w.astype(np.float64, copy=False) for w in params.enc_w]
+    z, _ = _mlp_forward(x.reshape(x.shape[0], -1), ws, params.enc_b)
     return z
 
 
@@ -531,15 +549,16 @@ def train_arrays(
     """Mini-batch SGD over the (B, N, F, T) ``inputs`` with their (B, N, T)
     presence masks, (B, S) one-hot class targets and (B, N, T) interaction
     targets (either target may be None); deterministic for a fixed
-    ``cfg.seed``. Every step runs in float32 on a copy of the live weights,
-    which is written back into the float64 params at the end.
+    ``cfg.seed``. Every step runs in float32, in place on the live slot
+    prefix of the float32 params (see ``_live``).
 
     SGD moves the first encoder layer W only by sums of ``g.T @ x_b`` over
     batches of the standardized inputs, so W - W0 stays in their row space.
     With V its basis from ``_row_basis``, the step feeds the coordinates
     c = x V to M = W0 V, which takes the steps of W V, and writes
-    W0 + (M - M0) V.T back, rounded to float32. With fewer records N than
-    live input cells K this layer steps N columns wide instead of K."""
+    W0 + (M - M0) V.T back, added in float64 and rounded to float32 once.
+    With fewer records N than live input cells K this layer steps N
+    columns wide instead of K."""
     if inputs.shape[0] == 0:
         raise ValueError("dataset must be non-empty")
     _, n_slots, n_features, t_obs = inputs.shape
@@ -567,14 +586,11 @@ def train_arrays(
         feature_scale=scale,
     )
     live = _live(params, n_live)
-    step = _cast(replace(live, enc_w=[live.enc_w[0] @ basis, *live.enc_w[1:]]), np.float32)
-    m0 = step.enc_w[0].copy()
+    w0 = live.enc_w[0]
+    m0 = (w0.astype(np.float64) @ basis).astype(np.float32)  # the float64 BLAS product, rounded
+    step = replace(live, enc_w=[m0.copy(), *live.enc_w[1:]])
     history = _sgd(step, run, cfg, rng)
-    (_, w0), *rest = _param_arrays(live)
-    w0 += np.subtract(step.enc_w[0], m0, dtype=float) @ basis.T
-    w0[...] = w0.astype(np.float32)
-    for (_, arr), (_, trained) in zip(rest, _param_arrays(step)[1:]):
-        arr[...] = trained
+    w0[...] = w0 + np.subtract(step.enc_w[0], m0, dtype=float) @ basis.T
     return params, history
 
 
@@ -643,8 +659,10 @@ def grad_check_arrays(
 ) -> float:
     """Max relative error between analytic gradients and central finite
     differences over a random parameter subset; the quantization index is
-    frozen at its base-point value for the numeric path. Below the default
-    ``epsilon`` the differences of a loss of ~3 lose digits to rounding."""
+    frozen at its base-point value for the numeric path. Both paths run in
+    float64, on a float64 copy of ``params``. Below the default ``epsilon``
+    the differences of a loss of ~3 lose digits to rounding."""
+    params = _cast(params, np.float64)
     batch = _batch(inputs, masks, class_targets, interaction_targets, params.feature_shift, params.feature_scale)
     fwd = _forward(batch["x_flat"], params)
     grads = _backward(fwd, batch, cfg, params)
@@ -678,58 +696,24 @@ def grad_check_arrays(
     return max_err
 
 
-def grad_check(
-    record: ScenarioRecord,
-    params: ModelParams,
-    cfg: TrainConfig,
-    epsilon: float = 1e-3,
-    n_checks: int = 120,
-    seed: int = 0,
-) -> float:
-    inputs, masks, cls, inter = _record_arrays([record])
-    return grad_check_arrays(inputs, masks, cls, inter, params, cfg, epsilon, n_checks, seed)
-
-
 # ---------------------------------------------------------------------------
 # Checkpoint persistence (versioned header, float32 weights, float64
 # standardization)
 # ---------------------------------------------------------------------------
 
-def _checkpoint_arrays(params: ModelParams, weight=lambda arr: arr) -> list[tuple[str, np.ndarray]]:
-    """The blocks of a checkpoint in order: ``weight`` of each trainable
-    array (``<f4``), then the standardization (``<f8``)."""
-    return [(name, weight(arr)) for name, arr in _param_arrays(params)] + [
+def _checkpoint_arrays(params: ModelParams) -> list[tuple[str, np.ndarray]]:
+    """The blocks of a checkpoint in order: each trainable array, then the
+    standardization."""
+    return _param_arrays(params) + [
         ("feature_shift", params.feature_shift),
         ("feature_scale", params.feature_scale),
     ]
 
 
-def _front32(arr: np.ndarray) -> np.ndarray:
-    """The float32 view, shaped like the float64 ``arr``, of the front half
-    of ``arr``'s buffer."""
-    return arr.reshape(-1).view(np.float32)[: arr.size].reshape(arr.shape)
-
-
-def _widen(arr: np.ndarray) -> None:
-    """Widens the float32 values of ``_front32(arr)`` into the float64
-    ``arr`` in place. Each pass widens the back half of the values left:
-    their float64 slots lie past every float32 value still to be read, so
-    no pass reads what it writes."""
-    wide = arr.reshape(-1)
-    narrow = wide.view(np.float32)
-    n = wide.size
-    while n > 1:
-        half = (n + 1) // 2
-        wide[half:n] = narrow[half:n]
-        n = half
-    if n:
-        wide[0] = narrow[0]
-
-
 def save_checkpoint(params: ModelParams, path) -> None:
-    """Writes the trainable arrays as ``<f4`` blocks, which hold every
-    weight that ``init_params`` draws and ``train_arrays`` writes exactly,
-    and the standardization as ``<f8``. A NaN or inf raises ContractError."""
+    """Writes the arrays of ``_checkpoint_arrays`` as they are held: the
+    float32 weights as ``<f4`` blocks, the standardization as ``<f8``. A
+    NaN or inf raises ContractError."""
     write_blocks(path, {
         "format": CHECKPOINT_FORMAT_VERSION,
         "n_slots": params.n_slots,
@@ -739,15 +723,15 @@ def save_checkpoint(params: ModelParams, path) -> None:
         "hidden": list(params.hidden),
         "latent_dim": params.latent_dim,
         "codebook_size": params.codebook_size,
-    }, _checkpoint_arrays(params), ContractError, f4={name for name, _ in _param_arrays(params)})
+    }, _checkpoint_arrays(params), ContractError)
 
 
 def load_checkpoint(path) -> ModelParams:
-    """Reads a checkpoint written by ``save_checkpoint``. Each ``<f4`` block
-    is read into the front half of its float64 array and widened there
-    (exactly), so no float32 copy of the weights is allocated. A header that
-    does not describe this model layout, a short array block, a NaN or inf
-    value or trailing bytes raise ContractError."""
+    """Reads a checkpoint written by ``save_checkpoint``: each ``<f4``
+    block straight into its float32 weight array, the ``<f8``
+    standardization into float64. A header that does not describe this
+    model layout, a short array block, a NaN or inf value or trailing bytes
+    raise ContractError."""
     def layout(header):
         cfg = TrainConfig(
             hidden=tuple(header["hidden"]),
@@ -762,12 +746,9 @@ def load_checkpoint(path) -> ModelParams:
             t_obs=header["t_obs"],
             n_classes=header["n_classes"],
         )
-        return params, _checkpoint_arrays(params, _front32)
+        return params, _checkpoint_arrays(params)
 
-    params = read_blocks(path, CHECKPOINT_FORMAT_VERSION, "checkpoint", layout, ContractError)
-    for _, arr in _param_arrays(params):
-        _widen(arr)
-    return params
+    return read_blocks(path, CHECKPOINT_FORMAT_VERSION, "checkpoint", layout, ContractError)
 
 
 LOSS_COLUMNS = ("epoch", "recon", "codebook", "commit", "cl", "int", "total")

@@ -9,9 +9,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
+import os
 from dataclasses import dataclass
 from enum import Enum
-from typing import Collection, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -254,8 +256,8 @@ def validate_record(record: ScenarioRecord) -> list[str]:
 
 # ---------------------------------------------------------------------------
 # Binary container of datasets, checkpoints and tracks memos: one JSON header
-# line, then raw blocks (floats as <f8, or <f4 where the writer says so,
-# integers as <i8, flags as 0/1 bytes).
+# line, then raw blocks (floats little-endian at their own width, <f8 or
+# <f4, integers as <i8, flags as 0/1 bytes).
 # ---------------------------------------------------------------------------
 
 def _finite(arr: np.ndarray) -> bool:
@@ -264,14 +266,11 @@ def _finite(arr: np.ndarray) -> bool:
     return arr.size == 0 or bool(np.isfinite(arr.min()) and np.isfinite(arr.max()))
 
 
-def write_blocks(
-    path, header: dict, blocks: Sequence[tuple[str, np.ndarray]], error: type[Exception], f4: Collection[str] = ()
-) -> None:
+def write_blocks(path, header: dict, blocks: Sequence[tuple[str, np.ndarray]], error: type[Exception]) -> None:
     """Writes ``header`` plus an ``"arrays"`` list of ``[name, shape]`` as one
-    compact, key-sorted JSON line, then the bytes of each block in order.
-    The float blocks named in ``f4`` are rounded to float32 one at a time as
-    they are written. A NaN or infinity in a float block raises ``error``
-    naming ``path`` before the file is opened."""
+    compact, key-sorted JSON line, then the bytes of each block in order, a
+    float block at its array's width. A NaN or infinity in a float block
+    raises ``error`` naming ``path`` before the file is opened."""
     for name, arr in blocks:
         if arr.dtype.kind == "f" and not _finite(arr):
             raise error(f"{path}: non-finite value in array {name}")
@@ -280,7 +279,7 @@ def write_blocks(
         fh.write(json.dumps(full, separators=(",", ":"), sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
         for name, arr in blocks:
-            disk = "<f4" if name in f4 else {"b": bool, "i": "<i8"}.get(arr.dtype.kind, "<f8")
+            disk = {"b": bool, "i": "<i8"}.get(arr.dtype.kind, arr.dtype.newbyteorder("<"))
             fh.write(np.ascontiguousarray(arr, dtype=disk).data)
 
 
@@ -288,8 +287,10 @@ def _read_header(fh, path, fmt: str, kind: str, layout, error: type[Exception]):
     """``layout(header) -> (result, blocks)`` of the header line that ``fh``
     reads from a ``write_blocks`` file in format ``fmt``; the header's
     array list must name the ``(name, array)`` list ``blocks``. Any damage
-    (see the checks below, and a KeyError, TypeError or ValueError of
-    ``layout``) raises ``error`` naming ``path``."""
+    (see the checks below, and a KeyError, TypeError, ValueError or
+    MemoryError of ``layout``) raises ``error`` naming ``path``. An array
+    list that names more values than the bytes left in the file, each value
+    being at least one byte, is refused before ``layout`` allocates."""
     try:
         header = json.loads(fh.readline().decode("utf-8"))
     except ValueError as exc:  # includes UnicodeDecodeError
@@ -298,9 +299,16 @@ def _read_header(fh, path, fmt: str, kind: str, layout, error: type[Exception]):
         raise error(f"{path}: {kind} header is not a mapping")
     if header.get("format") != fmt:
         raise error(f"{path}: unsupported {kind} format {header.get('format')!r}")
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    try:  # counts the shapes of integers only: the match below refuses any other list
+        values = sum(math.prod(shape) for _, shape in header.get("arrays") if all(type(n) is int for n in shape))
+    except (TypeError, ValueError):
+        values = 0
+    if values > left:
+        raise error(f"{path}: {kind} header names {values} array values, more than the {left} bytes after it")
     try:
         result, blocks = layout(header)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, MemoryError) as exc:
         raise error(f"{path}: invalid {kind} header ({exc!r})") from exc
     if header.get("arrays") != [[name, list(arr.shape)] for name, arr in blocks]:
         raise error(f"{path}: array list does not match the {kind} header")

@@ -105,6 +105,11 @@ def train_records(records, cfg):
     return cvqvae.train_arrays(*cvqvae._record_arrays(records), cfg)
 
 
+def grad_check(record, params, cfg, epsilon=1e-3, n_checks=120, seed=0) -> float:
+    """``cvqvae.grad_check_arrays`` on the one ``record``'s arrays."""
+    return cvqvae.grad_check_arrays(*cvqvae._record_arrays([record]), params, cfg, epsilon, n_checks, seed)
+
+
 def encode_dataset_v1(records, dt) -> bytes:
     """The bytes the JSON-lines writer of ``scenmine-dataset-v1`` wrote for
     ``records``: one header line, then one JSON object per record. Kept as the
@@ -148,6 +153,18 @@ def block_offset(blob: bytes, name: str) -> int:
             return offset
         offset += int(np.prod(shape)) * (1 if block == "mask" else 8)
     raise KeyError(name)
+
+
+def edit_header(edit):
+    """Rewrite of a ``write_blocks`` file whose header object ``edit``
+    changes in place; the header is written back compact and key-sorted, as
+    ``write_blocks`` writes it, and the blocks stay as they are."""
+    def rewrite(blob: bytes) -> bytes:
+        end = blob.index(b"\n")
+        header = json.loads(blob[:end])
+        edit(header)
+        return json.dumps(header, separators=(",", ":"), sort_keys=True).encode() + blob[end:]
+    return rewrite
 
 
 def overwrite_value(block: str, value: bytes, index: int = 0):

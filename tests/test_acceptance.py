@@ -8,7 +8,7 @@ import numpy as np
 
 from scenmine import cli, clustering, corpus, cvqvae, detect, dgsfm, ingest, metrics
 
-from conftest import encode_records, quantize, train_records
+from conftest import encode_records, grad_check, quantize, train_records
 
 
 def report(name, detail):
@@ -120,7 +120,7 @@ def test_criterion_4_gradient_correctness():
     params = cvqvae.init_params(
         cfg, np.random.default_rng(6), feature_shift=shift, feature_scale=scale
     )
-    err = cvqvae.grad_check(records[0], params, cfg, epsilon=1e-3, n_checks=150, seed=6)
+    err = grad_check(records[0], params, cfg, epsilon=1e-3, n_checks=150, seed=6)
     elapsed = time.monotonic() - t0
     assert err < 1e-4
     assert elapsed <= 10.0

@@ -11,10 +11,12 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import (
     assert_same_trajectories,
+    edit_header,
     encode_dataset_v1,
     load_from_memo,
     make_traj,
@@ -167,8 +169,10 @@ def test_report_has_no_dk_and_dk_sections(tmp_path):
     assert backends == {"codebook", "kmeans", "hierarchical"}
 
 
-def test_gradcheck_subcommand(tmp_path):
+def test_gradcheck_subcommand(tmp_path, capsys):
+    # The check runs in float64 on a float64 copy of the float32 weights.
     assert cli.main(["--workdir", str(tmp_path / "wd"), "gradcheck"]) == 0
+    assert capsys.readouterr().out == "[gradcheck] max_rel_error=4.454e-06 seed=6\n"
 
 
 def test_ingest_subcommand_round_trip(tmp_path):
@@ -309,9 +313,28 @@ def _v2_checkpoint(blob: bytes) -> bytes:
         params = cvqvae.load_checkpoint(path)
         header = json.loads(blob[:_header_end(blob)])
         del header["arrays"]
-        write_blocks(path, {**header, "format": "scenmine-checkpoint-v2"}, cvqvae._checkpoint_arrays(params),
-                     cvqvae.ContractError)
+        write_blocks(path, {**header, "format": "scenmine-checkpoint-v2"},
+                     cvqvae._checkpoint_arrays(cvqvae._cast(params, np.float64)), cvqvae.ContractError)
         return path.read_bytes()
+
+
+def _checkpoint_describing(**layout):
+    """Rewrite of a checkpoint whose header describes the model ``layout``
+    sets (header keys such as ``n_slots`` or ``hidden``), with the array
+    list of that model; the blocks stay as they are."""
+    def change(h):
+        h.update(layout)
+        frames, d, classes = h["n_slots"] * h["t_obs"], h["latent_dim"], h["n_classes"]
+        enc = [frames * h["n_features"], *h["hidden"], d]
+        h["arrays"] = [
+            *(entry for kind, sizes in (("enc", enc), ("dec", enc[::-1])) for entry in (
+                *([f"{kind}_w[{i}]", [b, a]] for i, (a, b) in enumerate(zip(sizes, sizes[1:]))),
+                *([f"{kind}_b[{i}]", [b]] for i, b in enumerate(sizes[1:])))),
+            ["codebook", [h["codebook_size"], d]], ["cl_w", [classes, d]], ["cl_b", [classes]],
+            ["int_w", [frames, d]], ["int_b", [frames]],
+            ["feature_shift", [h["n_features"]]], ["feature_scale", [h["n_features"]]],
+        ]
+    return edit_header(change)
 
 
 def _keep_records(n: int):
@@ -520,6 +543,13 @@ BAD_INPUTS = [
     ),
     pytest.param("", ["cluster"], (CKPT, lambda b: _other_layout_checkpoint()), 3, "stage error",
                  id="ckpt-other-layout"),
+    # Headers that describe far more data than the file holds.
+    pytest.param("", ["cluster"], (CKPT, _checkpoint_describing(n_slots=10_000_000)), 3, "stage error",
+                 id="ckpt-header-huge-n-slots"),
+    pytest.param("", ["cluster"], (CKPT, _checkpoint_describing(hidden=[1_000_000, 1_000_000])), 3,
+                 "stage error", id="ckpt-header-huge-hidden"),
+    pytest.param("", ["detect"], (MEMO, edit_header(lambda h: h["trajectories"][0].__setitem__(2, 10**11))),
+                 3, "stage error", id="tracks-memo-huge-n-rows"),
     pytest.param(None, ["synth"], None, 2, "config error", id="config-file-missing"),
     pytest.param("train:\n  hidden: [8,\n", ["train"], None, 2, "config error", id="config-yaml-syntax"),
     pytest.param(b"train:\n  epochs: \xff\n", ["train"], None, 2, "config error", id="config-not-utf8"),
@@ -597,6 +627,19 @@ def test_train_counts_the_invalid_records(trained_workdir, tmp_path, capsys, dam
     capsys.readouterr()
     assert cli.main(["--workdir", str(wd), "train"]) == 3
     assert capsys.readouterr().err == f"stage error: 1 invalid records in {wd / DATASET}\n"
+
+
+@pytest.mark.parametrize("layout", [{"n_slots": 10_000_000}, {"hidden": [1_000_000, 1_000_000]}])
+def test_checkpoint_header_larger_than_the_file_is_refused_before_layout(trained_workdir, tmp_path, capsys, layout):
+    blob = (trained_workdir / CKPT).read_bytes()
+    assert _checkpoint_describing()(blob) == blob  # the array list of the unchanged layout is the file's
+    wd = tmp_path / "wd"
+    shutil.copytree(trained_workdir, wd)
+    (wd / CKPT).write_bytes(_checkpoint_describing(**layout)(blob))
+    capsys.readouterr()
+    assert cli.main(["--workdir", str(wd), "cluster"]) == 3
+    assert re.fullmatch(r"stage error: invalid checkpoint: \S+model\.ckpt: checkpoint header names [0-9]+ array "
+                        r"values, more than the [0-9]+ bytes after it\n", capsys.readouterr().err)
 
 
 def test_report_names_the_backends_one_clustering_file_lacks(trained_workdir, tmp_path, capsys):

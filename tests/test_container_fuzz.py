@@ -59,7 +59,7 @@ def _valid_checkpoint(params) -> None:
         None, params.n_slots, params.n_features, params.t_obs, params.n_classes,
     )
     for (name, arr), (_, want) in zip(cvqvae._checkpoint_arrays(params), cvqvae._checkpoint_arrays(layout)):
-        assert arr.shape == want.shape, name
+        assert arr.shape == want.shape and arr.dtype == want.dtype, name
         assert np.isfinite(arr).all(), name
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from scenmine import corpus, cvqvae
 
-from conftest import quantize, train_records
+from conftest import encode_records, grad_check, quantize, train_records
 
 
 def tiny_cfg(**kwargs):
@@ -27,6 +27,12 @@ def tiny_params(cfg=None, n_slots=2, n_features=3, t_obs=5, n_classes=10, seed=0
         t_obs=t_obs,
         n_classes=n_classes,
     )
+
+
+def wide(params):
+    """A float64 copy of ``params``, for reference math in float64: numpy's
+    float64 @ float32 product is not the float64 BLAS product."""
+    return cvqvae._cast(params, np.float64)
 
 
 def input_dim(params):
@@ -284,9 +290,9 @@ def test_loss_decomposition_identity():
     cfg = cvqvae.TrainConfig(hidden=(8, 8), latent_dim=4, codebook_size=4)
     inputs, masks, _, _ = cvqvae._record_arrays(records)
     shift, scale = cvqvae.fit_standardization(inputs, masks)
-    params = cvqvae.init_params(
+    params = wide(cvqvae.init_params(
         cfg, np.random.default_rng(1), feature_shift=shift, feature_scale=scale
-    )
+    ))
     for record in records:
         lb = loss(record, params, cfg)
         expected = (
@@ -375,9 +381,7 @@ def test_train_separates_archetypes():
     inputs, masks, labels = toy_dataset(rng, n=60)
     cfg = tiny_cfg(epochs=250, hidden=(8,), latent_dim=3, codebook_size=3, learning_rate=0.05)
     params, _ = cvqvae.train_arrays(inputs, masks, None, None, cfg)
-    x = cvqvae._standardize(inputs, masks, params.feature_shift, params.feature_scale)
-    z, _ = cvqvae._mlp_forward(x.reshape(x.shape[0], -1), params.enc_w, params.enc_b)
-    codes = cvqvae._quantize_batch(z, params.codebook)
+    codes = cvqvae._quantize_batch(cvqvae.encode(inputs, masks, params), params.codebook)
     # Each archetype maps to one code and codes are distinct across archetypes.
     mapping = {}
     for label, code in zip(labels, codes):
@@ -444,7 +448,7 @@ def test_live_prefix_step_matches_full_width_step():
     assert masks[:, N_LIVE - 1].any() and not masks[:, N_LIVE:].any()
     cfg = cvqvae.TrainConfig(seed=3)  # the default model and batch, lambda = 1
     shift, scale = cvqvae.fit_standardization(inputs, masks)
-    params = cvqvae.init_params(cfg, np.random.default_rng(3), feature_shift=shift, feature_scale=scale)
+    params = wide(cvqvae.init_params(cfg, np.random.default_rng(3), feature_shift=shift, feature_scale=scale))
     full_batch, full_fwd = batch_forward(inputs, masks, cls, inter, params)
     full = cvqvae._backward(full_fwd, full_batch, cfg, params)
 
@@ -498,7 +502,7 @@ def test_record_beyond_the_live_prefix_encodes_at_full_width():
     cut[:, N_LIVE:] = False
     assert not np.array_equal(z, cvqvae.encode(values, cut, params))  # the untrained columns are read
     # epsilon as in criterion 4: below it the differences lose digits to rounding.
-    assert cvqvae.grad_check(record, params, cvqvae.TrainConfig(), epsilon=1e-3, n_checks=150, seed=1) < 1e-4
+    assert grad_check(record, params, cvqvae.TrainConfig(), epsilon=1e-3, n_checks=150, seed=1) < 1e-4
 
 
 # ------------------------------ float32 step ---------------------------------
@@ -529,14 +533,26 @@ def default_live_batch():
 
 
 def test_drawn_weights_are_float32_exact():
-    for name, arr in cvqvae._param_arrays(tiny_params()):
-        assert np.array_equal(arr.astype(np.float32).astype(np.float64), arr), name
+    # Each weight array is the float32 rounding of one float64 normal draw,
+    # though init_params draws a layer a chunk of rows at a time.
+    cfg = tiny_cfg(hidden=(7000,), latent_dim=3)  # 7000 x 30 values: the first layer is drawn in 4 chunks
+    params = tiny_params(cfg, seed=4)
+    rng = np.random.default_rng(4)
+    for name, arr in cvqvae._param_arrays(params):
+        assert arr.dtype == np.float32 and arr.flags.c_contiguous, name
+        if name.endswith("_b") or "_b[" in name:
+            assert not arr.any(), name
+            continue
+        std = 0.1 if name == "codebook" else 1.0 / np.sqrt(arr.shape[1])
+        assert arr.tobytes() == rng.normal(0.0, std, size=arr.shape).astype(np.float32).tobytes(), name
 
 
 def test_float32_step_matches_float64_step():
     args, cfg = default_live_batch()
-    batch, fwd = batch_forward(*args)
-    want = cvqvae._backward(fwd, batch, cfg, args[-1])
+    *arrays, live = args
+    reference = wide(live)
+    batch, fwd = batch_forward(*arrays, reference)
+    want = cvqvae._backward(fwd, batch, cfg, reference)
     fwd32, _, got = float32_step(*args, cfg)
     assert np.array_equal(fwd32["q"], fwd["q"])
     # float32 keeps ~7 digits: each gradient is within ~4e-7 of its largest
@@ -569,6 +585,38 @@ def test_float32_class_loss_of_an_underflowed_probability_is_finite():
     assert fwd["probs"][0, 3] == 0.0
     assert terms["cl"].dtype == np.float32
     assert terms["cl"][0] == -np.log(np.finfo(np.float32).tiny)
+
+
+# --------------------------- float32 weights ---------------------------------
+
+@pytest.fixture(scope="module")
+def trained_and_augmented():
+    """A default model trained on archetype records, and those records with
+    their augmentations, some of which reach past the live slots."""
+    base = corpus.build_archetype_corpus(n_per_class=2, seed=9)
+    augmented, _ = corpus.augment_corpus(base, n_augment=20, seed=12)
+    params, _ = train_records(base, cvqvae.TrainConfig(epochs=2, seed=5))
+    return params, base + augmented
+
+
+def test_encode_of_float32_weights_equals_encode_of_their_float64_cast(trained_and_augmented):
+    params, records = trained_and_augmented
+    masks = np.stack([r.tensor.presence_mask for r in records])
+    assert not masks[:, 1:].all() and masks[:, N_LIVE:].any()  # absent slots, and slots past the live prefix
+    assert {arr.dtype for _, arr in cvqvae._param_arrays(params)} == {np.dtype(np.float32)}
+    z = encode_records(records, params)
+    assert z.dtype == np.float64
+    assert z.tobytes() == encode_records(records, wide(params)).tobytes()
+
+
+def test_quantize_by_a_float32_codebook_equals_its_float64_cast(trained_and_augmented):
+    params, records = trained_and_augmented
+    codebook = params.codebook
+    wide_codes = codebook.astype(np.float64)
+    # Latents of records, the codes themselves and the midpoints of code pairs (exact ties).
+    z = np.concatenate([encode_records(records, params), wide_codes, (wide_codes[:-1] + wide_codes[1:]) / 2])
+    assert z.dtype == np.float64 and codebook.dtype == np.float32
+    assert np.array_equal(cvqvae._quantize_batch(z, codebook), cvqvae._quantize_batch(z, wide_codes))
 
 
 # ---------------------------- gradient check --------------------------------
@@ -614,7 +662,7 @@ def test_grad_check_zero_loss_config():
 
 def test_grad_check_detects_corrupted_gradient(rng):
     cfg = tiny_cfg(hidden=(), latent_dim=3, codebook_size=3)
-    params = tiny_params(cfg, n_slots=1, n_features=2, t_obs=4)
+    params = wide(tiny_params(cfg, n_slots=1, n_features=2, t_obs=4))
     inputs = rng.normal(size=(1, 1, 2, 4))
     masks = np.ones((1, 1, 4), dtype=bool)
     batch, fwd = batch_forward(inputs, masks, None, None, params)
@@ -657,8 +705,8 @@ def test_checkpoint_round_trip(tmp_path):
 def test_checkpoint_weights_are_f4_blocks(tmp_path):
     params = tiny_params()
     rng = np.random.default_rng(2)
-    for _, arr in cvqvae._param_arrays(params):  # biases too: 1-D blocks widen like 2-D ones
-        arr[...] = rng.normal(size=arr.shape).astype(np.float32)
+    for _, arr in cvqvae._param_arrays(params):  # biases too
+        arr[...] = rng.normal(size=arr.shape)
     params.feature_shift[:] = rng.normal(size=params.n_features)  # not float32-exact
     path = tmp_path / "model.ckpt"
     cvqvae.save_checkpoint(params, path)
@@ -667,17 +715,12 @@ def test_checkpoint_weights_are_f4_blocks(tmp_path):
     assert len(blob) == blob.index(b"\n") + 1 + 4 * weights + 8 * 2 * params.n_features
     loaded = cvqvae.load_checkpoint(path)
     for (name, a), (_, b) in zip(cvqvae._checkpoint_arrays(loaded), cvqvae._checkpoint_arrays(params)):
-        assert a.dtype == np.float64 and a.flags.c_contiguous, name
-        assert np.array_equal(a, b), name
-
-
-@pytest.mark.parametrize("shape", [(0,), (1,), (2,), (3,), (7,), (64,), (65,), (3, 5), (128, 33)])
-def test_widen_in_place_equals_astype(shape):
-    arr = np.zeros(shape)
-    narrow = np.random.default_rng(1).normal(size=shape).astype(np.float32)
-    cvqvae._front32(arr)[...] = narrow
-    cvqvae._widen(arr)
-    assert arr.tobytes() == narrow.astype(np.float64).tobytes()
+        dtype = np.float64 if name.startswith("feature_") else np.float32
+        assert a.dtype == b.dtype == dtype and a.flags.c_contiguous, name
+        assert a.tobytes() == b.tobytes(), name
+    again = tmp_path / "again.ckpt"
+    cvqvae.save_checkpoint(loaded, again)
+    assert again.read_bytes() == blob
 
 
 def test_loss_history_csv(tmp_path):

@@ -590,7 +590,7 @@ def test_row_space_step_is_the_primal_step_in_coordinates():
     cfg = cvqvae.TrainConfig(seed=3)
     shift, scale = cvqvae.fit_standardization(inputs, masks)
     params = cvqvae.init_params(cfg, np.random.default_rng(3), feature_shift=shift, feature_scale=scale)
-    live = cvqvae._live(params, n_live)
+    live = cvqvae._live(cvqvae._cast(params, np.float64), n_live)  # both steps in float64
     run = cvqvae._batch(inputs[:, :n_live], masks[:, :n_live], cls, inter[:, :n_live], shift, scale)
     basis = cvqvae._row_basis(run["x_flat"])
     assert basis.shape == (n_live * 600, len(inputs))

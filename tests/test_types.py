@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import encode_dataset_v1, overwrite_value
+from conftest import edit_header, encode_dataset_v1, overwrite_value
 from scenmine import corpus
 from scenmine.types import (
     ChangePoint,
@@ -22,9 +22,11 @@ from scenmine.types import (
     read_csv,
     read_dataset,
     read_dataset_arrays,
+    read_blocks,
     read_dataset_header,
     validate_arrays,
     validate_record,
+    write_blocks,
     write_csv,
     write_dataset,
     write_json,
@@ -213,16 +215,6 @@ def test_header_and_array_readers_agree_with_read_dataset(records, tmp_path):
         assert arr.dtype == want.dtype and arr.shape == want.shape and arr.tobytes() == want.tobytes()
 
 
-def _edit_header(edit):
-    """Rewrite of a dataset file whose header object goes through ``edit``."""
-    def rewrite(blob: bytes) -> bytes:
-        end = blob.index(b"\n")
-        header = json.loads(blob[:end])
-        edit(header)
-        return json.dumps(header).encode() + blob[end:]
-    return rewrite
-
-
 @pytest.mark.parametrize(
     "damage, in_header",
     [
@@ -242,11 +234,11 @@ def _edit_header(edit):
         pytest.param(lambda b: b.replace(b'"n_records":2', b'"n_records":3', 1), True, id="record-count"),
         pytest.param(lambda b: b.replace(b'"vehicle_id":', b'"vehicle_id":"7","x":', 1), True,
                      id="vehicle-id-type"),
-        pytest.param(_edit_header(lambda h: h.update(format="scenmine-dataset-v1")), True, id="other-format"),
-        pytest.param(_edit_header(lambda h: h.update(dt=-0.04)), True, id="dt-negative"),
-        pytest.param(_edit_header(lambda h: h["records"][1].update(after=h["records"][1]["before"])), True,
+        pytest.param(edit_header(lambda h: h.update(format="scenmine-dataset-v1")), True, id="other-format"),
+        pytest.param(edit_header(lambda h: h.update(dt=-0.04)), True, id="dt-negative"),
+        pytest.param(edit_header(lambda h: h["records"][1].update(after=h["records"][1]["before"])), True,
                      id="equal-anchor-labels"),
-        pytest.param(_edit_header(lambda h: h["records"][1].update(record_id=h["records"][0]["record_id"])), True,
+        pytest.param(edit_header(lambda h: h["records"][1].update(record_id=h["records"][0]["record_id"])), True,
                      id="repeated-id"),
     ],
 )
@@ -262,6 +254,40 @@ def test_dataset_damage_is_format_error(records, tmp_path, damage, in_header):
             read(path)
     if not in_header:
         assert read_dataset_header(path) == intact
+
+
+@pytest.mark.parametrize("count", [25, 10**12])
+def test_array_list_larger_than_the_file_is_refused_before_layout(tmp_path, count):
+    path = tmp_path / "blocks.bin"
+    write_blocks(path, {"format": "f"}, [("a", np.zeros(3))], DatasetFormatError)  # 24 bytes of blocks
+    path.write_bytes(edit_header(lambda h: h.update(arrays=[["a", [count]]]))(path.read_bytes()))
+
+    def layout(header):
+        raise AssertionError("layout called")
+
+    with pytest.raises(DatasetFormatError, match=f"blocks.bin: x header names {count} array values, "
+                                                 "more than the 24 bytes after it"):
+        read_blocks(path, "f", "x", layout, DatasetFormatError)
+
+
+@pytest.mark.parametrize("arrays", [None, 7, [["a"]], [["a", 3]], [["a", "xyz"]], [["a", [10**12, "x"]]]])
+def test_array_list_that_is_not_names_and_shapes_is_refused(tmp_path, arrays):
+    path = tmp_path / "blocks.bin"
+    write_blocks(path, {"format": "f"}, [("a", np.zeros(3))], DatasetFormatError)
+    path.write_bytes(edit_header(lambda h: h.update(arrays=arrays))(path.read_bytes()))
+    with pytest.raises(DatasetFormatError, match="blocks.bin: array list does not match the x header"):
+        read_blocks(path, "f", "x", lambda header: (None, [("a", np.zeros(3))]), DatasetFormatError)
+
+
+def test_memory_error_of_layout_is_the_kinds_error(tmp_path):
+    path = tmp_path / "blocks.bin"
+    write_blocks(path, {"format": "f"}, [("a", np.zeros(3))], DatasetFormatError)
+
+    def layout(header):
+        raise MemoryError("Unable to allocate 4.4 TiB")
+
+    with pytest.raises(DatasetFormatError, match=r"blocks.bin: invalid x header \(MemoryError"):
+        read_blocks(path, "f", "x", layout, DatasetFormatError)
 
 
 def test_dataset_write_is_deterministic(records, tmp_path):
