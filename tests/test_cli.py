@@ -771,6 +771,39 @@ def test_ingest_of_reversed_lanes_matches_golden_digests(tmp_path):
     assert _digests(tmp_path, GOLDEN_INGEST_DIGESTS) == GOLDEN_INGEST_DIGESTS
 
 
+# SHA-256 of the files that `synth` of the archetype corpus and `augment`
+# write at the default seed, and of those that `detect`, `extract` and
+# `augment` write from the reversed-lane recording.
+GOLDEN_ARCHETYPE_DIGESTS = {
+    "dataset.jsonl": "2d28ed2cdb9682476223d0bc2d8b5d2ea5b22a8fef55866c17ac049736aae5cd",
+    "dataset_augmented.jsonl": "3ddece4092cab99402023e45efeb2efe0786dcedd5b3d7e21c2c4f056346adc6",
+    "pairs.csv": "adfef0c8a0e5f8f4db625177039f258f9f382d5d74d9fd68f93303b28c3d1fa0",
+}
+GOLDEN_INGEST_DATASET_DIGESTS = {
+    "dataset.jsonl": "1b2626f1317b6369d7cda1114f1b329b10cfc211cd0da82544a27130f11ef865",
+    "dataset_augmented.jsonl": "a86a341b1dadf67165780bd5ac0a31f1cd9abb878bb6d6d4d765fe6fdc3ddcfd",
+    "pairs.csv": "06606c1215efe1b5dd3920df068fe758f90332910523edbb1e4828f2fdfc18f2",
+}
+
+
+def test_archetype_synth_and_augment_match_golden_digests(tmp_path):
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text("synth:\n  kind: archetypes\n  n_per_class: 30\naugment:\n  n_augment: 50\n")
+    wd = tmp_path / "wd"
+    for command in (["synth"], ["augment"]):
+        assert cli.main(["--config", str(cfg), "--workdir", str(wd)] + command) == 0
+    assert _digests(wd, GOLDEN_ARCHETYPE_DIGESTS) == GOLDEN_ARCHETYPE_DIGESTS
+
+
+def test_extract_and_augment_of_reversed_lanes_match_golden_digests(tmp_path):
+    rec = _reversed_lane_recording(tmp_path)
+    wd = tmp_path / "ingested"
+    ingest_command = ["ingest", "--tracks", str(rec / "tracks.csv"), "--meta", str(rec / "meta.json")]
+    for command in (ingest_command, ["detect"], ["extract"], ["augment"]):
+        assert cli.main(["--workdir", str(wd)] + command) == 0
+    assert _digests(wd, GOLDEN_INGEST_DATASET_DIGESTS) == GOLDEN_INGEST_DATASET_DIGESTS
+
+
 # --------------------------- tracks.bin memo ----------------------------------
 
 def test_tracks_memo_of_synth_equals_parse(tmp_path):
