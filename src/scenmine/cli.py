@@ -15,8 +15,8 @@ import numpy as np
 
 from . import clustering, config, corpus, cvqvae, detect, extraction, ingest, metrics
 from .config import Config
-from .types import (N_CLASSES, DatasetFormatError, read_csv, read_dataset, read_dataset_arrays,
-                    read_dataset_header, read_json, validate_arrays, write_csv, write_dataset, write_json)
+from .types import (Dataset, DatasetFormatError, read_csv, read_dataset_arrays, read_dataset_header, read_json,
+                    validate_arrays, write_csv, write_dataset, write_json)
 
 
 class StageError(Exception):
@@ -114,12 +114,12 @@ def cmd_synth(cfg: Config, workdir: Path) -> None:
             tracks=tracks,
         )
     else:  # archetypes
-        records = corpus.build_archetype_corpus(
+        dataset = corpus.build_archetype_corpus(
             n_per_class=s.n_per_class, seed=seed, dt=dt,
             dgsfm_cfg=config.override(cfg, "dgsfm", dt=dt),
         )
-        write_dataset(records, workdir / "dataset.jsonl", dt=dt)
-        _log("synth", kind="archetypes", n=len(records), seed=seed,
+        write_dataset(dataset, workdir / "dataset.jsonl", dt=dt)
+        _log("synth", kind="archetypes", n=len(dataset), seed=seed,
              dataset=_sha256(workdir / "dataset.jsonl"))
 
 
@@ -220,30 +220,32 @@ def cmd_extract(cfg: Config, workdir: Path) -> None:
     by_vehicle: dict[int, list] = {}
     for _, vid, cp in cps:
         by_vehicle.setdefault(vid, []).append(cp)
-    records, summary = extraction.extract(
+    dataset, summary = extraction.extract(
         trajs, by_vehicle, cfg.extract, config.override(cfg, "dgsfm", dt=meta.dt)
     )
-    write_dataset(records, workdir / "dataset.jsonl", dt=meta.dt)
+    write_dataset(dataset, workdir / "dataset.jsonl", dt=meta.dt)
     write_json({
         "extracted": summary.extracted,
         "skipped_window": summary.skipped_window,
         "filtered_class": summary.filtered_class,
         "per_class_counts": {str(k): v for k, v in summary.per_class_counts.items()},
     }, workdir / "extract_summary.json")
-    if not records:
+    if not len(dataset):
         print("[extract] WARNING: zero records extracted (class filter or window coverage)")
     _log("extract", records=summary.extracted, skipped=summary.skipped_window,
          filtered=summary.filtered_class, dataset=_sha256(workdir / "dataset.jsonl"))
 
 
 def cmd_augment(cfg: Config, workdir: Path) -> None:
-    records, dt = read_dataset(_require(workdir / "dataset.jsonl"))
+    dataset, dt = read_dataset_arrays(_require(workdir / "dataset.jsonl"))
     seed = config.stage_seed(cfg, "augment")
-    augmented, pairs = corpus.augment_corpus(
-        records, n_augment=min(cfg.augment.n_augment, len(records)),
+    children, pairs = corpus.augment_corpus(
+        dataset, n_augment=min(cfg.augment.n_augment, len(dataset)),
         min_gap=cfg.augment.min_gap, seed=seed
     )
-    write_dataset(list(records) + augmented, workdir / "dataset_augmented.jsonl", dt=dt)
+    both = Dataset(dataset.entries + children.entries,
+                   *(np.concatenate(blocks) for blocks in zip(dataset.blocks, children.blocks)))
+    write_dataset(both, workdir / "dataset_augmented.jsonl", dt=dt)
     corpus.write_pairs(pairs, workdir / "pairs.csv")
     _log("augment", pairs=len(pairs), seed=seed,
          dataset=_sha256(workdir / "dataset_augmented.jsonl"))
@@ -255,18 +257,17 @@ def cmd_train(cfg: Config, workdir: Path, lambda_cl=None, lambda_int=None, tag: 
     tcfg = config.override(cfg, "train", seed=seed,
                            **{name: value for name, value in flags.items() if value is not None})
     path = _require(workdir / "dataset.jsonl")
-    fields, _, tensor, mask, interaction = read_dataset_arrays(path)
-    if not fields:
+    dataset, _ = read_dataset_arrays(path)
+    if not len(dataset):
         raise StageError(f"{path} holds 0 records; nothing to train on")
-    invalid = sum(1 for violations in validate_arrays(tensor, mask, interaction) if violations)
+    invalid = sum(1 for violations in validate_arrays(*dataset.blocks) if violations)
     if invalid:
         raise StageError(f"{invalid} invalid records in {path}")
-    pseudo_class = np.eye(N_CLASSES)[[f["pseudo_class"] for f in fields]]
-    params, history = cvqvae.train_arrays(tensor, mask, pseudo_class, interaction, tcfg)
+    params, history = cvqvae.train_arrays(dataset.tensor, dataset.mask, dataset.one_hot(), dataset.interaction, tcfg)
     cvqvae.save_checkpoint(params, workdir / f"{tag}.ckpt")
     cvqvae.write_loss_history(history, workdir / f"{tag}_loss.csv")
-    _log("train", tag=tag, records=len(fields), live_slots=cvqvae.live_slots(mask), epochs=tcfg.epochs, seed=seed,
-         lambda_cl=tcfg.lambda_cl, lambda_int=tcfg.lambda_int,
+    _log("train", tag=tag, records=len(dataset), live_slots=cvqvae.live_slots(dataset.mask), epochs=tcfg.epochs,
+         seed=seed, lambda_cl=tcfg.lambda_cl, lambda_int=tcfg.lambda_int,
          final_loss=f"{history[-1].total:.6f}",
          checkpoint=_sha256(workdir / f"{tag}.ckpt"))
 
@@ -275,10 +276,11 @@ def cmd_cluster(cfg: Config, workdir: Path, tag: str = "model") -> None:
     path, aug_path = _require(workdir / "dataset.jsonl"), workdir / "dataset_augmented.jsonl"
     if aug_path.exists():  # the base records again, then the held-out ones
         base, _ = read_dataset_header(path)
-        fields, _, tensor, mask, _ = read_dataset_arrays(aug_path)
+        dataset, _ = read_dataset_arrays(aug_path)
     else:
-        fields, _, tensor, mask, _ = read_dataset_arrays(path)
-        base = fields
+        dataset, _ = read_dataset_arrays(path)
+        base = dataset.entries
+    entries, tensor, mask = dataset.entries, dataset.tensor, dataset.mask
     n = len(base)
     try:
         params = cvqvae.load_checkpoint(_require(workdir / f"{tag}.ckpt"))
@@ -288,7 +290,7 @@ def cmd_cluster(cfg: Config, workdir: Path, tag: str = "model") -> None:
         raise StageError(f"dataset.jsonl holds {n} base records, fewer than "
                          f"the checkpoint's codebook_size {params.codebook_size}")
     base_ids = {f["record_id"] for f in base}
-    if fields[:n] != base or any(f["augmentation_parent"] not in base_ids for f in fields[n:]):
+    if entries[:n] != base or any(e["augmentation_parent"] not in base_ids for e in entries[n:]):
         raise StageError(f"{aug_path} is not the records of dataset.jsonl followed by their "
                          "augmentations; re-run augment")
     # encode multiplies in float64: the float32 encoder weights are cast once
@@ -300,7 +302,7 @@ def cmd_cluster(cfg: Config, workdir: Path, tag: str = "model") -> None:
     except cvqvae.ContractError as exc:
         raise StageError(f"invalid checkpoint: {exc}") from exc
     seed = config.stage_seed(cfg, "cluster")
-    ids = [f["record_id"] for f in fields]
+    ids = [e["record_id"] for e in entries]
     rows = [(rid, backend, int(label)) for backend in cfg.cluster.backends
             for rid, label in zip(ids, clustering.assign(backend, base_latents, held_out_latents,
                                                           params.codebook, cfg.cluster, seed))]
@@ -403,9 +405,9 @@ def cmd_report(cfg: Config, workdir: Path) -> None:
 
 def cmd_gradcheck(cfg: Config, workdir: Path) -> int:
     seed = config.stage_seed(cfg, "gradcheck")
-    records = corpus.build_archetype_corpus(n_per_class=1, seed=seed)
+    dataset = corpus.build_archetype_corpus(n_per_class=1, seed=seed)
     tcfg = cvqvae.TrainConfig(hidden=(16, 16), latent_dim=8, codebook_size=4, seed=seed)
-    inputs, masks, cls, inter = cvqvae._record_arrays(records[:1])
+    inputs, masks, cls, inter = dataset.tensor[:1], dataset.mask[:1], dataset.one_hot()[:1], dataset.interaction[:1]
     shift, scale = cvqvae.fit_standardization(inputs, masks)
     params = cvqvae.init_params(
         tcfg, np.random.default_rng(seed), feature_shift=shift, feature_scale=scale

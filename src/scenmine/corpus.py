@@ -1,6 +1,6 @@
 """Desk-scale scenario corpus with controlled interaction archetypes.
 
-Builds ScenarioRecords of three behaviorally distinct archetypes (sustained
+Builds a dataset of three behaviorally distinct archetypes (sustained
 acceleration, sustained braking, lane change; each with one close, relevant
 neighbor) plus per-sample nuisance variation from distant vehicles whose
 positions vary widely but whose interaction relevance is negligible. The
@@ -19,14 +19,12 @@ from .types import (
     T_OBS,
     ChangePoint,
     CompositeLabel,
-    InteractionMatrix,
+    Dataset,
     LatState,
     LongState,
-    PseudoClassLabel,
-    ScenarioRecord,
-    ScenarioTensor,
     Trajectory,
     read_csv,
+    record_entry,
     write_csv,
 )
 
@@ -76,11 +74,11 @@ def build_archetype_corpus(
     dt: float = 0.04,
     n_nuisance: int = 2,
     dgsfm_cfg: Optional[dgsfm.DgsfmConfig] = None,
-) -> list[ScenarioRecord]:
+) -> Dataset:
     if dgsfm_cfg is None:
         dgsfm_cfg = dgsfm.DgsfmConfig(dt=dt)
     rng = np.random.default_rng(seed)
-    records: list[ScenarioRecord] = []
+    entries, rows = [], []
     vehicle_id = 0
     for kind, (before, after) in ARCHETYPE_LABELS.items():
         for _ in range(n_per_class):
@@ -138,18 +136,9 @@ def build_archetype_corpus(
             )
 
             anchor = ChangePoint(t_c=ANCHOR_INDEX, label_before=before, label_after=after)
-            records.append(
-                ScenarioRecord(
-                    tensor=ScenarioTensor(values, mask),
-                    pseudo_class=PseudoClassLabel.from_index(after.to_index()),
-                    interaction=interaction,
-                    anchor=anchor,
-                    recording_id=f"arch-{kind}",
-                    vehicle_id=vehicle_id,
-                    record_id=ScenarioRecord.make_record_id(f"arch-{kind}", vehicle_id, ANCHOR_INDEX),
-                )
-            )
-    return records
+            entries.append(record_entry(f"arch-{kind}", vehicle_id, anchor))
+            rows.append((values, mask, interaction))
+    return Dataset.stack(entries, rows)
 
 
 def make_donor(seed: int = 0, n_frames: int = 400, dt: float = 0.04) -> Trajectory:
@@ -165,35 +154,29 @@ def make_donor(seed: int = 0, n_frames: int = 400, dt: float = 0.04) -> Trajecto
 
 
 def augment_corpus(
-    records: Sequence[ScenarioRecord],
+    dataset: Dataset,
     n_augment: int = 50,
     min_gap: float = 80.0,
     seed: int = 0,
-) -> tuple[list[ScenarioRecord], list[tuple[str, str]]]:
-    """Inserts an irrelevant distant vehicle into n_augment eligible records
-    chosen deterministically across the corpus; returns (augmented records,
-    pairs). A record is eligible when it has a free slot and at least one
-    present neighbor.
+) -> tuple[Dataset, list[tuple[str, str]]]:
+    """Inserts an irrelevant distant vehicle into n_augment records that
+    ``extraction.augmentable`` admits, chosen deterministically across the
+    dataset; returns (the augmented records, (parent, child) id pairs).
+    A child's entry is its parent's with the id ``<parent id>:aug`` and the
+    parent as its augmentation parent.
     """
-
-    def eligible(record: ScenarioRecord) -> bool:
-        mask = record.tensor.presence_mask
-        slots = [mask[s].any() for s in range(1, mask.shape[0])]
-        return any(slots) and not all(slots)
-
-    candidates = [i for i, r in enumerate(records) if eligible(r)]
+    candidates = np.flatnonzero(extraction.augmentable(dataset.mask))
     rng = np.random.default_rng(seed)
     n_augment = min(n_augment, len(candidates))
-    picks = rng.choice(len(candidates), size=n_augment, replace=False)
+    parents = candidates[np.sort(rng.choice(len(candidates), size=n_augment, replace=False))].tolist()
     donor = make_donor(seed=seed)
-    augmented: list[ScenarioRecord] = []
-    pairs: list[tuple[str, str]] = []
-    for i, pick in enumerate(sorted(picks)):
-        parent = records[candidates[int(pick)]]
-        child = extraction.augment_irrelevant(parent, donor, min_gap=min_gap, seed=seed + i)
-        augmented.append(child)
-        pairs.append((parent.record_id, child.record_id))
-    return augmented, pairs
+    entries = [dataset.entries[p] for p in parents]
+    rows = [extraction.augment_irrelevant(*(block[parent] for block in dataset.blocks), donor,
+                                          min_gap=min_gap, seed=seed + i)
+            for i, parent in enumerate(parents)]
+    children = Dataset.stack([{**e, "record_id": e["record_id"] + ":aug", "augmentation_parent": e["record_id"]}
+                              for e in entries], rows)
+    return children, [(e["record_id"], e["record_id"] + ":aug") for e in entries]
 
 
 PAIR_COLUMNS = ("parent_id", "child_id")

@@ -20,7 +20,6 @@ from .types import (
     N_FEATURES,
     N_SLOTS,
     T_OBS,
-    ScenarioRecord,
     read_blocks,
     write_blocks,
     write_csv,
@@ -494,14 +493,6 @@ def _backward(
     g_z = g_zq + cfg.commitment_weight * 2.0 * (fwd["z"] - fwd["z_q"]) / params.latent_dim / b
     _mlp_backward(g_z, fwd["enc_cache"], params.enc_w, "enc", grads, False)
     return grads
-
-
-def _record_arrays(records: Sequence[ScenarioRecord]):
-    inputs = np.stack([r.tensor.values for r in records])
-    masks = np.stack([r.tensor.presence_mask for r in records])
-    cls = np.stack([r.pseudo_class.one_hot for r in records])
-    inter = np.stack([r.interaction.values for r in records])
-    return inputs, masks, cls, inter
 
 
 # ---------------------------------------------------------------------------

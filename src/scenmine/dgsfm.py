@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .types import N_SLOTS, T_OBS, InteractionMatrix
+from .types import N_SLOTS, T_OBS
 
 MIN_HEADING_SPEED = 0.1  # m/s; below this the heading falls back to +x
 
@@ -93,9 +93,9 @@ def interaction_scores(
     neighbor_vel: np.ndarray,  # (N-1, T, 2)
     presence: np.ndarray,      # (N-1, T), bool
     cfg: DgsfmConfig,
-) -> InteractionMatrix:
-    """Framewise softmax-normalized interaction matrix over present
-    neighbors; ego row 1, absent slots 0."""
+) -> np.ndarray:
+    """The (N, T) framewise softmax-normalized interaction matrix over
+    present neighbors; ego row 1, absent slots 0."""
     n_frames = ego_pos.shape[0]
     n_neighbors = neighbor_pos.shape[0]
     if n_neighbors != N_SLOTS - 1 or n_frames != T_OBS:
@@ -121,4 +121,4 @@ def interaction_scores(
     )
     values = np.ones((N_SLOTS, T_OBS))
     values[1:] = weights / np.where(any_present, total, 1.0)
-    return InteractionMatrix(values)
+    return values

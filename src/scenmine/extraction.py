@@ -10,18 +10,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import dgsfm
-from .types import (
-    FEATURE_NAMES,
-    N_SLOTS,
-    T_OBS,
-    ChangePoint,
-    InteractionMatrix,
-    LatState,
-    PseudoClassLabel,
-    ScenarioRecord,
-    ScenarioTensor,
-    Trajectory,
-)
+from .types import FEATURE_NAMES, N_SLOTS, T_OBS, ChangePoint, Dataset, LatState, Trajectory, record_entry
 
 
 class AugmentationError(Exception):
@@ -66,16 +55,15 @@ def extract(
     change_points: dict[int, list[ChangePoint]],
     cfg: ExtractionConfig,
     dgsfm_cfg: Optional[dgsfm.DgsfmConfig] = None,
-) -> tuple[list[ScenarioRecord], ExtractionSummary]:
-    """Builds one ScenarioRecord per change point with full ego window
-    coverage. Slots 1..N-1 hold the nearest other vehicles at the anchor
-    (ascending distance); partially present vehicles are masked per frame;
-    remaining slots are zero-padded pseudo-vehicles.
+) -> tuple[Dataset, ExtractionSummary]:
+    """One record per change point with full ego window coverage. Slots
+    1..N-1 hold the nearest other vehicles at the anchor (ascending
+    distance); partially present vehicles are masked per frame; remaining
+    slots are zero-padded pseudo-vehicles.
     """
     if dgsfm_cfg is None:
         dgsfm_cfg = dgsfm.DgsfmConfig(dt=trajectories[0].dt if trajectories else 0.04)
-    by_id = {t.vehicle_id: t for t in trajectories}
-    records: list[ScenarioRecord] = []
+    entries, rows = [], []
     skipped = 0
     filtered = 0
     per_class: dict[int, int] = {}
@@ -147,27 +135,16 @@ def extract(
             )
             class_index = cp.label_after.to_index()
             per_class[class_index] = per_class.get(class_index, 0) + 1
-            records.append(
-                ScenarioRecord(
-                    tensor=ScenarioTensor(values, mask),
-                    pseudo_class=PseudoClassLabel.from_index(class_index),
-                    interaction=interaction,
-                    anchor=cp,
-                    recording_id=ego.recording_id,
-                    vehicle_id=ego.vehicle_id,
-                    record_id=ScenarioRecord.make_record_id(
-                        ego.recording_id, ego.vehicle_id, t_c
-                    ),
-                )
-            )
+            entries.append(record_entry(ego.recording_id, ego.vehicle_id, cp))
+            rows.append((values, mask, interaction))
 
     summary = ExtractionSummary(
-        extracted=len(records),
+        extracted=len(entries),
         skipped_window=skipped,
         filtered_class=filtered,
         per_class_counts=dict(sorted(per_class.items())),
     )
-    return records, summary
+    return Dataset.stack(entries, rows), summary
 
 
 def _donor_segment_starts(donor: Trajectory, length: int, max_abs_ay: float = 0.1) -> list[int]:
@@ -181,24 +158,32 @@ def _donor_segment_starts(donor: Trajectory, length: int, max_abs_ay: float = 0.
     return np.flatnonzero(count[length:] - count[:len(count) - length] == length).tolist()
 
 
+def augmentable(mask: np.ndarray) -> np.ndarray:
+    """Whether each record of presence masks ``mask`` (..., N, T) can take
+    an irrelevant vehicle: some neighbor slot is free at every frame, and
+    some neighbor is present at every frame, so that the inserted vehicle's
+    zero interaction row leaves each frame's neighbor entries summing to 1."""
+    neighbors = mask[..., 1:, :]
+    return ~neighbors.any(axis=-1).all(axis=-1) & neighbors.any(axis=-2).all(axis=-1)
+
+
 def augment_irrelevant(
-    record: ScenarioRecord,
+    tensor: np.ndarray,
+    mask: np.ndarray,
+    interaction: np.ndarray,
     donor: Trajectory,
     min_gap: float = 80.0,
     seed: int = 0,
-) -> ScenarioRecord:
-    """Inserts an irrelevant constant-velocity donor vehicle into a free slot,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (tensor, mask, interaction) rows of one record with a
+    constant-velocity donor vehicle inserted into its first free slot,
     translated beyond min_gap from the ego at every frame, with its
     interaction row fixed to 0. Everything else is copied unchanged.
     """
-    mask = record.tensor.presence_mask
-    free_slots = [s for s in range(1, N_SLOTS) if not mask[s].any()]
-    if not free_slots:
-        raise AugmentationError("no free pseudo-vehicle slot available")
-    if not mask[1:].any():
+    if not augmentable(mask):
         raise AugmentationError(
-            "record has no present neighbor; inserting a zero-interaction row "
-            "would break the framewise normalization invariant"
+            "record needs a free neighbor slot and a present neighbor at every frame; otherwise "
+            "a zero-interaction row would break the framewise normalization invariant"
         )
     starts = _donor_segment_starts(donor, T_OBS)
     if not starts:
@@ -207,17 +192,16 @@ def augment_irrelevant(
         )
     rng = np.random.default_rng(seed)
     start = starts[int(rng.integers(len(starts)))]
-    slot = free_slots[0]
+    slot = 1 + int(np.flatnonzero(~mask[1:].any(axis=1))[0])
 
     cols = _slice_columns(donor, donor.first_frame + start, T_OBS)
-    ego_x = record.tensor.values[0, 0, :]
-    ego_y = record.tensor.values[0, 1, :]
+    ego_x = tensor[0, 0, :]
     # Shift the donor ahead of the ego along x so the gap clears min_gap at
     # every frame (y offset 0: distance is dominated by x).
     x_offset = float(np.max(ego_x - cols["x"])) + min_gap + 1.0
     y_offset = float(-cols["y"][0])
 
-    values = record.tensor.values.copy()
+    values = tensor.copy()
     new_mask = mask.copy()
     for f, name in enumerate(FEATURE_NAMES):
         values[slot, f, :] = cols[name]
@@ -225,17 +209,6 @@ def augment_irrelevant(
     values[slot, 1, :] += y_offset
     new_mask[slot, :] = True
 
-    interaction = record.interaction.values.copy()
-    interaction[slot, :] = 0.0
-
-    return ScenarioRecord(
-        tensor=ScenarioTensor(values, new_mask),
-        pseudo_class=record.pseudo_class,
-        interaction=InteractionMatrix(interaction),
-        anchor=record.anchor,
-        recording_id=record.recording_id,
-        vehicle_id=record.vehicle_id,
-        record_id=record.record_id + ":aug",
-        augmentation_parent=record.record_id,
-    )
-
+    new_interaction = interaction.copy()
+    new_interaction[slot, :] = 0.0
+    return values, new_mask, new_interaction

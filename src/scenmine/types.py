@@ -1,8 +1,6 @@
-"""Shared data model: trajectories, scenarios, labels, interaction matrices.
-
-All scenario-level objects are immutable value objects; numpy arrays are
-frozen (writeable=False) at construction so records can be shared between
-workers without copying.
+"""Shared data model and artifact containers: trajectories as frozen
+columns, behavior labels and change points, and a dataset as the header
+entries and (M, N, F, T), (M, N, T) and (M, N, T) blocks its file holds.
 """
 from __future__ import annotations
 
@@ -13,7 +11,7 @@ import math
 import os
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -148,72 +146,43 @@ class Trajectory:
         return self.first_frame <= start_frame and self.last_frame >= end_frame
 
 
-@dataclass(frozen=True)
-class ScenarioTensor:
-    """Fixed-shape N x F x T feature tensor with a per-slot presence mask."""
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """The records of a dataset as its file holds them: one header entry
+    per record (see ``record_entry``) and three blocks, the (M, N, F, T)
+    tensors, (M, N, T) presence masks and (M, N, T) interaction matrices."""
 
-    values: np.ndarray        # (N_SLOTS, N_FEATURES, T_OBS)
-    presence_mask: np.ndarray  # (N_SLOTS, T_OBS), bool
+    entries: list[dict]
+    tensor: np.ndarray
+    mask: np.ndarray
+    interaction: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", _frozen(self.values, np.float64))
-        object.__setattr__(self, "presence_mask", _frozen(self.presence_mask, bool))
-        if self.values.shape != (N_SLOTS, N_FEATURES, T_OBS):
-            raise ValueError(f"tensor shape {self.values.shape} != ({N_SLOTS}, {N_FEATURES}, {T_OBS})")
-        if self.presence_mask.shape != (N_SLOTS, T_OBS):
-            raise ValueError(f"mask shape {self.presence_mask.shape} != ({N_SLOTS}, {T_OBS})")
-
-
-@dataclass(frozen=True)
-class PseudoClassLabel:
-    """One-hot vector over the composite behavior classes."""
-
-    one_hot: np.ndarray  # (N_CLASSES,)
-
-    def __post_init__(self):
-        object.__setattr__(self, "one_hot", _frozen(self.one_hot, np.float64))
-        if self.one_hot.shape != (N_CLASSES,):
-            raise ValueError(f"pseudo-class shape {self.one_hot.shape} != ({N_CLASSES},)")
+    def __len__(self) -> int:
+        return len(self.entries)
 
     @staticmethod
-    def from_index(index: int) -> "PseudoClassLabel":
-        vec = np.zeros(N_CLASSES)
-        vec[index] = 1.0
-        return PseudoClassLabel(vec)
+    def empty(entries: Sequence[dict]) -> "Dataset":
+        """The records ``entries`` with blocks that are not yet filled."""
+        n = len(entries)
+        return Dataset(list(entries), np.empty((n, N_SLOTS, N_FEATURES, T_OBS)),
+                       np.empty((n, N_SLOTS, T_OBS), dtype=bool), np.empty((n, N_SLOTS, T_OBS)))
+
+    @staticmethod
+    def stack(entries: Sequence[dict], rows: Sequence[tuple]) -> "Dataset":
+        """The records ``entries`` with their ``(tensor, mask, interaction)``
+        ``rows`` stacked into the blocks."""
+        dataset = Dataset.empty(entries)
+        for block, parts in zip(dataset.blocks, zip(*rows)):
+            np.stack(parts, out=block)
+        return dataset
 
     @property
-    def index(self) -> int:
-        return int(np.argmax(self.one_hot))
+    def blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.tensor, self.mask, self.interaction
 
-
-@dataclass(frozen=True)
-class InteractionMatrix:
-    """Per-slot, per-frame relevance scores in [0, 1]; ego row fixed to 1."""
-
-    values: np.ndarray  # (N_SLOTS, T_OBS)
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _frozen(self.values, np.float64))
-        if self.values.shape != (N_SLOTS, T_OBS):
-            raise ValueError(f"interaction shape {self.values.shape} != ({N_SLOTS}, {T_OBS})")
-
-
-@dataclass(frozen=True)
-class ScenarioRecord:
-    """A complete extracted scenario: tensor, label, interaction, provenance."""
-
-    tensor: ScenarioTensor
-    pseudo_class: PseudoClassLabel
-    interaction: InteractionMatrix
-    anchor: ChangePoint
-    recording_id: str
-    vehicle_id: int
-    record_id: str
-    augmentation_parent: Optional[str] = None
-
-    @staticmethod
-    def make_record_id(recording_id: str, vehicle_id: int, t_c: int) -> str:
-        return f"{recording_id}:{vehicle_id}:{t_c}"
+    def one_hot(self) -> np.ndarray:
+        """The (M, N_CLASSES) one-hot rows of the records' pseudo-classes."""
+        return np.eye(N_CLASSES)[[e["pseudo_class"] for e in self.entries]].reshape(len(self), N_CLASSES)
 
 
 _SUM_TOL = 1e-9
@@ -241,17 +210,6 @@ def validate_arrays(tensors: np.ndarray, masks: np.ndarray, interactions: np.nda
     )
     flags = np.stack([bad for bad, _ in checks], axis=1).tolist()
     return [[message for (_, message), bad in zip(checks, row) if bad] for row in flags]
-
-
-def validate_record(record: ScenarioRecord) -> list[str]:
-    """``validate_arrays`` of the one record, then whether its pseudo-class
-    is exactly one-hot."""
-    tensor = record.tensor
-    violations = validate_arrays(tensor.values[None], tensor.presence_mask[None], record.interaction.values[None])[0]
-    one_hot = record.pseudo_class.one_hot
-    if not (np.count_nonzero(one_hot == 1.0) == 1 and np.count_nonzero(one_hot) == 1):
-        violations.append("pseudo-class must be exactly one-hot")
-    return violations
 
 
 # ---------------------------------------------------------------------------
@@ -404,97 +362,87 @@ def read_json(path, error: type[Exception]) -> dict:
 # The header entry of one record: key -> accepted JSON types.
 _RECORD_FIELDS = {"record_id": str, "recording_id": str, "vehicle_id": int, "t_c": int, "before": str,
                   "after": str, "pseudo_class": int, "augmentation_parent": (str, type(None))}
+DATASET_BLOCKS = ("tensor", "mask", "interaction")
+
+
+def record_entry(recording_id: str, vehicle_id: int, anchor: ChangePoint) -> dict:
+    """The header entry of the record of vehicle ``vehicle_id`` of
+    recording ``recording_id`` at the change point ``anchor``: its id is
+    ``recording:vehicle:t_c``, its pseudo-class the label after the change,
+    and it has no augmentation parent."""
+    return {"record_id": f"{recording_id}:{vehicle_id}:{anchor.t_c}", "recording_id": recording_id,
+            "vehicle_id": vehicle_id, "t_c": anchor.t_c, "before": anchor.label_before.to_string(),
+            "after": anchor.label_after.to_string(), "pseudo_class": anchor.label_after.to_index(),
+            "augmentation_parent": None}
 
 
 def _record_fields(entry: dict) -> dict:
-    """The fields of one header entry: its record id, recording id, vehicle
-    id and augmentation parent, its ``pseudo_class`` index and its
-    ``anchor`` ChangePoint."""
+    """The keys of ``_RECORD_FIELDS`` of one header entry, once each holds
+    its type, ``pseudo_class`` is a class index and ``before`` and
+    ``after`` are two different composite labels."""
     for key, kind in _RECORD_FIELDS.items():
         if not isinstance(entry[key], kind) or isinstance(entry[key], bool):
             raise TypeError(f"record field {key}={entry[key]!r}")
     if not 0 <= entry["pseudo_class"] < N_CLASSES:
         raise ValueError(f"pseudo_class {entry['pseudo_class']} outside [0, {N_CLASSES})")
-    before, after = (CompositeLabel.from_string(entry[key]) for key in ("before", "after"))
-    return {
-        **{key: entry[key] for key in ("record_id", "recording_id", "vehicle_id", "augmentation_parent",
-                                       "pseudo_class")},
-        "anchor": ChangePoint(entry["t_c"], before, after),
-    }
+    if CompositeLabel.from_string(entry["before"]) == CompositeLabel.from_string(entry["after"]):
+        raise ValueError(f"record {entry['record_id']!r}: before and after are the same label")
+    return {key: entry[key] for key in _RECORD_FIELDS}
 
 
-def write_dataset(records: Sequence[ScenarioRecord], path, dt: float = DEFAULT_DT) -> None:
-    """Writes the records' metadata into the header and their tensors, masks
-    and interaction matrices as three blocks."""
-    n = len(records)
-    write_blocks(path, {
-        "format": DATASET_FORMAT_VERSION,
-        "dt": dt,
-        "n_records": n,
-        "records": [
-            {"record_id": r.record_id, "recording_id": r.recording_id, "vehicle_id": r.vehicle_id,
-             "t_c": r.anchor.t_c, "before": r.anchor.label_before.to_string(),
-             "after": r.anchor.label_after.to_string(), "pseudo_class": r.pseudo_class.index,
-             "augmentation_parent": r.augmentation_parent}
-            for r in records
-        ],
-    }, [
-        ("tensor", np.array([r.tensor.values for r in records]).reshape(n, N_SLOTS, N_FEATURES, T_OBS)),
-        ("mask", np.array([r.tensor.presence_mask for r in records], dtype=bool).reshape(n, N_SLOTS, T_OBS)),
-        ("interaction", np.array([r.interaction.values for r in records]).reshape(n, N_SLOTS, T_OBS)),
-    ], DatasetFormatError)
+def write_dataset(dataset: Dataset, path, dt: float = DEFAULT_DT) -> None:
+    """Writes the records' entries into the header and their blocks after it."""
+    write_blocks(path, {"format": DATASET_FORMAT_VERSION, "dt": dt, "n_records": len(dataset),
+                        "records": dataset.entries},
+                 list(zip(DATASET_BLOCKS, dataset.blocks)), DatasetFormatError)
 
 
 def _dataset_layout(header):
-    """``((fields, dt, blocks), blocks)`` of a dataset header, the blocks
-    empty; a ``dt`` that is not positive and finite, a malformed record
-    entry or a repeated record id raise ValueError, KeyError or TypeError."""
+    """``((dataset, dt), blocks)`` of a dataset header, the dataset's blocks
+    not yet filled; a ``dt`` that is not positive and finite, a malformed record entry
+    or a repeated record id raise ValueError, KeyError or TypeError."""
     dt, entries, n = float(header["dt"]), header["records"], header["n_records"]
     if not 0.0 < dt < np.inf:
         raise ValueError(f"dt {dt} is not positive and finite")
     if not isinstance(entries, list) or n != len(entries):
         raise ValueError(f"n_records {n!r} does not count the record entries")
-    blocks = [
-        ("tensor", np.empty((n, N_SLOTS, N_FEATURES, T_OBS))),
-        ("mask", np.empty((n, N_SLOTS, T_OBS), dtype=bool)),
-        ("interaction", np.empty((n, N_SLOTS, T_OBS))),
-    ]
-    fields = [_record_fields(e) for e in entries]
-    ids = [f["record_id"] for f in fields]
+    dataset = Dataset.empty([_record_fields(e) for e in entries])
+    ids = [e["record_id"] for e in dataset.entries]
     if len(set(ids)) != n:
         raise ValueError(f"record_id {next(i for i in ids if ids.count(i) > 1)!r} is repeated")
-    return (fields, dt, blocks), blocks
+    return (dataset, dt), list(zip(DATASET_BLOCKS, dataset.blocks))
 
 
 def read_dataset_header(path) -> tuple[list[dict], float]:
-    """The record fields (see ``_record_fields``) and ``dt`` of a file of
+    """The record entries (see ``_record_fields``) and ``dt`` of a file of
     ``write_dataset``, read from its header alone. Any damage to the header
     (see ``_read_header`` and ``_dataset_layout``) raises DatasetFormatError
     naming the file."""
     with open(path, "rb") as fh:
-        (fields, dt, _), _ = _read_header(fh, path, DATASET_FORMAT_VERSION, "dataset", _dataset_layout,
-                                         DatasetFormatError)
-    return fields, dt
+        (dataset, dt), _ = _read_header(fh, path, DATASET_FORMAT_VERSION, "dataset", _dataset_layout,
+                                        DatasetFormatError)
+    return dataset.entries, dt
 
 
-def read_dataset_arrays(path):
-    """``read_dataset_header``'s fields and ``dt``, then the read-only
-    (M, N, F, T) tensors, (M, N, T) presence masks and (M, N, T) interaction
-    matrices of the M records; damage that ``read_blocks`` finds raises
-    DatasetFormatError."""
-    fields, dt, blocks = read_blocks(path, DATASET_FORMAT_VERSION, "dataset", _dataset_layout, DatasetFormatError)
-    for _, arr in blocks:
+def read_dataset_arrays(path) -> tuple[Dataset, float]:
+    """The dataset of a file of ``write_dataset``, its blocks read-only, and
+    its ``dt``; damage that ``read_blocks`` finds raises DatasetFormatError."""
+    dataset, dt = read_blocks(path, DATASET_FORMAT_VERSION, "dataset", _dataset_layout, DatasetFormatError)
+    for arr in dataset.blocks:
         arr.setflags(write=False)
-    return (fields, dt, *(arr for _, arr in blocks))
+    return dataset, dt
 
 
-def read_dataset(path) -> tuple[list[ScenarioRecord], float]:
-    """The records and ``dt`` of a file of ``write_dataset``, which
-    ``read_dataset_arrays`` reads; the records' arrays are read-only views
-    into its blocks."""
-    fields, dt, tensors, masks, interactions = read_dataset_arrays(path)
-    return [
-        ScenarioRecord(ScenarioTensor(tensors[i], masks[i]), interaction=InteractionMatrix(interactions[i]),
-                       **{**f, "pseudo_class": PseudoClassLabel.from_index(f["pseudo_class"])})
-        for i, f in enumerate(fields)
-    ], dt
+def read_dataset(path) -> tuple[list[tuple], float]:
+    """The ``(tensor, mask, interaction)`` row of each record of a file of
+    ``write_dataset``, and its ``dt``. With ``validate_record``, perfbench's
+    output check, until perfbench reads with ``read_dataset_arrays`` and
+    checks with ``validate_arrays`` (ROADMAP item 3)."""
+    dataset, dt = read_dataset_arrays(path)
+    return list(zip(*dataset.blocks)), dt
+
+
+def validate_record(row: tuple) -> list[str]:
+    """``validate_arrays`` of one row of ``read_dataset``: perfbench's
+    output check, as ``read_dataset`` says."""
+    return validate_arrays(*(arr[None] for arr in row))[0]

@@ -8,7 +8,7 @@ import pytest
 
 from scenmine import cli, cvqvae, ingest
 from scenmine.ingest import REQUIRED_COLUMNS, IntegrityError, ParseError
-from scenmine.types import FEATURE_NAMES, N_CLASSES, N_FEATURES, N_SLOTS, T_OBS, Trajectory
+from scenmine.types import FEATURE_NAMES, N_CLASSES, N_FEATURES, N_SLOTS, T_OBS, Dataset, Trajectory
 
 
 def make_traj(
@@ -91,30 +91,46 @@ def quantize(z, codebook):
     return q, codebook[q].copy()
 
 
-def encode_records(records, params) -> np.ndarray:
-    """(M, d) latents of ``records`` from the trained encoder, as ``cluster``
-    encodes rows of a dataset's tensor and mask blocks."""
-    return cvqvae.encode(np.stack([r.tensor.values for r in records]),
-                         np.stack([r.tensor.presence_mask for r in records]), params)
+def take(dataset, index) -> Dataset:
+    """The records of ``dataset`` at ``index``, a slice or a list of
+    positions, in that order."""
+    entries = dataset.entries[index] if isinstance(index, slice) else [dataset.entries[i] for i in index]
+    return Dataset(entries, *(block[index] for block in dataset.blocks))
 
 
-def train_records(records, cfg):
-    """``cvqvae.train_arrays`` of ``records``' stacked tensors, masks,
-    one-hot pseudo-classes and interaction matrices, as ``train`` trains on
-    a dataset's blocks."""
-    return cvqvae.train_arrays(*cvqvae._record_arrays(records), cfg)
+def concat(*datasets) -> Dataset:
+    """The records of ``datasets``, one after another."""
+    return Dataset([e for d in datasets for e in d.entries],
+                   *(np.concatenate(blocks) for blocks in zip(*(d.blocks for d in datasets))))
 
 
-def grad_check(record, params, cfg, epsilon=1e-3, n_checks=120, seed=0) -> float:
-    """``cvqvae.grad_check_arrays`` on the one ``record``'s arrays."""
-    return cvqvae.grad_check_arrays(*cvqvae._record_arrays([record]), params, cfg, epsilon, n_checks, seed)
+def arrays(dataset):
+    """The tensors, masks, one-hot pseudo-classes and interaction matrices
+    of ``dataset``, as ``train`` passes them to ``cvqvae.train_arrays``."""
+    return dataset.tensor, dataset.mask, dataset.one_hot(), dataset.interaction
 
 
-def encode_dataset_v1(records, dt) -> bytes:
+def encode_dataset(dataset, params) -> np.ndarray:
+    """(M, d) latents of ``dataset``'s records from the trained encoder, as
+    ``cluster`` encodes rows of a dataset's tensor and mask blocks."""
+    return cvqvae.encode(dataset.tensor, dataset.mask, params)
+
+
+def train_dataset(dataset, cfg):
+    """``cvqvae.train_arrays`` of ``dataset``'s blocks, as ``train`` trains."""
+    return cvqvae.train_arrays(*arrays(dataset), cfg)
+
+
+def grad_check(dataset, params, cfg, epsilon=1e-3, n_checks=120, seed=0) -> float:
+    """``cvqvae.grad_check_arrays`` on the arrays of ``dataset``."""
+    return cvqvae.grad_check_arrays(*arrays(dataset), params, cfg, epsilon, n_checks, seed)
+
+
+def encode_dataset_v1(dataset, dt) -> bytes:
     """The bytes the JSON-lines writer of ``scenmine-dataset-v1`` wrote for
-    ``records``: one header line, then one JSON object per record. Kept as the
-    oracle that pins the record values of the binary format to the old
-    golden digests."""
+    the records of ``dataset``: one header line, then one JSON object per
+    record. Kept as the oracle that pins the record values of the binary
+    format to the old golden digests."""
     header = {
         "format": "scenmine-dataset-v1",
         "n_slots": N_SLOTS,
@@ -124,21 +140,17 @@ def encode_dataset_v1(records, dt) -> bytes:
         "dt": dt,
     }
     lines = [json.dumps(header, separators=(",", ":"))]
-    for record in records:
+    for entry, tensor, mask, interaction in zip(dataset.entries, *dataset.blocks):
         lines.append(json.dumps({
-            "record_id": record.record_id,
-            "recording_id": record.recording_id,
-            "vehicle_id": record.vehicle_id,
-            "anchor": {
-                "t_c": record.anchor.t_c,
-                "before": record.anchor.label_before.to_string(),
-                "after": record.anchor.label_after.to_string(),
-            },
-            "pseudo_class": record.pseudo_class.index,
-            "tensor": record.tensor.values.ravel().tolist(),
-            "interaction": record.interaction.values.ravel().tolist(),
-            "presence_mask": record.tensor.presence_mask.ravel().astype(int).tolist(),
-            "augmentation_parent": record.augmentation_parent,
+            "record_id": entry["record_id"],
+            "recording_id": entry["recording_id"],
+            "vehicle_id": entry["vehicle_id"],
+            "anchor": {"t_c": entry["t_c"], "before": entry["before"], "after": entry["after"]},
+            "pseudo_class": entry["pseudo_class"],
+            "tensor": tensor.ravel().tolist(),
+            "interaction": interaction.ravel().tolist(),
+            "presence_mask": mask.ravel().astype(int).tolist(),
+            "augmentation_parent": entry["augmentation_parent"],
         }, separators=(",", ":")))
     return "".join(line + "\n" for line in lines).encode("utf-8")
 

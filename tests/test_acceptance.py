@@ -8,7 +8,7 @@ import numpy as np
 
 from scenmine import cli, clustering, corpus, cvqvae, detect, dgsfm, ingest, metrics
 
-from conftest import encode_records, grad_check, quantize, train_records
+from conftest import encode_dataset, grad_check, quantize, take, train_dataset
 
 
 def report(name, detail):
@@ -113,14 +113,13 @@ def test_criterion_3_entropy_bounds():
 
 def test_criterion_4_gradient_correctness():
     t0 = time.monotonic()
-    records = corpus.build_archetype_corpus(n_per_class=1, seed=6)
+    record = take(corpus.build_archetype_corpus(n_per_class=1, seed=6), slice(1))
     cfg = cvqvae.TrainConfig(hidden=(16, 16), latent_dim=8, codebook_size=4, seed=6)
-    inputs, masks, _, _ = cvqvae._record_arrays(records[:1])
-    shift, scale = cvqvae.fit_standardization(inputs, masks)
+    shift, scale = cvqvae.fit_standardization(record.tensor, record.mask)
     params = cvqvae.init_params(
         cfg, np.random.default_rng(6), feature_shift=shift, feature_scale=scale
     )
-    err = grad_check(records[0], params, cfg, epsilon=1e-3, n_checks=150, seed=6)
+    err = grad_check(record, params, cfg, epsilon=1e-3, n_checks=150, seed=6)
     elapsed = time.monotonic() - t0
     assert err < 1e-4
     assert elapsed <= 10.0
@@ -153,17 +152,16 @@ def test_criterion_5_quantization_oracle():
 
 def test_criterion_6_directional_knowledge_guidance():
     t0 = time.monotonic()
-    records = corpus.build_archetype_corpus(n_per_class=200, seed=11)
-    augmented, pairs = corpus.augment_corpus(records, n_augment=50, seed=12)
-    base = list(records)
-    ids = [r.record_id for r in base + augmented]
+    base = corpus.build_archetype_corpus(n_per_class=200, seed=11)
+    augmented, pairs = corpus.augment_corpus(base, n_augment=50, seed=12)
+    ids = [e["record_id"] for e in base.entries + augmented.entries]
 
     def labels_of(backend, params):
         """The ``cluster`` stage's labels: record id -> label."""
         labels = clustering.assign(
             backend,
-            encode_records(base, params),
-            encode_records(augmented, params),
+            encode_dataset(base, params),
+            encode_dataset(augmented, params),
             params.codebook,
             clustering.ClusterConfig(),
             seed=20,
@@ -180,10 +178,10 @@ def test_criterion_6_directional_knowledge_guidance():
             latent_dim=32,
             codebook_size=16,
         )
-        params, _ = train_records(base, cfg)
+        params, _ = train_dataset(base, cfg)
         labels = labels_of("codebook", params)
         _, h_avg = metrics.cluster_entropy(
-            np.array([labels[r.record_id] for r in base]), [r.pseudo_class.index for r in base]
+            np.array([labels[e["record_id"]] for e in base.entries]), [e["pseudo_class"] for e in base.entries]
         )
         accuracy = metrics.augmentation_accuracy(labels, pairs)
         return params, h_avg, accuracy
@@ -220,12 +218,12 @@ def test_criterion_7_interaction_matrix_invariants():
         nb_pos = ego_pos[None] + rng.normal(0.0, 40.0, size=(8, 100, 2))
         nb_vel = rng.normal(25.0, 2.0, size=(8, 100, 2))
         mat = dgsfm.interaction_scores(ego_pos, ego_vel, nb_pos, nb_vel, presence, cfg)
-        assert np.all(mat.values[0] == 1.0)
+        assert np.all(mat[0] == 1.0)
         for t in range(100):
             present = presence[:, t]
-            assert np.all(mat.values[1:, t][~present] == 0.0)
+            assert np.all(mat[1:, t][~present] == 0.0)
             if present.any():
-                assert abs(mat.values[1:, t][present].sum() - 1.0) <= 1e-9
+                assert abs(mat[1:, t][present].sum() - 1.0) <= 1e-9
     for _ in range(100):
         d = rng.uniform(1.0, 80.0, size=2)
         ego = np.zeros(2)

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import math
@@ -22,9 +21,10 @@ from conftest import (
     make_traj,
     overwrite_value,
     parse_workdir,
+    take,
 )
 from scenmine import cli, cvqvae, detect, ingest
-from scenmine.types import (CompositeLabel, LatState, LongState, ScenarioRecord, read_dataset, write_blocks,
+from scenmine.types import (CompositeLabel, Dataset, LatState, LongState, read_dataset_arrays, write_blocks,
                             write_dataset)
 
 SMALL_CONFIG = """\
@@ -284,13 +284,13 @@ def _set_field(line: int, column: int, value: bytes):
 
 
 def _through_records(write):
-    """Rewrite of a dataset file through its records: ``write(records, dt,
+    """Rewrite of a dataset file through its records: ``write(dataset, dt,
     path)`` writes the new file."""
     def rewrite(blob: bytes) -> bytes:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / DATASET
             path.write_bytes(blob)
-            write(*read_dataset(path), path)
+            write(*read_dataset_arrays(path), path)
             return path.read_bytes()
     return rewrite
 
@@ -339,7 +339,7 @@ def _checkpoint_describing(**layout):
 
 def _keep_records(n: int):
     """Rewrite to a valid dataset file of the first ``n`` records."""
-    return _through_records(lambda records, dt, path: write_dataset(records[:n], path, dt=dt))
+    return _through_records(lambda dataset, dt, path: write_dataset(take(dataset, slice(n)), path, dt=dt))
 
 
 INGEST = ["ingest", "--tracks", "tracks.csv", "--meta", "meta.json"]
@@ -500,17 +500,17 @@ BAD_INPUTS = [
     pytest.param("", ["train"], (DATASET, overwrite_value("mask", b"\x02")), 3, "stage error",
                  id="dataset-mask-byte"),
     pytest.param("", ["train"], (DATASET, _through_records(
-        lambda records, dt, path: path.write_bytes(encode_dataset_v1(records, dt)))), 3,
+        lambda dataset, dt, path: path.write_bytes(encode_dataset_v1(dataset, dt)))), 3,
                  "stage error", id="dataset-v1-file"),
     pytest.param("", ["train"], (DATASET, _keep_records(0)), 3, "stage error", id="dataset-empty"),
     pytest.param("", ["train"], (DATASET, _through_records(
-        lambda records, dt, path: write_dataset(records + records[:1], path, dt=dt))), 3,
+        lambda dataset, dt, path: write_dataset(take(dataset, [*range(len(dataset)), 0]), path, dt=dt))), 3,
                  "stage error", id="dataset-repeated-id"),
     # A dataset file that is valid as a file but whose first record breaks an invariant.
     *(pytest.param("", ["train"], (DATASET, damage), 3, "stage error", id=f"dataset-{name}")
       for name, damage in INVALID_RECORD.items()),
     pytest.param("", ["cluster"], (AUGMENTED, _through_records(
-        lambda records, dt, path: write_dataset(records[:1] + records, path, dt=dt))), 3,
+        lambda dataset, dt, path: write_dataset(take(dataset, [0, *range(len(dataset))]), path, dt=dt))), 3,
                  "stage error", id="augmented-repeated-id"),
     pytest.param("", ["cluster"], (DATASET, _keep_records(3)), 3, "stage error",
                  id="cluster-too-few-records"),
@@ -518,7 +518,7 @@ BAD_INPUTS = [
     pytest.param("", ["cluster"], (DATASET, _keep_records(4)), 3, "stage error",
                  id="augmented-stale-after-dataset-cut"),
     pytest.param("", ["cluster"], (AUGMENTED, _through_records(
-        lambda records, dt, path: write_dataset(records[1:], path, dt=dt))), 3,
+        lambda dataset, dt, path: write_dataset(take(dataset, slice(1, None)), path, dt=dt))), 3,
                  "stage error", id="augmented-first-record-dropped"),
     pytest.param("", ["cluster"], (CKPT, lambda b: b[:-8]), 3, "stage error", id="ckpt-truncated"),
     pytest.param("", ["cluster"], (CKPT, lambda b: b[:_header_end(b)]), 3, "stage error", id="ckpt-header-only"),
@@ -654,9 +654,10 @@ def test_report_names_the_backends_one_clustering_file_lacks(trained_workdir, tm
 def test_recording_id_with_comma_goes_through_cluster_and_evaluate(trained_workdir, tmp_path):
     wd = tmp_path / "wd"
     shutil.copytree(trained_workdir, wd)
-    records, dt = read_dataset(wd / DATASET)
-    write_dataset([dataclasses.replace(r, recording_id="syn,thetic", record_id=ScenarioRecord.make_record_id(
-        "syn,thetic", r.vehicle_id, r.anchor.t_c)) for r in records], wd / DATASET, dt=dt)
+    dataset, dt = read_dataset_arrays(wd / DATASET)
+    entries = [{**e, "recording_id": "syn,thetic", "record_id": f"syn,thetic:{e['vehicle_id']}:{e['t_c']}"}
+               for e in dataset.entries]
+    write_dataset(Dataset(entries, *dataset.blocks), wd / DATASET, dt=dt)
     for command in (["augment"], ["cluster"], ["evaluate"]):
         assert cli.main(["--workdir", str(wd)] + command) == 0
     assert (wd / ASSIGNMENTS).read_text().split("\n")[1].startswith('"syn,thetic:1:25",codebook,')
@@ -691,7 +692,7 @@ def test_train_line_reports_live_slots(tmp_path, capsys):
 # trajectory model became columnar. Any drift in synthesis, CSV formatting,
 # detection, extraction or augmentation changes them. The two datasets are
 # digested as the JSON-lines bytes of ``scenmine-dataset-v1``, which
-# ``encode_dataset_v1`` re-creates from the records read back from the
+# ``encode_dataset_v1`` re-creates from the datasets read back from the
 # binary files, so their values are pinned bit for bit across the format
 # change.
 GOLDEN_DATA_DIGESTS = {
@@ -725,7 +726,7 @@ def test_data_path_bytes_match_golden_digests(tmp_path):
     v1 = tmp_path / "v1"
     v1.mkdir()
     for name in GOLDEN_DATASET_V2_DIGESTS:
-        (v1 / name).write_bytes(encode_dataset_v1(*read_dataset(wd / name)))
+        (v1 / name).write_bytes(encode_dataset_v1(*read_dataset_arrays(wd / name)))
     for name in ("tracks.csv", "changepoints.csv"):
         shutil.copyfile(wd / name, v1 / name)
     assert _digests(v1, GOLDEN_DATA_DIGESTS) == GOLDEN_DATA_DIGESTS

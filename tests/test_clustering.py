@@ -6,7 +6,7 @@ import pytest
 
 from scenmine import cli, clustering, corpus, cvqvae
 
-from conftest import encode_records, quantize, train_records
+from conftest import encode_dataset, quantize, take, train_dataset
 
 
 def naive_ward_oracle(latents, k, linkage="ward"):
@@ -39,12 +39,12 @@ def co_membership(labels):
 def trained():
     records = corpus.build_archetype_corpus(n_per_class=4, seed=11)
     cfg = cvqvae.TrainConfig(hidden=(16, 16), latent_dim=6, codebook_size=4, epochs=5, seed=1)
-    params, _ = train_records(records, cfg)
+    params, _ = train_dataset(records, cfg)
     return records, params
 
 
 def codebook_labels(records, params):
-    latents = encode_records(records, params)
+    latents = encode_dataset(records, params)
     return clustering.assign("codebook", latents, latents[:0], params.codebook,
                              clustering.ClusterConfig(), seed=0)
 
@@ -52,7 +52,7 @@ def codebook_labels(records, params):
 def test_assign_codebook_matches_brute_force(trained):
     records, params = trained
     labels = codebook_labels(records, params)
-    latents = encode_records(records, params)
+    latents = encode_dataset(records, params)
     for label, z in zip(labels, latents):
         oracle = int(np.argmin(np.sum((params.codebook - z) ** 2, axis=1)))
         assert label == oracle
@@ -60,7 +60,7 @@ def test_assign_codebook_matches_brute_force(trained):
 
 def test_assign_codebook_identical_records_identical_labels(trained):
     records, params = trained
-    labels = codebook_labels([records[0], records[0], records[1]], params)
+    labels = codebook_labels(take(records, [0, 0, 1]), params)
     assert labels[0] == labels[1]
 
 
@@ -243,7 +243,7 @@ def test_codebook_partition_permutation_invariant(trained):
     rng = np.random.default_rng(1)
     perm = rng.permutation(len(records))
     base = codebook_labels(records, params)
-    shuffled = codebook_labels([records[i] for i in perm], params)
+    shuffled = codebook_labels(take(records, perm.tolist()), params)
     restored = np.empty(len(records), dtype=int)
     restored[perm] = shuffled
     assert np.array_equal(base, restored)

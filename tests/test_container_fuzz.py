@@ -1,5 +1,5 @@
 """Fuzzing of the artifact readers. The binary container readers
-``read_dataset``, ``load_checkpoint`` and ``ingest.read_tracks_bin`` fed
+``read_dataset_arrays``, ``load_checkpoint`` and ``ingest.read_tracks_bin`` fed
 arbitrary bytes, or a valid file that is truncated, has one byte flipped,
 has bytes appended or has one float replaced, raise only their declared
 error or return a result that still holds the reader's guarantees. So do
@@ -29,27 +29,29 @@ from scenmine.types import (
     ChangePoint,
     CompositeLabel,
     DatasetFormatError,
-    read_dataset,
+    read_dataset_arrays,
     write_csv,
     write_dataset,
     write_json,
 )
 
-from conftest import make_traj
+from conftest import make_traj, take
 
 FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 
 def _valid_dataset(result) -> None:
-    records, dt = result
+    dataset, dt = result
     assert 0.0 < dt < np.inf
-    for r in records:
-        assert r.tensor.values.shape == (N_SLOTS, N_FEATURES, T_OBS)
-        assert r.tensor.presence_mask.dtype == bool
-        assert set(r.tensor.presence_mask.view(np.uint8).ravel().tolist()) <= {0, 1}
-        assert np.isfinite(r.tensor.values).all() and np.isfinite(r.interaction.values).all()
-        assert 0 <= r.pseudo_class.index < N_CLASSES
-        assert r.anchor.label_before != r.anchor.label_after
+    n = len(dataset)
+    assert dataset.tensor.shape == (n, N_SLOTS, N_FEATURES, T_OBS)
+    assert dataset.mask.shape == dataset.interaction.shape == (n, N_SLOTS, T_OBS)
+    assert dataset.mask.dtype == bool
+    assert set(dataset.mask.view(np.uint8).ravel().tolist()) <= {0, 1}
+    assert np.isfinite(dataset.tensor).all() and np.isfinite(dataset.interaction).all()
+    for entry in dataset.entries:
+        assert 0 <= entry["pseudo_class"] < N_CLASSES
+        assert CompositeLabel.from_string(entry["before"]) != CompositeLabel.from_string(entry["after"])
 
 
 def _valid_checkpoint(params) -> None:
@@ -64,10 +66,10 @@ def _valid_checkpoint(params) -> None:
 
 
 def _dataset_bytes() -> bytes:
-    records = corpus.build_archetype_corpus(n_per_class=1, seed=2)[:2]
+    dataset = corpus.build_archetype_corpus(n_per_class=1, seed=2)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "ds.jsonl"
-        write_dataset(records, path)
+        write_dataset(take(dataset, slice(2)), path)
         return path.read_bytes()
 
 
@@ -101,7 +103,7 @@ def _valid_memo(trajs) -> None:
 
 
 READERS = {
-    "dataset": (_dataset_bytes(), read_dataset, DatasetFormatError, _valid_dataset),
+    "dataset": (_dataset_bytes(), read_dataset_arrays, DatasetFormatError, _valid_dataset),
     "checkpoint": (_checkpoint_bytes(), cvqvae.load_checkpoint, cvqvae.ContractError, _valid_checkpoint),
     "tracks_memo": (_memo_bytes(), lambda path: ingest.read_tracks_bin(path, MEMO_DIGEST, MEMO_META),
                     DatasetFormatError, _valid_memo),

@@ -8,7 +8,7 @@ import pytest
 
 from scenmine import corpus, cvqvae
 
-from conftest import encode_records, grad_check, quantize, train_records
+from conftest import arrays, concat, encode_dataset, grad_check, quantize, take, train_dataset
 
 
 def tiny_cfg(**kwargs):
@@ -242,8 +242,8 @@ def forward_terms(inputs, masks, cls, inter, params, cfg):
 
 
 def loss(record, params, cfg):
-    """Full loss decomposition for one record."""
-    _, terms = forward_terms(*cvqvae._record_arrays([record]), params, cfg)
+    """Full loss decomposition for the one-record dataset ``record``."""
+    _, terms = forward_terms(*arrays(record), params, cfg)
     return cvqvae.LossBreakdown.combine(
         *(float(terms[key][0]) for key in cvqvae.LOSS_TERMS), cfg.lambda_cl, cfg.lambda_int
     )
@@ -288,13 +288,13 @@ def test_loss_interaction_zero_when_targets_match():
 def test_loss_decomposition_identity():
     records = corpus.build_archetype_corpus(n_per_class=1, seed=5)
     cfg = cvqvae.TrainConfig(hidden=(8, 8), latent_dim=4, codebook_size=4)
-    inputs, masks, _, _ = cvqvae._record_arrays(records)
+    inputs, masks, _, _ = arrays(records)
     shift, scale = cvqvae.fit_standardization(inputs, masks)
     params = wide(cvqvae.init_params(
         cfg, np.random.default_rng(1), feature_shift=shift, feature_scale=scale
     ))
-    for record in records:
-        lb = loss(record, params, cfg)
+    for i in range(len(records)):
+        lb = loss(take(records, [i]), params, cfg)
         expected = (
             lb.recon
             + lb.codebook_term
@@ -402,8 +402,8 @@ def test_train_loss_non_increasing_within_tolerance():
 def test_train_deterministic_for_seed():
     records = corpus.build_archetype_corpus(n_per_class=2, seed=6)
     cfg = tiny_cfg(epochs=3)
-    a, ha = train_records(records, cfg)
-    b, hb = train_records(records, cfg)
+    a, ha = train_dataset(records, cfg)
+    b, hb = train_dataset(records, cfg)
     assert ha == hb
     assert np.array_equal(a.codebook, b.codebook)
     for wa, wb in zip(a.enc_w, b.enc_w):
@@ -443,8 +443,8 @@ def outside(arr, like):
 
 
 def test_live_prefix_step_matches_full_width_step():
-    records = corpus.build_archetype_corpus(n_per_class=11, seed=9)[:32]
-    inputs, masks, cls, inter = cvqvae._record_arrays(records)
+    records = take(corpus.build_archetype_corpus(n_per_class=11, seed=9), slice(32))
+    inputs, masks, cls, inter = arrays(records)
     assert masks[:, N_LIVE - 1].any() and not masks[:, N_LIVE:].any()
     cfg = cvqvae.TrainConfig(seed=3)  # the default model and batch, lambda = 1
     shift, scale = cvqvae.fit_standardization(inputs, masks)
@@ -470,8 +470,8 @@ def test_live_prefix_step_matches_full_width_step():
 def test_training_leaves_weights_outside_the_live_prefix_as_drawn():
     records = corpus.build_archetype_corpus(n_per_class=2, seed=9)
     cfg = cvqvae.TrainConfig(epochs=2, batch_size=4, seed=5)
-    params, _ = train_records(records, cfg)
-    inputs, masks, _, _ = cvqvae._record_arrays(records)
+    params, _ = train_dataset(records, cfg)
+    inputs, masks, _, _ = arrays(records)
     shift, scale = cvqvae.fit_standardization(inputs, masks)
     initial = cvqvae.init_params(cfg, np.random.default_rng(cfg.seed), feature_shift=shift, feature_scale=scale)
     assert input_dim(params) == input_dim(initial)  # the checkpoint keeps the full width
@@ -494,9 +494,9 @@ def test_training_leaves_weights_outside_the_live_prefix_as_drawn():
 def test_record_beyond_the_live_prefix_encodes_at_full_width():
     base = corpus.build_archetype_corpus(n_per_class=2, seed=9)
     augmented, _ = corpus.augment_corpus(base, n_augment=20, seed=12)
-    record = next(r for r in augmented if r.tensor.presence_mask[N_LIVE:].any())
-    params, _ = train_records(base, cvqvae.TrainConfig(epochs=1, seed=5))
-    values, mask = record.tensor.values[None], record.tensor.presence_mask[None]
+    record = take(augmented, [next(i for i in range(len(augmented)) if augmented.mask[i, N_LIVE:].any())])
+    params, _ = train_dataset(base, cvqvae.TrainConfig(epochs=1, seed=5))
+    values, mask = record.tensor, record.mask
     z = cvqvae.encode(values, mask, params)
     cut = mask.copy()
     cut[:, N_LIVE:] = False
@@ -523,8 +523,8 @@ def float32_step(inputs, masks, cls, inter, params, cfg):
 def default_live_batch():
     """A default batch of 32 archetype records at the live width, with
     default weights (float32-exact as drawn) on the live prefix."""
-    records = corpus.build_archetype_corpus(n_per_class=11, seed=9)[:32]
-    inputs, masks, cls, inter = cvqvae._record_arrays(records)
+    records = take(corpus.build_archetype_corpus(n_per_class=11, seed=9), slice(32))
+    inputs, masks, cls, inter = arrays(records)
     cfg = cvqvae.TrainConfig(seed=3)  # the default model, lambda = 1
     shift, scale = cvqvae.fit_standardization(inputs, masks)
     params = cvqvae.init_params(cfg, np.random.default_rng(3), feature_shift=shift, feature_scale=scale)
@@ -595,18 +595,18 @@ def trained_and_augmented():
     their augmentations, some of which reach past the live slots."""
     base = corpus.build_archetype_corpus(n_per_class=2, seed=9)
     augmented, _ = corpus.augment_corpus(base, n_augment=20, seed=12)
-    params, _ = train_records(base, cvqvae.TrainConfig(epochs=2, seed=5))
-    return params, base + augmented
+    params, _ = train_dataset(base, cvqvae.TrainConfig(epochs=2, seed=5))
+    return params, concat(base, augmented)
 
 
 def test_encode_of_float32_weights_equals_encode_of_their_float64_cast(trained_and_augmented):
     params, records = trained_and_augmented
-    masks = np.stack([r.tensor.presence_mask for r in records])
+    masks = records.mask
     assert not masks[:, 1:].all() and masks[:, N_LIVE:].any()  # absent slots, and slots past the live prefix
     assert {arr.dtype for _, arr in cvqvae._param_arrays(params)} == {np.dtype(np.float32)}
-    z = encode_records(records, params)
+    z = encode_dataset(records, params)
     assert z.dtype == np.float64
-    assert z.tobytes() == encode_records(records, wide(params)).tobytes()
+    assert z.tobytes() == encode_dataset(records, wide(params)).tobytes()
 
 
 def test_quantize_by_a_float32_codebook_equals_its_float64_cast(trained_and_augmented):
@@ -614,7 +614,7 @@ def test_quantize_by_a_float32_codebook_equals_its_float64_cast(trained_and_augm
     codebook = params.codebook
     wide_codes = codebook.astype(np.float64)
     # Latents of records, the codes themselves and the midpoints of code pairs (exact ties).
-    z = np.concatenate([encode_records(records, params), wide_codes, (wide_codes[:-1] + wide_codes[1:]) / 2])
+    z = np.concatenate([encode_dataset(records, params), wide_codes, (wide_codes[:-1] + wide_codes[1:]) / 2])
     assert z.dtype == np.float64 and codebook.dtype == np.float32
     assert np.array_equal(cvqvae._quantize_batch(z, codebook), cvqvae._quantize_batch(z, wide_codes))
 
@@ -688,7 +688,7 @@ def test_grad_check_detects_corrupted_gradient(rng):
 def test_checkpoint_round_trip(tmp_path):
     records = corpus.build_archetype_corpus(n_per_class=1, seed=9)
     cfg = tiny_cfg(epochs=2)
-    params, _ = train_records(records, cfg)
+    params, _ = train_dataset(records, cfg)
     path = tmp_path / "model.ckpt"
     cvqvae.save_checkpoint(params, path)
     loaded = cvqvae.load_checkpoint(path)
@@ -725,7 +725,7 @@ def test_checkpoint_weights_are_f4_blocks(tmp_path):
 
 def test_loss_history_csv(tmp_path):
     records = corpus.build_archetype_corpus(n_per_class=1, seed=9)
-    _, history = train_records(records, tiny_cfg(epochs=3))
+    _, history = train_dataset(records, tiny_cfg(epochs=3))
     path = tmp_path / "loss.csv"
     cvqvae.write_loss_history(history, path)
     lines = path.read_text().strip().splitlines()
@@ -820,7 +820,7 @@ GOLDEN_DIGESTS = {
 @pytest.mark.parametrize("weight", sorted(GOLDEN_DIGESTS))
 def test_training_bytes_match_golden_digests(tmp_path, weight):
     records = corpus.build_archetype_corpus(n_per_class=1, seed=9)
-    params, history = train_records(
+    params, history = train_dataset(
         records, tiny_cfg(epochs=3, lambda_cl=weight, lambda_int=weight)
     )
     cvqvae.save_checkpoint(params, tmp_path / "model.ckpt")
@@ -855,7 +855,7 @@ GOLDEN_RAGGED_DIGESTS = {
 def ragged_run(weight):
     records = corpus.build_archetype_corpus(n_per_class=3, seed=9)
     cfg = tiny_cfg(epochs=4, batch_size=4, lambda_cl=weight, lambda_int=weight)
-    return train_records(records, cfg)
+    return train_dataset(records, cfg)
 
 
 @pytest.mark.parametrize("weight", sorted(GOLDEN_RAGGED_DIGESTS))

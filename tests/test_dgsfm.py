@@ -106,14 +106,14 @@ def test_single_neighbor_row_is_one():
     presence = np.zeros((8, 100), dtype=bool)
     presence[2, :] = True
     mat = scores(presence)
-    assert np.allclose(mat.values[3, :], 1.0)  # slot offset: row 0 is ego
+    assert np.allclose(mat[3, :], 1.0)  # slot offset: row 0 is ego
 
 
 def test_absent_frames_are_zero():
     presence = np.zeros((8, 100), dtype=bool)
     mat = scores(presence)
-    assert np.all(mat.values[1:, :] == 0.0)
-    assert np.all(mat.values[0, :] == 1.0)
+    assert np.all(mat[1:, :] == 0.0)
+    assert np.all(mat[0, :] == 1.0)
 
 
 def test_equal_beta_neighbors_split_evenly():
@@ -129,8 +129,8 @@ def test_equal_beta_neighbors_split_evenly():
     mat = dgsfm.interaction_scores(
         ego_pos, ego_vel, positions, nb_vel, presence, dgsfm.DgsfmConfig()
     )
-    assert np.allclose(mat.values[1, :], 0.5)
-    assert np.allclose(mat.values[2, :], 0.5)
+    assert np.allclose(mat[1, :], 0.5)
+    assert np.allclose(mat[2, :], 0.5)
 
 
 @given(seed=st.integers(0, 50))
@@ -142,8 +142,8 @@ def test_framewise_normalization(seed):
     for t in range(100):
         present = presence[:, t]
         if present.any():
-            assert abs(mat.values[1:, t][present].sum() - 1.0) < 1e-9
-        assert np.all(mat.values[1:, t][~present] == 0.0)
+            assert abs(mat[1:, t][present].sum() - 1.0) < 1e-9
+        assert np.all(mat[1:, t][~present] == 0.0)
 
 
 @given(offset=st.floats(min_value=-1e4, max_value=1e4), seed=st.integers(0, 10))
@@ -160,7 +160,7 @@ def test_translation_invariance(offset, seed):
     shifted = dgsfm.interaction_scores(
         ego_pos + offset, ego_vel, nb_pos + offset, nb_vel, presence, cfgd
     )
-    assert np.allclose(base.values, shifted.values, atol=1e-12)
+    assert np.allclose(base, shifted, atol=1e-12)
 
 
 def test_softmax_monotonicity():
@@ -177,9 +177,9 @@ def test_softmax_monotonicity():
     closer = nb_pos.copy()
     closer[4] *= 0.5  # strictly higher beta for neighbor 4 at every frame
     bumped = dgsfm.interaction_scores(ego_pos, ego_vel, closer, nb_vel, presence, cfgd)
-    assert np.all(bumped.values[5, :] > base.values[5, :])
+    assert np.all(bumped[5, :] > base[5, :])
     others = [i for i in range(1, 9) if i != 5]
-    assert np.all(bumped.values[others, :] < base.values[others, :])
+    assert np.all(bumped[others, :] < base[others, :])
 
 
 def test_param_validation():
@@ -267,7 +267,7 @@ def _oracle_inputs(seed, p_present):
 def test_scores_bit_identical_to_scalar_reference(seed, p_present, tau_sum, temperature):
     inputs = _oracle_inputs(seed, p_present)
     cfg = dgsfm.DgsfmConfig(tau_sum=tau_sum, softmax_temperature=temperature)
-    got = dgsfm.interaction_scores(*inputs, cfg).values
+    got = dgsfm.interaction_scores(*inputs, cfg)
     assert np.array_equal(got, _reference_scores(*inputs, cfg))
 
 

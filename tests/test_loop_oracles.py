@@ -21,7 +21,7 @@ from scenmine import corpus, cvqvae, detect, extraction, ingest
 from scenmine.detect import DetectorConfig, Segment
 from scenmine.types import ChangePoint, CompositeLabel, LatState, LongState, Trajectory
 
-from conftest import make_traj
+from conftest import arrays, make_traj
 
 # ---------------------------------------------------------------------------
 # The loops
@@ -501,7 +501,7 @@ def small_layout_arrays(n=40, seed=4):
 def archetype_arrays(n_per_class=10):
     """The archetype corpus: 3 * ``n_per_class`` records, 4 live slots, so
     far fewer records than the 2400 live input cells."""
-    return cvqvae._record_arrays(corpus.build_archetype_corpus(n_per_class=n_per_class, seed=9))
+    return arrays(corpus.build_archetype_corpus(n_per_class=n_per_class, seed=9))
 
 
 def recording_codes(monkeypatch):

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import re
@@ -7,18 +6,19 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import edit_header, encode_dataset_v1, overwrite_value
+from conftest import concat, edit_header, encode_dataset_v1, overwrite_value, take
 from scenmine import corpus
 from scenmine.types import (
     ChangePoint,
     CompositeLabel,
+    Dataset,
     DatasetFormatError,
-    InteractionMatrix,
     LatState,
     LongState,
     N_CLASSES,
-    PseudoClassLabel,
-    ScenarioTensor,
+    N_FEATURES,
+    N_SLOTS,
+    T_OBS,
     read_csv,
     read_dataset,
     read_dataset_arrays,
@@ -64,16 +64,20 @@ def test_change_point_requires_distinct_labels():
 
 
 def test_pseudo_class_one_hot_round_trip():
-    for i in range(N_CLASSES):
-        label = PseudoClassLabel.from_index(i)
-        assert label.index == i
-        assert label.one_hot.sum() == 1.0
+    entries = [{"pseudo_class": i} for i in (*range(N_CLASSES), 3)]
+    one_hot = Dataset.empty(entries).one_hot()
+    assert one_hot.shape == (N_CLASSES + 1, N_CLASSES)
+    assert one_hot.argmax(axis=1).tolist() == [e["pseudo_class"] for e in entries]
+    assert (one_hot.sum(axis=1) == 1.0).all() and set(one_hot.ravel().tolist()) == {0.0, 1.0}
+    assert Dataset.empty([]).one_hot().shape == (0, N_CLASSES)
 
 
-def test_interaction_matrix_is_read_only():
-    mat = InteractionMatrix(np.zeros((9, 100)))
+def test_interaction_matrix_is_read_only(records, tmp_path):
+    path = tmp_path / "ds.jsonl"
+    write_dataset(records, path)
+    dataset, _ = read_dataset_arrays(path)
     with pytest.raises(ValueError):
-        mat.values[0, 0] = 1.0
+        dataset.interaction[0, 0, 0] = 1.0
 
 
 @pytest.fixture(scope="module")
@@ -82,8 +86,8 @@ def records():
 
 
 def test_validate_record_accepts_generated(records):
-    for record in records:
-        assert validate_record(record) == []
+    for row in zip(*records.blocks):
+        assert validate_record(row) == []
 
 
 # Each invariant of ``validate_arrays``, and (array, index, value)
@@ -109,110 +113,114 @@ VIOLATIONS = [
 ]
 
 
-def broken(record, edits):
-    """``record`` with copies of its tensor, mask and interaction arrays
-    changed by the ``(array, index, value)`` assignments ``edits``."""
-    arrays = {"tensor": record.tensor.values.copy(), "mask": record.tensor.presence_mask.copy(),
-              "interaction": record.interaction.values.copy()}
+def broken(records, edits, i=0):
+    """Copies of the (tensor, mask, interaction) rows of record ``i`` of
+    ``records``, changed by the ``(array, index, value)`` assignments
+    ``edits``."""
+    arrays = dict(zip(("tensor", "mask", "interaction"), (block[i].copy() for block in records.blocks)))
     for name, index, value in edits:
         arrays[name][index] = value
-    return dataclasses.replace(record, tensor=ScenarioTensor(arrays["tensor"], arrays["mask"]),
-                               interaction=InteractionMatrix(arrays["interaction"]))
+    return arrays["tensor"], arrays["mask"], arrays["interaction"]
 
 
 @pytest.mark.parametrize("message, edits", VIOLATIONS)
 def test_validate_record_flags_each_violation_alone(records, message, edits):
-    assert validate_record(broken(records[0], edits)) == [message]
-
-
-def test_validate_record_flags_a_pseudo_class_that_is_not_one_hot(records):
-    record = dataclasses.replace(records[0], pseudo_class=PseudoClassLabel(np.full(N_CLASSES, 0.1)))
-    assert validate_record(record) == ["pseudo-class must be exactly one-hot"]
+    assert validate_record(broken(records, edits)) == [message]
 
 
 def test_validate_arrays_matches_validate_record_per_record(records):
     # Valid too: a frame without any present neighbor has no sum to check.
-    alone = broken(records[0], [("mask", (slice(1, 4), 0), False), ("tensor", (slice(1, 4), slice(None), 0), 0.0),
-                                ("interaction", (slice(1, 4), 0), 0.0)])
-    valid = [*records, alone]
-    batch = valid + [broken(records[0], param.values[1]) for param in VIOLATIONS]
-    got = validate_arrays(np.stack([r.tensor.values for r in batch]), np.stack([r.tensor.presence_mask for r in batch]),
-                          np.stack([r.interaction.values for r in batch]))
-    assert got == [validate_record(r) for r in batch]
+    alone = broken(records, [("mask", (slice(1, 4), 0), False), ("tensor", (slice(1, 4), slice(None), 0), 0.0),
+                             ("interaction", (slice(1, 4), 0), 0.0)])
+    valid = [*zip(*records.blocks), alone]
+    batch = valid + [broken(records, param.values[1]) for param in VIOLATIONS]
+    got = validate_arrays(*(np.stack(block) for block in zip(*batch)))
+    assert got == [validate_record(row) for row in batch]
     assert got == [[]] * len(valid) + [[param.values[0]] for param in VIOLATIONS]
+
+
+def test_read_dataset_rows_flag_the_one_record_with_a_broken_interaction_sum(records, tmp_path):
+    interaction = records.interaction.copy()
+    interaction[2, 1, 40] = 0.0
+    path = tmp_path / "ds.jsonl"
+    write_dataset(Dataset(records.entries, records.tensor, records.mask, interaction), path)
+    rows, dt = read_dataset(path)
+    assert dt == 0.04 and len(rows) == len(records)
+    assert [validate_record(row) for row in rows] == [[]] * 2 + [
+        ["present-neighbor interaction entries must sum to 1 per frame"]] + [[]] * (len(records) - 3)
 
 
 def test_dataset_round_trip_bit_identical(records, tmp_path):
     path = tmp_path / "ds.jsonl"
     write_dataset(records, path, dt=0.04)
-    loaded, dt = read_dataset(path)
+    loaded, dt = read_dataset_arrays(path)
     assert dt == 0.04
-    assert len(loaded) == len(records)
-    for a, b in zip(records, loaded):
-        assert a.record_id == b.record_id
-        assert a.anchor == b.anchor
-        assert a.augmentation_parent == b.augmentation_parent
-        assert np.array_equal(a.tensor.values, b.tensor.values)
-        assert np.array_equal(a.tensor.presence_mask, b.tensor.presence_mask)
-        assert np.array_equal(a.pseudo_class.one_hot, b.pseudo_class.one_hot)
-        assert np.array_equal(a.interaction.values, b.interaction.values)
-    # One block per array kind; every record is a read-only view into it.
-    for array_of in (lambda r: r.tensor.values, lambda r: r.tensor.presence_mask,
-                     lambda r: r.interaction.values):
-        first, last = array_of(loaded[0]), array_of(loaded[-1])
-        assert first.base is not None and first.base is last.base
-        assert not first.flags.writeable
+    assert loaded.entries == records.entries
+    for got, want in zip(loaded.blocks, records.blocks):
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert got.flags.c_contiguous and not got.flags.writeable
 
 
 def test_write_dataset_refuses_a_non_finite_value(records, tmp_path):
-    values = records[1].tensor.values.copy()
-    values[0, 2, 5] = np.nan
-    bad = dataclasses.replace(records[1], tensor=dataclasses.replace(records[1].tensor, values=values))
+    tensor = records.tensor[:2].copy()
+    tensor[1, 0, 2, 5] = np.nan
     path = tmp_path / "ds.jsonl"
     with pytest.raises(DatasetFormatError, match=re.escape(f"{path}: non-finite value in array tensor")):
-        write_dataset([records[0], bad], path)
+        write_dataset(Dataset(records.entries[:2], tensor, records.mask[:2], records.interaction[:2]), path)
     assert not path.exists()
 
 
 def test_dataset_round_trip_of_zero_records(tmp_path):
     path = tmp_path / "ds.jsonl"
-    write_dataset([], path, dt=0.1)
+    write_dataset(Dataset.stack([], []), path, dt=0.1)
+    dataset, dt = read_dataset_arrays(path)
+    assert (len(dataset), dt) == (0, 0.1)
+    assert [block.shape for block in dataset.blocks] == [(0, N_SLOTS, N_FEATURES, T_OBS), (0, N_SLOTS, T_OBS),
+                                                         (0, N_SLOTS, T_OBS)]
     assert read_dataset(path) == ([], 0.1)
 
 
 def test_dataset_rejects_unknown_version(records, tmp_path):
     path = tmp_path / "ds.jsonl"
-    write_dataset(records[:1], path)
+    write_dataset(take(records, slice(1)), path)
     path.write_bytes(path.read_bytes().replace(b"-v2", b"-v999", 1))
     with pytest.raises(DatasetFormatError):
-        read_dataset(path)
+        read_dataset_arrays(path)
 
 
 def test_dataset_v1_file_is_unsupported(records, tmp_path):
     path = tmp_path / "ds.jsonl"
-    path.write_bytes(encode_dataset_v1(records[:2], 0.04))
+    path.write_bytes(encode_dataset_v1(take(records, slice(2)), 0.04))
     with pytest.raises(DatasetFormatError, match="unsupported dataset format 'scenmine-dataset-v1'"):
-        read_dataset(path)
+        read_dataset_arrays(path)
 
 
 def test_header_and_array_readers_agree_with_read_dataset(records, tmp_path):
     augmented, _ = corpus.augment_corpus(records, n_augment=3, seed=4)
     path = tmp_path / "ds.jsonl"
-    write_dataset(records + augmented, path, dt=0.04)
-    loaded, dt = read_dataset(path)
-    fields, header_dt = read_dataset_header(path)
-    array_fields, array_dt, tensor, mask, interaction = read_dataset_arrays(path)
+    both = concat(records, augmented)
+    write_dataset(both, path, dt=0.04)
+    rows, dt = read_dataset(path)
+    entries, header_dt = read_dataset_header(path)
+    dataset, array_dt = read_dataset_arrays(path)
     assert header_dt == array_dt == dt == 0.04
-    assert fields == array_fields
-    assert fields == [{"record_id": r.record_id, "recording_id": r.recording_id, "vehicle_id": r.vehicle_id,
-                       "augmentation_parent": r.augmentation_parent, "pseudo_class": r.pseudo_class.index,
-                       "anchor": r.anchor} for r in loaded]
-    assert sum(f["augmentation_parent"] is not None for f in fields) == 3
-    for arr, array_of in ((tensor, lambda r: r.tensor.values), (mask, lambda r: r.tensor.presence_mask),
-                          (interaction, lambda r: r.interaction.values)):
-        assert arr.flags.c_contiguous and not arr.flags.writeable
-        want = np.stack([array_of(r) for r in loaded])
-        assert arr.dtype == want.dtype and arr.shape == want.shape and arr.tobytes() == want.tobytes()
+    assert entries == dataset.entries == both.entries
+    assert sum(e["augmentation_parent"] is not None for e in entries) == 3
+    # Each row is read-only views into the blocks of one read.
+    for i, row in enumerate(rows):
+        for got, first, block in zip(row, rows[0], dataset.blocks):
+            assert got.base is not None and got.base is first.base and not got.flags.writeable
+            assert got.tobytes() == block[i].tobytes()
+
+
+def test_record_entries_read_back_as_written(records, tmp_path):
+    # Keys beyond the record fields are dropped on reading.
+    path = tmp_path / "ds.jsonl"
+    write_dataset(Dataset([{**e, "extra": 1} for e in records.entries], *records.blocks), path)
+    assert read_dataset_header(path)[0] == records.entries
+    assert records.entries[0] == {"record_id": "arch-accelerate:1:25", "recording_id": "arch-accelerate",
+                                  "vehicle_id": 1, "t_c": 25, "before": "zero/keep_lane",
+                                  "after": "accelerate/keep_lane", "pseudo_class": 2, "augmentation_parent": None}
 
 
 @pytest.mark.parametrize(
@@ -246,7 +254,7 @@ def test_dataset_damage_is_format_error(records, tmp_path, damage, in_header):
     """Every reader rejects damage to the header. The header reader reads no
     block, so for damage to the blocks it returns the intact header."""
     path = tmp_path / "ds.jsonl"
-    write_dataset(records[:2], path)
+    write_dataset(take(records, slice(2)), path)
     intact = read_dataset_header(path)
     path.write_bytes(damage(path.read_bytes()))
     for read in (read_dataset, read_dataset_arrays) + ((read_dataset_header,) if in_header else ()):
