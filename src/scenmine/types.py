@@ -399,8 +399,9 @@ def write_dataset(dataset: Dataset, path, dt: float = DEFAULT_DT) -> None:
 
 def _dataset_layout(header):
     """``((dataset, dt), blocks)`` of a dataset header, the dataset's blocks
-    not yet filled; a ``dt`` that is not positive and finite, a malformed record entry
-    or a repeated record id raise ValueError, KeyError or TypeError."""
+    not yet filled; a ``dt`` that is not positive and finite, a malformed
+    record entry or a repeated record id raise ValueError, KeyError or
+    TypeError."""
     dt, entries, n = float(header["dt"]), header["records"], header["n_records"]
     if not 0.0 < dt < np.inf:
         raise ValueError(f"dt {dt} is not positive and finite")
