@@ -193,7 +193,6 @@ def cmd_detect(cfg: Config, workdir: Path, method: str = "rule") -> None:
                 predictions.get(traj.vehicle_id, []),
                 by_vehicle.get(traj.vehicle_id, []),
                 window=det_cfg.eval_window,
-                match_labels=(method == "rule"),
             )
             tp, fp, fn = tp + m.tp, fp + m.fp, fn + m.fn
         match = detect.DetectionMatch(tp, fp, fn)
@@ -224,12 +223,7 @@ def cmd_extract(cfg: Config, workdir: Path) -> None:
         trajs, by_vehicle, cfg.extract, config.override(cfg, "dgsfm", dt=meta.dt)
     )
     write_dataset(dataset, workdir / "dataset.jsonl", dt=meta.dt)
-    write_json({
-        "extracted": summary.extracted,
-        "skipped_window": summary.skipped_window,
-        "filtered_class": summary.filtered_class,
-        "per_class_counts": {str(k): v for k, v in summary.per_class_counts.items()},
-    }, workdir / "extract_summary.json")
+    write_json(vars(summary), workdir / "extract_summary.json")
     if not len(dataset):
         print("[extract] WARNING: zero records extracted (class filter or window coverage)")
     _log("extract", records=summary.extracted, skipped=summary.skipped_window,
@@ -240,7 +234,7 @@ def cmd_augment(cfg: Config, workdir: Path) -> None:
     dataset, dt = read_dataset_arrays(_require(workdir / "dataset.jsonl"))
     seed = config.stage_seed(cfg, "augment")
     children, pairs = corpus.augment_corpus(
-        dataset, n_augment=min(cfg.augment.n_augment, len(dataset)),
+        dataset, dt, n_augment=min(cfg.augment.n_augment, len(dataset)),
         min_gap=cfg.augment.min_gap, seed=seed
     )
     both = Dataset(dataset.entries + children.entries,
@@ -268,7 +262,7 @@ def cmd_train(cfg: Config, workdir: Path, lambda_cl=None, lambda_int=None, tag: 
     cvqvae.write_loss_history(history, workdir / f"{tag}_loss.csv")
     _log("train", tag=tag, records=len(dataset), live_slots=cvqvae.live_slots(dataset.mask), epochs=tcfg.epochs,
          seed=seed, lambda_cl=tcfg.lambda_cl, lambda_int=tcfg.lambda_int,
-         final_loss=f"{history[-1].total:.6f}",
+         final_loss=f"{history[-1]['total']:.6f}",
          checkpoint=_sha256(workdir / f"{tag}.ckpt"))
 
 
@@ -378,7 +372,7 @@ def cmd_report(cfg: Config, workdir: Path) -> None:
         path = workdir / f"detection_{method}.json"
         if path.exists():
             detection_rows.append((method, _detection_match(path, method)))
-    clustering_rows = []
+    clustering = {}
     no_dk = workdir / "clustering_no_dk.json"
     dk = workdir / "clustering_dk.json"
     if no_dk.exists() and dk.exists():
@@ -387,20 +381,11 @@ def cmd_report(cfg: Config, workdir: Path) -> None:
                    for path, held, other in ((no_dk, nd, d), (dk, d, nd)) if other.keys() - held.keys()]
         if missing:
             raise DatasetFormatError(f"the clustering files hold different backends: {'; '.join(missing)}")
-        for backend in sorted(nd):
-            clustering_rows.append(
-                metrics.ClusteringRow(
-                    backend=backend,
-                    no_dk_purity=nd[backend]["purity_entropy"],
-                    no_dk_accuracy=nd[backend]["augmentation_accuracy"],
-                    dk_purity=d[backend]["purity_entropy"],
-                    dk_accuracy=d[backend]["augmentation_accuracy"],
-                )
-            )
-    report = metrics.build_report(detection_rows, clustering_rows)
+        clustering = {"no_dk": nd, "dk": d}
+    report = metrics.build_report(detection_rows, clustering)
     metrics.write_report(report, workdir / "report.json", workdir / "report.txt")
     _log("report", detection_rows=len(detection_rows),
-         clustering_rows=len(clustering_rows), report=_sha256(workdir / "report.json"))
+         clustering_rows=len(report.get("clustering", ())), report=_sha256(workdir / "report.json"))
 
 
 def cmd_gradcheck(cfg: Config, workdir: Path) -> int:
@@ -471,8 +456,11 @@ def main(argv=None) -> int:
     config_path, workdir, seed = options.pop("config"), options.pop("workdir"), options.pop("seed")
     try:
         cfg = config.load_config(config_path)
-        cfg = dataclasses.replace(cfg, workdir=cfg.workdir if workdir is None else workdir,
-                                  seed=cfg.seed if seed is None else seed)
+        try:
+            cfg = dataclasses.replace(cfg, workdir=cfg.workdir if workdir is None else workdir,
+                                      seed=cfg.seed if seed is None else seed)
+        except ValueError as exc:
+            raise config.ConfigError(str(exc)) from exc
         workdir = Path(cfg.workdir)
         try:
             workdir.mkdir(parents=True, exist_ok=True)

@@ -83,6 +83,10 @@ class Config:
     train: TrainConfig = field(default_factory=TrainConfig)
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
 
+    def __post_init__(self):
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+
 
 def keys(cls) -> dict[str, object]:
     """The config keys of a section class, each with its field's annotation."""
@@ -137,7 +141,7 @@ def _build(cls, section, where: str):
     try:
         return cls(**values)
     except ValueError as exc:
-        raise ConfigError(f"invalid {where} section: {exc}") from exc
+        raise ConfigError(f"invalid {where} section: {exc}" if where else str(exc)) from exc
 
 
 def load_config(path: str | None) -> Config:

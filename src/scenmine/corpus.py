@@ -29,6 +29,7 @@ from .types import (
 )
 
 ANCHOR_INDEX = 25  # tensor covers [t_c - 25, t_c + 74]
+N_NUISANCE = 2  # distant vehicles per record, in slots 2 and up
 
 ARCHETYPE_LABELS = {
     "accelerate": (
@@ -72,7 +73,6 @@ def build_archetype_corpus(
     n_per_class: int = 200,
     seed: int = 0,
     dt: float = 0.04,
-    n_nuisance: int = 2,
     dgsfm_cfg: Optional[dgsfm.DgsfmConfig] = None,
 ) -> Dataset:
     if dgsfm_cfg is None:
@@ -111,7 +111,7 @@ def build_archetype_corpus(
 
             # Nuisance: distant constant-velocity vehicles with high
             # sample-to-sample position variance and negligible relevance.
-            for slot in range(2, 2 + n_nuisance):
+            for slot in range(2, 2 + N_NUISANCE):
                 sign = -1.0 if rng.random() < 0.5 else 1.0
                 offset = sign * rng.uniform(90.0, 160.0)
                 lane_y = rng.choice((-3.75, 0.0, 3.75))
@@ -155,11 +155,13 @@ def make_donor(seed: int = 0, n_frames: int = 400, dt: float = 0.04) -> Trajecto
 
 def augment_corpus(
     dataset: Dataset,
-    n_augment: int = 50,
+    dt: float,
+    n_augment: int,
     min_gap: float = 80.0,
     seed: int = 0,
 ) -> tuple[Dataset, list[tuple[str, str]]]:
-    """Inserts an irrelevant distant vehicle into n_augment records that
+    """Inserts an irrelevant distant vehicle, a donor drawn at the dataset's
+    frame time ``dt``, into n_augment records that
     ``extraction.augmentable`` admits, chosen deterministically across the
     dataset; returns (the augmented records, (parent, child) id pairs).
     A child's entry is its parent's with the id ``<parent id>:aug`` and the
@@ -169,7 +171,7 @@ def augment_corpus(
     rng = np.random.default_rng(seed)
     n_augment = min(n_augment, len(candidates))
     parents = candidates[np.sort(rng.choice(len(candidates), size=n_augment, replace=False))].tolist()
-    donor = make_donor(seed=seed)
+    donor = make_donor(seed=seed, dt=dt)
     entries = [dataset.entries[p] for p in parents]
     rows = [extraction.augment_irrelevant(*(block[parent] for block in dataset.blocks), donor,
                                           min_gap=min_gap, seed=seed + i)

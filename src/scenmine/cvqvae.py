@@ -10,7 +10,7 @@ compute in float64 on float64 casts of the weights.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,7 +27,7 @@ from .types import (
 
 CHECKPOINT_FORMAT_VERSION = "scenmine-checkpoint-v3"
 
-# Loss keys of ``_per_term_losses``, in ``LossBreakdown`` field order.
+# Loss keys of ``_per_term_losses``, in loss-history column order.
 LOSS_TERMS = ("recon", "codebook_term", "commit_term", "cl", "inter")
 # The trainable arrays of ``ModelParams``: lists of per-layer arrays, then
 # single arrays.
@@ -67,21 +67,6 @@ class TrainConfig:
             raise ValueError("latent_dim, codebook_size and every hidden width must be at least 1")
         if not 0.0 <= self.learning_rate:  # 0 freezes the weights
             raise ValueError(f"learning_rate must be non-negative, got {self.learning_rate}")
-
-
-@dataclass(frozen=True)
-class LossBreakdown:
-    recon: float
-    codebook_term: float
-    commit_term: float
-    cl: float
-    inter: float
-    total: float
-
-    @staticmethod
-    def combine(recon, codebook_term, commit_term, cl, inter, lambda_cl, lambda_int):
-        total = recon + codebook_term + commit_term + lambda_cl * cl + lambda_int * inter
-        return LossBreakdown(recon, codebook_term, commit_term, cl, inter, total)
 
 
 @dataclass
@@ -425,7 +410,8 @@ def _per_term_losses(
 
 
 def _total(terms: dict[str, np.ndarray], cfg: TrainConfig) -> np.ndarray:
-    """Per-sample weighted total of ``_per_term_losses``."""
+    """Weighted total of the ``LOSS_TERMS`` of ``_per_term_losses``, per
+    sample, or of their epoch means."""
     return (
         terms["recon"]
         + terms["codebook_term"]
@@ -536,7 +522,7 @@ def train_arrays(
     interaction_targets: Optional[np.ndarray],
     cfg: TrainConfig,
     n_classes: int = N_CLASSES,
-) -> tuple[ModelParams, list[LossBreakdown]]:
+) -> tuple[ModelParams, list[dict[str, float]]]:
     """Mini-batch SGD over the (B, N, F, T) ``inputs`` with their (B, N, T)
     presence masks, (B, S) one-hot class targets and (B, N, T) interaction
     targets (either target may be None); deterministic for a fixed
@@ -585,13 +571,13 @@ def train_arrays(
     return params, history
 
 
-def _sgd(step: ModelParams, run: dict, cfg: TrainConfig, rng: np.random.Generator) -> list[LossBreakdown]:
+def _sgd(step: ModelParams, run: dict, cfg: TrainConfig, rng: np.random.Generator) -> list[dict[str, float]]:
     """``cfg.epochs`` epochs of mini-batch SGD, in place, on the float32
     ``step`` fed the rows of ``run`` in an order that ``rng`` draws each
-    epoch. Returns each epoch's mean losses."""
+    epoch. Returns each epoch's mean ``LOSS_TERMS`` and their ``total``."""
     n_samples = len(run["x_flat"])
     registry = _param_arrays(step)
-    history: list[LossBreakdown] = []
+    history = []
     for epoch in range(cfg.epochs):
         order = rng.permutation(n_samples)
         sums = dict.fromkeys(LOSS_TERMS, 0.0)
@@ -610,9 +596,8 @@ def _sgd(step: ModelParams, run: dict, cfg: TrainConfig, rng: np.random.Generato
                 arr -= np.multiply(cfg.learning_rate, grads[name], out=grads[name])
             for key in sums:
                 sums[key] += float(terms[key].sum())
-        history.append(
-            LossBreakdown.combine(*(sums[key] / n_samples for key in LOSS_TERMS), cfg.lambda_cl, cfg.lambda_int)
-        )
+        means = {key: total / n_samples for key, total in sums.items()}
+        history.append({**means, "total": _total(means, cfg)})
     return history
 
 
@@ -745,8 +730,7 @@ def load_checkpoint(path) -> ModelParams:
 LOSS_COLUMNS = ("epoch", "recon", "codebook", "commit", "cl", "int", "total")
 
 
-def write_loss_history(history: Sequence[LossBreakdown], path) -> None:
+def write_loss_history(history: Sequence[dict[str, float]], path) -> None:
     write_csv(path, LOSS_COLUMNS, (
-        (epoch, lb.recon, lb.codebook_term, lb.commit_term, lb.cl, lb.inter, lb.total)
-        for epoch, lb in enumerate(history)
+        (epoch, *(losses[key] for key in (*LOSS_TERMS, "total"))) for epoch, losses in enumerate(history)
     ), lineterminator="\n")

@@ -326,12 +326,11 @@ def evaluate_detection(
     predicted: Sequence[tuple[int, Optional[CompositeLabel]]],
     truth: Sequence[tuple[int, CompositeLabel]],
     window: int = DetectorConfig.eval_window,
-    match_labels: bool = True,
 ) -> DetectionMatch:
     """Greedy one-to-one temporal matching of predictions to truth windows.
 
     A prediction inside an unmatched truth window (|frame - center| <=
-    window/2) whose label matches (when label matching is enabled) is a TP;
+    window/2) whose label matches, or that has no label (None), is a TP;
     other predictions are FP; unmatched truths are FN.
     """
     half = window / 2.0
@@ -343,7 +342,7 @@ def evaluate_detection(
         for i, (center, true_label) in enumerate(truths):
             if matched[i] or abs(frame - center) > half:
                 continue
-            if match_labels and label is not None and label != true_label:
+            if label is not None and label != true_label:
                 continue
             hit = i
             break

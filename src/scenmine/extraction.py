@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,14 +38,6 @@ class ExtractionConfig:
             raise ValueError(f"neighbor_radius must be positive, got {self.neighbor_radius}")
 
 
-@dataclass(frozen=True)
-class ExtractionSummary:
-    extracted: int
-    skipped_window: int
-    filtered_class: int
-    per_class_counts: dict[int, int]
-
-
 def _slice_columns(traj: Trajectory, start_frame: int, length: int) -> dict[str, np.ndarray]:
     offset = start_frame - traj.first_frame
     return {name: getattr(traj, name)[offset : offset + length] for name in FEATURE_NAMES}
@@ -55,30 +48,29 @@ def extract(
     change_points: dict[int, list[ChangePoint]],
     cfg: ExtractionConfig,
     dgsfm_cfg: Optional[dgsfm.DgsfmConfig] = None,
-) -> tuple[Dataset, ExtractionSummary]:
+) -> tuple[Dataset, SimpleNamespace]:
     """One record per change point with full ego window coverage. Slots
     1..N-1 hold the nearest other vehicles at the anchor (ascending
     distance); partially present vehicles are masked per frame; remaining
-    slots are zero-padded pseudo-vehicles.
+    slots are zero-padded pseudo-vehicles. Also returns the counts whose
+    ``vars`` are the ``extract_summary.json`` object.
     """
     if dgsfm_cfg is None:
         dgsfm_cfg = dgsfm.DgsfmConfig(dt=trajectories[0].dt if trajectories else 0.04)
     entries, rows = [], []
-    skipped = 0
-    filtered = 0
-    per_class: dict[int, int] = {}
+    summary = SimpleNamespace(extracted=0, skipped_window=0, filtered_class=0, per_class_counts={})
 
     for ego in trajectories:
         for cp in change_points.get(ego.vehicle_id, []):
             t_c = cp.t_c
             if not ego.covers(t_c - cfg.pre_frames, t_c + cfg.post_frames):
-                skipped += 1
+                summary.skipped_window += 1
                 continue
             if cfg.class_filter and (
                 cp.label_before.lateral,
                 cp.label_after.lateral,
             ) not in cfg.class_filter:
-                filtered += 1
+                summary.filtered_class += 1
                 continue
 
             t0 = t_c + cfg.tensor_offset
@@ -133,17 +125,12 @@ def extract(
                 mask[1:],
                 dgsfm_cfg,
             )
-            class_index = cp.label_after.to_index()
-            per_class[class_index] = per_class.get(class_index, 0) + 1
+            class_key = str(cp.label_after.to_index())
+            summary.per_class_counts[class_key] = summary.per_class_counts.get(class_key, 0) + 1
             entries.append(record_entry(ego.recording_id, ego.vehicle_id, cp))
             rows.append((values, mask, interaction))
 
-    summary = ExtractionSummary(
-        extracted=len(entries),
-        skipped_window=skipped,
-        filtered_class=filtered,
-        per_class_counts=dict(sorted(per_class.items())),
-    )
+    summary.extracted = len(entries)
     return Dataset.stack(entries, rows), summary
 
 

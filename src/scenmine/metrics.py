@@ -3,7 +3,6 @@ rendering in the detection / clustering table layouts.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -53,21 +52,14 @@ def augmentation_accuracy(
 # Report rendering
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClusteringRow:
-    backend: str
-    no_dk_purity: float
-    no_dk_accuracy: float
-    dk_purity: float
-    dk_accuracy: float
-
-
 def build_report(
     detection: Sequence[tuple[str, DetectionMatch]],
-    clustering: Sequence[ClusteringRow] = (),
+    clustering: Optional[dict[str, dict[str, dict]]] = None,
 ) -> dict:
     """Machine-readable report with the detection table (Precision, Recall,
-    TP, FP, FN; best per column marked) and the no-DK/DK clustering table."""
+    TP, FP, FN; best per column marked) and the no-DK/DK clustering table,
+    one row per backend of ``clustering``'s ``"no_dk"`` and ``"dk"``
+    objects, each the backend -> metrics object of a ``clustering_<tag>.json``."""
     report: dict = {}
     if detection:
         rows = [
@@ -91,11 +83,12 @@ def build_report(
     if clustering:
         rows = [
             {
-                "backend": row.backend,
-                "no_dk": {"purity": row.no_dk_purity, "accuracy": row.no_dk_accuracy},
-                "dk": {"purity": row.dk_purity, "accuracy": row.dk_accuracy},
+                "backend": backend,
+                **{tag: {"purity": clustering[tag][backend]["purity_entropy"],
+                         "accuracy": clustering[tag][backend]["augmentation_accuracy"]}
+                   for tag in ("no_dk", "dk")},
             }
-            for row in clustering
+            for backend in sorted(clustering["no_dk"])
         ]
         best_marks = {
             ("no_dk", "purity"): min(r["no_dk"]["purity"] for r in rows),

@@ -27,7 +27,7 @@ def test_criterion_1_metric_arithmetic_identity():
         truth = [(1000 * i, None) for i in range(tp + fn)]
         predicted = [(1000 * i, None) for i in range(tp)]
         predicted += [(1000 * (tp + fn + j) + 500, None) for j in range(fp)]
-        m = detect.evaluate_detection(predicted, truth, window=50, match_labels=False)
+        m = detect.evaluate_detection(predicted, truth, window=50)
         assert (m.tp, m.fp, m.fn) == (tp, fp, fn)
         assert abs(m.precision - precision) <= 0.001
         assert abs(m.recall - recall) <= 0.001
@@ -82,7 +82,7 @@ def test_criterion_2_synthetic_detection_quality():
         events = detect.detect_ema(traj)
         assert len(events) >= 1  # by-design property of the baseline
         m = detect.evaluate_detection(
-            [(e, None) for e in events], labeled_truth, window=50, match_labels=False
+            [(e, None) for e in events], labeled_truth, window=50
         )
         ema_tp, ema_fp, ema_fn = ema_tp + m.tp, ema_fp + m.fp, ema_fn + m.fn
     rule = detect.DetectionMatch(rule_tp, rule_fp, rule_fn)
@@ -153,7 +153,7 @@ def test_criterion_5_quantization_oracle():
 def test_criterion_6_directional_knowledge_guidance():
     t0 = time.monotonic()
     base = corpus.build_archetype_corpus(n_per_class=200, seed=11)
-    augmented, pairs = corpus.augment_corpus(base, n_augment=50, seed=12)
+    augmented, pairs = corpus.augment_corpus(base, 0.04, n_augment=50, seed=12)
     ids = [e["record_id"] for e in base.entries + augmented.entries]
 
     def labels_of(backend, params):

@@ -147,6 +147,12 @@ GOLDEN_PIPELINE_OUTPUT = """\
 [evaluate-clustering] tag=dk backends=3 report=88982eb4e02c
 [report] detection_rows=2 clustering_rows=3 report=5e9079c081ec
 """
+# SHA-256 of the two outputs of that run that no printed hash covers (the
+# loss CSVs are pinned in test_cvqvae.py, report.json by the [report] line).
+GOLDEN_PIPELINE_DIGESTS = {
+    "extract_summary.json": "82a444bc1eb39681e69134129f2e844ed0b307142c46d2971e3da4150a33fd74",
+    "report.txt": "e78dfd9ec1d94cef7ec3548fdab6be429b2140ddbf9ff6289a607961cb721387",
+}
 
 
 def test_default_pipeline_prints_golden_lines(tmp_path):
@@ -157,6 +163,8 @@ def test_default_pipeline_prints_golden_lines(tmp_path):
                          env=env, capture_output=True, text=True)
     assert (run.returncode, run.stderr) == (0, "")
     assert run.stdout == GOLDEN_PIPELINE_OUTPUT
+    assert {name: hashlib.sha256((tmp_path / "wd" / name).read_bytes()).hexdigest()
+            for name in GOLDEN_PIPELINE_DIGESTS} == GOLDEN_PIPELINE_DIGESTS
 
 
 def test_report_has_no_dk_and_dk_sections(tmp_path):
@@ -401,6 +409,9 @@ BAD_INPUTS = [
     pytest.param("cluster:\n  backends: [kmeans, kmeans]\n", ["cluster"], None, 2, "config error",
                  id="backends-repeated"),
     pytest.param("seed: abc\n", ["synth"], None, 2, "config error", id="seed-not-int"),
+    pytest.param("seed: -3\n", ["synth"], None, 2, "config error", id="seed-negative"),
+    pytest.param("", ["--seed", "-10", "synth"], None, 2, "config error", id="seed-flag-negative"),
+    pytest.param("", ["--seed", "-1", "synth"], None, 2, "config error", id="seed-flag-minus-one"),
     pytest.param("seed: 1.5\n", ["synth"], None, 2, "config error", id="seed-float"),
     pytest.param("detect:\n  tau_extreme: 0.1\n", ["detect"], None, 2, "config error", id="tau-extreme-low"),
     pytest.param("detect:\n  ema_alpha: abc\n", ["detect", "--method", "ema"], None, 2, "config error",

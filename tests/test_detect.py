@@ -245,7 +245,7 @@ def test_evaluate_one_to_one_matching():
 
 
 def test_evaluate_unlabeled_predictions():
-    m = detect.evaluate_detection([(100, None)], [(100, ZERO_KL)], match_labels=False)
+    m = detect.evaluate_detection([(100, None)], [(100, ZERO_KL)])
     assert (m.tp, m.fp, m.fn) == (1, 0, 0)
 
 

@@ -103,7 +103,8 @@ def test_class_filter_soundness():
         class_filter=frozenset({(LatState.KEEP_LANE, LatState.LANE_CHANGE)})
     )
     dataset, summary = extraction.extract([ego_lc], points, cfg)
-    assert summary.filtered_class == 1
+    assert vars(summary) == {"extracted": 1, "skipped_window": 0, "filtered_class": 1,
+                             "per_class_counts": {str(ZERO_LC.to_index()): 1}}
     assert len(dataset) == 1
     assert dataset.entries == [{"record_id": "test:1:250", "recording_id": "test", "vehicle_id": 1, "t_c": 250,
                                 "before": "zero/keep_lane", "after": "zero/lane_change",
@@ -210,12 +211,24 @@ def test_augment_refuses_a_record_with_a_frame_without_a_present_neighbor(donor)
 
 def test_augment_corpus_picks_only_records_with_a_neighbor_at_every_frame():
     dataset = neighbor_only_until(corpus.build_archetype_corpus(n_per_class=2, seed=8), 3, 99)
-    children, pairs = corpus.augment_corpus(dataset, n_augment=len(dataset), seed=0)
+    children, pairs = corpus.augment_corpus(dataset, 0.04, n_augment=len(dataset), seed=0)
     parents = [parent for parent, _ in pairs]
     assert len(children) == len(dataset) - 1 and dataset.entries[3]["record_id"] not in parents
     assert validate_arrays(*children.blocks) == [[]] * len(children)
     assert children.entries == [{**e, "record_id": e["record_id"] + ":aug", "augmentation_parent": e["record_id"]}
                                 for e in dataset.entries if e["record_id"] in parents]
+
+
+def test_augment_corpus_draws_the_donor_at_the_dataset_frame_time():
+    dt = 0.1
+    dataset = corpus.build_archetype_corpus(n_per_class=1, seed=8, dt=dt)
+    children, pairs = corpus.augment_corpus(dataset, dt, n_augment=len(dataset), seed=0)
+    index = {e["record_id"]: i for i, e in enumerate(dataset.entries)}
+    assert len(pairs) == len(dataset)
+    for child, (parent, _) in zip(zip(*children.blocks), pairs):
+        slot = inserted_slot(child, tuple(block[index[parent]] for block in dataset.blocks))
+        x, vx = child[0][slot, 0], child[0][slot, 2]
+        np.testing.assert_allclose(np.diff(x), vx[:-1] * dt, rtol=1e-9)
 
 
 def test_config_window_containment_validated():

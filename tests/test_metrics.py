@@ -121,28 +121,28 @@ def test_report_round_trips_table_values():
 
 
 def test_report_detection_only_when_no_clustering():
-    report = metrics.build_report([("rule", DetectionMatch(1, 0, 0))], [])
+    report = metrics.build_report([("rule", DetectionMatch(1, 0, 0))], {})
     assert "detection" in report
     assert "clustering" not in report or not report.get("clustering")
 
 
+def clustering_metrics(**backends):
+    """The ``{"no_dk": ..., "dk": ...}`` clustering files of ``backend=(no-DK
+    purity, no-DK accuracy, DK purity, DK accuracy)``."""
+    return {tag: {backend: {"purity_entropy": values[i], "augmentation_accuracy": values[i + 1]}
+                  for backend, values in backends.items()}
+            for tag, i in (("no_dk", 0), ("dk", 2))}
+
+
 def test_report_orders_no_dk_before_dk():
-    rows = [
-        metrics.ClusteringRow("codebook", 1.5, 0.4, 0.5, 0.9),
-        metrics.ClusteringRow("kmeans", 1.2, 0.5, 0.8, 0.7),
-    ]
-    report = metrics.build_report([], rows)
+    report = metrics.build_report([], clustering_metrics(codebook=(1.5, 0.4, 0.5, 0.9), kmeans=(1.2, 0.5, 0.8, 0.7)))
     text = metrics.render_text(report)
     header = next(line for line in text.splitlines() if "noDK" in line)
     assert header.index("noDK") < header.index("DK")
 
 
 def test_report_marks_best_per_column():
-    rows = [
-        metrics.ClusteringRow("codebook", 1.5, 0.4, 0.5, 0.9),
-        metrics.ClusteringRow("kmeans", 1.2, 0.5, 0.8, 0.7),
-    ]
-    report = metrics.build_report([], rows)
+    report = metrics.build_report([], clustering_metrics(codebook=(1.5, 0.4, 0.5, 0.9), kmeans=(1.2, 0.5, 0.8, 0.7)))
     by_backend = {r["backend"]: r["best"] for r in report["clustering"]}
     # Purity: lower is better; accuracy: higher is better.
     assert by_backend["codebook"] == ["dk_accuracy", "dk_purity"]

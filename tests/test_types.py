@@ -196,7 +196,7 @@ def test_dataset_v1_file_is_unsupported(records, tmp_path):
 
 
 def test_header_and_array_readers_agree_with_read_dataset(records, tmp_path):
-    augmented, _ = corpus.augment_corpus(records, n_augment=3, seed=4)
+    augmented, _ = corpus.augment_corpus(records, 0.04, n_augment=3, seed=4)
     path = tmp_path / "ds.jsonl"
     both = concat(records, augmented)
     write_dataset(both, path, dt=0.04)
