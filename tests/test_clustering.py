@@ -339,3 +339,35 @@ def test_cluster_and_report_bytes_match_golden_digests(tmp_path):
     digests = {name: hashlib.sha256((wd / name).read_bytes()).hexdigest()
                for name in GOLDEN_CLUSTER_DIGESTS}
     assert digests == GOLDEN_CLUSTER_DIGESTS
+
+
+# SHA-256 of the cluster, evaluate and report artifacts of a small archetype
+# pipeline with all three backends. Its base records fill slots 0-3 and
+# every augmented record puts its donor in slot 4, so ``cluster`` encodes
+# batches of two widths.
+ARCHETYPE_PIPELINE_CONFIG = """\
+synth:
+  kind: archetypes
+  n_per_class: 10
+augment:
+  n_augment: 10
+train:
+  epochs: 3
+"""
+GOLDEN_ARCHETYPE_CLUSTER_DIGESTS = {
+    "assignments_no_dk.csv": "753b8cb870f3f60700a1be70a2d422b8ea6b0897b7e1e6b9651abe4d66fea24a",
+    "assignments_dk.csv": "3e5eb1aacf44b0c99c928166abbc0c3698bd4e072aa65268f86a1adee6c6dffa",
+    "clustering_no_dk.json": "bf37ad50205a7a75483298ad70115dcd3897e237852760430b3d4c501177d5af",
+    "clustering_dk.json": "e3d5f358cd590c16569405c3f36ecc6295b3a1ec882a26b78e88d1c5a1881e67",
+    "report.json": "009d33de9f5853b90d40c758ddef91ec2494ea0d8f6a5f44b75637e31c8d8778",
+}
+
+
+def test_archetype_pipeline_cluster_bytes_match_golden_digests(tmp_path):
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text(ARCHETYPE_PIPELINE_CONFIG)
+    wd = tmp_path / "wd"
+    assert cli.main(["--config", str(cfg), "--workdir", str(wd), "pipeline"]) == 0
+    digests = {name: hashlib.sha256((wd / name).read_bytes()).hexdigest()
+               for name in GOLDEN_ARCHETYPE_CLUSTER_DIGESTS}
+    assert digests == GOLDEN_ARCHETYPE_CLUSTER_DIGESTS
