@@ -287,9 +287,6 @@ def cmd_cluster(cfg: Config, workdir: Path, tag: str = "model") -> None:
     if entries[:n] != base or any(e["augmentation_parent"] not in base_ids for e in entries[n:]):
         raise StageError(f"{aug_path} is not the records of dataset.jsonl followed by their "
                          "augmentations; re-run augment")
-    # encode multiplies in float64: the float32 encoder weights are cast once
-    # for both calls, and dropped.
-    params = dataclasses.replace(params, enc_w=[w.astype(np.float64) for w in params.enc_w])
     try:
         base_latents = cvqvae.encode(tensor[:n], mask[:n], params)
         held_out_latents = cvqvae.encode(tensor[n:], mask[n:], params)

@@ -173,8 +173,9 @@ def _live(params: ModelParams, n_live: int) -> ModelParams:
 
 
 def live_slots(masks: np.ndarray) -> int:
-    """The width a training run steps on: 1 plus the last slot present in
-    any record of the (B, N, T) ``masks``."""
+    """The live slot width of a batch, which a training run steps on and
+    ``encode`` reads: 1 plus the last slot present in any record of the
+    (B, N, T) ``masks``."""
     return int(max(np.flatnonzero(masks.any(axis=(0, 2))), default=0)) + 1
 
 
@@ -288,15 +289,19 @@ def encode(inputs: np.ndarray, masks: np.ndarray, params: ModelParams) -> np.nda
     presence masks to (B, d) continuous float64 latents. Records whose
     (N, F, T) is not the model's raise ContractError.
 
-    The layers are float64 BLAS products: float32 weights are cast to
-    float64 for the call (numpy's float64 @ float32 is another product),
-    float64 ones are used as they are. A float32 bias adds exactly."""
+    Every cell of a slot absent from the whole batch standardizes to 0, so
+    the first layer reads only the batch's live slot prefix (``_live``);
+    the latents equal the full-width ones up to rounding. The layers are
+    float64 BLAS products: float32 weights are cast to float64 for the call
+    (numpy's float64 @ float32 is another product), float64 ones are used
+    as they are. A float32 bias adds exactly."""
     expected = (params.n_slots, params.n_features, params.t_obs)
     if inputs.shape[1:] != expected:
         raise ContractError(f"record shape {inputs.shape[1:]} != the model's {expected}")
-    x = _standardize(inputs, masks, params.feature_shift, params.feature_scale)
-    ws = [w.astype(np.float64, copy=False) for w in params.enc_w]
-    z, _ = _mlp_forward(x.reshape(x.shape[0], -1), ws, params.enc_b)
+    width = live_slots(masks)
+    x = _standardize(inputs[:, :width], masks[:, :width], params.feature_shift, params.feature_scale)
+    ws = [w.astype(np.float64, copy=False) for w in _live(params, width).enc_w]
+    z, _ = _mlp_forward(x.reshape(len(x), ws[0].shape[1]), ws, params.enc_b)
     return z
 
 

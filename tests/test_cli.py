@@ -675,6 +675,17 @@ def test_recording_id_with_comma_goes_through_cluster_and_evaluate(trained_workd
     assert set(json.loads((wd / "clustering_model.json").read_text())) == {"codebook", "kmeans", "hierarchical"}
 
 
+def test_cluster_without_an_augmented_dataset_labels_the_base_records(trained_workdir, tmp_path):
+    # Its held-out batch holds no record.
+    wd = tmp_path / "wd"
+    shutil.copytree(trained_workdir, wd)
+    (wd / AUGMENTED).unlink()
+    assert cli.main(["--workdir", str(wd), "cluster"]) == 0
+    full = (trained_workdir / ASSIGNMENTS).read_text().splitlines()
+    base = [line for line in full if ":aug," not in line]
+    assert len(base) < len(full) and (wd / ASSIGNMENTS).read_text().splitlines() == base
+
+
 def test_non_finite_config_float_fails_before_a_stage_writes(tmp_path, capsys):
     # synth does not read the dgsfm section.
     cfg = tmp_path / "config.yaml"

@@ -2,6 +2,7 @@ import hashlib
 import math
 import re
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -616,6 +617,54 @@ def test_quantize_by_a_float32_codebook_equals_its_float64_cast(trained_and_augm
     z = np.concatenate([encode_dataset(records, params), wide_codes, (wide_codes[:-1] + wide_codes[1:]) / 2])
     assert z.dtype == np.float64 and codebook.dtype == np.float32
     assert np.array_equal(cvqvae._quantize_batch(z, codebook), cvqvae._quantize_batch(z, wide_codes))
+
+
+# ---------------------------- live-width encode -------------------------------
+
+def full_width_encode(inputs, masks, params):
+    """The encoder over all ``params.n_slots`` slots, every layer a float64
+    product of the float64 cast of the whole weight."""
+    x = cvqvae._standardize(inputs, masks, params.feature_shift, params.feature_scale)
+    ws = [w.astype(np.float64) for w in params.enc_w]
+    z, _ = cvqvae._mlp_forward(x.reshape(len(x), -1), ws, params.enc_b)
+    return z
+
+
+def ego_only(records):
+    """The tensors and masks of ``records`` with every neighbour slot absent."""
+    masks = records.mask.copy()
+    masks[:, 1:] = False
+    return records.tensor, masks
+
+
+def test_encode_at_the_live_width_ignores_columns_past_it(trained_and_augmented):
+    params, records = trained_and_augmented
+    cells = params.n_features * params.t_obs
+    for inputs, masks in ((records.tensor, records.mask), ego_only(records)):
+        width = cvqvae.live_slots(masks)
+        poisoned = replace(params, enc_w=[params.enc_w[0].copy(), *params.enc_w[1:]])
+        poisoned.enc_w[0][:, width * cells:] = np.nan
+        z = cvqvae.encode(inputs, masks, poisoned)
+        assert np.isfinite(z).all()
+        assert np.array_equal(z, cvqvae.encode(inputs, masks, params))
+
+
+@pytest.mark.parametrize("batch", ["mixed", "ego_only"])
+def test_encode_at_the_live_width_matches_the_full_width_product(trained_and_augmented, batch):
+    params, records = trained_and_augmented
+    inputs, masks = (records.tensor, records.mask) if batch == "mixed" else ego_only(records)
+    if batch == "mixed":  # base records fill slots 0-3, some augmented ones slot 4 too
+        reach = masks[:, N_LIVE].any(axis=1)
+        assert reach.any() and not reach.all() and not masks[:, N_LIVE + 1:].any()
+    assert cvqvae.live_slots(masks) == (N_LIVE + 1 if batch == "mixed" else 1)
+    np.testing.assert_allclose(cvqvae.encode(inputs, masks, params), full_width_encode(inputs, masks, params),
+                               rtol=1e-12, atol=1e-12)
+
+
+def test_encode_at_the_live_width_of_zero_records(trained_and_augmented):
+    params, records = trained_and_augmented
+    z = cvqvae.encode(records.tensor[:0], records.mask[:0], params)
+    assert z.shape == (0, params.latent_dim) and z.dtype == np.float64
 
 
 # ---------------------------- gradient check --------------------------------
