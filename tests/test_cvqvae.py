@@ -630,6 +630,12 @@ def full_width_encode(inputs, masks, params):
     return z
 
 
+def whole(records):
+    """The tensors and masks of ``records``: base ones fill slots 0-3, some
+    augmented ones slot 4 too."""
+    return records.tensor, records.mask
+
+
 def ego_only(records):
     """The tensors and masks of ``records`` with every neighbour slot absent."""
     masks = records.mask.copy()
@@ -637,26 +643,27 @@ def ego_only(records):
     return records.tensor, masks
 
 
-def test_encode_at_the_live_width_ignores_columns_past_it(trained_and_augmented):
-    params, records = trained_and_augmented
-    cells = params.n_features * params.t_obs
-    for inputs, masks in ((records.tensor, records.mask), ego_only(records)):
-        width = cvqvae.live_slots(masks)
-        poisoned = replace(params, enc_w=[params.enc_w[0].copy(), *params.enc_w[1:]])
-        poisoned.enc_w[0][:, width * cells:] = np.nan
-        z = cvqvae.encode(inputs, masks, poisoned)
-        assert np.isfinite(z).all()
-        assert np.array_equal(z, cvqvae.encode(inputs, masks, params))
+# A batch of records of two widths, and one of width 1.
+BATCHES = pytest.mark.parametrize("batch, width", [(whole, N_LIVE + 1), (ego_only, 1)], ids=["mixed", "ego_only"])
 
 
-@pytest.mark.parametrize("batch", ["mixed", "ego_only"])
-def test_encode_at_the_live_width_matches_the_full_width_product(trained_and_augmented, batch):
+@BATCHES
+def test_encode_at_the_live_width_ignores_columns_past_it(trained_and_augmented, batch, width):
     params, records = trained_and_augmented
-    inputs, masks = (records.tensor, records.mask) if batch == "mixed" else ego_only(records)
-    if batch == "mixed":  # base records fill slots 0-3, some augmented ones slot 4 too
-        reach = masks[:, N_LIVE].any(axis=1)
-        assert reach.any() and not reach.all() and not masks[:, N_LIVE + 1:].any()
-    assert cvqvae.live_slots(masks) == (N_LIVE + 1 if batch == "mixed" else 1)
+    inputs, masks = batch(records)
+    assert cvqvae.live_slots(masks) == width
+    poisoned = replace(params, enc_w=[params.enc_w[0].copy(), *params.enc_w[1:]])
+    poisoned.enc_w[0][:, width * params.n_features * params.t_obs:] = np.nan
+    z = cvqvae.encode(inputs, masks, poisoned)
+    assert np.isfinite(z).all()
+    assert np.array_equal(z, cvqvae.encode(inputs, masks, params))
+
+
+@BATCHES
+def test_encode_at_the_live_width_matches_the_full_width_product(trained_and_augmented, batch, width):
+    params, records = trained_and_augmented
+    inputs, masks = batch(records)
+    assert cvqvae.live_slots(masks) == width
     np.testing.assert_allclose(cvqvae.encode(inputs, masks, params), full_width_encode(inputs, masks, params),
                                rtol=1e-12, atol=1e-12)
 
