@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import clustering, config, corpus, cvqvae, detect, extraction, ingest, metrics
+from . import clustering, config, corpus, cvqvae, detect, dgsfm, extraction, ingest, metrics
 from .config import Config
 from .types import (Dataset, DatasetFormatError, read_csv, read_dataset_arrays, read_dataset_header, read_json,
                     validate_arrays, write_csv, write_dataset, write_json)
@@ -114,10 +114,7 @@ def cmd_synth(cfg: Config, workdir: Path) -> None:
             tracks=tracks,
         )
     else:  # archetypes
-        dataset = corpus.build_archetype_corpus(
-            n_per_class=s.n_per_class, seed=seed, dt=dt,
-            dgsfm_cfg=config.override(cfg, "dgsfm", dt=dt),
-        )
+        dataset = corpus.build_archetype_corpus(s.n_per_class, seed, config.override(cfg, "dgsfm", dt=dt))
         write_dataset(dataset, workdir / "dataset.jsonl", dt=dt)
         _log("synth", kind="archetypes", n=len(dataset), seed=seed,
              dataset=_sha256(workdir / "dataset.jsonl"))
@@ -126,13 +123,11 @@ def cmd_synth(cfg: Config, workdir: Path) -> None:
 def cmd_ingest(cfg: Config, workdir: Path, tracks: str, meta: str) -> None:
     recording = ingest.read_meta_json(_require(Path(meta)))
     trajs = ingest.read_tracks_csv(_require(Path(tracks)), recording)
-    kept = ingest.filter_three_lane([(recording, trajs)])
-    normalized: list = []
-    for m, ts in kept:
-        normalized.extend(ingest.normalize_direction(t, m) for t in ts)
+    kept = recording.lanes_per_direction == 3
+    normalized = [ingest.normalize_direction(t, recording) for t in trajs] if kept else []
     tracks = _write_tracks(normalized, workdir)
     ingest.write_meta_json(recording, workdir / "meta.json")
-    _log("ingest", recordings_kept=len(kept), trajectories=len(normalized), tracks=tracks)
+    _log("ingest", recordings_kept=int(kept), trajectories=len(normalized), tracks=tracks)
 
 
 def _write_tracks(trajs: list, workdir: Path) -> str:
@@ -233,10 +228,7 @@ def cmd_extract(cfg: Config, workdir: Path) -> None:
 def cmd_augment(cfg: Config, workdir: Path) -> None:
     dataset, dt = read_dataset_arrays(_require(workdir / "dataset.jsonl"))
     seed = config.stage_seed(cfg, "augment")
-    children, pairs = corpus.augment_corpus(
-        dataset, dt, n_augment=min(cfg.augment.n_augment, len(dataset)),
-        min_gap=cfg.augment.min_gap, seed=seed
-    )
+    children, pairs = corpus.augment_corpus(dataset, dt, cfg.augment.n_augment, cfg.augment.min_gap, seed)
     both = Dataset(dataset.entries + children.entries,
                    *(np.concatenate(blocks) for blocks in zip(dataset.blocks, children.blocks)))
     write_dataset(both, workdir / "dataset_augmented.jsonl", dt=dt)
@@ -387,7 +379,7 @@ def cmd_report(cfg: Config, workdir: Path) -> None:
 
 def cmd_gradcheck(cfg: Config, workdir: Path) -> int:
     seed = config.stage_seed(cfg, "gradcheck")
-    dataset = corpus.build_archetype_corpus(n_per_class=1, seed=seed)
+    dataset = corpus.build_archetype_corpus(1, seed, dgsfm.DgsfmConfig())
     tcfg = cvqvae.TrainConfig(hidden=(16, 16), latent_dim=8, codebook_size=4, seed=seed)
     inputs, masks, cls, inter = dataset.tensor[:1], dataset.mask[:1], dataset.one_hot()[:1], dataset.interaction[:1]
     shift, scale = cvqvae.fit_standardization(inputs, masks)

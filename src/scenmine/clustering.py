@@ -94,7 +94,7 @@ def _checked_latents(latents: np.ndarray, k: int) -> np.ndarray:
 def kmeans(
     latents: np.ndarray,
     k: int,
-    seed: int = 0,
+    seed: int,
     max_iter: int = ClusterConfig.max_iter,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Labels in [0, k) and centroids after Lloyd iterations to an

@@ -9,7 +9,7 @@ the nuisance vehicles, knowledge-guided clustering should not.
 """
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .types import (
 
 ANCHOR_INDEX = 25  # tensor covers [t_c - 25, t_c + 74]
 N_NUISANCE = 2  # distant vehicles per record, in slots 2 and up
+N_DONOR_FRAMES = 400  # frames of the augmentation donor
 
 ARCHETYPE_LABELS = {
     "accelerate": (
@@ -69,14 +70,10 @@ def _ego_kinematics(kind: str, rng: np.random.Generator, dt: float):
     return x, y, vx, vy, ax, ay
 
 
-def build_archetype_corpus(
-    n_per_class: int = 200,
-    seed: int = 0,
-    dt: float = 0.04,
-    dgsfm_cfg: Optional[dgsfm.DgsfmConfig] = None,
-) -> Dataset:
-    if dgsfm_cfg is None:
-        dgsfm_cfg = dgsfm.DgsfmConfig(dt=dt)
+def build_archetype_corpus(n_per_class: int, seed: int, dgsfm_cfg: dgsfm.DgsfmConfig) -> Dataset:
+    """``n_per_class`` records of each archetype, their motion integrated
+    and their interactions scored at the frame time ``dgsfm_cfg.dt``."""
+    dt = dgsfm_cfg.dt
     rng = np.random.default_rng(seed)
     entries, rows = [], []
     vehicle_id = 0
@@ -141,10 +138,10 @@ def build_archetype_corpus(
     return Dataset.stack(entries, rows)
 
 
-def make_donor(seed: int = 0, n_frames: int = 400, dt: float = 0.04) -> Trajectory:
+def make_donor(seed: int, dt: float) -> Trajectory:
     """Constant-velocity, constant-lane donor trajectory for augmentation."""
     script = ingest.SyntheticScript(
-        maneuvers=(ingest.Maneuver("cruise", 0, n_frames),),
+        maneuvers=(ingest.Maneuver("cruise", 0, N_DONOR_FRAMES),),
         noise_sigma_accel=0.0,
         initial_vx=23.0,
         vehicle_id=90000 + seed,
@@ -157,8 +154,8 @@ def augment_corpus(
     dataset: Dataset,
     dt: float,
     n_augment: int,
-    min_gap: float = 80.0,
-    seed: int = 0,
+    min_gap: float,
+    seed: int,
 ) -> tuple[Dataset, list[tuple[str, str]]]:
     """Inserts an irrelevant distant vehicle, a donor drawn at the dataset's
     frame time ``dt``, into n_augment records that

@@ -504,20 +504,21 @@ def fit_standardization(inputs: np.ndarray, masks: np.ndarray) -> tuple[np.ndarr
     return shift, scale
 
 
-def _row_basis(x: np.ndarray) -> np.ndarray:
-    """A (K, R) basis V of the row space of the (N, K) ``x`` with
-    ``x @ V @ V.T == x``: the reduced QR factor of ``x.T`` when N < K
-    (R = N), else the identity (R = K). The rows of cells that are 0 in
+def _row_basis(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A (K, D) basis V of the row space of the (N, K) ``x`` with
+    ``x @ V @ V.T == x``, and the (N, D) coordinates ``x @ V``: the factors
+    of the reduced QR ``x.T = V R``, V and R.T, when N < K (D = N), else
+    the identity and ``x`` (D = K). The rows of V of cells that are 0 in
     every row of ``x`` are 0."""
     n, k = x.shape
     if n >= k:
-        return np.eye(k)
-    basis = np.linalg.qr(x.T)[0]
+        return np.eye(k), x
+    basis, r = np.linalg.qr(x.T)
     # The row space has no part on such a cell, but the factor's columns past
     # the rank of ``x`` may; zeroed, the identity above still holds and the
     # cell's first-layer weights stay exactly as drawn.
     basis[~x.any(axis=0)] = 0.0
-    return basis
+    return basis, r.T
 
 
 def train_arrays(
@@ -537,8 +538,9 @@ def train_arrays(
     SGD moves the first encoder layer W only by sums of ``g.T @ x_b`` over
     batches of the standardized inputs, so W - W0 stays in their row space.
     With V its basis from ``_row_basis``, the step feeds the coordinates
-    c = x V to M = W0 V, which takes the steps of W V, and writes
-    W0 + (M - M0) V.T back, added in float64 and rounded to float32 once.
+    c = R.T from the same QR (x V in exact arithmetic) to M = W0 V, which
+    takes the steps of W V, and writes W0 + (M - M0) V.T back, added in
+    float64 and rounded to float32 once.
     With fewer records N than live input cells K this layer steps N
     columns wide instead of K."""
     if inputs.shape[0] == 0:
@@ -552,8 +554,7 @@ def train_arrays(
         inputs[:, :n_live], masks[:, :n_live], class_targets,
         None if interaction_targets is None else interaction_targets[:, :n_live], shift, scale,
     )
-    basis = _row_basis(run["x_flat"])
-    run["coords"] = run["x_flat"] @ basis
+    basis, run["coords"] = _row_basis(run["x_flat"])
     run = {key: None if arr is None else arr.astype(np.float32) for key, arr in run.items()}
 
     rng = np.random.default_rng(cfg.seed)

@@ -47,7 +47,7 @@ def extract(
     trajectories: Sequence[Trajectory],
     change_points: dict[int, list[ChangePoint]],
     cfg: ExtractionConfig,
-    dgsfm_cfg: Optional[dgsfm.DgsfmConfig] = None,
+    dgsfm_cfg: dgsfm.DgsfmConfig,
 ) -> tuple[Dataset, SimpleNamespace]:
     """One record per change point with full ego window coverage. Slots
     1..N-1 hold the nearest other vehicles at the anchor (ascending
@@ -55,8 +55,6 @@ def extract(
     slots are zero-padded pseudo-vehicles. Also returns the counts whose
     ``vars`` are the ``extract_summary.json`` object.
     """
-    if dgsfm_cfg is None:
-        dgsfm_cfg = dgsfm.DgsfmConfig(dt=trajectories[0].dt if trajectories else 0.04)
     entries, rows = [], []
     summary = SimpleNamespace(extracted=0, skipped_window=0, filtered_class=0, per_class_counts={})
 
@@ -159,8 +157,8 @@ def augment_irrelevant(
     mask: np.ndarray,
     interaction: np.ndarray,
     donor: Trajectory,
-    min_gap: float = 80.0,
-    seed: int = 0,
+    min_gap: float,
+    seed: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (tensor, mask, interaction) rows of one record with a
     constant-velocity donor vehicle inserted into its first free slot,

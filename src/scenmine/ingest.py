@@ -157,12 +157,6 @@ def normalize_direction(traj: Trajectory, meta: RecordingMeta) -> Trajectory:
     return replace(traj, **{name: -getattr(traj, name) for name in FEATURE_NAMES})
 
 
-def filter_three_lane(
-    recordings: Sequence[tuple[RecordingMeta, list[Trajectory]]],
-) -> list[tuple[RecordingMeta, list[Trajectory]]]:
-    return [(meta, trajs) for meta, trajs in recordings if meta.lanes_per_direction == 3]
-
-
 # ---------------------------------------------------------------------------
 # Synthetic corpus generation
 # ---------------------------------------------------------------------------

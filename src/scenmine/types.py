@@ -20,7 +20,6 @@ N_SLOTS = 9          # vehicle slots per scenario, slot 0 = ego
 N_FEATURES = 6       # (x, y, vx, vy, ax, ay)
 T_OBS = 100          # frames per scenario (4 s at 25 Hz)
 N_CLASSES = 10       # composite ego-behavior classes
-DEFAULT_DT = 0.04    # 25 Hz recordings
 
 FEATURE_NAMES = ("x", "y", "vx", "vy", "ax", "ay")
 
@@ -390,7 +389,7 @@ def _record_fields(entry: dict) -> dict:
     return {key: entry[key] for key in _RECORD_FIELDS}
 
 
-def write_dataset(dataset: Dataset, path, dt: float = DEFAULT_DT) -> None:
+def write_dataset(dataset: Dataset, path, dt: float) -> None:
     """Writes the records' entries into the header and their blocks after it."""
     write_blocks(path, {"format": DATASET_FORMAT_VERSION, "dt": dt, "n_records": len(dataset),
                         "records": dataset.entries},

@@ -113,7 +113,7 @@ def test_criterion_3_entropy_bounds():
 
 def test_criterion_4_gradient_correctness():
     t0 = time.monotonic()
-    record = take(corpus.build_archetype_corpus(n_per_class=1, seed=6), slice(1))
+    record = take(corpus.build_archetype_corpus(1, 6, dgsfm.DgsfmConfig()), slice(1))
     cfg = cvqvae.TrainConfig(hidden=(16, 16), latent_dim=8, codebook_size=4, seed=6)
     shift, scale = cvqvae.fit_standardization(record.tensor, record.mask)
     params = cvqvae.init_params(
@@ -152,8 +152,8 @@ def test_criterion_5_quantization_oracle():
 
 def test_criterion_6_directional_knowledge_guidance():
     t0 = time.monotonic()
-    base = corpus.build_archetype_corpus(n_per_class=200, seed=11)
-    augmented, pairs = corpus.augment_corpus(base, 0.04, n_augment=50, seed=12)
+    base = corpus.build_archetype_corpus(200, 11, dgsfm.DgsfmConfig())
+    augmented, pairs = corpus.augment_corpus(base, 0.04, n_augment=50, min_gap=80.0, seed=12)
     ids = [e["record_id"] for e in base.entries + augmented.entries]
 
     def labels_of(backend, params):

@@ -199,6 +199,18 @@ def test_ingest_subcommand_round_trip(tmp_path):
     assert (wd2 / "tracks.csv").read_bytes() == (wd / "tracks.csv").read_bytes()
 
 
+@pytest.mark.parametrize("lanes", [2, 3, 4])
+def test_ingest_keeps_only_a_recording_with_three_lanes_per_direction(tmp_path, capsys, lanes):
+    meta = ingest.RecordingMeta("rec", 25.0, lanes, {lane: 1 for lane in range(1, 2 * lanes + 1)})
+    trajs = [make_traj(n=10, vehicle_id=i, recording_id="rec") for i in (1, 2)]
+    ingest.write_tracks_csv(trajs, tmp_path / "tracks.csv")
+    ingest.write_meta_json(meta, tmp_path / "meta.json")
+    assert cli.main(["--workdir", str(tmp_path / "wd"), "ingest", "--tracks", str(tmp_path / "tracks.csv"),
+                     "--meta", str(tmp_path / "meta.json")]) == 0
+    kept = int(lanes == 3)
+    assert f"[ingest] recordings_kept={kept} trajectories={2 * kept} " in capsys.readouterr().out
+
+
 def test_short_recording_detects_nothing_and_train_refuses_empty_dataset(tmp_path, capsys):
     # One vehicle, 10 frames: shorter than every EMA window (30, 60, 90).
     meta = ingest.RecordingMeta(

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from scenmine import cli, clustering, corpus, cvqvae, detect, ingest
+from scenmine import cli, clustering, corpus, cvqvae, detect, dgsfm, ingest
 from scenmine.types import (
     FEATURE_NAMES,
     N_CLASSES,
@@ -66,10 +66,10 @@ def _valid_checkpoint(params) -> None:
 
 
 def _dataset_bytes() -> bytes:
-    dataset = corpus.build_archetype_corpus(n_per_class=1, seed=2)
+    dataset = corpus.build_archetype_corpus(1, 2, dgsfm.DgsfmConfig())
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "ds.jsonl"
-        write_dataset(take(dataset, slice(2)), path)
+        write_dataset(take(dataset, slice(2)), path, dt=0.04)
         return path.read_bytes()
 
 

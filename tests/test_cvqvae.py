@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from scenmine import corpus, cvqvae
+from scenmine import corpus, cvqvae, dgsfm
 
 from conftest import arrays, concat, encode_dataset, grad_check, quantize, take, train_dataset
 
@@ -286,7 +286,7 @@ def test_loss_interaction_zero_when_targets_match():
 
 
 def test_loss_decomposition_identity():
-    records = corpus.build_archetype_corpus(n_per_class=1, seed=5)
+    records = corpus.build_archetype_corpus(1, 5, dgsfm.DgsfmConfig())
     cfg = cvqvae.TrainConfig(hidden=(8, 8), latent_dim=4, codebook_size=4)
     inputs, masks, _, _ = arrays(records)
     shift, scale = cvqvae.fit_standardization(inputs, masks)
@@ -400,7 +400,7 @@ def test_train_loss_non_increasing_within_tolerance():
 
 
 def test_train_deterministic_for_seed():
-    records = corpus.build_archetype_corpus(n_per_class=2, seed=6)
+    records = corpus.build_archetype_corpus(2, 6, dgsfm.DgsfmConfig())
     cfg = tiny_cfg(epochs=3)
     a, ha = train_dataset(records, cfg)
     b, hb = train_dataset(records, cfg)
@@ -443,7 +443,7 @@ def outside(arr, like):
 
 
 def test_live_prefix_step_matches_full_width_step():
-    records = take(corpus.build_archetype_corpus(n_per_class=11, seed=9), slice(32))
+    records = take(corpus.build_archetype_corpus(11, 9, dgsfm.DgsfmConfig()), slice(32))
     inputs, masks, cls, inter = arrays(records)
     assert masks[:, N_LIVE - 1].any() and not masks[:, N_LIVE:].any()
     cfg = cvqvae.TrainConfig(seed=3)  # the default model and batch, lambda = 1
@@ -468,7 +468,7 @@ def test_live_prefix_step_matches_full_width_step():
 
 
 def test_training_leaves_weights_outside_the_live_prefix_as_drawn():
-    records = corpus.build_archetype_corpus(n_per_class=2, seed=9)
+    records = corpus.build_archetype_corpus(2, 9, dgsfm.DgsfmConfig())
     cfg = cvqvae.TrainConfig(epochs=2, batch_size=4, seed=5)
     params, _ = train_dataset(records, cfg)
     inputs, masks, _, _ = arrays(records)
@@ -492,8 +492,8 @@ def test_training_leaves_weights_outside_the_live_prefix_as_drawn():
 
 
 def test_record_beyond_the_live_prefix_encodes_at_full_width():
-    base = corpus.build_archetype_corpus(n_per_class=2, seed=9)
-    augmented, _ = corpus.augment_corpus(base, 0.04, n_augment=20, seed=12)
+    base = corpus.build_archetype_corpus(2, 9, dgsfm.DgsfmConfig())
+    augmented, _ = corpus.augment_corpus(base, 0.04, n_augment=20, min_gap=80.0, seed=12)
     record = take(augmented, [next(i for i in range(len(augmented)) if augmented.mask[i, N_LIVE:].any())])
     params, _ = train_dataset(base, cvqvae.TrainConfig(epochs=1, seed=5))
     values, mask = record.tensor, record.mask
@@ -523,7 +523,7 @@ def float32_step(inputs, masks, cls, inter, params, cfg):
 def default_live_batch():
     """A default batch of 32 archetype records at the live width, with
     default weights (float32-exact as drawn) on the live prefix."""
-    records = take(corpus.build_archetype_corpus(n_per_class=11, seed=9), slice(32))
+    records = take(corpus.build_archetype_corpus(11, 9, dgsfm.DgsfmConfig()), slice(32))
     inputs, masks, cls, inter = arrays(records)
     cfg = cvqvae.TrainConfig(seed=3)  # the default model, lambda = 1
     shift, scale = cvqvae.fit_standardization(inputs, masks)
@@ -593,8 +593,8 @@ def test_float32_class_loss_of_an_underflowed_probability_is_finite():
 def trained_and_augmented():
     """A default model trained on archetype records, and those records with
     their augmentations, some of which reach past the live slots."""
-    base = corpus.build_archetype_corpus(n_per_class=2, seed=9)
-    augmented, _ = corpus.augment_corpus(base, 0.04, n_augment=20, seed=12)
+    base = corpus.build_archetype_corpus(2, 9, dgsfm.DgsfmConfig())
+    augmented, _ = corpus.augment_corpus(base, 0.04, n_augment=20, min_gap=80.0, seed=12)
     params, _ = train_dataset(base, cvqvae.TrainConfig(epochs=2, seed=5))
     return params, concat(base, augmented)
 
@@ -741,7 +741,7 @@ def test_grad_check_detects_corrupted_gradient(rng):
 # --------------------------- checkpoint IO -----------------------------------
 
 def test_checkpoint_round_trip(tmp_path):
-    records = corpus.build_archetype_corpus(n_per_class=1, seed=9)
+    records = corpus.build_archetype_corpus(1, 9, dgsfm.DgsfmConfig())
     cfg = tiny_cfg(epochs=2)
     params, _ = train_dataset(records, cfg)
     path = tmp_path / "model.ckpt"
@@ -779,7 +779,7 @@ def test_checkpoint_weights_are_f4_blocks(tmp_path):
 
 
 def test_loss_history_csv(tmp_path):
-    records = corpus.build_archetype_corpus(n_per_class=1, seed=9)
+    records = corpus.build_archetype_corpus(1, 9, dgsfm.DgsfmConfig())
     _, history = train_dataset(records, tiny_cfg(epochs=3))
     path = tmp_path / "loss.csv"
     cvqvae.write_loss_history(history, path)
@@ -874,7 +874,7 @@ GOLDEN_DIGESTS = {
 
 @pytest.mark.parametrize("weight", sorted(GOLDEN_DIGESTS))
 def test_training_bytes_match_golden_digests(tmp_path, weight):
-    records = corpus.build_archetype_corpus(n_per_class=1, seed=9)
+    records = corpus.build_archetype_corpus(1, 9, dgsfm.DgsfmConfig())
     params, history = train_dataset(
         records, tiny_cfg(epochs=3, lambda_cl=weight, lambda_int=weight)
     )
@@ -908,7 +908,7 @@ GOLDEN_RAGGED_DIGESTS = {
 
 
 def ragged_run(weight):
-    records = corpus.build_archetype_corpus(n_per_class=3, seed=9)
+    records = corpus.build_archetype_corpus(3, 9, dgsfm.DgsfmConfig())
     cfg = tiny_cfg(epochs=4, batch_size=4, lambda_cl=weight, lambda_int=weight)
     return train_dataset(records, cfg)
 

@@ -172,15 +172,6 @@ def test_normalized_mean_vx_nonnegative_over_mixed_corpus():
         assert np.mean(out.vx) >= 0
 
 
-def test_filter_three_lane():
-    entries = [(meta(lanes=n), []) for n in (2, 3, 4)]
-    kept = ingest.filter_three_lane(entries)
-    assert len(kept) == 1 and kept[0][0].lanes_per_direction == 3
-    assert ingest.filter_three_lane([]) == []
-    all_three = [(meta(), []), (meta(), [])]
-    assert ingest.filter_three_lane(all_three) == all_three
-
-
 def cruise_script(**kwargs):
     return ingest.SyntheticScript(
         maneuvers=(ingest.Maneuver("cruise", 0, 400),), **kwargs

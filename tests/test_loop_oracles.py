@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scenmine import corpus, cvqvae, detect, extraction, ingest
+from scenmine import corpus, cvqvae, detect, dgsfm, extraction, ingest
 from scenmine.detect import DetectorConfig, Segment
 from scenmine.types import ChangePoint, CompositeLabel, LatState, LongState, Trajectory
 
@@ -502,7 +502,7 @@ def small_layout_arrays(n=40, seed=4):
 def archetype_arrays(n_per_class=10):
     """The archetype corpus: 3 * ``n_per_class`` records, 4 live slots, so
     far fewer records than the 2400 live input cells."""
-    return arrays(corpus.build_archetype_corpus(n_per_class=n_per_class, seed=9))
+    return arrays(corpus.build_archetype_corpus(n_per_class, 9, dgsfm.DgsfmConfig()))
 
 
 def recording_codes(monkeypatch):
@@ -593,13 +593,18 @@ def test_row_space_step_is_the_primal_step_in_coordinates():
     params = cvqvae.init_params(cfg, np.random.default_rng(3), feature_shift=shift, feature_scale=scale)
     live = cvqvae._live(cvqvae._cast(params, np.float64), n_live)  # both steps in float64
     run = cvqvae._batch(inputs[:, :n_live], masks[:, :n_live], cls, inter[:, :n_live], shift, scale)
-    basis = cvqvae._row_basis(run["x_flat"])
-    assert basis.shape == (n_live * 600, len(inputs))
+    x = run["x_flat"]
+    basis, coords = cvqvae._row_basis(x)
+    assert basis.shape == (n_live * 600, len(inputs)) and coords.shape == (len(inputs), len(inputs))
     np.testing.assert_allclose(basis.T @ basis, np.eye(len(inputs)), atol=1e-12)
+    # The coordinates are R.T of the QR, equal to x @ V up to rounding.
+    atol = 1e-12 * np.abs(x).max()
+    np.testing.assert_allclose(coords, x @ basis, rtol=0, atol=atol)
+    np.testing.assert_allclose(coords @ basis.T, x, rtol=0, atol=atol)
     batch = {key: arr[:16] for key, arr in run.items()}
     primal = cvqvae._backward(cvqvae._forward(batch["x_flat"], live), batch, cfg, live)["enc_w[0]"]
     rowspace = replace(live, enc_w=[live.enc_w[0] @ basis, *live.enc_w[1:]])
-    fwd = cvqvae._forward(batch["x_flat"] @ basis, rowspace)
-    coords = cvqvae._backward(fwd, batch, cfg, rowspace)["enc_w[0]"]
-    assert np.linalg.norm(coords) == pytest.approx(np.linalg.norm(primal), rel=1e-5)
-    np.testing.assert_allclose(coords @ basis.T, primal, rtol=1e-5, atol=1e-9 * np.abs(primal).max())
+    fwd = cvqvae._forward(coords[:16], rowspace)
+    step = cvqvae._backward(fwd, batch, cfg, rowspace)["enc_w[0]"]
+    assert np.linalg.norm(step) == pytest.approx(np.linalg.norm(primal), rel=1e-5)
+    np.testing.assert_allclose(step @ basis.T, primal, rtol=1e-5, atol=1e-9 * np.abs(primal).max())

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import concat, edit_header, encode_dataset_v1, overwrite_value, take
-from scenmine import corpus
+from scenmine import corpus, dgsfm
 from scenmine.types import (
     ChangePoint,
     CompositeLabel,
@@ -74,7 +74,7 @@ def test_pseudo_class_one_hot_round_trip():
 
 def test_interaction_matrix_is_read_only(records, tmp_path):
     path = tmp_path / "ds.jsonl"
-    write_dataset(records, path)
+    write_dataset(records, path, dt=0.04)
     dataset, _ = read_dataset_arrays(path)
     with pytest.raises(ValueError):
         dataset.interaction[0, 0, 0] = 1.0
@@ -82,7 +82,7 @@ def test_interaction_matrix_is_read_only(records, tmp_path):
 
 @pytest.fixture(scope="module")
 def records():
-    return corpus.build_archetype_corpus(n_per_class=2, seed=3)
+    return corpus.build_archetype_corpus(2, 3, dgsfm.DgsfmConfig())
 
 
 def test_validate_record_accepts_generated(records):
@@ -143,7 +143,7 @@ def test_read_dataset_rows_flag_the_one_record_with_a_broken_interaction_sum(rec
     interaction = records.interaction.copy()
     interaction[2, 1, 40] = 0.0
     path = tmp_path / "ds.jsonl"
-    write_dataset(Dataset(records.entries, records.tensor, records.mask, interaction), path)
+    write_dataset(Dataset(records.entries, records.tensor, records.mask, interaction), path, dt=0.04)
     rows, dt = read_dataset(path)
     assert dt == 0.04 and len(rows) == len(records)
     assert [validate_record(row) for row in rows] == [[]] * 2 + [
@@ -166,7 +166,7 @@ def test_write_dataset_refuses_a_non_finite_value(records, tmp_path):
     tensor[1, 0, 2, 5] = np.nan
     path = tmp_path / "ds.jsonl"
     with pytest.raises(DatasetFormatError, match=re.escape(f"{path}: non-finite value in array tensor")):
-        write_dataset(Dataset(records.entries[:2], tensor, records.mask[:2], records.interaction[:2]), path)
+        write_dataset(Dataset(records.entries[:2], tensor, records.mask[:2], records.interaction[:2]), path, dt=0.04)
     assert not path.exists()
 
 
@@ -182,7 +182,7 @@ def test_dataset_round_trip_of_zero_records(tmp_path):
 
 def test_dataset_rejects_unknown_version(records, tmp_path):
     path = tmp_path / "ds.jsonl"
-    write_dataset(take(records, slice(1)), path)
+    write_dataset(take(records, slice(1)), path, dt=0.04)
     path.write_bytes(path.read_bytes().replace(b"-v2", b"-v999", 1))
     with pytest.raises(DatasetFormatError):
         read_dataset_arrays(path)
@@ -196,7 +196,7 @@ def test_dataset_v1_file_is_unsupported(records, tmp_path):
 
 
 def test_header_and_array_readers_agree_with_read_dataset(records, tmp_path):
-    augmented, _ = corpus.augment_corpus(records, 0.04, n_augment=3, seed=4)
+    augmented, _ = corpus.augment_corpus(records, 0.04, n_augment=3, min_gap=80.0, seed=4)
     path = tmp_path / "ds.jsonl"
     both = concat(records, augmented)
     write_dataset(both, path, dt=0.04)
@@ -216,7 +216,7 @@ def test_header_and_array_readers_agree_with_read_dataset(records, tmp_path):
 def test_record_entries_read_back_as_written(records, tmp_path):
     # Keys beyond the record fields are dropped on reading.
     path = tmp_path / "ds.jsonl"
-    write_dataset(Dataset([{**e, "extra": 1} for e in records.entries], *records.blocks), path)
+    write_dataset(Dataset([{**e, "extra": 1} for e in records.entries], *records.blocks), path, dt=0.04)
     assert read_dataset_header(path)[0] == records.entries
     assert records.entries[0] == {"record_id": "arch-accelerate:1:25", "recording_id": "arch-accelerate",
                                   "vehicle_id": 1, "t_c": 25, "before": "zero/keep_lane",
@@ -254,7 +254,7 @@ def test_dataset_damage_is_format_error(records, tmp_path, damage, in_header):
     """Every reader rejects damage to the header. The header reader reads no
     block, so for damage to the blocks it returns the intact header."""
     path = tmp_path / "ds.jsonl"
-    write_dataset(take(records, slice(2)), path)
+    write_dataset(take(records, slice(2)), path, dt=0.04)
     intact = read_dataset_header(path)
     path.write_bytes(damage(path.read_bytes()))
     for read in (read_dataset, read_dataset_arrays) + ((read_dataset_header,) if in_header else ()):
@@ -300,8 +300,8 @@ def test_memory_error_of_layout_is_the_kinds_error(tmp_path):
 
 def test_dataset_write_is_deterministic(records, tmp_path):
     p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    write_dataset(records, p1)
-    write_dataset(records, p2)
+    write_dataset(records, p1, dt=0.04)
+    write_dataset(records, p2, dt=0.04)
     assert p1.read_bytes() == p2.read_bytes()
 
 
