@@ -4,7 +4,7 @@ baseline, and detector scoring against ground truth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, groupby
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
@@ -59,7 +59,7 @@ class DetectorConfig:
 class Segment:
     start_frame: int  # inclusive
     end_frame: int    # inclusive
-    label: object     # CompositeLabel / LongState / LatState depending on stage
+    label: CompositeLabel
 
     def __post_init__(self):
         if self.start_frame > self.end_frame:
@@ -97,8 +97,9 @@ def _segments(values: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(starts, [s - 1 for s in starts[1:]] + [len(values) - 1]))
 
 
-def detect_longitudinal(traj: Trajectory, cfg: DetectorConfig) -> list[LongState]:
-    """Per-frame longitudinal state from adaptive threshold-duration rules.
+def detect_longitudinal(traj: Trajectory, cfg: DetectorConfig) -> np.ndarray:
+    """Per-frame longitudinal state from adaptive threshold-duration rules,
+    as an (n,) int64 array of indices into ``LongState``'s member order.
 
     State machine: start in ZERO; leave ZERO at the first frame of any run
     where some (tau_up, n_up) pair is satisfied; return to ZERO at the start
@@ -125,10 +126,9 @@ def detect_longitudinal(traj: Trajectory, cfg: DetectorConfig) -> list[LongState
     extreme_dec = ax < -cfg.tau_extreme
     extreme = set(np.flatnonzero(extreme_acc | extreme_dec).tolist())
 
-    states: list[LongState] = []
+    frames, states = [0], [LongState.ZERO]  # the state from each frame on
     cur = LongState.ZERO
     for t in sorted(pos_onsets | neg_onsets | zero_onsets | extreme):
-        states += [cur] * (t - len(states))
         if extreme_acc[t]:
             cur = LongState.EXTREME_ACCELERATE
         elif extreme_dec[t]:
@@ -140,105 +140,71 @@ def detect_longitudinal(traj: Trajectory, cfg: DetectorConfig) -> list[LongState
                 cur = LongState.DECELERATE
         elif t in zero_onsets:
             cur = LongState.ZERO
+        frames.append(t)
         states.append(cur)
-    states += [cur] * (n - len(states))
-    return states
+    order = tuple(LongState)
+    return np.repeat(np.array([order.index(s) for s in states], np.int64), np.diff(frames, append=n))
 
 
-def detect_lateral(traj: Trajectory, cfg: DetectorConfig) -> list[Segment]:
-    """Partitions the trajectory into maximal constant-sign(vy) intervals and
-    labels each LANE_CHANGE iff its accumulated |sum(vy * dt)| exceeds tau_LC.
+def detect_lateral(traj: Trajectory, cfg: DetectorConfig) -> np.ndarray:
+    """Per-frame lateral state as an (n,) int64 array of indices into
+    ``LatState``'s member order (KEEP_LANE 0, LANE_CHANGE 1). Each maximal
+    constant-sign(vy) interval is a lane change iff its accumulated
+    |sum(vy * dt)| exceeds tau_LC.
     """
     vy = traj.vy
-    segments: list[Segment] = []
+    lane_change = np.zeros(len(vy), np.int64)
     for s, e in _segments(np.sign(vy)):
-        displacement = float(np.sum(vy[s : e + 1]) * traj.dt)
-        label = LatState.LANE_CHANGE if abs(displacement) > cfg.tau_lc else LatState.KEEP_LANE
-        segments.append(Segment(traj.first_frame + s, traj.first_frame + e, label))
-    return segments
-
-
-# Per-frame label codes whose sum is the CompositeLabel index.
-_LONG_CODE = {state: CompositeLabel(state, LatState.KEEP_LANE).to_index() for state in LongState}
-_LAT_CODE = {state: CompositeLabel(LongState.ZERO, state).to_index() for state in LatState}
-
-
-def _merge_equal_neighbors(segments: list[Segment]) -> list[Segment]:
-    out: list[Segment] = []
-    for seg in segments:
-        if out and out[-1].label == seg.label:
-            out[-1] = Segment(out[-1].start_frame, seg.end_frame, seg.label)
-        else:
-            out.append(seg)
-    return out
+        if abs(float(np.sum(vy[s : e + 1]) * traj.dt)) > cfg.tau_lc:
+            lane_change[s : e + 1] = 1
+    return lane_change
 
 
 def postprocess(
-    longitudinal: Sequence[LongState],
-    lateral: Sequence[Segment],
+    longitudinal: np.ndarray,
+    lateral: np.ndarray,
     cfg: DetectorConfig,
     first_frame: int = 0,
 ) -> tuple[list[Segment], list[ChangePoint]]:
-    """Combines per-frame longitudinal states with lateral segments into
-    composite-label segments and emits a ChangePoint at every boundary.
+    """Combines the equal-length per-frame ``LongState`` and ``LatState``
+    indices into composite-label segments and emits a ChangePoint at every
+    boundary.
 
-    Short segments (< min_segment frames) are absorbed into the preceding
-    segment; consecutive lane-change segments are merged into one, keeping
-    the longitudinal state of the longer constituent.
+    Short segments (< min_segment frames) are absorbed in one left-to-right
+    pass: leading short segments carry their start into the next segment;
+    later short segments, and neighbours with the same label, extend the
+    last kept segment. Consecutive lane-change segments are then merged
+    into one, keeping the longitudinal state of the longer constituent.
     """
-    n = len(longitudinal)
-    codes = np.zeros(n, np.int64)
-    end = 0
-    for state, run in groupby(longitudinal):
-        start, end = end, end + len(list(run))
-        codes[start:end] = _LONG_CODE[state]
-    lat_codes = np.zeros(n, np.int64)
-    for seg in lateral:
-        lo, hi = seg.start_frame - first_frame, seg.end_frame - first_frame + 1
-        if lo < 0 or hi > n:
-            raise ValueError("lateral segments must cover the longitudinal frame range")
-        lat_codes[lo:hi] = _LAT_CODE[seg.label]
-    codes += lat_codes  # the CompositeLabel index of each frame
-
-    # Frame-wise composite labels -> maximal same-label segments.
-    segments = [
-        Segment(s + first_frame, e + first_frame, CompositeLabel.from_index(int(codes[s])))
-        for s, e in _segments(codes)
-    ]
-
-    # Absorb short segments into their predecessor (the first segment, having
-    # no predecessor, is absorbed into its successor), then re-merge.
-    changed = True
-    while changed:
-        changed = False
-        for i, seg in enumerate(segments):
-            if seg.length < cfg.min_segment and len(segments) > 1:
-                if i > 0:
-                    segments[i - 1] = Segment(
-                        segments[i - 1].start_frame, seg.end_frame, segments[i - 1].label
-                    )
-                else:
-                    segments[1] = Segment(seg.start_frame, segments[1].end_frame, segments[1].label)
-                del segments[i]
-                segments = _merge_equal_neighbors(segments)
-                changed = True
-                break
+    codes = longitudinal * len(LatState) + lateral  # the CompositeLabel index of each frame
+    runs = _segments(codes)
+    kept: list[list[int]] = []  # [start, end_inclusive, code]
+    for i, (s, e) in enumerate(runs):
+        code = int(codes[s])
+        if not kept:  # the leading short runs carried frame 0 into this one
+            if e + 1 >= cfg.min_segment or i == len(runs) - 1:
+                kept.append([0, e, code])
+        elif e - s + 1 < cfg.min_segment or code == kept[-1][2]:
+            kept[-1][1] = e
+        else:
+            kept.append([s, e, code])
 
     # Merge consecutive lane-change segments, keeping the longitudinal state
-    # of the longer constituent.
-    merged: list[Segment] = []
-    for seg in segments:
+    # of the longer constituent. Each merged run sits between keep-lane
+    # segments, so no two neighbours end up with equal labels.
+    segments: list[Segment] = []
+    for s, e, code in kept:
+        seg = Segment(s + first_frame, e + first_frame, CompositeLabel.from_index(code))
         if (
-            merged
-            and merged[-1].label.lateral is LatState.LANE_CHANGE
+            segments
+            and segments[-1].label.lateral is LatState.LANE_CHANGE
             and seg.label.lateral is LatState.LANE_CHANGE
         ):
-            prev = merged[-1]
+            prev = segments[-1]
             keep = prev.label if prev.length >= seg.length else seg.label
-            merged[-1] = Segment(prev.start_frame, seg.end_frame, keep)
+            segments[-1] = Segment(prev.start_frame, seg.end_frame, keep)
         else:
-            merged.append(seg)
-    segments = _merge_equal_neighbors(merged)
+            segments.append(seg)
 
     change_points = [
         ChangePoint(t_c=b.start_frame, label_before=a.label, label_after=b.label)
@@ -274,14 +240,13 @@ def detect_ema(
     traj: Trajectory,
     window_sizes: Sequence[int] = DetectorConfig.ema_window_sizes,
     ema_alpha: float = DetectorConfig.ema_alpha,
-    peak_threshold: Optional[float] = None,
 ) -> list[int]:
     """Residual-energy change detector: events at strict local maxima of the
-    scaled window energy of (signal - EMA), per channel (ax, vy).
+    scaled window energy of (signal - EMA), per channel (ax, vy), above 3x
+    the median of that energy series.
 
     Returns at least one event per trajectory (the global energy maximum if
-    no local maximum passes the threshold). peak_threshold defaults to
-    3x the median window energy of each energy series.
+    no local maximum passes the threshold).
     """
     n = len(traj)
     if min(window_sizes) > n:
@@ -297,9 +262,7 @@ def detect_ema(
             half = w // 2
             kernel = np.ones(2 * half + 1)
             energy = np.convolve(sq, kernel, mode="same") / w
-            threshold = (
-                peak_threshold if peak_threshold is not None else 3.0 * float(np.median(energy))
-            )
+            threshold = 3.0 * float(np.median(energy))
             peak = int(np.argmax(energy))
             if best_global is None or energy[peak] > best_global[0]:
                 best_global = (float(energy[peak]), peak)

@@ -372,6 +372,8 @@ def read_meta_json(path) -> RecordingMeta:
     try:
         if not isinstance(obj.get("recording_id"), str):
             raise ValueError("recording_id must be a string")
+        if isinstance(obj["frame_rate"], bool) or not isinstance(obj["frame_rate"], (int, float)):
+            raise ValueError(f"frame_rate must be a number, got {obj['frame_rate']!r}")
         if not all(re.fullmatch(r" *[+-]?[0-9]+ *", key) for key in obj["lane_directions"]):
             raise ValueError("lane keys must be ASCII decimal integers")
         return RecordingMeta(

@@ -16,10 +16,39 @@ def cfg(**kwargs):
     return detect.DetectorConfig(**kwargs)
 
 
+def longitudinal(traj, c=None):
+    """``detect_longitudinal``'s per-frame indices as ``LongState`` members."""
+    return [tuple(LongState)[i] for i in detect.detect_longitudinal(traj, c or cfg())]
+
+
+def per_frame(*runs):
+    """Per-frame enum indices (``LongState`` or ``LatState`` member order)
+    of the (state, frames) runs."""
+    return np.array([tuple(type(state)).index(state) for state, k in runs for _ in range(k)], np.int64)
+
+
+def test_the_index_arithmetic_is_the_composite_label_index():
+    for lon in LongState:
+        for lat in LatState:
+            label = CompositeLabel(lon, lat)
+            assert (per_frame((lon, 1)) * len(LatState) + per_frame((lat, 1))).tolist() == [label.to_index()]
+            segments, _ = detect.postprocess(per_frame((lon, 1)), per_frame((lat, 1)), cfg())
+            assert [s.label for s in segments] == [label]
+
+
+def test_detectors_return_one_int64_index_per_frame():
+    rng = np.random.default_rng(0)
+    traj = make_traj(ax=rng.normal(0.0, 3.0, size=300), vy=rng.normal(0.0, 0.5, size=300))
+    for states, order in ((detect.detect_longitudinal(traj, cfg()), LongState),
+                          (detect.detect_lateral(traj, cfg()), LatState)):
+        assert states.dtype == np.int64 and states.shape == (300,)
+        assert set(states.tolist()) <= set(range(len(order)))
+
+
 # --------------------------- longitudinal ---------------------------------
 
 def test_zero_accel_all_zero_state():
-    states = detect.detect_longitudinal(make_traj(ax=np.zeros(300)), cfg())
+    states = longitudinal(make_traj(ax=np.zeros(300)))
     assert all(s == LongState.ZERO for s in states)
 
 
@@ -28,7 +57,7 @@ def test_step_accel_enters_and_leaves_accelerate():
     # run's first frame; afterwards |ax| = 0 < tau_down for n_down frames
     # returns the state to Zero at the start of that quiet run.
     ax = np.concatenate([np.zeros(100), np.full(60, 0.35), np.zeros(100)])
-    states = detect.detect_longitudinal(make_traj(ax=ax), cfg())
+    states = longitudinal(make_traj(ax=ax))
     assert states[99] == LongState.ZERO
     assert states[100] == LongState.ACCELERATE
     assert states[159] == LongState.ACCELERATE
@@ -39,14 +68,14 @@ def test_step_accel_enters_and_leaves_accelerate():
 def test_single_frame_extreme_spike():
     ax = np.zeros(200)
     ax[50] = 3.0
-    states = detect.detect_longitudinal(make_traj(ax=ax), cfg())
+    states = longitudinal(make_traj(ax=ax))
     assert states[50] == LongState.EXTREME_ACCELERATE
 
 
 def test_extreme_brake_negative_sign():
     ax = np.zeros(200)
     ax[50:60] = -3.0
-    states = detect.detect_longitudinal(make_traj(ax=ax), cfg())
+    states = longitudinal(make_traj(ax=ax))
     assert states[50] == LongState.EXTREME_DECELERATE
 
 
@@ -60,7 +89,7 @@ def test_monotone_threshold_property(scale, seed):
     raised = cfg(up_pairs=tuple((t * scale, n) for t, n in base.up_pairs))
 
     def onsets(c):
-        states = detect.detect_longitudinal(make_traj(ax=ax), c)
+        states = longitudinal(make_traj(ax=ax), c)
         return sum(
             1
             for a, b in zip(states, states[1:])
@@ -82,30 +111,29 @@ def test_sign_symmetry(seed):
         LongState.EXTREME_DECELERATE: LongState.EXTREME_ACCELERATE,
         LongState.ZERO: LongState.ZERO,
     }
-    pos = detect.detect_longitudinal(make_traj(ax=ax), cfg())
-    neg = detect.detect_longitudinal(make_traj(ax=-ax), cfg())
+    pos = longitudinal(make_traj(ax=ax))
+    neg = longitudinal(make_traj(ax=-ax))
     assert [flip[s] for s in pos] == neg
 
 
 # ----------------------------- lateral -------------------------------------
 
 def test_zero_vy_single_keep_lane_segment():
-    segments = detect.detect_lateral(make_traj(vy=np.zeros(200)), cfg())
-    assert len(segments) == 1
-    assert segments[0].label == LatState.KEEP_LANE
+    lateral = detect.detect_lateral(make_traj(vy=np.zeros(200)), cfg())
+    assert lateral.tolist() == per_frame((LatState.KEEP_LANE, 200)).tolist()
 
 
 def test_sustained_vy_is_lane_change():
     # 0.5 m/s over 200 frames at dt 0.04 -> 4.0 m > tau_lc = 2.0
-    segments = detect.detect_lateral(make_traj(vy=np.full(200, 0.5)), cfg())
-    assert [s.label for s in segments] == [LatState.LANE_CHANGE]
+    lateral = detect.detect_lateral(make_traj(vy=np.full(200, 0.5)), cfg())
+    assert lateral.tolist() == per_frame((LatState.LANE_CHANGE, 200)).tolist()
 
 
 def test_oscillating_vy_stays_keep_lane():
     # +-0.2 m/s in 10-frame half-periods: per interval |dy| = 0.08 m
     vy = np.tile(np.concatenate([np.full(10, 0.2), np.full(10, -0.2)]), 10)
-    segments = detect.detect_lateral(make_traj(vy=vy), cfg())
-    assert all(s.label == LatState.KEEP_LANE for s in segments)
+    lateral = detect.detect_lateral(make_traj(vy=vy), cfg())
+    assert lateral.tolist() == per_frame((LatState.KEEP_LANE, 200)).tolist()
 
 
 @given(split=st.integers(1, 199), seed=st.integers(0, 20))
@@ -120,23 +148,16 @@ def test_lateral_displacement_additivity(split, seed):
 
 # --------------------------- postprocess -----------------------------------
 
-def one_segment_inputs(n=200):
-    longitudinal = [LongState.ZERO] * n
-    lateral = [detect.Segment(0, n - 1, LatState.KEEP_LANE)]
-    return longitudinal, lateral
-
-
 def test_uniform_segment_no_change_points():
-    longitudinal, lateral = one_segment_inputs()
-    segments, cps = detect.postprocess(longitudinal, lateral, cfg())
+    segments, cps = detect.postprocess(per_frame((LongState.ZERO, 200)), per_frame((LatState.KEEP_LANE, 200)),
+                                       cfg())
     assert len(segments) == 1
     assert cps == []
 
 
 def test_single_boundary_change_point_at_frame_100():
-    longitudinal = [LongState.ZERO] * 100 + [LongState.ACCELERATE] * 100
-    lateral = [detect.Segment(0, 199, LatState.KEEP_LANE)]
-    _, cps = detect.postprocess(longitudinal, lateral, cfg())
+    lon = per_frame((LongState.ZERO, 100), (LongState.ACCELERATE, 100))
+    _, cps = detect.postprocess(lon, per_frame((LatState.KEEP_LANE, 200)), cfg())
     assert len(cps) == 1
     assert cps[0].t_c == 100
     assert cps[0].label_before == ZERO_KL
@@ -144,22 +165,26 @@ def test_single_boundary_change_point_at_frame_100():
 
 
 def test_short_spurious_segment_absorbed():
-    longitudinal = (
-        [LongState.ZERO] * 100 + [LongState.ACCELERATE] * 2 + [LongState.ZERO] * 100
-    )
-    lateral = [detect.Segment(0, 201, LatState.KEEP_LANE)]
-    segments, cps = detect.postprocess(longitudinal, lateral, cfg())
+    lon = per_frame((LongState.ZERO, 100), (LongState.ACCELERATE, 2), (LongState.ZERO, 100))
+    segments, cps = detect.postprocess(lon, per_frame((LatState.KEEP_LANE, 202)), cfg())
     assert len(segments) == 1
     assert cps == []
 
 
+def test_leading_short_segments_carry_their_start_into_the_next():
+    # Runs of 1, 1 and 2 frames: the third starts at frame 0 and, at 4
+    # frames, is kept; the 1-frame run after it extends it.
+    lon = per_frame((LongState.ACCELERATE, 1), (LongState.DECELERATE, 1), (LongState.ZERO, 2),
+                    (LongState.ACCELERATE, 1), (LongState.DECELERATE, 10))
+    segments, cps = detect.postprocess(lon, per_frame((LatState.KEEP_LANE, 15)), cfg(), first_frame=5)
+    assert [(s.start_frame, s.end_frame, s.label.longitudinal) for s in segments] == [
+        (5, 9, LongState.ZERO), (10, 19, LongState.DECELERATE)]
+    assert [cp.t_c for cp in cps] == [10]
+
+
 def test_consecutive_lane_changes_merged_keeping_longer_state():
-    longitudinal = [LongState.ACCELERATE] * 60 + [LongState.ZERO] * 40
-    lateral = [
-        detect.Segment(0, 59, LatState.LANE_CHANGE),
-        detect.Segment(60, 99, LatState.LANE_CHANGE),
-    ]
-    segments, _ = detect.postprocess(longitudinal, lateral, cfg())
+    lon = per_frame((LongState.ACCELERATE, 60), (LongState.ZERO, 40))
+    segments, _ = detect.postprocess(lon, per_frame((LatState.LANE_CHANGE, 100)), cfg())
     lc = [s for s in segments if s.label.lateral == LatState.LANE_CHANGE]
     assert len(lc) == 1
     assert lc[0].label.longitudinal == LongState.ACCELERATE  # longer constituent
@@ -174,14 +199,14 @@ def test_boundary_consistency(seed):
     ax = rng.normal(0.0, 0.6, size=400)
     vy = rng.normal(0.0, 0.3, size=400)
     traj = make_traj(ax=ax, vy=vy)
-    longitudinal = detect.detect_longitudinal(traj, cfg())
-    lateral = detect.detect_lateral(traj, cfg())
-    segments, cps = detect.postprocess(longitudinal, lateral, cfg())
+    segments, cps = detect.postprocess(detect.detect_longitudinal(traj, cfg()), detect.detect_lateral(traj, cfg()),
+                                       cfg())
     boundaries = [b.start_frame for a, b in zip(segments, segments[1:])]
     assert [cp.t_c for cp in cps] == boundaries
     for cp, (a, b) in zip(cps, zip(segments, segments[1:])):
         assert cp.label_before == a.label
         assert cp.label_after == b.label
+        assert a.label != b.label
 
 
 # ------------------------------- EMA ----------------------------------------

@@ -156,7 +156,7 @@ def ema_loop(signal, alpha):
     return out
 
 
-def detect_ema_loop(traj, window_sizes, ema_alpha, peak_threshold=None):
+def detect_ema_loop(traj, window_sizes, ema_alpha):
     n = len(traj)
     if min(window_sizes) > n:
         raise ValueError("window sizes must not exceed the trajectory length")
@@ -169,7 +169,7 @@ def detect_ema_loop(traj, window_sizes, ema_alpha, peak_threshold=None):
         for w in window_sizes:
             half = w // 2
             energy = np.convolve(sq, np.ones(2 * half + 1), mode="same") / w
-            threshold = peak_threshold if peak_threshold is not None else 3.0 * float(np.median(energy))
+            threshold = 3.0 * float(np.median(energy))
             peak = int(np.argmax(energy))
             if best_global is None or energy[peak] > best_global[0]:
                 best_global = (float(energy[peak]), peak)
@@ -265,6 +265,21 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+def long_indices(states):
+    """A list of ``LongState`` as the per-frame indices ``detect_longitudinal`` returns."""
+    return np.array([tuple(LongState).index(s) for s in states], np.int64)
+
+
+def lat_indices(segments, n, first_frame):
+    """Lateral segments that cover n frames as the per-frame ``LatState``
+    indices ``detect_lateral`` returns."""
+    out = np.full(n, -1, np.int64)
+    for seg in segments:
+        out[seg.start_frame - first_frame : seg.end_frame - first_frame + 1] = tuple(LatState).index(seg.label)
+    assert (out >= 0).all()
+    return out
+
+
 def outcome(fn, *args, **kwargs):
     try:
         return "ok", fn(*args, **kwargs)
@@ -287,7 +302,7 @@ def test_runs_match_loop(mask):
 @settings(max_examples=200, deadline=None)
 def test_detect_longitudinal_matches_loop(ax, cfg):
     traj = make_traj(ax=ax)
-    assert detect.detect_longitudinal(traj, cfg) == detect_longitudinal_loop(traj, cfg)
+    assert detect.detect_longitudinal(traj, cfg).tolist() == long_indices(detect_longitudinal_loop(traj, cfg)).tolist()
 
 
 @given(vy=signals(st.one_of(st.sampled_from((0.0, -0.0, 0.5, -0.5, 2.0, -2.0)), st.floats(-3.0, 3.0))),
@@ -295,22 +310,22 @@ def test_detect_longitudinal_matches_loop(ax, cfg):
 @settings(max_examples=200, deadline=None)
 def test_detect_lateral_matches_loop(vy, cfg, first_frame, dt):
     traj = make_traj(vy=vy, first_frame=first_frame, dt=dt)
-    assert detect.detect_lateral(traj, cfg) == detect_lateral_loop(traj, cfg)
+    want = lat_indices(detect_lateral_loop(traj, cfg), len(vy), first_frame)
+    assert detect.detect_lateral(traj, cfg).tolist() == want.tolist()
 
 
 @st.composite
 def postprocess_inputs(draw):
-    """Longitudinal runs, and lateral segments that may overlap, leave frames
-    uncovered, touch either edge of the range or reach one frame past it."""
+    """Longitudinal runs, and per-frame lateral states cut into pieces of any
+    length from one frame to all of them (neighbouring pieces may agree);
+    the loop reads each piece as a lateral segment."""
     longitudinal = draw(st.lists(st.tuples(st.sampled_from(tuple(LongState)), st.integers(1, 12)),
                                  min_size=1, max_size=10).map(lambda rs: [s for s, k in rs for _ in range(k)]))
     n = len(longitudinal)
     first_frame = draw(st.integers(0, 3))
-    bounds = st.integers(-1, n)
-    lateral = []
-    for lo, hi in draw(st.lists(st.tuples(bounds, bounds), max_size=8)):
-        lo, hi = min(lo, hi), max(lo, hi)
-        lateral.append(Segment(first_frame + lo, first_frame + hi, draw(st.sampled_from(tuple(LatState)))))
+    bounds = [0, *sorted(c for c in draw(st.sets(st.integers(1, max(n - 1, 1)), max_size=n)) if c < n), n]
+    lateral = [Segment(first_frame + lo, first_frame + hi - 1, draw(st.sampled_from(tuple(LatState))))
+               for lo, hi in zip(bounds, bounds[1:])]
     return longitudinal, lateral, first_frame
 
 
@@ -319,8 +334,9 @@ def postprocess_inputs(draw):
 def test_postprocess_matches_loop(inputs, min_segment):
     longitudinal, lateral, first_frame = inputs
     cfg = DetectorConfig(min_segment=min_segment)
-    assert outcome(detect.postprocess, longitudinal, lateral, cfg, first_frame) == outcome(
-        postprocess_loop, longitudinal, lateral, cfg, first_frame)
+    got = detect.postprocess(long_indices(longitudinal), lat_indices(lateral, len(longitudinal), first_frame),
+                             cfg, first_frame)
+    assert got == postprocess_loop(longitudinal, lateral, cfg, first_frame)
 
 
 @given(ax=accels, vy=signals(st.sampled_from((0.0, -0.0, 1.0, -1.0, 3.0))), cfg=st.sampled_from(CFGS))
@@ -337,8 +353,10 @@ def test_short_trajectories_match_loop(n):
     for values in itertools.product(TIES, repeat=n):
         traj = make_traj(ax=np.array(values), vy=np.array(values[::-1]), ay=np.array(values))
         for cfg in CFGS:
-            assert detect.detect_longitudinal(traj, cfg) == detect_longitudinal_loop(traj, cfg)
-            assert detect.detect_lateral(traj, cfg) == detect_lateral_loop(traj, cfg)
+            assert detect.detect_longitudinal(traj, cfg).tolist() == long_indices(
+                detect_longitudinal_loop(traj, cfg)).tolist()
+            assert detect.detect_lateral(traj, cfg).tolist() == lat_indices(
+                detect_lateral_loop(traj, cfg), n, 0).tolist()
             assert detect.detect_rule_based(traj, cfg) == postprocess_loop(
                 detect_longitudinal_loop(traj, cfg), detect_lateral_loop(traj, cfg), cfg)[1]
         assert same_bits(detect._ema(traj.ax, 0.05), ema_loop(traj.ax, 0.05))
@@ -360,30 +378,29 @@ def test_ema_matches_loop_bit_for_bit(signal, alpha):
     assert same_bits(detect._ema(signal, alpha), ema_loop(signal, alpha))
 
 
-# Small-integer signals at alpha 0.5 give peak energies that equal the sampled thresholds.
+# Small-integer signals at alpha 0.5 can give a peak energy equal to its
+# threshold, 3x the median energy of its series.
 @given(ax=signals(st.one_of(st.sampled_from((0.0, 2.0, -2.0, 4.0)), finite), max_size=150),
        windows=st.lists(st.integers(1, 40), min_size=1, max_size=3),
-       alpha=st.one_of(st.just(0.5), st.floats(0.01, 1.0)),
-       threshold=st.one_of(st.none(), st.sampled_from((0.25, 1.0, 4.0)), st.floats(0.0, 50.0)))
+       alpha=st.one_of(st.just(0.5), st.floats(0.01, 1.0)))
 @settings(max_examples=100, deadline=None)
-def test_detect_ema_matches_loop(ax, windows, alpha, threshold):
+def test_detect_ema_matches_loop(ax, windows, alpha):
     traj = make_traj(ax=ax, vy=ax[::-1], first_frame=3)
-    assert outcome(detect.detect_ema, traj, windows, alpha, threshold) == outcome(
-        detect_ema_loop, traj, windows, alpha, threshold)
+    assert outcome(detect.detect_ema, traj, windows, alpha) == outcome(detect_ema_loop, traj, windows, alpha)
 
 
-SPIKES = np.zeros(20)
-SPIKES[2], SPIKES[12] = 4.0, 8.0
-
-
-@pytest.mark.parametrize("ax, windows, threshold", [
-    (SPIKES, (1,), 4.0),  # the peak at frame 2 has energy 4.0 exactly, equal to the threshold
+@pytest.mark.parametrize("ax, windows", [
+    # The vy energies are [2, 2, 2, 0, 2, 4, 6, 4.5, 2.625, 0.625]: the peak
+    # at index 6 has energy 6.0 exactly, equal to 3x the median 2.0, and is
+    # no event; the ax peak of 6.0 at index 3, above 3x its median, is.
+    pytest.param(np.array([0.0, 0.0, 4.0, -2.0, 4.0, 0.0, 0.0, 0.0, -2.0, 2.0]), (2,), id="peak-equals-threshold"),
     # A 24-frame window over 16 frames makes np.convolve(..., "same") return 25 energies.
-    (np.array([0.0, -2.00001, 4.0, 0, 0, 0, 4.0, 0, 0, 0, 0, 0, 2.0, 0, 0, 0]), (1, 24), 0.0),
+    pytest.param(np.array([0.0, -2.00001, 4.0, 0, 0, 0, 4.0, 0, 0, 0, 0, 0, 2.0, 0, 0, 0]), (1, 24),
+                 id="window-longer-than-trajectory"),
 ])
-def test_detect_ema_edge_cases_match_loop(ax, windows, threshold):
+def test_detect_ema_edge_cases_match_loop(ax, windows):
     traj = make_traj(ax=ax, vy=ax[::-1], first_frame=3)
-    assert detect.detect_ema(traj, windows, 0.5, threshold) == detect_ema_loop(traj, windows, 0.5, threshold)
+    assert detect.detect_ema(traj, windows, 0.5) == detect_ema_loop(traj, windows, 0.5)
 
 
 # ---------------------------------------------------------------------------
