@@ -249,10 +249,13 @@ def cmd_train(cfg: Config, workdir: Path, lambda_cl=None, lambda_int=None, tag: 
     invalid = sum(1 for violations in validate_arrays(*dataset.blocks) if violations)
     if invalid:
         raise StageError(f"{invalid} invalid records in {path}")
-    params, history = cvqvae.train_arrays(dataset.tensor, dataset.mask, dataset.one_hot(), dataset.interaction, tcfg)
+    rows = cvqvae.training_rows(dataset.tensor, dataset.mask, dataset.one_hot(), dataset.interaction)
+    records = len(dataset)
+    del dataset  # the float64 blocks: the steps read the float32 rows only
+    params, history = cvqvae.train_rows(rows, tcfg)
     cvqvae.save_checkpoint(params, workdir / f"{tag}.ckpt")
     cvqvae.write_loss_history(history, workdir / f"{tag}_loss.csv")
-    _log("train", tag=tag, records=len(dataset), live_slots=cvqvae.live_slots(dataset.mask), epochs=tcfg.epochs,
+    _log("train", tag=tag, records=records, live_slots=rows.n_live, epochs=tcfg.epochs,
          seed=seed, lambda_cl=tcfg.lambda_cl, lambda_int=tcfg.lambda_int,
          final_loss=f"{history[-1]['total']:.6f}",
          checkpoint=_sha256(workdir / f"{tag}.ckpt"))
@@ -269,7 +272,7 @@ def cmd_cluster(cfg: Config, workdir: Path, tag: str = "model") -> None:
     entries, tensor, mask = dataset.entries, dataset.tensor, dataset.mask
     n = len(base)
     try:
-        params = cvqvae.load_checkpoint(_require(workdir / f"{tag}.ckpt"))
+        params = cvqvae.load_checkpoint(_require(workdir / f"{tag}.ckpt"), encoder_only=True)
     except cvqvae.ContractError as exc:
         raise StageError(f"invalid checkpoint: {exc}") from exc
     if n < params.codebook_size:

@@ -108,18 +108,22 @@ def init_params(
     feature_shift: Optional[np.ndarray] = None,
     feature_scale: Optional[np.ndarray] = None,
 ) -> ModelParams:
-    """Random initial float32 weights; with ``rng=None`` every weight is
-    zero, for a caller that only needs the layout (a checkpoint load fills
-    it). Each weight is a float64 normal draw rounded to float32. A layer is
-    drawn a chunk of rows at a time straight into its float32 array: the
-    draws fill it in row-major order, so the values are those of one draw of
-    the whole layer."""
+    """Random initial float32 weights; with ``rng=None`` every weight is a
+    read-only zero stand-in of its shape that allocates nothing, for a
+    caller that only needs the layout (a checkpoint load replaces the
+    arrays it reads). Each weight is a float64 normal draw rounded to
+    float32. A layer is drawn a chunk of rows at a time straight into its
+    float32 array: the draws fill it in row-major order, so the values are
+    those of one draw of the whole layer."""
     input_dim = n_slots * n_features * t_obs
     enc_sizes = [input_dim, *cfg.hidden, cfg.latent_dim]
     dec_sizes = [cfg.latent_dim, *reversed(cfg.hidden), input_dim]
 
+    def zeros(*shape):
+        return np.zeros(shape, np.float32) if rng is not None else np.broadcast_to(np.float32(0), shape)
+
     def draw(n_out, n_in, std):
-        out = np.zeros((n_out, n_in), np.float32)
+        out = zeros(n_out, n_in)
         if rng is not None:
             rows = max(1, _DRAW_VALUES // max(1, n_in))
             for start in range(0, n_out, rows):
@@ -139,14 +143,14 @@ def init_params(
         latent_dim=cfg.latent_dim,
         codebook_size=cfg.codebook_size,
         enc_w=[layer(b, a) for a, b in zip(enc_sizes, enc_sizes[1:])],
-        enc_b=[np.zeros(b, np.float32) for b in enc_sizes[1:]],
+        enc_b=[zeros(b) for b in enc_sizes[1:]],
         dec_w=[layer(b, a) for a, b in zip(dec_sizes, dec_sizes[1:])],
-        dec_b=[np.zeros(b, np.float32) for b in dec_sizes[1:]],
+        dec_b=[zeros(b) for b in dec_sizes[1:]],
         codebook=draw(cfg.codebook_size, cfg.latent_dim, 0.1),
         cl_w=layer(n_classes, cfg.latent_dim),
-        cl_b=np.zeros(n_classes, np.float32),
+        cl_b=zeros(n_classes),
         int_w=layer(n_slots * t_obs, cfg.latent_dim),
-        int_b=np.zeros(n_slots * t_obs, np.float32),
+        int_b=zeros(n_slots * t_obs),
         feature_shift=(
             feature_shift if feature_shift is not None else np.zeros(n_features)
         ).astype(float),
@@ -505,20 +509,98 @@ def fit_standardization(inputs: np.ndarray, masks: np.ndarray) -> tuple[np.ndarr
 
 
 def _row_basis(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A (K, D) basis V of the row space of the (N, K) ``x`` with
-    ``x @ V @ V.T == x``, and the (N, D) coordinates ``x @ V``: the factors
-    of the reduced QR ``x.T = V R``, V and R.T, when N < K (D = N), else
-    the identity and ``x`` (D = K). The rows of V of cells that are 0 in
-    every row of ``x`` are 0."""
-    n, k = x.shape
-    if n >= k:
-        return np.eye(k), x
+    """A (K, N) basis V of the row space of the (N, K) ``x``, N < K, with
+    ``x @ V @ V.T == x``, and the (N, N) coordinates ``x @ V``: the factors
+    of the reduced QR ``x.T = V R``, V and R.T. The rows of V of cells that
+    are 0 in every row of ``x`` are 0."""
     basis, r = np.linalg.qr(x.T)
     # The row space has no part on such a cell, but the factor's columns past
     # the rank of ``x`` may; zeroed, the identity above still holds and the
     # cell's first-layer weights stay exactly as drawn.
     basis[~x.any(axis=0)] = 0.0
     return basis, r.T
+
+
+@dataclass(frozen=True)
+class TrainingRows:
+    """What a training run reads of its records, built once by
+    ``training_rows``: the float32 rows of ``_batch`` at the live slot
+    width, ``per_record``, with the row-space ``coords`` (None when the
+    first layer steps directly), the float64 row ``basis`` or None, the
+    float64 standardization, the records' (N, F, T) ``layout`` and
+    ``n_live``."""
+
+    per_record: dict[str, Optional[np.ndarray]]
+    basis: Optional[np.ndarray]
+    shift: np.ndarray
+    scale: np.ndarray
+    layout: tuple[int, int, int]
+    n_live: int
+
+
+def training_rows(
+    inputs: np.ndarray,
+    masks: np.ndarray,
+    class_targets: Optional[np.ndarray],
+    interaction_targets: Optional[np.ndarray],
+) -> TrainingRows:
+    """The ``TrainingRows`` of the (B, N, F, T) ``inputs`` with their (B, N,
+    T) presence masks, (B, S) one-hot class targets and (B, N, T)
+    interaction targets (either target may be None). The rows are computed
+    in float64 and cast to float32 once; the result holds no reference to
+    the arguments, so a caller can drop them before ``train_rows``."""
+    if inputs.shape[0] == 0:
+        raise ValueError("dataset must be non-empty")
+    shift, scale = fit_standardization(inputs, masks)
+    # A slot after the last one present in any record gets exactly zero
+    # gradient, so the step runs on the live prefix and leaves it as drawn.
+    n_live = live_slots(masks)
+    rows = _batch(
+        inputs[:, :n_live], masks[:, :n_live], class_targets,
+        None if interaction_targets is None else interaction_targets[:, :n_live], shift, scale,
+    )
+    n, k = rows["x_flat"].shape
+    basis, rows["coords"] = _row_basis(rows["x_flat"]) if n < k else (None, None)
+    rows = {key: None if arr is None else arr.astype(np.float32) for key, arr in rows.items()}
+    return TrainingRows(rows, basis, shift, scale, inputs.shape[1:], n_live)
+
+
+def train_rows(
+    rows: TrainingRows, cfg: TrainConfig, n_classes: int = N_CLASSES
+) -> tuple[ModelParams, list[dict[str, float]]]:
+    """Mini-batch SGD on ``rows``; deterministic for a fixed ``cfg.seed``.
+    Every step runs in float32, in place on the live slot prefix of the
+    float32 params (see ``_live``).
+
+    SGD moves the first encoder layer W only by sums of ``g.T @ x_b`` over
+    batches of the standardized inputs, so W - W0 stays in their row space.
+    With fewer records N than live input cells K, with V its basis from
+    ``_row_basis``, the step feeds the coordinates c = R.T from the same QR
+    (x V in exact arithmetic) to M = W0 V, which takes the steps of W V,
+    and writes W0 + (M - M0) V.T back, added in float64 and rounded to
+    float32 once: this layer steps N columns wide instead of K. Otherwise
+    W itself steps, fed x."""
+    n_slots, n_features, t_obs = rows.layout
+    rng = np.random.default_rng(cfg.seed)
+    params = init_params(
+        cfg,
+        rng,
+        n_slots=n_slots,
+        n_features=n_features,
+        t_obs=t_obs,
+        n_classes=n_classes,
+        feature_shift=rows.shift,
+        feature_scale=rows.scale,
+    )
+    live = _live(params, rows.n_live)
+    if rows.basis is None:
+        return params, _sgd(live, rows.per_record, cfg, rng)
+    w0 = live.enc_w[0]
+    m0 = (w0.astype(np.float64) @ rows.basis).astype(np.float32)  # the float64 BLAS product, rounded
+    step = replace(live, enc_w=[m0.copy(), *live.enc_w[1:]])
+    history = _sgd(step, rows.per_record, cfg, rng)
+    w0[...] = w0 + np.subtract(step.enc_w[0], m0, dtype=float) @ rows.basis.T
+    return params, history
 
 
 def train_arrays(
@@ -529,52 +611,8 @@ def train_arrays(
     cfg: TrainConfig,
     n_classes: int = N_CLASSES,
 ) -> tuple[ModelParams, list[dict[str, float]]]:
-    """Mini-batch SGD over the (B, N, F, T) ``inputs`` with their (B, N, T)
-    presence masks, (B, S) one-hot class targets and (B, N, T) interaction
-    targets (either target may be None); deterministic for a fixed
-    ``cfg.seed``. Every step runs in float32, in place on the live slot
-    prefix of the float32 params (see ``_live``).
-
-    SGD moves the first encoder layer W only by sums of ``g.T @ x_b`` over
-    batches of the standardized inputs, so W - W0 stays in their row space.
-    With V its basis from ``_row_basis``, the step feeds the coordinates
-    c = R.T from the same QR (x V in exact arithmetic) to M = W0 V, which
-    takes the steps of W V, and writes W0 + (M - M0) V.T back, added in
-    float64 and rounded to float32 once.
-    With fewer records N than live input cells K this layer steps N
-    columns wide instead of K."""
-    if inputs.shape[0] == 0:
-        raise ValueError("dataset must be non-empty")
-    _, n_slots, n_features, t_obs = inputs.shape
-    shift, scale = fit_standardization(inputs, masks)
-    # A slot after the last one present in any record gets exactly zero
-    # gradient, so the step runs on the live prefix and leaves it as drawn.
-    n_live = live_slots(masks)
-    run = _batch(
-        inputs[:, :n_live], masks[:, :n_live], class_targets,
-        None if interaction_targets is None else interaction_targets[:, :n_live], shift, scale,
-    )
-    basis, run["coords"] = _row_basis(run["x_flat"])
-    run = {key: None if arr is None else arr.astype(np.float32) for key, arr in run.items()}
-
-    rng = np.random.default_rng(cfg.seed)
-    params = init_params(
-        cfg,
-        rng,
-        n_slots=n_slots,
-        n_features=n_features,
-        t_obs=t_obs,
-        n_classes=n_classes,
-        feature_shift=shift,
-        feature_scale=scale,
-    )
-    live = _live(params, n_live)
-    w0 = live.enc_w[0]
-    m0 = (w0.astype(np.float64) @ basis).astype(np.float32)  # the float64 BLAS product, rounded
-    step = replace(live, enc_w=[m0.copy(), *live.enc_w[1:]])
-    history = _sgd(step, run, cfg, rng)
-    w0[...] = w0 + np.subtract(step.enc_w[0], m0, dtype=float) @ basis.T
-    return params, history
+    """``train_rows`` of the ``training_rows`` of the arrays."""
+    return train_rows(training_rows(inputs, masks, class_targets, interaction_targets), cfg, n_classes)
 
 
 def _sgd(step: ModelParams, run: dict, cfg: TrainConfig, rng: np.random.Generator) -> list[dict[str, float]]:
@@ -590,7 +628,7 @@ def _sgd(step: ModelParams, run: dict, cfg: TrainConfig, rng: np.random.Generato
         for batch_no, start in enumerate(range(0, n_samples, cfg.batch_size)):
             idx = order[start : start + cfg.batch_size]
             batch = {key: None if arr is None else arr[idx] for key, arr in run.items()}
-            fwd = _forward(batch["coords"], step)
+            fwd = _forward(batch["x_flat"] if batch["coords"] is None else batch["coords"], step)
             terms = _per_term_losses(fwd, batch, cfg, step)
             batch_total = _total(terms, cfg).mean()
             if not np.isfinite(batch_total):
@@ -602,6 +640,7 @@ def _sgd(step: ModelParams, run: dict, cfg: TrainConfig, rng: np.random.Generato
                 arr -= np.multiply(cfg.learning_rate, grads[name], out=grads[name])
             for key in sums:
                 sums[key] += float(terms[key].sum())
+            del batch, fwd, terms, grads  # released before the next batch is gathered
         means = {key: total / n_samples for key, total in sums.items()}
         history.append({**means, "total": _total(means, cfg)})
     return history
@@ -708,12 +747,17 @@ def save_checkpoint(params: ModelParams, path) -> None:
     }, _checkpoint_arrays(params), ContractError)
 
 
-def load_checkpoint(path) -> ModelParams:
+def load_checkpoint(path, encoder_only: bool = False) -> ModelParams:
     """Reads a checkpoint written by ``save_checkpoint``: each ``<f4``
     block straight into its float32 weight array, the ``<f8``
     standardization into float64. A header that does not describe this
     model layout, a short array block, a NaN or inf value or trailing bytes
-    raise ContractError."""
+    raise ContractError. With ``encoder_only`` only what ``encode`` and the
+    codebook read is kept: the decoder and head blocks are read and checked
+    the same way, through a fixed-size buffer (see ``read_blocks``), and
+    their arrays are read-only zero stand-ins."""
+    kinds, names = (("enc_w", "enc_b"), ("codebook",)) if encoder_only else (_LAYER_KINDS, _SINGLE_NAMES)
+
     def layout(header):
         cfg = TrainConfig(
             hidden=tuple(header["hidden"]),
@@ -727,6 +771,11 @@ def load_checkpoint(path) -> ModelParams:
             n_features=header["n_features"],
             t_obs=header["t_obs"],
             n_classes=header["n_classes"],
+        )
+        params = replace(
+            params,
+            **{kind: [np.empty(arr.shape, np.float32) for arr in getattr(params, kind)] for kind in kinds},
+            **{name: np.empty(getattr(params, name).shape, np.float32) for name in names},
         )
         return params, _checkpoint_arrays(params)
 

@@ -155,15 +155,23 @@ def encode_dataset_v1(dataset, dt) -> bytes:
     return "".join(line + "\n" for line in lines).encode("utf-8")
 
 
+def item_size(header: dict, name: str) -> int:
+    """The bytes per value of block ``name`` of a file with ``header``:
+    flags 1, checkpoint weights 4 (<f4), every other block 8."""
+    if name == "mask":
+        return 1
+    return 4 if header["format"] == cvqvae.CHECKPOINT_FORMAT_VERSION and not name.startswith("feature_") else 8
+
+
 def block_offset(blob: bytes, name: str) -> int:
-    """Byte offset of block ``name`` in a dataset file: after the header line
-    and the blocks before it (the mask takes one byte per value, the others
-    eight)."""
+    """Byte offset of block ``name`` in a dataset or checkpoint file: after
+    the header line and the blocks before it (see ``item_size``)."""
     offset = blob.index(b"\n") + 1
-    for block, shape in json.loads(blob[:offset])["arrays"]:
+    header = json.loads(blob[:offset])
+    for block, shape in header["arrays"]:
         if block == name:
             return offset
-        offset += int(np.prod(shape)) * (1 if block == "mask" else 8)
+        offset += int(np.prod(shape)) * item_size(header, block)
     raise KeyError(name)
 
 
@@ -180,8 +188,8 @@ def edit_header(edit):
 
 
 def overwrite_value(block: str, value: bytes, index: int = 0):
-    """Damage of a dataset file that overwrites value ``index`` of ``block``
-    with the bytes ``value``."""
+    """Damage of a dataset or checkpoint file that overwrites value
+    ``index`` of ``block`` with the bytes ``value``."""
     def damage(blob: bytes) -> bytes:
         at = block_offset(blob, block) + index * len(value)
         return blob[:at] + value + blob[at + len(value):]

@@ -15,6 +15,7 @@ import pytest
 
 from conftest import (
     assert_same_trajectories,
+    block_offset,
     edit_header,
     encode_dataset_v1,
     load_from_memo,
@@ -379,6 +380,19 @@ INVALID_RECORD = {
     "ego-interaction-not-1": overwrite_value("interaction", struct.pack("<d", 0.5)),
 }
 
+# Damage of a checkpoint that ``cluster`` finds in the blocks it reads only
+# to check them, or after them, and the end of its message.
+CLUSTER_CHECKED_ONLY = {
+    "ckpt-nan-in-decoder": (overwrite_value("dec_w[1]", struct.pack("<f", math.nan), index=5),
+                            "non-finite value in array dec_w[1]"),
+    "ckpt-nan-in-int-head": (overwrite_value("int_w", struct.pack("<f", math.nan), index=7),
+                             "non-finite value in array int_w"),
+    "ckpt-truncated-in-int-head": (lambda b: b[:block_offset(b, "int_b") + 6], "truncated in array int_b"),
+    # half a value into feature_scale: every block before it was read in full
+    "ckpt-truncated-in-last-block": (lambda b: b[:block_offset(b, "feature_scale") + 4],
+                                     "truncated in array feature_scale"),
+}
+
 # (config text, command, (artifact, rewrite) or None, exit code, stderr prefix).
 # Each row runs in a copy of the trained workdir (also the working directory)
 # after rewriting the named artifact in place.
@@ -568,6 +582,8 @@ BAD_INPUTS = [
         "", ["cluster"], (CKPT, lambda b: b[:_header_end(b)] + struct.pack("<f", math.nan) + b[_header_end(b) + 4:]),
         3, "stage error", id="ckpt-nan-weight",
     ),
+    *(pytest.param("", ["cluster"], (CKPT, damage), 3, "stage error", id=name)
+      for name, (damage, _) in CLUSTER_CHECKED_ONLY.items()),
     pytest.param("", ["cluster"], (CKPT, lambda b: _other_layout_checkpoint()), 3, "stage error",
                  id="ckpt-other-layout"),
     # Headers that describe far more data than the file holds.
@@ -667,6 +683,16 @@ def test_checkpoint_header_larger_than_the_file_is_refused_before_layout(trained
     assert cli.main(["--workdir", str(wd), "cluster"]) == 3
     assert re.fullmatch(r"stage error: invalid checkpoint: \S+model\.ckpt: checkpoint header names [0-9]+ array "
                         r"values, more than the [0-9]+ bytes after it\n", capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("damage, message", CLUSTER_CHECKED_ONLY.values(), ids=CLUSTER_CHECKED_ONLY.keys())
+def test_cluster_names_the_damaged_block_it_only_checks(trained_workdir, tmp_path, capsys, damage, message):
+    wd = tmp_path / "wd"
+    shutil.copytree(trained_workdir, wd)
+    (wd / CKPT).write_bytes(damage((wd / CKPT).read_bytes()))
+    capsys.readouterr()
+    assert cli.main(["--workdir", str(wd), "cluster"]) == 3
+    assert capsys.readouterr().err == f"stage error: invalid checkpoint: {wd / CKPT}: {message}\n"
 
 
 def test_report_names_the_backends_one_clustering_file_lacks(trained_workdir, tmp_path, capsys):

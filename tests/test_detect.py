@@ -139,11 +139,18 @@ def test_oscillating_vy_stays_keep_lane():
 @given(split=st.integers(1, 199), seed=st.integers(0, 20))
 @settings(max_examples=40, deadline=None)
 def test_lateral_displacement_additivity(split, seed):
+    # A constant-sign vy run whose two parts each move less than tau_lc but
+    # whose whole moves more: detect_lateral sums the displacement of the
+    # whole run, so the run is a lane change and neither part alone is.
     rng = np.random.default_rng(seed)
-    vy = rng.uniform(0.05, 0.5, size=200)  # constant sign
-    whole = np.sum(vy) * DT
-    parts = np.sum(vy[:split]) * DT + np.sum(vy[split:]) * DT
-    assert abs(whole - parts) < 1e-12
+    vy = rng.uniform(0.05, 0.5, size=200) * rng.choice([-1.0, 1.0])
+    parts = sorted([abs(np.sum(vy[:split])) * DT, abs(np.sum(vy[split:])) * DT])
+    vy *= cfg().tau_lc / (parts[1] + parts[0] / 2)  # the larger part lands below tau_lc, the sum above
+    whole = detect.detect_lateral(make_traj(vy=vy), cfg())
+    assert whole.tolist() == per_frame((LatState.LANE_CHANGE, 200)).tolist()
+    for part in (vy[:split], vy[split:]):
+        alone = detect.detect_lateral(make_traj(vy=part), cfg())
+        assert alone.tolist() == per_frame((LatState.KEEP_LANE, len(part))).tolist()
 
 
 # --------------------------- postprocess -----------------------------------

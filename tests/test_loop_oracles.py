@@ -539,11 +539,37 @@ def recording_codes(monkeypatch):
 
 def test_training_with_as_many_records_as_cells_equals_the_primal_loop_bit_for_bit():
     args = small_layout_arrays()
-    assert args[0].shape[0] >= args[0][0].size  # N >= K: the basis is the identity
+    assert args[0].shape[0] >= args[0][0].size  # N >= K: the first layer steps directly
     cfg = cvqvae.TrainConfig(hidden=(8,), latent_dim=4, codebook_size=4, epochs=5, batch_size=16,
                              learning_rate=0.05, seed=2)
     want, want_history = train_arrays_primal(*args, cfg)
     got, got_history = cvqvae.train_arrays(*args, cfg)
+    assert got_history == want_history
+    for (name, a), (_, b) in zip(cvqvae._checkpoint_arrays(got), cvqvae._checkpoint_arrays(want)):
+        assert a.tobytes() == b.tobytes(), name
+
+
+def test_records_outnumbering_the_live_cells_step_the_first_layer_without_a_basis(monkeypatch):
+    inputs, masks, cls, inter = small_layout_arrays()
+    # A second slot that no record has: the live columns of the first layer
+    # are a strided view of its full width.
+    inputs, masks, inter = (np.concatenate([arr, np.zeros_like(arr)], axis=1) for arr in (inputs, masks, inter))
+    k = inputs[0, 0].size  # 20 live cells, fewer than the 40 records
+    bases = []
+    row_basis = cvqvae._row_basis
+
+    def recorded(x):
+        basis, coords = row_basis(x)
+        bases.append(basis.shape)
+        return basis, coords
+
+    monkeypatch.setattr(cvqvae, "_row_basis", recorded)
+    cfg = cvqvae.TrainConfig(hidden=(8,), latent_dim=4, codebook_size=4, epochs=5, batch_size=16,
+                             learning_rate=0.05, seed=2)
+    want, want_history = train_arrays_primal(inputs, masks, cls, inter, cfg)
+    got, got_history = cvqvae.train_arrays(inputs, masks, cls, inter, cfg)
+    assert (k, k) not in bases
+    assert cvqvae.training_rows(inputs, masks, cls, inter).basis is None
     assert got_history == want_history
     for (name, a), (_, b) in zip(cvqvae._checkpoint_arrays(got), cvqvae._checkpoint_arrays(want)):
         assert a.tobytes() == b.tobytes(), name
