@@ -272,7 +272,7 @@ def cmd_cluster(cfg: Config, workdir: Path, tag: str = "model") -> None:
     entries, tensor, mask = dataset.entries, dataset.tensor, dataset.mask
     n = len(base)
     try:
-        params = cvqvae.load_checkpoint(_require(workdir / f"{tag}.ckpt"), encoder_only=True)
+        params = cvqvae.load_checkpoint(_require(workdir / f"{tag}.ckpt"))
     except cvqvae.ContractError as exc:
         raise StageError(f"invalid checkpoint: {exc}") from exc
     if n < params.codebook_size:

@@ -108,22 +108,18 @@ def init_params(
     feature_shift: Optional[np.ndarray] = None,
     feature_scale: Optional[np.ndarray] = None,
 ) -> ModelParams:
-    """Random initial float32 weights; with ``rng=None`` every weight is a
-    read-only zero stand-in of its shape that allocates nothing, for a
-    caller that only needs the layout (a checkpoint load replaces the
-    arrays it reads). Each weight is a float64 normal draw rounded to
-    float32. A layer is drawn a chunk of rows at a time straight into its
-    float32 array: the draws fill it in row-major order, so the values are
-    those of one draw of the whole layer."""
+    """Random initial float32 weights; with ``rng=None`` every weight is
+    zero, for a caller that only needs the layout (a checkpoint load fills
+    it). Each weight is a float64 normal draw rounded to float32. A layer is
+    drawn a chunk of rows at a time straight into its float32 array: the
+    draws fill it in row-major order, so the values are those of one draw of
+    the whole layer."""
     input_dim = n_slots * n_features * t_obs
     enc_sizes = [input_dim, *cfg.hidden, cfg.latent_dim]
     dec_sizes = [cfg.latent_dim, *reversed(cfg.hidden), input_dim]
 
-    def zeros(*shape):
-        return np.zeros(shape, np.float32) if rng is not None else np.broadcast_to(np.float32(0), shape)
-
     def draw(n_out, n_in, std):
-        out = zeros(n_out, n_in)
+        out = np.zeros((n_out, n_in), np.float32)
         if rng is not None:
             rows = max(1, _DRAW_VALUES // max(1, n_in))
             for start in range(0, n_out, rows):
@@ -143,14 +139,14 @@ def init_params(
         latent_dim=cfg.latent_dim,
         codebook_size=cfg.codebook_size,
         enc_w=[layer(b, a) for a, b in zip(enc_sizes, enc_sizes[1:])],
-        enc_b=[zeros(b) for b in enc_sizes[1:]],
+        enc_b=[np.zeros(b, np.float32) for b in enc_sizes[1:]],
         dec_w=[layer(b, a) for a, b in zip(dec_sizes, dec_sizes[1:])],
-        dec_b=[zeros(b) for b in dec_sizes[1:]],
+        dec_b=[np.zeros(b, np.float32) for b in dec_sizes[1:]],
         codebook=draw(cfg.codebook_size, cfg.latent_dim, 0.1),
         cl_w=layer(n_classes, cfg.latent_dim),
-        cl_b=zeros(n_classes),
+        cl_b=np.zeros(n_classes, np.float32),
         int_w=layer(n_slots * t_obs, cfg.latent_dim),
-        int_b=zeros(n_slots * t_obs),
+        int_b=np.zeros(n_slots * t_obs, np.float32),
         feature_shift=(
             feature_shift if feature_shift is not None else np.zeros(n_features)
         ).astype(float),
@@ -747,17 +743,12 @@ def save_checkpoint(params: ModelParams, path) -> None:
     }, _checkpoint_arrays(params), ContractError)
 
 
-def load_checkpoint(path, encoder_only: bool = False) -> ModelParams:
+def load_checkpoint(path) -> ModelParams:
     """Reads a checkpoint written by ``save_checkpoint``: each ``<f4``
     block straight into its float32 weight array, the ``<f8``
     standardization into float64. A header that does not describe this
     model layout, a short array block, a NaN or inf value or trailing bytes
-    raise ContractError. With ``encoder_only`` only what ``encode`` and the
-    codebook read is kept: the decoder and head blocks are read and checked
-    the same way, through a fixed-size buffer (see ``read_blocks``), and
-    their arrays are read-only zero stand-ins."""
-    kinds, names = (("enc_w", "enc_b"), ("codebook",)) if encoder_only else (_LAYER_KINDS, _SINGLE_NAMES)
-
+    raise ContractError."""
     def layout(header):
         cfg = TrainConfig(
             hidden=tuple(header["hidden"]),
@@ -771,11 +762,6 @@ def load_checkpoint(path, encoder_only: bool = False) -> ModelParams:
             n_features=header["n_features"],
             t_obs=header["t_obs"],
             n_classes=header["n_classes"],
-        )
-        params = replace(
-            params,
-            **{kind: [np.empty(arr.shape, np.float32) for arr in getattr(params, kind)] for kind in kinds},
-            **{name: np.empty(getattr(params, name).shape, np.float32) for name in names},
         )
         return params, _checkpoint_arrays(params)
 

@@ -272,35 +272,21 @@ def _read_header(fh, path, fmt: str, kind: str, layout, error: type[Exception]):
     return result, blocks
 
 
-# The bytes of a block that ``read_blocks`` checks without keeping it, read
-# at a time; a multiple of every item size.
-_SCRATCH_BYTES = 1 << 16
-
-
 def read_blocks(path, fmt: str, kind: str, layout, error: type[Exception]):
     """The ``result`` of ``_read_header`` once its blocks are filled from
     the file; a short block, a non-finite float, a flag byte other than 0
-    or 1 or bytes after the last block raise ``error`` naming ``path``.
-    A read-only array of the layout stands in for a block that the caller
-    does not keep: that block is read through one fixed-size scratch buffer
-    and checked the same way, the first damage of the file giving the same
-    error."""
-    scratch = np.empty(_SCRATCH_BYTES, np.uint8)
+    or 1 or bytes after the last block raise ``error`` naming ``path``."""
     with open(path, "rb") as fh:
         result, blocks = _read_header(fh, path, fmt, kind, layout, error)
         for name, arr in blocks:
-            if arr.flags.writeable:
-                chunks = [arr.reshape(-1).view(np.uint8)]
-            else:
-                chunks = (scratch[:min(scratch.size, arr.nbytes - at)] for at in range(0, arr.nbytes, scratch.size))
-            valid = True
-            for raw in chunks:
-                if fh.readinto(raw) != raw.size:
-                    raise error(f"{path}: truncated in array {name}")
-                valid = valid and (not np.any(raw > 1) if arr.dtype == bool else _finite(raw.view(arr.dtype)))
-            if not valid:
-                message = "byte other than 0 or 1" if arr.dtype == bool else "non-finite value"
-                raise error(f"{path}: {message} in array {name}")
+            raw = arr.reshape(-1).view(np.uint8)
+            if fh.readinto(raw) != raw.size:
+                raise error(f"{path}: truncated in array {name}")
+            if arr.dtype == bool:
+                if np.any(raw > 1):
+                    raise error(f"{path}: byte other than 0 or 1 in array {name}")
+            elif not _finite(arr):
+                raise error(f"{path}: non-finite value in array {name}")
         if fh.read(1):
             raise error(f"{path}: trailing bytes after the last array")
     return result

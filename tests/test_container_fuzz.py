@@ -275,113 +275,3 @@ def test_damaged_file_raises_only_the_declared_error(kind, data):
 @given(data=st.data())
 def test_damaged_text_file_raises_only_the_declared_error(kind, data):
     _read(kind, data.draw(damaged_text(TEXT_READERS[kind][0])))
-
-
-# ------------------- the encoder-only checkpoint load ------------------------
-#
-# ``cluster`` loads a checkpoint with ``encoder_only``: the decoder and head
-# blocks go through a fixed-size scratch buffer and are checked, not kept.
-# Every damaged file must get the verdict and the message of the full load,
-# and an accepted one the same encoder arrays.
-
-ENCODER_ARRAYS = ("enc_w", "enc_b", "codebook", "feature_shift", "feature_scale")
-
-
-def _wide_checkpoint_bytes() -> bytes:
-    """A checkpoint whose last decoder layer (1200 x 16 <f4 values) and
-    interaction head span several scratch buffers."""
-    cfg = cvqvae.TrainConfig(hidden=(16,), latent_dim=3, codebook_size=3)
-    params = cvqvae.init_params(cfg, np.random.default_rng(1), n_slots=2, n_features=6, t_obs=100)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "model.ckpt"
-        cvqvae.save_checkpoint(params, path)
-        return path.read_bytes()
-
-
-CHECKPOINTS = {"small": _checkpoint_bytes(), "wide": _wide_checkpoint_bytes()}
-
-
-def _both_loads(path):
-    """(message or None, params) of the full load and of the encoder-only
-    load of the file at ``path``."""
-    out = []
-    for encoder_only in (False, True):
-        try:
-            out.append((None, cvqvae.load_checkpoint(path, encoder_only=encoder_only)))
-        except cvqvae.ContractError as exc:
-            out.append((str(exc), None))
-    return out
-
-
-def _assert_same_load(blob: bytes) -> bool:
-    """Asserts that both loads of ``blob`` agree; True if they accept it."""
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "model.ckpt"
-        path.write_bytes(blob)
-        (full_error, full), (error, encoder) = _both_loads(path)
-    assert error == full_error
-    if full is None:
-        return False
-    for (name, want), (_, got) in zip(cvqvae._checkpoint_arrays(full), cvqvae._checkpoint_arrays(encoder)):
-        assert got.shape == want.shape and got.dtype == want.dtype, name
-        if name.startswith(ENCODER_ARRAYS):
-            assert got.tobytes() == want.tobytes(), name
-        else:  # a read-only zero stand-in
-            assert not got.flags.writeable and not got.any(), name
-    return True
-
-
-# (checkpoint, scratch buffer bytes of ``read_blocks``): one value of a
-# float64 block, three, a few thousand and the default.
-CASES = [("small", 8), ("small", 24), ("small", 1 << 16), ("wide", 4096), ("wide", 1 << 16)]
-
-
-@pytest.fixture(params=CASES, ids=lambda case: f"{case[0]}-scratch{case[1]}")
-def checkpoint(request, monkeypatch):
-    """The valid bytes of a case's checkpoint, read with its scratch size."""
-    from scenmine import types
-    kind, scratch_bytes = request.param
-    monkeypatch.setattr(types, "_SCRATCH_BYTES", scratch_bytes)
-    return CHECKPOINTS[kind]
-
-
-def test_encoder_only_load_keeps_the_encoder_arrays_of_the_full_load(checkpoint):
-    assert _assert_same_load(checkpoint)
-
-
-def test_encoder_only_load_truncated_at_each_block_boundary_fails_as_the_full_load(checkpoint):
-    for start, end, size in _regions(checkpoint)[1:]:  # the blocks
-        for at in sorted({start, start + size // 2, (start + end) // 2, end - size, end - 1}):
-            assert not _assert_same_load(checkpoint[:at]), at
-
-
-def test_encoder_only_load_of_a_non_finite_value_in_each_block_fails_as_the_full_load(checkpoint):
-    for start, end, size in _regions(checkpoint)[1:]:
-        for value in (math.nan, math.inf, -math.inf):
-            for at in (start, start + size * ((end - start) // size // 2), end - size):
-                blob = checkpoint[:at] + struct.pack({4: "<f", 8: "<d"}[size], value) + checkpoint[at + size:]
-                assert not _assert_same_load(blob), (at, value)
-                # The same block also cut short, possibly chunks after the
-                # value: the truncation is what both report.
-                assert not _assert_same_load(blob[:end - 1]), (at, value)
-
-
-def test_encoder_only_load_with_trailing_bytes_fails_as_the_full_load(checkpoint):
-    for extra in (b"\0", b"\0" * 7, b"\xff" * 64):
-        assert not _assert_same_load(checkpoint + extra)
-
-
-@pytest.mark.parametrize("scratch_bytes", [8, 1 << 16])
-def test_encoder_only_load_of_every_byte_flip_agrees_with_the_full_load(monkeypatch, scratch_bytes):
-    from scenmine import types
-    monkeypatch.setattr(types, "_SCRATCH_BYTES", scratch_bytes)
-    valid = CHECKPOINTS["small"]
-    verdicts = [_assert_same_load(valid[:at] + bytes([valid[at] ^ 0xFF]) + valid[at + 1:])
-                for at in range(len(valid))]
-    assert any(verdicts) and not all(verdicts)  # flips of both kinds were seen
-
-
-@FUZZ
-@given(data=st.data())
-def test_encoder_only_load_of_a_damaged_file_agrees_with_the_full_load(data):
-    _assert_same_load(data.draw(damaged(CHECKPOINTS[data.draw(st.sampled_from(sorted(CHECKPOINTS)))])))
