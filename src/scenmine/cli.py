@@ -229,9 +229,8 @@ def cmd_augment(cfg: Config, workdir: Path) -> None:
     dataset, dt = read_dataset_arrays(_require(workdir / "dataset.jsonl"))
     seed = config.stage_seed(cfg, "augment")
     children, pairs = corpus.augment_corpus(dataset, dt, cfg.augment.n_augment, cfg.augment.min_gap, seed)
-    both = Dataset(dataset.entries + children.entries,
-                   *(np.concatenate(blocks) for blocks in zip(dataset.blocks, children.blocks)))
-    write_dataset(both, workdir / "dataset_augmented.jsonl", dt=dt)
+    both = Dataset(dataset.entries + children.entries, *zip(dataset.blocks, children.blocks))
+    write_dataset(both, workdir / "dataset_augmented.jsonl", dt=dt)  # each block as its two parts
     corpus.write_pairs(pairs, workdir / "pairs.csv")
     _log("augment", pairs=len(pairs), seed=seed,
          dataset=_sha256(workdir / "dataset_augmented.jsonl"))
@@ -270,11 +269,15 @@ def cmd_cluster(cfg: Config, workdir: Path, tag: str = "model") -> None:
         dataset, _ = read_dataset_arrays(path)
         base = dataset.entries
     entries, tensor, mask = dataset.entries, dataset.tensor, dataset.mask
+    del dataset  # and with it the interaction block, which cluster does not read
     n = len(base)
     try:
         params = cvqvae.load_checkpoint(_require(workdir / f"{tag}.ckpt"))
     except cvqvae.ContractError as exc:
         raise StageError(f"invalid checkpoint: {exc}") from exc
+    # Loaded whole so that every block is checked; encode and assign read
+    # the encoder, the standardization and the codebook only.
+    del params.dec_w, params.dec_b, params.cl_w, params.cl_b, params.int_w, params.int_b
     if n < params.codebook_size:
         raise StageError(f"dataset.jsonl holds {n} base records, fewer than "
                          f"the checkpoint's codebook_size {params.codebook_size}")

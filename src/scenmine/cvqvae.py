@@ -290,18 +290,20 @@ def encode(inputs: np.ndarray, masks: np.ndarray, params: ModelParams) -> np.nda
     (N, F, T) is not the model's raise ContractError.
 
     Every cell of a slot absent from the whole batch standardizes to 0, so
-    the first layer reads only the batch's live slot prefix (``_live``);
-    the latents equal the full-width ones up to rounding. The layers are
-    float64 BLAS products: float32 weights are cast to float64 for the call
-    (numpy's float64 @ float32 is another product), float64 ones are used
-    as they are. A float32 bias adds exactly."""
+    the first layer reads only the columns of the batch's live slot prefix;
+    the latents equal the full-width ones up to rounding. Only ``enc_w``,
+    ``enc_b`` and the standardization are read. The layers are float64 BLAS
+    products: float32 weights are cast to float64 for the call (numpy's
+    float64 @ float32 is another product), float64 ones are used as they
+    are. A float32 bias adds exactly."""
     expected = (params.n_slots, params.n_features, params.t_obs)
     if inputs.shape[1:] != expected:
         raise ContractError(f"record shape {inputs.shape[1:]} != the model's {expected}")
     width = live_slots(masks)
     x = _standardize(inputs[:, :width], masks[:, :width], params.feature_shift, params.feature_scale)
-    ws = [w.astype(np.float64, copy=False) for w in _live(params, width).enc_w]
-    z, _ = _mlp_forward(x.reshape(len(x), ws[0].shape[1]), ws, params.enc_b)
+    cells = width * params.n_features * params.t_obs
+    ws = [w.astype(np.float64, copy=False) for w in (params.enc_w[0][:, :cells], *params.enc_w[1:])]
+    z, _ = _mlp_forward(x.reshape(len(x), cells), ws, params.enc_b)
     return z
 
 

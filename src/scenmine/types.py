@@ -223,21 +223,31 @@ def _finite(arr: np.ndarray) -> bool:
     return arr.size == 0 or bool(np.isfinite(arr.min()) and np.isfinite(arr.max()))
 
 
-def write_blocks(path, header: dict, blocks: Sequence[tuple[str, np.ndarray]], error: type[Exception]) -> None:
+def write_blocks(path, header: dict, blocks: Sequence[tuple[str, np.ndarray | Sequence[np.ndarray]]],
+                 error: type[Exception]) -> None:
     """Writes ``header`` plus an ``"arrays"`` list of ``[name, shape]`` as one
     compact, key-sorted JSON line, then the bytes of each block in order, a
-    float block at its array's width. A NaN or infinity in a float block
-    raises ``error`` naming ``path`` before the file is opened."""
-    for name, arr in blocks:
-        if arr.dtype.kind == "f" and not _finite(arr):
+    float block at its array's width. A block may be given as a sequence of
+    parts of one dtype and one shape past the first axis: they are written
+    back to back, and the list names the shape of their concatenation.
+    Parts that differ, or a NaN or infinity in a float block, raise
+    ``error`` naming ``path`` before the file is opened."""
+    blocks = [(name, [arr] if isinstance(arr, np.ndarray) else list(arr)) for name, arr in blocks]
+    arrays = []
+    for name, parts in blocks:
+        if len({(part.dtype, part.shape[1:]) for part in parts}) != 1:
+            raise error(f"{path}: the parts of array {name} differ in dtype or in shape past the first axis")
+        if parts[0].dtype.kind == "f" and not all(_finite(part) for part in parts):
             raise error(f"{path}: non-finite value in array {name}")
-    full = {**header, "arrays": [[name, list(arr.shape)] for name, arr in blocks]}
+        shape = parts[0].shape if len(parts) == 1 else (sum(len(part) for part in parts), *parts[0].shape[1:])
+        arrays.append([name, list(shape)])
     with open(path, "wb") as fh:
-        fh.write(json.dumps(full, separators=(",", ":"), sort_keys=True).encode("utf-8"))
+        fh.write(json.dumps({**header, "arrays": arrays}, separators=(",", ":"), sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
-        for name, arr in blocks:
-            disk = {"b": bool, "i": "<i8"}.get(arr.dtype.kind, arr.dtype.newbyteorder("<"))
-            fh.write(np.ascontiguousarray(arr, dtype=disk).data)
+        for _, parts in blocks:
+            for part in parts:
+                disk = {"b": bool, "i": "<i8"}.get(part.dtype.kind, part.dtype.newbyteorder("<"))
+                fh.write(np.ascontiguousarray(part, dtype=disk).data)
 
 
 def _read_header(fh, path, fmt: str, kind: str, layout, error: type[Exception]):
@@ -390,7 +400,8 @@ def _record_fields(entry: dict) -> dict:
 
 
 def write_dataset(dataset: Dataset, path, dt: float) -> None:
-    """Writes the records' entries into the header and their blocks after it."""
+    """Writes the records' entries into the header and their blocks after it;
+    each block may be a sequence of parts (see ``write_blocks``)."""
     write_blocks(path, {"format": DATASET_FORMAT_VERSION, "dt": dt, "n_records": len(dataset),
                         "records": dataset.entries},
                  list(zip(DATASET_BLOCKS, dataset.blocks)), DatasetFormatError)

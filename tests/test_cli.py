@@ -8,6 +8,8 @@ import struct
 import subprocess
 import sys
 import tempfile
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +27,8 @@ from conftest import (
     take,
 )
 from scenmine import cli, cvqvae, detect, ingest
-from scenmine.types import (CompositeLabel, Dataset, LatState, LongState, read_dataset_arrays, write_blocks,
-                            write_dataset)
+from scenmine.types import (CompositeLabel, Dataset, LatState, LongState, read_dataset_arrays,
+                            read_dataset_header, write_blocks, write_dataset)
 
 SMALL_CONFIG = """\
 seed: 13
@@ -725,6 +727,73 @@ def test_cluster_without_an_augmented_dataset_labels_the_base_records(trained_wo
     full = (trained_workdir / ASSIGNMENTS).read_text().splitlines()
     base = [line for line in full if ":aug," not in line]
     assert len(base) < len(full) and (wd / ASSIGNMENTS).read_text().splitlines() == base
+
+
+# --------------------------- memory of augment and cluster ------------------
+
+@pytest.fixture(scope="module")
+def archetype_workdir(tmp_path_factory):
+    """The config and workdir of 9 archetype records, 3 augmentations and
+    a trained model.ckpt, each stage having run once, so that no first
+    call's import or cache is left for a later run to allocate."""
+    root = tmp_path_factory.mktemp("archetypes")
+    cfg = root / "config.yaml"
+    cfg.write_text(ARCHETYPE_CONFIG.replace("n_per_class: 2", "n_per_class: 3") + "augment:\n  n_augment: 3\n")
+    for command in (["synth"], ["augment"], ["train"], ["cluster"]):
+        assert cli.main(["--config", str(cfg), "--workdir", str(root / "wd")] + command) == 0
+    return cfg, root / "wd"
+
+
+def test_augment_peaks_below_the_bytes_of_the_two_datasets(archetype_workdir, tmp_path):
+    # It holds the records read once and their augmentations once: the
+    # two are written back to back, not copied into one block first.
+    cfg, source = archetype_workdir
+    wd = tmp_path / "wd"
+    shutil.copytree(source, wd)
+    tracemalloc.start()
+    try:
+        assert cli.main(["--config", str(cfg), "--workdir", str(wd), "augment"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (wd / AUGMENTED).read_bytes() == (source / AUGMENTED).read_bytes()
+    assert peak <= (wd / DATASET).stat().st_size + (wd / AUGMENTED).stat().st_size
+
+
+def test_cluster_encodes_without_the_decoder_the_heads_or_the_interaction_block(archetype_workdir, tmp_path,
+                                                                                monkeypatch):
+    cfg, source = archetype_workdir
+    wd = tmp_path / "wd"
+    shutil.copytree(source, wd)
+    load, read, encode = cvqvae.load_checkpoint, cli.read_dataset_arrays, cvqvae.encode
+    unread, held, latents = [], [], []
+
+    def load_checkpoint(path):
+        params = load(path)
+        unread.extend(weakref.ref(arr) for arr in (*params.dec_w, *params.dec_b, params.cl_w, params.cl_b,
+                                                   params.int_w, params.int_b))
+        return params
+
+    def read_dataset_arrays(path):
+        dataset, dt = read(path)
+        unread.append(weakref.ref(dataset.interaction))
+        return dataset, dt
+
+    def encode_watched(inputs, masks, params):
+        held.append(sum(ref() is not None for ref in unread))
+        latents.append(encode(inputs, masks, params))
+        return latents[-1]
+
+    monkeypatch.setattr(cvqvae, "load_checkpoint", load_checkpoint)
+    monkeypatch.setattr(cli, "read_dataset_arrays", read_dataset_arrays)
+    monkeypatch.setattr(cvqvae, "encode", encode_watched)
+    assert cli.main(["--config", str(cfg), "--workdir", str(wd), "cluster"]) == 0
+    assert held == [0, 0] and len(unread) == 2 * len(load(wd / CKPT).dec_w) + 5
+    params, (dataset, _) = load(wd / CKPT), read(wd / AUGMENTED)
+    n = len(read_dataset_header(wd / DATASET)[0])
+    for got, part in zip(latents, (slice(n), slice(n, None))):
+        assert np.array_equal(got, encode(dataset.tensor[part], dataset.mask[part], params))
+    assert (wd / ASSIGNMENTS).read_bytes() == (source / ASSIGNMENTS).read_bytes()
 
 
 def test_non_finite_config_float_fails_before_a_stage_writes(tmp_path, capsys):

@@ -170,6 +170,51 @@ def test_write_dataset_refuses_a_non_finite_value(records, tmp_path):
     assert not path.exists()
 
 
+@pytest.fixture(scope="module")
+def parent_and_children(records):
+    """``records`` and their augmentations, as ``augment`` writes them."""
+    children, _ = corpus.augment_corpus(records, 0.04, n_augment=3, min_gap=80.0, seed=5)
+    return records, children
+
+
+def in_parts(parent, children):
+    """The records of ``parent`` then ``children``, each block given as the
+    two parts."""
+    return Dataset(parent.entries + children.entries, *zip(parent.blocks, children.blocks))
+
+
+def test_dataset_written_from_block_parts_is_the_concatenation(parent_and_children, tmp_path):
+    parts, whole = tmp_path / "parts.jsonl", tmp_path / "whole.jsonl"
+    write_dataset(in_parts(*parent_and_children), parts, dt=0.04)
+    write_dataset(concat(*parent_and_children), whole, dt=0.04)
+    assert len(parent_and_children[1]) == 3
+    assert parts.read_bytes() == whole.read_bytes()
+
+
+def test_a_non_finite_value_in_a_second_part_names_the_block(parent_and_children, tmp_path):
+    parent, children = parent_and_children
+    interaction = children.interaction.copy()
+    interaction[2, 1, 7] = np.nan
+    path = tmp_path / "ds.jsonl"
+    with pytest.raises(DatasetFormatError, match=re.escape(f"{path}: non-finite value in array interaction")):
+        write_dataset(in_parts(parent, Dataset(children.entries, children.tensor, children.mask, interaction)),
+                      path, dt=0.04)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("second", [
+    pytest.param(np.zeros((2, 4)), id="trailing-shape"),
+    pytest.param(np.zeros((2, 3), np.float32), id="dtype"),
+    pytest.param(np.zeros((2, 3, 1)), id="rank"),
+])
+def test_block_parts_that_differ_are_refused_before_the_file_is_opened(second, tmp_path):
+    path = tmp_path / "blocks.bin"
+    with pytest.raises(DatasetFormatError, match=re.escape(f"{path}: the parts of array a differ")):
+        write_blocks(path, {"format": "f"}, [("b", np.zeros(2)), ("a", (np.zeros((1, 3)), second))],
+                     DatasetFormatError)
+    assert not path.exists()
+
+
 def test_dataset_round_trip_of_zero_records(tmp_path):
     path = tmp_path / "ds.jsonl"
     write_dataset(Dataset.stack([], []), path, dt=0.1)
