@@ -15,7 +15,6 @@ import numpy as np
 
 from . import dgsfm, extraction, ingest
 from .types import (
-    N_SLOTS,
     T_OBS,
     ChangePoint,
     CompositeLabel,
@@ -75,67 +74,63 @@ def build_archetype_corpus(n_per_class: int, seed: int, dgsfm_cfg: dgsfm.DgsfmCo
     and their interactions scored at the frame time ``dgsfm_cfg.dt``."""
     dt = dgsfm_cfg.dt
     rng = np.random.default_rng(seed)
-    entries, rows = [], []
-    vehicle_id = 0
-    for kind, (before, after) in ARCHETYPE_LABELS.items():
-        for _ in range(n_per_class):
-            vehicle_id += 1
-            x, y, vx, vy, ax, ay = _ego_kinematics(kind, rng, dt)
+    kinds = [kind for kind in ARCHETYPE_LABELS for _ in range(n_per_class)]
+    dataset = Dataset.empty([
+        record_entry(f"arch-{kind}", vehicle_id, ChangePoint(ANCHOR_INDEX, *ARCHETYPE_LABELS[kind]))
+        for vehicle_id, kind in enumerate(kinds, start=1)
+    ])
+    for i, kind in enumerate(kinds):
+        x, y, vx, vy, ax, ay = _ego_kinematics(kind, rng, dt)
 
-            values = np.zeros((N_SLOTS, 6, T_OBS))
-            mask = np.zeros((N_SLOTS, T_OBS), dtype=bool)
-            # Positions are stored relative to the ego at the anchor frame.
-            origin = x[ANCHOR_INDEX]
-            values[0] = np.stack([x - origin, y, vx, vy, ax, ay])
-            mask[0] = True
+        values, mask = dataset.tensor[i], dataset.mask[i]
+        # Positions are stored relative to the ego at the anchor frame.
+        origin = x[ANCHOR_INDEX]
+        values[0] = np.stack([x - origin, y, vx, vy, ax, ay])
+        mask[0] = True
 
-            # Close, relevant neighbor: a lead vehicle ~25 m ahead.
-            gap = 25.0 + rng.normal(0.0, 2.0)
-            lead_v = vx[0] + rng.normal(0.0, 1.0)
-            lead_x = x[0] + gap + lead_v * dt * np.arange(T_OBS)
-            lead_y = np.zeros(T_OBS) + rng.normal(0.0, 0.3)
-            values[1] = np.stack(
+        # Close, relevant neighbor: a lead vehicle ~25 m ahead.
+        gap = 25.0 + rng.normal(0.0, 2.0)
+        lead_v = vx[0] + rng.normal(0.0, 1.0)
+        lead_x = x[0] + gap + lead_v * dt * np.arange(T_OBS)
+        lead_y = np.zeros(T_OBS) + rng.normal(0.0, 0.3)
+        values[1] = np.stack(
+            [
+                lead_x - origin,
+                lead_y,
+                np.full(T_OBS, lead_v),
+                np.zeros(T_OBS),
+                np.zeros(T_OBS),
+                np.zeros(T_OBS),
+            ]
+        )
+        mask[1] = True
+
+        # Nuisance: distant constant-velocity vehicles with high
+        # sample-to-sample position variance and negligible relevance.
+        for slot in range(2, 2 + N_NUISANCE):
+            sign = -1.0 if rng.random() < 0.5 else 1.0
+            offset = sign * rng.uniform(90.0, 160.0)
+            lane_y = rng.choice((-3.75, 0.0, 3.75))
+            nv = rng.uniform(20.0, 30.0)
+            nx = x[0] + offset + nv * dt * np.arange(T_OBS)
+            values[slot] = np.stack(
                 [
-                    lead_x - origin,
-                    lead_y,
-                    np.full(T_OBS, lead_v),
+                    nx - origin,
+                    np.full(T_OBS, lane_y),
+                    np.full(T_OBS, nv),
                     np.zeros(T_OBS),
                     np.zeros(T_OBS),
                     np.zeros(T_OBS),
                 ]
             )
-            mask[1] = True
+            mask[slot] = True
 
-            # Nuisance: distant constant-velocity vehicles with high
-            # sample-to-sample position variance and negligible relevance.
-            for slot in range(2, 2 + N_NUISANCE):
-                sign = -1.0 if rng.random() < 0.5 else 1.0
-                offset = sign * rng.uniform(90.0, 160.0)
-                lane_y = rng.choice((-3.75, 0.0, 3.75))
-                nv = rng.uniform(20.0, 30.0)
-                nx = x[0] + offset + nv * dt * np.arange(T_OBS)
-                values[slot] = np.stack(
-                    [
-                        nx - origin,
-                        np.full(T_OBS, lane_y),
-                        np.full(T_OBS, nv),
-                        np.zeros(T_OBS),
-                        np.zeros(T_OBS),
-                        np.zeros(T_OBS),
-                    ]
-                )
-                mask[slot] = True
-
-            positions = np.stack([values[:, 0, :] + origin, values[:, 1, :]], axis=-1)
-            velocities = np.stack([values[:, 2, :], values[:, 3, :]], axis=-1)
-            interaction = dgsfm.interaction_scores(
-                positions[0], velocities[0], positions[1:], velocities[1:], mask[1:], dgsfm_cfg
-            )
-
-            anchor = ChangePoint(t_c=ANCHOR_INDEX, label_before=before, label_after=after)
-            entries.append(record_entry(f"arch-{kind}", vehicle_id, anchor))
-            rows.append((values, mask, interaction))
-    return Dataset.stack(entries, rows)
+        positions = np.stack([values[:, 0, :] + origin, values[:, 1, :]], axis=-1)
+        velocities = np.stack([values[:, 2, :], values[:, 3, :]], axis=-1)
+        dataset.interaction[i] = dgsfm.interaction_scores(
+            positions[0], velocities[0], positions[1:], velocities[1:], mask[1:], dgsfm_cfg
+        )
+    return dataset
 
 
 def make_donor(seed: int, dt: float) -> Trajectory:
@@ -170,11 +165,13 @@ def augment_corpus(
     parents = candidates[np.sort(rng.choice(len(candidates), size=n_augment, replace=False))].tolist()
     donor = make_donor(seed=seed, dt=dt)
     entries = [dataset.entries[p] for p in parents]
-    rows = [extraction.augment_irrelevant(*(block[parent] for block in dataset.blocks), donor,
-                                          min_gap=min_gap, seed=seed + i)
-            for i, parent in enumerate(parents)]
-    children = Dataset.stack([{**e, "record_id": e["record_id"] + ":aug", "augmentation_parent": e["record_id"]}
-                              for e in entries], rows)
+    children = Dataset.empty([{**e, "record_id": e["record_id"] + ":aug", "augmentation_parent": e["record_id"]}
+                              for e in entries])
+    for i, parent in enumerate(parents):
+        child = extraction.augment_irrelevant(*(block[parent] for block in dataset.blocks), donor,
+                                              min_gap=min_gap, seed=seed + i)
+        for block, row in zip(children.blocks, child):
+            block[i] = row
     return children, [(e["record_id"], e["record_id"] + ":aug") for e in entries]
 
 

@@ -277,7 +277,7 @@ def _sigmoid(u: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-u)) for u >= 0 and exp(u) / (1 + exp(u)) below, so exp
     never overflows."""
     e = np.exp(-np.abs(u))
-    return np.where(u >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.divide(np.where(u >= 0, 1.0, e), 1.0 + e)
 
 
 # ---------------------------------------------------------------------------
@@ -460,16 +460,15 @@ def _backward(
         grads["cl_w"], grads["cl_b"] = np.zeros_like(params.cl_w), np.zeros_like(params.cl_b)
     if interaction_targets is not None and cfg.lambda_int > 0:
         t_hat = fwd["t_hat"]
-        g_u = (
-            cfg.lambda_int
-            * 2.0
-            * batch["slot_mask"]
-            * (t_hat - interaction_targets)
-            / batch["slot_counts"][:, None]
-            / b
-            * t_hat
-            * (1.0 - t_hat)
-        )
+        # In place, in the left-to-right order of lambda_int * 2.0 * mask *
+        # (t_hat - y) / counts / b * t_hat * (1 - t_hat), so it equals that
+        # expression bit for bit without its full-size temporaries.
+        g_u = (cfg.lambda_int * 2.0) * batch["slot_mask"]
+        g_u *= t_hat - interaction_targets
+        g_u /= batch["slot_counts"][:, None]
+        g_u /= b
+        g_u *= t_hat
+        g_u *= 1.0 - t_hat
         grads["int_w"] = g_u.T @ fwd["z_q"]
         grads["int_b"] = g_u.sum(axis=0)
         g_zq = g_zq + g_u @ params.int_w

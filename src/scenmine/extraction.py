@@ -55,81 +55,75 @@ def extract(
     slots are zero-padded pseudo-vehicles. Also returns the counts whose
     ``vars`` are the ``extract_summary.json`` object.
     """
-    entries, rows = [], []
     summary = SimpleNamespace(extracted=0, skipped_window=0, filtered_class=0, per_class_counts={})
-
+    picked = []
     for ego in trajectories:
         for cp in change_points.get(ego.vehicle_id, []):
-            t_c = cp.t_c
-            if not ego.covers(t_c - cfg.pre_frames, t_c + cfg.post_frames):
+            if not ego.covers(cp.t_c - cfg.pre_frames, cp.t_c + cfg.post_frames):
                 summary.skipped_window += 1
-                continue
-            if cfg.class_filter and (
-                cp.label_before.lateral,
-                cp.label_after.lateral,
-            ) not in cfg.class_filter:
+            elif cfg.class_filter and (cp.label_before.lateral, cp.label_after.lateral) not in cfg.class_filter:
                 summary.filtered_class += 1
+            else:
+                class_key = str(cp.label_after.to_index())
+                summary.per_class_counts[class_key] = summary.per_class_counts.get(class_key, 0) + 1
+                picked.append((ego, cp))
+    summary.extracted = len(picked)
+
+    dataset = Dataset.empty([record_entry(ego.recording_id, ego.vehicle_id, cp) for ego, cp in picked])
+    for i, (ego, cp) in enumerate(picked):
+        t_c = cp.t_c
+        t0 = t_c + cfg.tensor_offset
+        window = range(t0, t0 + T_OBS)
+        anchor_x = ego.x[t_c - ego.first_frame]
+        anchor_y = ego.y[t_c - ego.first_frame]
+
+        # Rank other vehicles by distance at the anchor; vehicles not
+        # sampled at t_c use their sample closest to the anchor.
+        candidates = []
+        for other in trajectories:
+            if other.vehicle_id == ego.vehicle_id or other.recording_id != ego.recording_id:
                 continue
+            if other.last_frame < window.start or other.first_frame > window.stop - 1:
+                continue
+            ref = min(max(t_c, other.first_frame), other.last_frame) - other.first_frame
+            dist = math.hypot(other.x[ref] - anchor_x, other.y[ref] - anchor_y)
+            if dist <= cfg.neighbor_radius:
+                candidates.append((dist, other.vehicle_id, other))
+        candidates.sort(key=lambda c: (c[0], c[1]))
+        neighbors = [c[2] for c in candidates[: N_SLOTS - 1]]
 
-            t0 = t_c + cfg.tensor_offset
-            window = range(t0, t0 + T_OBS)
-            anchor_x = ego.x[t_c - ego.first_frame]
-            anchor_y = ego.y[t_c - ego.first_frame]
+        values, mask = dataset.tensor[i], dataset.mask[i]
+        positions = np.zeros((N_SLOTS, T_OBS, 2))
+        velocities = np.zeros((N_SLOTS, T_OBS, 2))
 
-            # Rank other vehicles by distance at the anchor; vehicles not
-            # sampled at t_c use their sample closest to the anchor.
-            candidates = []
-            for other in trajectories:
-                if other.vehicle_id == ego.vehicle_id or other.recording_id != ego.recording_id:
-                    continue
-                if other.last_frame < window.start or other.first_frame > window.stop - 1:
-                    continue
-                ref = min(max(t_c, other.first_frame), other.last_frame) - other.first_frame
-                dist = math.hypot(other.x[ref] - anchor_x, other.y[ref] - anchor_y)
-                if dist <= cfg.neighbor_radius:
-                    candidates.append((dist, other.vehicle_id, other))
-            candidates.sort(key=lambda c: (c[0], c[1]))
-            neighbors = [c[2] for c in candidates[: N_SLOTS - 1]]
+        def fill(slot: int, traj: Trajectory) -> None:
+            lo = max(window.start, traj.first_frame)
+            hi = min(window.stop - 1, traj.last_frame)
+            cols = _slice_columns(traj, lo, hi - lo + 1)
+            sl = slice(lo - window.start, hi - window.start + 1)
+            for f, name in enumerate(FEATURE_NAMES):
+                values[slot, f, sl] = cols[name]
+            values[slot, 0, sl] -= anchor_x
+            values[slot, 1, sl] -= anchor_y
+            mask[slot, sl] = True
+            positions[slot, sl, 0] = cols["x"]
+            positions[slot, sl, 1] = cols["y"]
+            velocities[slot, sl, 0] = cols["vx"]
+            velocities[slot, sl, 1] = cols["vy"]
 
-            values = np.zeros((N_SLOTS, len(FEATURE_NAMES), T_OBS))
-            mask = np.zeros((N_SLOTS, T_OBS), dtype=bool)
-            positions = np.zeros((N_SLOTS, T_OBS, 2))
-            velocities = np.zeros((N_SLOTS, T_OBS, 2))
+        fill(0, ego)
+        for slot, nb in enumerate(neighbors, start=1):
+            fill(slot, nb)
 
-            def fill(slot: int, traj: Trajectory) -> None:
-                lo = max(window.start, traj.first_frame)
-                hi = min(window.stop - 1, traj.last_frame)
-                cols = _slice_columns(traj, lo, hi - lo + 1)
-                sl = slice(lo - window.start, hi - window.start + 1)
-                for f, name in enumerate(FEATURE_NAMES):
-                    values[slot, f, sl] = cols[name]
-                values[slot, 0, sl] -= anchor_x
-                values[slot, 1, sl] -= anchor_y
-                mask[slot, sl] = True
-                positions[slot, sl, 0] = cols["x"]
-                positions[slot, sl, 1] = cols["y"]
-                velocities[slot, sl, 0] = cols["vx"]
-                velocities[slot, sl, 1] = cols["vy"]
-
-            fill(0, ego)
-            for slot, nb in enumerate(neighbors, start=1):
-                fill(slot, nb)
-
-            interaction = dgsfm.interaction_scores(
-                positions[0],
-                velocities[0],
-                positions[1:],
-                velocities[1:],
-                mask[1:],
-                dgsfm_cfg,
-            )
-            class_key = str(cp.label_after.to_index())
-            summary.per_class_counts[class_key] = summary.per_class_counts.get(class_key, 0) + 1
-            entries.append(record_entry(ego.recording_id, ego.vehicle_id, cp))
-            rows.append((values, mask, interaction))
-
-    summary.extracted = len(entries)
-    return Dataset.stack(entries, rows), summary
+        dataset.interaction[i] = dgsfm.interaction_scores(
+            positions[0],
+            velocities[0],
+            positions[1:],
+            velocities[1:],
+            mask[1:],
+            dgsfm_cfg,
+        )
+    return dataset, summary
 
 
 def _donor_segment_starts(donor: Trajectory, length: int, max_abs_ay: float = 0.1) -> list[int]:

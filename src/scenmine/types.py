@@ -161,19 +161,11 @@ class Dataset:
 
     @staticmethod
     def empty(entries: Sequence[dict]) -> "Dataset":
-        """The records ``entries`` with blocks that are not yet filled."""
+        """The records ``entries`` with zero-filled blocks, for the caller
+        to write each record's rows into."""
         n = len(entries)
-        return Dataset(list(entries), np.empty((n, N_SLOTS, N_FEATURES, T_OBS)),
-                       np.empty((n, N_SLOTS, T_OBS), dtype=bool), np.empty((n, N_SLOTS, T_OBS)))
-
-    @staticmethod
-    def stack(entries: Sequence[dict], rows: Sequence[tuple]) -> "Dataset":
-        """The records ``entries`` with their ``(tensor, mask, interaction)``
-        ``rows`` stacked into the blocks."""
-        dataset = Dataset.empty(entries)
-        for block, parts in zip(dataset.blocks, zip(*rows)):
-            np.stack(parts, out=block)
-        return dataset
+        return Dataset(list(entries), np.zeros((n, N_SLOTS, N_FEATURES, T_OBS)),
+                       np.zeros((n, N_SLOTS, T_OBS), dtype=bool), np.zeros((n, N_SLOTS, T_OBS)))
 
     @property
     def blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

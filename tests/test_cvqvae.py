@@ -223,9 +223,10 @@ def test_sigmoid_bit_identical_to_masked_reference():
     grid = np.concatenate([SIGMOID_EDGES, np.linspace(-60.0, 60.0, 2401), rng.normal(0.0, 8.0, 3001)])
     cases = [grid, grid.reshape(-1, 7), np.zeros(0), np.zeros((0, 900)),
              *(np.array([v]) for v in SIGMOID_EDGES)]
-    for u in cases:
+    # float32 is the dtype that training feeds it.
+    for u in cases + [u.astype(np.float32) for u in cases]:
         got, want = cvqvae._sigmoid(u), reference_sigmoid(u)
-        assert got.shape == want.shape
+        assert got.dtype == want.dtype == u.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
         assert got.tobytes() == want.tobytes()  # also tells -0.0 from 0.0
 

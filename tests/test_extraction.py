@@ -1,5 +1,6 @@
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,6 +124,40 @@ def test_extract_determinism():
     assert a.entries == b.entries
     for block_a, block_b in zip(a.blocks, b.blocks):
         assert np.array_equal(block_a, block_b)
+
+
+def peak_above_output(produce):
+    """The tracemalloc peak of ``produce()`` less the bytes of the blocks of
+    the dataset it returns (first, if it returns a pair)."""
+    produce()  # leaves no first call's import or cache to the traced one
+    tracemalloc.start()
+    try:
+        out = produce()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    dataset = out[0] if isinstance(out, tuple) else out
+    assert sum(block.nbytes for block in dataset.blocks) > 2 * 2**20
+    return peak - sum(block.nbytes for block in dataset.blocks)
+
+
+# Each producer writes its records straight into the blocks it returns: a
+# copy of them on the way would add their 2-4 MiB.
+def test_extract_peaks_within_a_mib_of_its_blocks():
+    ego = make_traj(n=400, vehicle_id=0)
+    others = [make_traj(n=400, vehicle_id=i, x0=9.0 * i) for i in range(1, 9)]
+    change_points = {0: [cp(t_c=t_c) for t_c in range(60, 300, 4)]}
+    assert peak_above_output(lambda: extraction.extract(
+        [ego] + others, change_points, extraction.ExtractionConfig(), DGSFM)) <= 2**20
+
+
+def test_archetype_corpus_peaks_within_a_mib_of_its_blocks():
+    assert peak_above_output(lambda: corpus.build_archetype_corpus(30, 0, DGSFM)) <= 2**20
+
+
+def test_augment_corpus_peaks_within_a_mib_of_its_blocks():
+    dataset = corpus.build_archetype_corpus(20, 0, DGSFM)
+    assert peak_above_output(lambda: corpus.augment_corpus(dataset, DGSFM.dt, 50, MIN_GAP, 0)) <= 2**20
 
 
 # ----------------------------- augmentation ---------------------------------

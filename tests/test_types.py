@@ -217,7 +217,7 @@ def test_block_parts_that_differ_are_refused_before_the_file_is_opened(second, t
 
 def test_dataset_round_trip_of_zero_records(tmp_path):
     path = tmp_path / "ds.jsonl"
-    write_dataset(Dataset.stack([], []), path, dt=0.1)
+    write_dataset(Dataset.empty([]), path, dt=0.1)
     dataset, dt = read_dataset_arrays(path)
     assert (len(dataset), dt) == (0, 0.1)
     assert [block.shape for block in dataset.blocks] == [(0, N_SLOTS, N_FEATURES, T_OBS), (0, N_SLOTS, T_OBS),
