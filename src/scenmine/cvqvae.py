@@ -4,9 +4,10 @@ Feed-forward encoder/decoder with a finite codebook, straight-through
 gradient estimation, auxiliary pseudo-class and interaction heads, plain SGD
 training, and finite-difference gradient checking. All gradients are
 hand-derived; numpy only. The weights are float32 from the draw on:
-training steps them in place and checkpoints store them as they are. The
-input standardization is float64, and ``encode`` and the gradient check
-compute in float64 on float64 casts of the weights.
+training steps them in place, checkpoints store them as they are and
+``encode`` runs its layers in them, casting only its latents to float64.
+The input standardization is float64, and the gradient check computes in
+float64 on float64 casts of the weights.
 """
 from __future__ import annotations
 
@@ -98,9 +99,34 @@ class ModelParams:
     feature_scale: np.ndarray  # (n_features,)
 
 
+def _shapes(cfg: TrainConfig, n_slots: int, n_features: int, t_obs: int,
+            n_classes: int) -> list[tuple[str, tuple[int, ...]]]:
+    """The name and shape of each trainable array of the model of ``cfg``
+    with these dimensions, in ``_param_arrays`` order."""
+    enc_sizes = [n_slots * n_features * t_obs, *cfg.hidden, cfg.latent_dim]
+    named = []
+    for kind in _LAYER_KINDS:
+        sizes = enc_sizes if kind.startswith("enc") else enc_sizes[::-1]
+        named += [(f"{kind}[{i}]", (n_out, n_in) if kind.endswith("_w") else (n_out,))
+                  for i, (n_in, n_out) in enumerate(zip(sizes, sizes[1:]))]
+    frames, d = n_slots * t_obs, cfg.latent_dim
+    return named + [("codebook", (cfg.codebook_size, d)), ("cl_w", (n_classes, d)), ("cl_b", (n_classes,)),
+                    ("int_w", (frames, d)), ("int_b", (frames,))]
+
+
+def _model(cfg: TrainConfig, dims: tuple, named: dict[str, np.ndarray]) -> ModelParams:
+    """The model of ``cfg`` with the dimensions ``(n_slots, n_features,
+    t_obs, n_classes)`` that holds the ``named`` arrays: those of
+    ``_shapes``, ``feature_shift`` and ``feature_scale``."""
+    n_layers = len(cfg.hidden) + 1
+    return ModelParams(*dims, tuple(cfg.hidden), cfg.latent_dim, cfg.codebook_size,
+                       *([named[f"{kind}[{i}]"] for i in range(n_layers)] for kind in _LAYER_KINDS),
+                       *(named[name] for name in (*_SINGLE_NAMES, "feature_shift", "feature_scale")))
+
+
 def init_params(
     cfg: TrainConfig,
-    rng: Optional[np.random.Generator],
+    rng: np.random.Generator,
     n_slots: int = N_SLOTS,
     n_features: int = N_FEATURES,
     t_obs: int = T_OBS,
@@ -108,52 +134,23 @@ def init_params(
     feature_shift: Optional[np.ndarray] = None,
     feature_scale: Optional[np.ndarray] = None,
 ) -> ModelParams:
-    """Random initial float32 weights; with ``rng=None`` every weight is
-    zero, for a caller that only needs the layout (a checkpoint load fills
-    it). Each weight is a float64 normal draw rounded to float32. A layer is
-    drawn a chunk of rows at a time straight into its float32 array: the
-    draws fill it in row-major order, so the values are those of one draw of
-    the whole layer."""
-    input_dim = n_slots * n_features * t_obs
-    enc_sizes = [input_dim, *cfg.hidden, cfg.latent_dim]
-    dec_sizes = [cfg.latent_dim, *reversed(cfg.hidden), input_dim]
-
-    def draw(n_out, n_in, std):
-        out = np.zeros((n_out, n_in), np.float32)
-        if rng is not None:
-            rows = max(1, _DRAW_VALUES // max(1, n_in))
-            for start in range(0, n_out, rows):
-                chunk = out[start:start + rows]
+    """Random initial float32 weights, drawn in ``_shapes`` order; the
+    biases are zero. Each weight is a float64 normal draw rounded to
+    float32. A layer is drawn a chunk of rows at a time straight into its
+    float32 array: the draws fill it in row-major order, so the values are
+    those of one draw of the whole layer."""
+    named = {}
+    for name, shape in _shapes(cfg, n_slots, n_features, t_obs, n_classes):
+        arr = named[name] = np.zeros(shape, np.float32)
+        if len(shape) == 2:
+            std = 0.1 if name == "codebook" else 1.0 / np.sqrt(shape[1])
+            rows = max(1, _DRAW_VALUES // max(1, shape[1]))
+            for start in range(0, shape[0], rows):
+                chunk = arr[start:start + rows]
                 chunk[...] = rng.normal(0.0, std, size=chunk.shape)
-        return out
-
-    def layer(n_out, n_in):
-        return draw(n_out, n_in, 1.0 / np.sqrt(n_in))
-
-    return ModelParams(
-        n_slots=n_slots,
-        n_features=n_features,
-        t_obs=t_obs,
-        n_classes=n_classes,
-        hidden=tuple(cfg.hidden),
-        latent_dim=cfg.latent_dim,
-        codebook_size=cfg.codebook_size,
-        enc_w=[layer(b, a) for a, b in zip(enc_sizes, enc_sizes[1:])],
-        enc_b=[np.zeros(b, np.float32) for b in enc_sizes[1:]],
-        dec_w=[layer(b, a) for a, b in zip(dec_sizes, dec_sizes[1:])],
-        dec_b=[np.zeros(b, np.float32) for b in dec_sizes[1:]],
-        codebook=draw(cfg.codebook_size, cfg.latent_dim, 0.1),
-        cl_w=layer(n_classes, cfg.latent_dim),
-        cl_b=np.zeros(n_classes, np.float32),
-        int_w=layer(n_slots * t_obs, cfg.latent_dim),
-        int_b=np.zeros(n_slots * t_obs, np.float32),
-        feature_shift=(
-            feature_shift if feature_shift is not None else np.zeros(n_features)
-        ).astype(float),
-        feature_scale=(
-            feature_scale if feature_scale is not None else np.ones(n_features)
-        ).astype(float),
-    )
+    named["feature_shift"] = (np.zeros(n_features) if feature_shift is None else feature_shift).astype(float)
+    named["feature_scale"] = (np.ones(n_features) if feature_scale is None else feature_scale).astype(float)
+    return _model(cfg, (n_slots, n_features, t_obs, n_classes), named)
 
 
 def _live(params: ModelParams, n_live: int) -> ModelParams:
@@ -292,19 +289,19 @@ def encode(inputs: np.ndarray, masks: np.ndarray, params: ModelParams) -> np.nda
     Every cell of a slot absent from the whole batch standardizes to 0, so
     the first layer reads only the columns of the batch's live slot prefix;
     the latents equal the full-width ones up to rounding. Only ``enc_w``,
-    ``enc_b`` and the standardization are read. The layers are float64 BLAS
-    products: float32 weights are cast to float64 for the call (numpy's
-    float64 @ float32 is another product), float64 ones are used as they
-    are. A float32 bias adds exactly."""
+    ``enc_b`` and the standardization are read. The inputs are standardized
+    in float64 and cast to the weights' dtype, as training's rows are; the
+    layers run in that dtype, float32 for a trained model, and only the
+    latents are cast to float64."""
     expected = (params.n_slots, params.n_features, params.t_obs)
     if inputs.shape[1:] != expected:
         raise ContractError(f"record shape {inputs.shape[1:]} != the model's {expected}")
     width = live_slots(masks)
+    cells, w0 = width * params.n_features * params.t_obs, params.enc_w[0]
     x = _standardize(inputs[:, :width], masks[:, :width], params.feature_shift, params.feature_scale)
-    cells = width * params.n_features * params.t_obs
-    ws = [w.astype(np.float64, copy=False) for w in (params.enc_w[0][:, :cells], *params.enc_w[1:])]
-    z, _ = _mlp_forward(x.reshape(len(x), cells), ws, params.enc_b)
-    return z
+    x = x.reshape(len(x), cells).astype(w0.dtype, copy=False)
+    z, _ = _mlp_forward(x, [w0[:, :cells], *params.enc_w[1:]], params.enc_b)
+    return z.astype(np.float64, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -600,18 +597,6 @@ def train_rows(
     return params, history
 
 
-def train_arrays(
-    inputs: np.ndarray,
-    masks: np.ndarray,
-    class_targets: Optional[np.ndarray],
-    interaction_targets: Optional[np.ndarray],
-    cfg: TrainConfig,
-    n_classes: int = N_CLASSES,
-) -> tuple[ModelParams, list[dict[str, float]]]:
-    """``train_rows`` of the ``training_rows`` of the arrays."""
-    return train_rows(training_rows(inputs, masks, class_targets, interaction_targets), cfg, n_classes)
-
-
 def _sgd(step: ModelParams, run: dict, cfg: TrainConfig, rng: np.random.Generator) -> list[dict[str, float]]:
     """``cfg.epochs`` epochs of mini-batch SGD, in place, on the float32
     ``step`` fed the rows of ``run`` in an order that ``rng`` draws each
@@ -756,17 +741,13 @@ def load_checkpoint(path) -> ModelParams:
             latent_dim=header["latent_dim"],
             codebook_size=header["codebook_size"],
         )
-        params = init_params(
-            cfg,
-            None,
-            n_slots=header["n_slots"],
-            n_features=header["n_features"],
-            t_obs=header["t_obs"],
-            n_classes=header["n_classes"],
-        )
-        return params, _checkpoint_arrays(params)
+        dims = tuple(header[key] for key in ("n_slots", "n_features", "t_obs", "n_classes"))
+        shapes = [(name, shape, np.float32) for name, shape in _shapes(cfg, *dims)]
+        shapes += [(name, (dims[1],), np.float64) for name in ("feature_shift", "feature_scale")]
+        return (cfg, dims, [name for name, _, _ in shapes]), shapes
 
-    return read_blocks(path, CHECKPOINT_FORMAT_VERSION, "checkpoint", layout, ContractError)
+    (cfg, dims, names), arrays = read_blocks(path, CHECKPOINT_FORMAT_VERSION, "checkpoint", layout, ContractError)
+    return _model(cfg, dims, dict(zip(names, arrays)))
 
 
 LOSS_COLUMNS = ("epoch", "recon", "codebook", "commit", "cl", "int", "total")

@@ -342,12 +342,10 @@ def read_tracks_bin(path, digest: str, meta: RecordingMeta) -> Optional[list[Tra
             if len(entry) != 3 or not all(type(v) is int for v in entry) or entry[1] < 0 or entry[2] < 1:
                 raise ValueError(f"trajectory entry {entry!r}")
         n = sum(entry[2] for entry in entries)
-        blocks = [("features", np.empty((len(FEATURE_NAMES), n))), ("lanes", np.empty(n, "<i8"))]
-        return (entries, blocks), blocks
+        return entries, [("features", (len(FEATURE_NAMES), n), np.float64), ("lanes", (n,), np.int64)]
 
     try:
-        entries, [(_, feats), (_, lanes)] = read_blocks(
-            path, TRACKS_FORMAT_VERSION, "tracks memo", layout, DatasetFormatError)
+        entries, (feats, lanes) = read_blocks(path, TRACKS_FORMAT_VERSION, "tracks memo", layout, DatasetFormatError)
     except _Stale:
         return None
     ends = np.cumsum([n for _, _, n in entries], dtype=np.int64).tolist()

@@ -163,9 +163,7 @@ class Dataset:
     def empty(entries: Sequence[dict]) -> "Dataset":
         """The records ``entries`` with zero-filled blocks, for the caller
         to write each record's rows into."""
-        n = len(entries)
-        return Dataset(list(entries), np.zeros((n, N_SLOTS, N_FEATURES, T_OBS)),
-                       np.zeros((n, N_SLOTS, T_OBS), dtype=bool), np.zeros((n, N_SLOTS, T_OBS)))
+        return Dataset(list(entries), *(np.zeros(shape, dtype) for _, shape, dtype in _dataset_shapes(len(entries))))
 
     @property
     def blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -215,6 +213,13 @@ def _finite(arr: np.ndarray) -> bool:
     return arr.size == 0 or bool(np.isfinite(arr.min()) and np.isfinite(arr.max()))
 
 
+def _disk_dtype(dtype) -> np.dtype:
+    """The little-endian dtype ``write_blocks`` writes an array of ``dtype``
+    as: flags as bytes, integers as ``<i8``, floats at their own width."""
+    dtype = np.dtype(dtype)
+    return np.dtype({"b": bool, "i": "<i8"}.get(dtype.kind, dtype.newbyteorder("<")))
+
+
 def write_blocks(path, header: dict, blocks: Sequence[tuple[str, np.ndarray | Sequence[np.ndarray]]],
                  error: type[Exception]) -> None:
     """Writes ``header`` plus an ``"arrays"`` list of ``[name, shape]`` as one
@@ -238,18 +243,18 @@ def write_blocks(path, header: dict, blocks: Sequence[tuple[str, np.ndarray | Se
         fh.write(b"\n")
         for _, parts in blocks:
             for part in parts:
-                disk = {"b": bool, "i": "<i8"}.get(part.dtype.kind, part.dtype.newbyteorder("<"))
-                fh.write(np.ascontiguousarray(part, dtype=disk).data)
+                fh.write(np.ascontiguousarray(part, dtype=_disk_dtype(part.dtype)).data)
 
 
 def _read_header(fh, path, fmt: str, kind: str, layout, error: type[Exception]):
-    """``layout(header) -> (result, blocks)`` of the header line that ``fh``
-    reads from a ``write_blocks`` file in format ``fmt``; the header's
-    array list must name the ``(name, array)`` list ``blocks``. Any damage
-    (see the checks below, and a KeyError, TypeError, ValueError or
-    MemoryError of ``layout``) raises ``error`` naming ``path``. An array
-    list that names more values than the bytes left in the file, each value
-    being at least one byte, is refused before ``layout`` allocates."""
+    """``layout(header) -> (result, shapes)`` of the header line that ``fh``
+    reads from a ``write_blocks`` file in format ``fmt``, ``shapes`` being
+    the ``(name, shape, dtype)`` of each block in order; the header's array
+    list must name them. Any damage (see the checks below, and a KeyError,
+    TypeError, ValueError, OverflowError or MemoryError that ``layout``
+    raises on the header's values) raises ``error`` naming ``path``. An
+    array list that names more values than the bytes left in the file, each
+    value being at least one byte, is refused before ``layout`` is called."""
     try:
         header = json.loads(fh.readline().decode("utf-8"))
     except ValueError as exc:  # includes UnicodeDecodeError
@@ -266,21 +271,28 @@ def _read_header(fh, path, fmt: str, kind: str, layout, error: type[Exception]):
     if values > left:
         raise error(f"{path}: {kind} header names {values} array values, more than the {left} bytes after it")
     try:
-        result, blocks = layout(header)
-    except (KeyError, TypeError, ValueError, MemoryError) as exc:
+        result, shapes = layout(header)
+    except (KeyError, TypeError, ValueError, OverflowError, MemoryError) as exc:
         raise error(f"{path}: invalid {kind} header ({exc!r})") from exc
-    if header.get("arrays") != [[name, list(arr.shape)] for name, arr in blocks]:
+    if header.get("arrays") != [[name, list(shape)] for name, shape, _ in shapes]:
         raise error(f"{path}: array list does not match the {kind} header")
-    return result, blocks
+    return result, shapes
 
 
 def read_blocks(path, fmt: str, kind: str, layout, error: type[Exception]):
-    """The ``result`` of ``_read_header`` once its blocks are filled from
-    the file; a short block, a non-finite float, a flag byte other than 0
-    or 1 or bytes after the last block raise ``error`` naming ``path``."""
+    """``(result, arrays)``: the ``result`` of ``_read_header`` and its
+    blocks, each allocated here at the dtype ``write_blocks`` wrote it as
+    and filled from the file. A shape that cannot be allocated (a
+    ValueError, TypeError or MemoryError of ``np.empty``) is an invalid
+    header; a short block, a non-finite float, a flag byte other than 0 or
+    1 or bytes after the last block raise ``error`` naming ``path`` too."""
     with open(path, "rb") as fh:
-        result, blocks = _read_header(fh, path, fmt, kind, layout, error)
-        for name, arr in blocks:
+        result, shapes = _read_header(fh, path, fmt, kind, layout, error)
+        try:
+            arrays = [np.empty(shape, _disk_dtype(dtype)) for _, shape, dtype in shapes]
+        except (TypeError, ValueError, MemoryError) as exc:
+            raise error(f"{path}: invalid {kind} header ({exc!r})") from exc
+        for (name, _, _), arr in zip(shapes, arrays):
             raw = arr.reshape(-1).view(np.uint8)
             if fh.readinto(raw) != raw.size:
                 raise error(f"{path}: truncated in array {name}")
@@ -291,7 +303,7 @@ def read_blocks(path, fmt: str, kind: str, layout, error: type[Exception]):
                 raise error(f"{path}: non-finite value in array {name}")
         if fh.read(1):
             raise error(f"{path}: trailing bytes after the last array")
-    return result
+    return result, arrays
 
 
 class DatasetFormatError(Exception):
@@ -366,6 +378,12 @@ _RECORD_FIELDS = {"record_id": str, "recording_id": str, "vehicle_id": int, "t_c
 DATASET_BLOCKS = ("tensor", "mask", "interaction")
 
 
+def _dataset_shapes(n: int) -> list[tuple[str, tuple[int, ...], type]]:
+    """The ``(name, shape, dtype)`` of each block of ``n`` records."""
+    cells = (n, N_SLOTS, T_OBS)
+    return list(zip(DATASET_BLOCKS, ((n, N_SLOTS, N_FEATURES, T_OBS), cells, cells), (np.float64, bool, np.float64)))
+
+
 def record_entry(recording_id: str, vehicle_id: int, anchor: ChangePoint) -> dict:
     """The header entry of the record of vehicle ``vehicle_id`` of
     recording ``recording_id`` at the change point ``anchor``: its id is
@@ -400,40 +418,41 @@ def write_dataset(dataset: Dataset, path, dt: float) -> None:
 
 
 def _dataset_layout(header):
-    """``((dataset, dt), blocks)`` of a dataset header, the dataset's blocks
-    not yet filled; a ``dt`` that is not positive and finite, a malformed
-    record entry or a repeated record id raise ValueError, KeyError or
-    TypeError."""
+    """``((entries, dt), shapes)`` of a dataset header: its record entries
+    (see ``_record_fields``), its ``dt`` and the ``_dataset_shapes`` of its
+    records. A ``dt`` that is not positive and finite, a malformed record
+    entry or a repeated record id raise ValueError, KeyError or TypeError."""
     dt, entries, n = float(header["dt"]), header["records"], header["n_records"]
     if not 0.0 < dt < np.inf:
         raise ValueError(f"dt {dt} is not positive and finite")
     if not isinstance(entries, list) or n != len(entries):
         raise ValueError(f"n_records {n!r} does not count the record entries")
-    dataset = Dataset.empty([_record_fields(e) for e in entries])
-    ids = [e["record_id"] for e in dataset.entries]
+    entries = [_record_fields(e) for e in entries]
+    ids = [e["record_id"] for e in entries]
     if len(set(ids)) != n:
         raise ValueError(f"record_id {next(i for i in ids if ids.count(i) > 1)!r} is repeated")
-    return (dataset, dt), list(zip(DATASET_BLOCKS, dataset.blocks))
+    return (entries, dt), _dataset_shapes(len(entries))
 
 
 def read_dataset_header(path) -> tuple[list[dict], float]:
-    """The record entries (see ``_record_fields``) and ``dt`` of a file of
-    ``write_dataset``, read from its header alone. Any damage to the header
-    (see ``_read_header`` and ``_dataset_layout``) raises DatasetFormatError
-    naming the file."""
+    """The record entries and ``dt`` of a file of ``write_dataset``, read
+    from its header alone, which allocates no block. Any damage to the
+    header (see ``_read_header`` and ``_dataset_layout``) raises
+    DatasetFormatError naming the file."""
     with open(path, "rb") as fh:
-        (dataset, dt), _ = _read_header(fh, path, DATASET_FORMAT_VERSION, "dataset", _dataset_layout,
+        (entries, dt), _ = _read_header(fh, path, DATASET_FORMAT_VERSION, "dataset", _dataset_layout,
                                         DatasetFormatError)
-    return dataset.entries, dt
+    return entries, dt
 
 
 def read_dataset_arrays(path) -> tuple[Dataset, float]:
     """The dataset of a file of ``write_dataset``, its blocks read-only, and
     its ``dt``; damage that ``read_blocks`` finds raises DatasetFormatError."""
-    dataset, dt = read_blocks(path, DATASET_FORMAT_VERSION, "dataset", _dataset_layout, DatasetFormatError)
-    for arr in dataset.blocks:
+    (entries, dt), blocks = read_blocks(path, DATASET_FORMAT_VERSION, "dataset", _dataset_layout,
+                                        DatasetFormatError)
+    for arr in blocks:
         arr.setflags(write=False)
-    return dataset, dt
+    return Dataset(entries, *blocks), dt
 
 
 def read_dataset(path) -> tuple[list[tuple], float]:

@@ -106,8 +106,14 @@ def concat(*datasets) -> Dataset:
 
 def arrays(dataset):
     """The tensors, masks, one-hot pseudo-classes and interaction matrices
-    of ``dataset``, as ``train`` passes them to ``cvqvae.train_arrays``."""
+    of ``dataset``, as ``train`` passes them to ``cvqvae.training_rows``."""
     return dataset.tensor, dataset.mask, dataset.one_hot(), dataset.interaction
+
+
+def train_arrays(inputs, masks, class_targets, interaction_targets, cfg):
+    """``cvqvae.train_rows`` of the ``cvqvae.training_rows`` of the arrays:
+    the two calls that ``train`` makes."""
+    return cvqvae.train_rows(cvqvae.training_rows(inputs, masks, class_targets, interaction_targets), cfg)
 
 
 def encode_dataset(dataset, params) -> np.ndarray:
@@ -117,8 +123,8 @@ def encode_dataset(dataset, params) -> np.ndarray:
 
 
 def train_dataset(dataset, cfg):
-    """``cvqvae.train_arrays`` of ``dataset``'s blocks, as ``train`` trains."""
-    return cvqvae.train_arrays(*arrays(dataset), cfg)
+    """``train_arrays`` of ``dataset``'s blocks, as ``train`` trains."""
+    return train_arrays(*arrays(dataset), cfg)
 
 
 def grad_check(dataset, params, cfg, epsilon=1e-3, n_checks=120, seed=0) -> float:

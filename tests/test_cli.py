@@ -158,16 +158,34 @@ GOLDEN_PIPELINE_DIGESTS = {
 }
 
 
-def test_default_pipeline_prints_golden_lines(tmp_path):
+def _default_pipeline(workdir: Path, threads: str) -> str:
+    """The stdout of `scenmine pipeline` at the defaults into ``workdir``,
+    run in a subprocess with BLAS on ``threads`` threads, once the run has
+    written the files of ``GOLDEN_PIPELINE_DIGESTS`` as pinned."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
-    run = subprocess.run([sys.executable, "-m", "scenmine.cli", "--workdir", str(tmp_path / "wd"), "pipeline"],
+    env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads))
+    run = subprocess.run([sys.executable, "-m", "scenmine.cli", "--workdir", str(workdir), "pipeline"],
                          env=env, capture_output=True, text=True)
     assert (run.returncode, run.stderr) == (0, "")
-    assert run.stdout == GOLDEN_PIPELINE_OUTPUT
-    assert {name: hashlib.sha256((tmp_path / "wd" / name).read_bytes()).hexdigest()
+    assert {name: hashlib.sha256((workdir / name).read_bytes()).hexdigest()
             for name in GOLDEN_PIPELINE_DIGESTS} == GOLDEN_PIPELINE_DIGESTS
+    return run.stdout
+
+
+def test_default_pipeline_prints_golden_lines(tmp_path):
+    assert _default_pipeline(tmp_path / "wd", "1") == GOLDEN_PIPELINE_OUTPUT
+
+
+def test_default_pipeline_at_two_blas_threads_moves_only_the_checkpoints(tmp_path):
+    # Training's threaded GEMMs sum in another order; encode, the clustering
+    # and every other stage print the golden lines.
+    def unpinned(stdout):
+        return re.sub(r"checkpoint=[0-9a-f]{12}", "checkpoint=?", stdout)
+
+    stdout = _default_pipeline(tmp_path / "wd", "2")
+    assert stdout.count("checkpoint=") == 2
+    assert unpinned(stdout) == unpinned(GOLDEN_PIPELINE_OUTPUT)
 
 
 def test_report_has_no_dk_and_dk_sections(tmp_path):
@@ -320,8 +338,8 @@ def _through_records(write):
 
 def _other_layout_checkpoint() -> bytes:
     """A valid checkpoint of a model of 2 slots, 3 features and 5 frames."""
-    params = cvqvae.init_params(cvqvae.TrainConfig(hidden=(8,), latent_dim=4, codebook_size=4), None,
-                                n_slots=2, n_features=3, t_obs=5)
+    params = cvqvae.init_params(cvqvae.TrainConfig(hidden=(8,), latent_dim=4, codebook_size=4),
+                                np.random.default_rng(0), n_slots=2, n_features=3, t_obs=5)
     with tempfile.TemporaryDirectory() as tmp:
         cvqvae.save_checkpoint(params, Path(tmp) / CKPT)
         return (Path(tmp) / CKPT).read_bytes()
@@ -591,6 +609,14 @@ BAD_INPUTS = [
                  id="ckpt-header-huge-n-slots"),
     pytest.param("", ["cluster"], (CKPT, _checkpoint_describing(hidden=[1_000_000, 1_000_000])), 3,
                  "stage error", id="ckpt-header-huge-hidden"),
+    # Headers of no model whose array lists name what they describe.
+    pytest.param("", ["cluster"], (CKPT, _checkpoint_describing(n_slots=-1)), 3, "stage error",
+                 id="ckpt-header-negative-n-slots"),
+    pytest.param("", ["cluster"], (CKPT, _checkpoint_describing(n_features=2.5)), 3, "stage error",
+                 id="ckpt-header-fractional-n-features"),
+    # A layout whose arithmetic overflows: "x" * 10**20 is an OverflowError.
+    pytest.param("", ["cluster"], (CKPT, edit_header(lambda h: h.update(n_slots="x", n_features=10**20))), 3,
+                 "stage error", id="ckpt-header-overflowing-n-features"),
     pytest.param("", ["detect"], (MEMO, edit_header(lambda h: h["trajectories"][0].__setitem__(2, 10**11))),
                  3, "stage error", id="tracks-memo-huge-n-rows"),
     pytest.param(None, ["synth"], None, 2, "config error", id="config-file-missing"),
@@ -683,6 +709,20 @@ def test_checkpoint_header_larger_than_the_file_is_refused_before_layout(trained
     assert cli.main(["--workdir", str(wd), "cluster"]) == 3
     assert re.fullmatch(r"stage error: invalid checkpoint: \S+model\.ckpt: checkpoint header names [0-9]+ array "
                         r"values, more than the [0-9]+ bytes after it\n", capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("layout", [{"n_slots": -1}, {"n_features": 2.5}],
+                         ids=["negative-n-slots", "fractional-n-features"])
+def test_checkpoint_header_of_no_model_is_an_invalid_header(trained_workdir, tmp_path, capsys, layout):
+    # Its blocks cannot be allocated: the ValueError or TypeError of the
+    # allocation is the header's error, not a traceback.
+    wd = tmp_path / "wd"
+    shutil.copytree(trained_workdir, wd)
+    (wd / CKPT).write_bytes(_checkpoint_describing(**layout)((wd / CKPT).read_bytes()))
+    capsys.readouterr()
+    assert cli.main(["--workdir", str(wd), "cluster"]) == 3
+    assert re.fullmatch(r"stage error: invalid checkpoint: \S+model\.ckpt: invalid checkpoint header "
+                        r"\((ValueError|TypeError)\(.+\)\)\n", capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("damage, message", CLUSTER_DAMAGED_CHECKPOINT.values(),

@@ -55,13 +55,17 @@ def _valid_dataset(result) -> None:
 
 
 def _valid_checkpoint(params) -> None:
-    layout = cvqvae.init_params(
+    shapes = cvqvae._shapes(
         cvqvae.TrainConfig(hidden=params.hidden, latent_dim=params.latent_dim,
                            codebook_size=params.codebook_size),
-        None, params.n_slots, params.n_features, params.t_obs, params.n_classes,
+        params.n_slots, params.n_features, params.t_obs, params.n_classes,
     )
-    for (name, arr), (_, want) in zip(cvqvae._checkpoint_arrays(params), cvqvae._checkpoint_arrays(layout)):
-        assert arr.shape == want.shape and arr.dtype == want.dtype, name
+    shapes = [(name, shape, np.float32) for name, shape in shapes]
+    shapes += [(name, (params.n_features,), np.float64) for name in ("feature_shift", "feature_scale")]
+    arrays = cvqvae._checkpoint_arrays(params)
+    assert [name for name, _ in arrays] == [name for name, _, _ in shapes]
+    for (name, arr), (_, shape, dtype) in zip(arrays, shapes):
+        assert arr.shape == shape and arr.dtype == dtype, name
         assert np.isfinite(arr).all(), name
 
 

@@ -6,7 +6,7 @@ truth and the donor scan): every comparison is exact, equal lists and
 segments, floats equal bit for bit (so -0.0 and 0.0 differ).
 
 The primal training loop, whose first encoder layer steps at the full live
-width of the inputs: ``cvqvae.train_arrays`` steps that layer in the row
+width of the inputs: ``cvqvae.train_rows`` steps that layer in the row
 space of the training inputs instead, which is the same SGD up to float32
 rounding, and the same arithmetic bit for bit when the records are at least
 as many as the input cells."""
@@ -21,7 +21,7 @@ from scenmine import corpus, cvqvae, detect, dgsfm, extraction, ingest
 from scenmine.detect import DetectorConfig, Segment
 from scenmine.types import ChangePoint, CompositeLabel, LatState, LongState, Trajectory
 
-from conftest import arrays, make_traj
+from conftest import arrays, make_traj, train_arrays
 
 # ---------------------------------------------------------------------------
 # The loops
@@ -466,7 +466,7 @@ def test_donor_segment_starts_match_loop(ay, lanes, length, max_abs_ay):
 
 
 def train_arrays_primal(inputs, masks, class_targets, interaction_targets, cfg):
-    """``cvqvae.train_arrays`` with the first encoder layer stepped at the
+    """``conftest.train_arrays`` with the first encoder layer stepped at the
     full live width: each batch feeds its standardized inputs to that layer's
     float32 copy, and every trained weight is copied back as it is."""
     n_samples, n_slots, n_features, t_obs = inputs.shape
@@ -543,7 +543,7 @@ def test_training_with_as_many_records_as_cells_equals_the_primal_loop_bit_for_b
     cfg = cvqvae.TrainConfig(hidden=(8,), latent_dim=4, codebook_size=4, epochs=5, batch_size=16,
                              learning_rate=0.05, seed=2)
     want, want_history = train_arrays_primal(*args, cfg)
-    got, got_history = cvqvae.train_arrays(*args, cfg)
+    got, got_history = train_arrays(*args, cfg)
     assert got_history == want_history
     for (name, a), (_, b) in zip(cvqvae._checkpoint_arrays(got), cvqvae._checkpoint_arrays(want)):
         assert a.tobytes() == b.tobytes(), name
@@ -567,7 +567,7 @@ def test_records_outnumbering_the_live_cells_step_the_first_layer_without_a_basi
     cfg = cvqvae.TrainConfig(hidden=(8,), latent_dim=4, codebook_size=4, epochs=5, batch_size=16,
                              learning_rate=0.05, seed=2)
     want, want_history = train_arrays_primal(inputs, masks, cls, inter, cfg)
-    got, got_history = cvqvae.train_arrays(inputs, masks, cls, inter, cfg)
+    got, got_history = train_arrays(inputs, masks, cls, inter, cfg)
     assert (k, k) not in bases
     assert cvqvae.training_rows(inputs, masks, cls, inter).basis is None
     assert got_history == want_history
@@ -582,7 +582,7 @@ def test_row_space_training_matches_the_primal_loop(monkeypatch):
     want, want_history = train_arrays_primal(*args, cfg)
     want_codes = codes[:]
     codes.clear()
-    got, got_history = cvqvae.train_arrays(*args, cfg)
+    got, got_history = train_arrays(*args, cfg)
     assert len(codes) == len(want_codes) == 10 * 4  # 30 records in batches of 8
     for i, (a, b) in enumerate(zip(codes, want_codes)):
         assert np.array_equal(a, b), f"batch {i}"
@@ -599,7 +599,7 @@ def test_learning_rate_zero_leaves_the_drawn_weights(arrays):
     inputs, masks, cls, inter = arrays()
     cfg = cvqvae.TrainConfig(hidden=(16,), latent_dim=4, codebook_size=4, epochs=2, batch_size=8,
                              learning_rate=0.0, seed=5)
-    params, _ = cvqvae.train_arrays(inputs, masks, cls, inter, cfg)
+    params, _ = train_arrays(inputs, masks, cls, inter, cfg)
     shift, scale = cvqvae.fit_standardization(inputs, masks)
     drawn = cvqvae.init_params(cfg, np.random.default_rng(cfg.seed), n_slots=inputs.shape[1],
                                n_features=inputs.shape[2], t_obs=inputs.shape[3],
@@ -617,7 +617,7 @@ def test_columns_of_never_present_cells_keep_their_drawn_weights():
     masks[:, 0, :10] = False
     masks[:, 1, :30] = False
     cfg = cvqvae.TrainConfig(hidden=(32,), latent_dim=8, codebook_size=4, epochs=3, batch_size=8, seed=5)
-    params, _ = cvqvae.train_arrays(inputs, masks, cls, inter, cfg)
+    params, _ = train_arrays(inputs, masks, cls, inter, cfg)
     shift, scale = cvqvae.fit_standardization(inputs, masks)
     drawn = cvqvae.init_params(cfg, np.random.default_rng(cfg.seed), feature_shift=shift, feature_scale=scale)
     never = ~np.broadcast_to(masks.any(axis=0)[:, None, :], inputs.shape[1:]).reshape(-1)

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -329,18 +330,37 @@ def test_array_list_that_is_not_names_and_shapes_is_refused(tmp_path, arrays):
     write_blocks(path, {"format": "f"}, [("a", np.zeros(3))], DatasetFormatError)
     path.write_bytes(edit_header(lambda h: h.update(arrays=arrays))(path.read_bytes()))
     with pytest.raises(DatasetFormatError, match="blocks.bin: array list does not match the x header"):
-        read_blocks(path, "f", "x", lambda header: (None, [("a", np.zeros(3))]), DatasetFormatError)
+        read_blocks(path, "f", "x", lambda header: (None, [("a", (3,), np.float64)]), DatasetFormatError)
 
 
-def test_memory_error_of_layout_is_the_kinds_error(tmp_path):
+@pytest.mark.parametrize("shape, error", [([-1], "ValueError"), ([1.5], "TypeError"), ([3], "MemoryError")],
+                         ids=["negative", "fractional", "memory"])
+def test_block_that_cannot_be_allocated_is_an_invalid_header(tmp_path, monkeypatch, shape, error):
+    # The layout names the shape the header gives; read_blocks allocates it.
     path = tmp_path / "blocks.bin"
     write_blocks(path, {"format": "f"}, [("a", np.zeros(3))], DatasetFormatError)
+    path.write_bytes(edit_header(lambda h: h.update(arrays=[["a", shape]]))(path.read_bytes()))
+    if error == "MemoryError":
+        def empty(shape, dtype):
+            raise MemoryError("Unable to allocate 4.4 TiB")
 
-    def layout(header):
-        raise MemoryError("Unable to allocate 4.4 TiB")
+        monkeypatch.setattr(np, "empty", empty)
+    with pytest.raises(DatasetFormatError, match=rf"blocks.bin: invalid x header \({error}"):
+        read_blocks(path, "f", "x", lambda header: (None, [("a", tuple(shape), np.float64)]), DatasetFormatError)
 
-    with pytest.raises(DatasetFormatError, match=r"blocks.bin: invalid x header \(MemoryError"):
-        read_blocks(path, "f", "x", layout, DatasetFormatError)
+
+def test_header_read_allocates_no_block(tmp_path):
+    # The 90 archetype records' blocks take 4.4 MiB, their header 18 kB.
+    path = tmp_path / "ds.jsonl"
+    write_dataset(corpus.build_archetype_corpus(30, 1, dgsfm.DgsfmConfig()), path, dt=0.04)
+    read_dataset_header(path)  # leaves no first call's import or cache to the traced one
+    tracemalloc.start()
+    try:
+        entries, _ = read_dataset_header(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(entries) == 90 and peak < 0.5 * 2**20
 
 
 def test_dataset_write_is_deterministic(records, tmp_path):
