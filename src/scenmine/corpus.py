@@ -85,24 +85,16 @@ def build_archetype_corpus(n_per_class: int, seed: int, dgsfm_cfg: dgsfm.DgsfmCo
         values, mask = dataset.tensor[i], dataset.mask[i]
         # Positions are stored relative to the ego at the anchor frame.
         origin = x[ANCHOR_INDEX]
-        values[0] = np.stack([x - origin, y, vx, vy, ax, ay])
+        values[0] = x - origin, y, vx, vy, ax, ay
         mask[0] = True
 
-        # Close, relevant neighbor: a lead vehicle ~25 m ahead.
+        # Close, relevant neighbor: a lead vehicle ~25 m ahead, at constant
+        # velocity, so its vy, ax and ay rows stay zero.
         gap = 25.0 + rng.normal(0.0, 2.0)
         lead_v = vx[0] + rng.normal(0.0, 1.0)
-        lead_x = x[0] + gap + lead_v * dt * np.arange(T_OBS)
-        lead_y = np.zeros(T_OBS) + rng.normal(0.0, 0.3)
-        values[1] = np.stack(
-            [
-                lead_x - origin,
-                lead_y,
-                np.full(T_OBS, lead_v),
-                np.zeros(T_OBS),
-                np.zeros(T_OBS),
-                np.zeros(T_OBS),
-            ]
-        )
+        values[1, 0] = x[0] + gap + lead_v * dt * np.arange(T_OBS) - origin
+        values[1, 1] = rng.normal(0.0, 0.3)
+        values[1, 2] = lead_v
         mask[1] = True
 
         # Nuisance: distant constant-velocity vehicles with high
@@ -110,19 +102,10 @@ def build_archetype_corpus(n_per_class: int, seed: int, dgsfm_cfg: dgsfm.DgsfmCo
         for slot in range(2, 2 + N_NUISANCE):
             sign = -1.0 if rng.random() < 0.5 else 1.0
             offset = sign * rng.uniform(90.0, 160.0)
-            lane_y = rng.choice((-3.75, 0.0, 3.75))
+            values[slot, 1] = rng.choice((-3.75, 0.0, 3.75))
             nv = rng.uniform(20.0, 30.0)
-            nx = x[0] + offset + nv * dt * np.arange(T_OBS)
-            values[slot] = np.stack(
-                [
-                    nx - origin,
-                    np.full(T_OBS, lane_y),
-                    np.full(T_OBS, nv),
-                    np.zeros(T_OBS),
-                    np.zeros(T_OBS),
-                    np.zeros(T_OBS),
-                ]
-            )
+            values[slot, 0] = x[0] + offset + nv * dt * np.arange(T_OBS) - origin
+            values[slot, 2] = nv
             mask[slot] = True
 
         positions = np.stack([values[:, 0, :] + origin, values[:, 1, :]], axis=-1)

@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import dgsfm
-from .types import FEATURE_NAMES, N_SLOTS, T_OBS, ChangePoint, Dataset, LatState, Trajectory, record_entry
+from .types import N_SLOTS, T_OBS, ChangePoint, Dataset, LatState, Trajectory, record_entry
 
 
 class AugmentationError(Exception):
@@ -36,11 +36,6 @@ class ExtractionConfig:
             raise ValueError("tensor window must lie inside the extraction window")
         if not self.neighbor_radius > 0:
             raise ValueError(f"neighbor_radius must be positive, got {self.neighbor_radius}")
-
-
-def _slice_columns(traj: Trajectory, start_frame: int, length: int) -> dict[str, np.ndarray]:
-    offset = start_frame - traj.first_frame
-    return {name: getattr(traj, name)[offset : offset + length] for name in FEATURE_NAMES}
 
 
 def extract(
@@ -74,8 +69,7 @@ def extract(
         t_c = cp.t_c
         t0 = t_c + cfg.tensor_offset
         window = range(t0, t0 + T_OBS)
-        anchor_x = ego.x[t_c - ego.first_frame]
-        anchor_y = ego.y[t_c - ego.first_frame]
+        anchor_x, anchor_y = ego.features[:2, t_c - ego.first_frame]
 
         # Rank other vehicles by distance at the anchor; vehicles not
         # sampled at t_c use their sample closest to the anchor.
@@ -86,7 +80,7 @@ def extract(
             if other.last_frame < window.start or other.first_frame > window.stop - 1:
                 continue
             ref = min(max(t_c, other.first_frame), other.last_frame) - other.first_frame
-            dist = math.hypot(other.x[ref] - anchor_x, other.y[ref] - anchor_y)
+            dist = math.hypot(other.features[0, ref] - anchor_x, other.features[1, ref] - anchor_y)
             if dist <= cfg.neighbor_radius:
                 candidates.append((dist, other.vehicle_id, other))
         candidates.sort(key=lambda c: (c[0], c[1]))
@@ -99,17 +93,14 @@ def extract(
         def fill(slot: int, traj: Trajectory) -> None:
             lo = max(window.start, traj.first_frame)
             hi = min(window.stop - 1, traj.last_frame)
-            cols = _slice_columns(traj, lo, hi - lo + 1)
+            feats = traj.features[:, lo - traj.first_frame:hi - traj.first_frame + 1]
             sl = slice(lo - window.start, hi - window.start + 1)
-            for f, name in enumerate(FEATURE_NAMES):
-                values[slot, f, sl] = cols[name]
+            values[slot, :, sl] = feats
             values[slot, 0, sl] -= anchor_x
             values[slot, 1, sl] -= anchor_y
             mask[slot, sl] = True
-            positions[slot, sl, 0] = cols["x"]
-            positions[slot, sl, 1] = cols["y"]
-            velocities[slot, sl, 0] = cols["vx"]
-            velocities[slot, sl, 1] = cols["vy"]
+            positions[slot, sl] = feats[:2].T
+            velocities[slot, sl] = feats[2:4].T
 
         fill(0, ego)
         for slot, nb in enumerate(neighbors, start=1):
@@ -173,17 +164,14 @@ def augment_irrelevant(
     start = starts[int(rng.integers(len(starts)))]
     slot = 1 + int(np.flatnonzero(~mask[1:].any(axis=1))[0])
 
-    cols = _slice_columns(donor, donor.first_frame + start, T_OBS)
-    ego_x = tensor[0, 0, :]
+    values = tensor.copy()
+    values[slot] = donor.features[:, start:start + T_OBS]
     # Shift the donor ahead of the ego along x so the gap clears min_gap at
     # every frame (y offset 0: distance is dominated by x).
-    x_offset = float(np.max(ego_x - cols["x"])) + min_gap + 1.0
-    y_offset = float(-cols["y"][0])
+    x_offset = float(np.max(values[0, 0] - values[slot, 0])) + min_gap + 1.0
+    y_offset = float(-values[slot, 1, 0])
 
-    values = tensor.copy()
     new_mask = mask.copy()
-    for f, name in enumerate(FEATURE_NAMES):
-        values[slot, f, :] = cols[name]
     values[slot, 0, :] += x_offset
     values[slot, 1, :] += y_offset
     new_mask[slot, :] = True

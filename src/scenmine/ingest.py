@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import operator
 import re
 import warnings
@@ -65,8 +66,9 @@ class RecordingMeta:
     lane_directions: dict[int, int] = field(default_factory=dict)  # lane_id -> +1 / -1
 
     def __post_init__(self):
-        if not 0.0 < self.frame_rate < float("inf"):
-            raise ValueError(f"frame_rate must be positive and finite, got {self.frame_rate}")
+        if not (0.0 < self.frame_rate < float("inf") and math.isfinite(1.0 / self.frame_rate)):
+            raise ValueError(f"frame_rate must be positive and finite with a finite reciprocal, "
+                             f"got {self.frame_rate}")
         if self.lanes_per_direction < 1:
             raise ValueError("lanes_per_direction must be >= 1")
         if any(d not in (1, -1) for d in self.lane_directions.values()):
@@ -109,13 +111,16 @@ def parse_tracks(stream: TextIO | io.IOBase, meta: RecordingMeta) -> list[Trajec
         line_no = reader.line_num + len(lines) - operator.length_hint(unread)
         raise ParseError(f"line {line_no}: malformed row ({exc})") from exc
     rows = rows[np.lexsort((rows["frame"], rows["id"]))]  # stable: by vehicle, then frame
-    vids, frames, lanes = rows["id"], rows["frame"], rows["laneId"]
-    feats = rows["features"].T  # one row per feature
+    vids, frames = rows["id"], rows["frame"]
+    # One contiguous copy each, which the trajectories slice.
+    feats, lanes = np.ascontiguousarray(rows["features"].T), np.ascontiguousarray(rows["laneId"])
 
     same_vehicle = vids[1:] == vids[:-1]
     gaps = np.flatnonzero(same_vehicle & (frames[1:] != frames[:-1] + 1))
     if gaps.size:
         i = gaps[0]
+        if frames[i] == frames[i + 1]:
+            raise IntegrityError(f"vehicle {vids[i]}: repeated frame {frames[i]}")
         raise IntegrityError(
             f"vehicle {vids[i]}: gap in frame sequence between "
             f"{frames[i]} and {frames[i + 1]}"
@@ -139,7 +144,7 @@ def parse_tracks(stream: TextIO | io.IOBase, meta: RecordingMeta) -> list[Trajec
             recording_id=meta.recording_id,
             dt=meta.dt,
             first_frame=int(frames[lo]),
-            **{name: col[lo:hi] for name, col in zip(FEATURE_NAMES, feats)},
+            features=feats[:, lo:hi],
             lane_id=lanes[lo:hi],
         )
         for lo, hi in zip(starts.tolist(), ends.tolist())
@@ -154,7 +159,7 @@ def normalize_direction(traj: Trajectory, meta: RecordingMeta) -> Trajectory:
         raise IntegrityError(f"vehicle {traj.vehicle_id}: unknown lane id {lane}")
     if direction > 0:
         return traj
-    return replace(traj, **{name: -getattr(traj, name) for name in FEATURE_NAMES})
+    return replace(traj, features=-traj.features)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +284,7 @@ def generate_synthetic(
 
         vid = script.vehicle_id if script.vehicle_id is not None else idx + 1
         trajectories.append(
-            Trajectory(vid, recording_id, dt, 0, x, y, vx, vy, ax, ay,
+            Trajectory(vid, recording_id, dt, 0, np.stack([x, y, vx, vy, ax, ay]),
                        lane_id=np.full(n, script.initial_lane))
         )
 
@@ -303,9 +308,8 @@ def write_tracks_csv(trajectories: Sequence[Trajectory], path) -> None:
         fh.write(",".join(REQUIRED_COLUMNS) + "\r\n")
         for traj in trajectories:
             row = f"%d,{traj.vehicle_id},%r,%r,%r,%r,%r,%r,%d\r\n"
-            columns = (getattr(traj, name).tolist() for name in FEATURE_NAMES)
             frames = range(traj.first_frame, traj.last_frame + 1)
-            fh.write("".join(map(row.__mod__, zip(frames, *columns, traj.lane_id.tolist()))))
+            fh.write("".join(map(row.__mod__, zip(frames, *traj.features.tolist(), traj.lane_id.tolist()))))
 
 
 def write_tracks_bin(trajectories: Sequence[Trajectory], digest: str, path) -> None:
@@ -317,8 +321,7 @@ def write_tracks_bin(trajectories: Sequence[Trajectory], digest: str, path) -> N
     rejects, raises DatasetFormatError."""
     vids = [t.vehicle_id for t in trajectories]
     if vids == sorted(set(vids)):
-        feats = np.array([np.concatenate([getattr(t, name) for t in trajectories] + [np.empty(0)])
-                          for name in FEATURE_NAMES])
+        feats = np.concatenate([t.features for t in trajectories] + [np.empty((len(FEATURE_NAMES), 0))], axis=1)
         lanes = np.concatenate([t.lane_id for t in trajectories] + [np.empty(0, np.int64)])
         entries = [[t.vehicle_id, t.first_frame, len(t)] for t in trajectories]
         write_blocks(path, {"format": TRACKS_FORMAT_VERSION, "sha256": digest, "trajectories": entries},
@@ -349,7 +352,7 @@ def read_tracks_bin(path, digest: str, meta: RecordingMeta) -> Optional[list[Tra
     except _Stale:
         return None
     ends = np.cumsum([n for _, _, n in entries], dtype=np.int64).tolist()
-    return [Trajectory(vid, meta.recording_id, meta.dt, first, *feats[:, end - n:end], lanes[end - n:end])
+    return [Trajectory(vid, meta.recording_id, meta.dt, first, feats[:, end - n:end], lanes[end - n:end])
             for (vid, first, n), end in zip(entries, ends)]
 
 

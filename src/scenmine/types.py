@@ -1,6 +1,7 @@
 """Shared data model and artifact containers: trajectories as frozen
-columns, behavior labels and change points, and a dataset as the header
-entries and (M, N, F, T), (M, N, T) and (M, N, T) blocks its file holds.
+(F, n) feature blocks, behavior labels and change points, and a dataset as
+the header entries and (M, N, F, T), (M, N, T) and (M, N, T) blocks its
+file holds.
 """
 from __future__ import annotations
 
@@ -95,46 +96,47 @@ def integral(value) -> int:
     return int(value)
 
 
-def _frozen(arr: np.ndarray, dtype) -> np.ndarray:
-    out = np.ascontiguousarray(arr, dtype=dtype)
+def _frozen(arr, dtype) -> np.ndarray:
+    """``arr`` as a read-only array of ``dtype``: a view where it already
+    is one, so slices of one block stay slices of it."""
+    out = np.asarray(arr, dtype=dtype)
     out.setflags(write=False)
     return out
 
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Gap-free, constant-dt trajectory of one vehicle as frozen columns.
+    """Gap-free, constant-dt trajectory of one vehicle.
 
-    Sample i is frame ``first_frame + i``. The feature columns are float64,
-    ``lane_id`` is int64; all are read-only and of equal length.
+    Sample i is frame ``first_frame + i``. ``features`` is its motion as
+    ``tracks.bin`` and a record's slot hold it: a read-only float64
+    ``(len(FEATURE_NAMES), n)`` block, one row per feature, which
+    ``traj.x`` ... ``traj.ay`` read as row views. ``lane_id`` is the
+    read-only int64 lane of each of the n samples.
     """
 
     vehicle_id: int
     recording_id: str
     dt: float
     first_frame: int
-    x: np.ndarray
-    y: np.ndarray
-    vx: np.ndarray
-    vy: np.ndarray
-    ax: np.ndarray
-    ay: np.ndarray
+    features: np.ndarray
     lane_id: np.ndarray
 
+    x, y, vx, vy, ax, ay = (property(lambda self, f=f: self.features[f]) for f in range(len(FEATURE_NAMES)))
+
     def __post_init__(self):
-        for name in FEATURE_NAMES:
-            object.__setattr__(self, name, _frozen(getattr(self, name), np.float64))
+        object.__setattr__(self, "features", _frozen(self.features, np.float64))
         object.__setattr__(self, "lane_id", _frozen(self.lane_id, np.int64))
-        lengths = {getattr(self, name).shape for name in FEATURE_NAMES + ("lane_id",)}
-        if len(lengths) != 1 or len(next(iter(lengths))) != 1:
-            raise ValueError(f"vehicle {self.vehicle_id}: columns must be 1-d and of equal length")
+        if self.lane_id.ndim != 1 or self.features.shape != (len(FEATURE_NAMES), len(self.lane_id)):
+            raise ValueError(f"vehicle {self.vehicle_id}: features of shape {self.features.shape} do not "
+                             f"match lane ids of shape {self.lane_id.shape}")
         if len(self) < 1:
             raise ValueError("trajectory must contain at least one point")
         if self.first_frame < 0:
             raise ValueError("frame indices must be non-negative")
 
     def __len__(self) -> int:
-        return len(self.x)
+        return len(self.lane_id)
 
     @property
     def last_frame(self) -> int:

@@ -39,24 +39,20 @@ def make_traj(
         recording_id=recording_id,
         dt=dt,
         first_frame=first_frame,
-        x=x,
-        y=y,
-        vx=vx,
-        vy=vy,
-        ax=ax,
-        ay=ay,
+        features=np.stack([x, y, vx, vy, ax, ay]),
         lane_id=np.full(n, lane_id),
     )
 
 
 def assert_same_trajectories(a, b):
     """Bit-for-bit equality of two trajectory lists: order, vehicle ids,
-    recording ids, dt, first frames, and every column's dtype and bits."""
+    recording ids, dt, first frames, and the dtype, shape and bits of the
+    feature block and the lane ids."""
     assert len(a) == len(b)
     for ta, tb in zip(a, b):
         assert (ta.vehicle_id, ta.recording_id, ta.dt, ta.first_frame) == (
             tb.vehicle_id, tb.recording_id, tb.dt, tb.first_frame)
-        for name in FEATURE_NAMES + ("lane_id",):
+        for name in ("features", "lane_id"):
             x, y = getattr(ta, name), getattr(tb, name)
             assert x.dtype == y.dtype and np.array_equal(x.view(np.int64), y.view(np.int64)), name
 
@@ -256,7 +252,7 @@ def parse_tracks_v1(stream, meta) -> list[Trajectory]:
             recording_id=meta.recording_id,
             dt=meta.dt,
             first_frame=int(frames[lo]),
-            **{name: col[lo:hi] for name, col in zip(FEATURE_NAMES, feats)},
+            features=feats[:, lo:hi],
             lane_id=lanes[lo:hi],
         )
         for lo, hi in zip(starts.tolist(), ends.tolist())

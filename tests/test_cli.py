@@ -498,6 +498,8 @@ BAD_INPUTS = [
                  4, "input error", id="meta-frame-rate-bool"),
     pytest.param("", INGEST, ("meta.json", lambda b: b.replace(b'"frame_rate": 25.0', b'"frame_rate": "25"')),
                  4, "input error", id="meta-frame-rate-string"),
+    pytest.param("", INGEST, ("meta.json", lambda b: b.replace(b'"frame_rate": 25.0', b'"frame_rate": 1e-320')),
+                 4, "input error", id="meta-frame-rate-subnormal"),
     pytest.param("", INGEST, ("meta.json", lambda b: b.replace(b'"1":', b'"a":')), 4, "input error",
                  id="meta-lane-key"),
     pytest.param("", INGEST, ("tracks.csv", _set_field(1, 2, b"\xff")), 4, "input error", id="tracks-not-utf8"),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from scenmine import ingest
-from scenmine.types import FEATURE_NAMES, DatasetFormatError, LatState, LongState
+from scenmine.types import DatasetFormatError, LatState, LongState
 
 from conftest import assert_same_trajectories, make_traj
 
@@ -41,6 +41,12 @@ def test_parse_frame_gap_is_integrity_error():
         ingest.parse_tracks(stream, meta())
 
 
+def test_parse_repeated_frame_is_named():
+    stream = io.StringIO(HEADER + row(1, 7) + row(1, 8) + row(2, 8) + row(2, 8, x=1.0) + row(3, 8))
+    with pytest.raises(ingest.IntegrityError, match="^vehicle 8: repeated frame 2$"):
+        ingest.parse_tracks(stream, meta())
+
+
 def test_parse_interleaved_vehicles():
     lines = [row(1, 1), row(1, 2), row(2, 2), row(2, 1), row(3, 1), row(3, 2)]
     trajs = ingest.parse_tracks(io.StringIO(HEADER + "".join(lines)), meta())
@@ -71,10 +77,14 @@ def test_trajectory_columns_are_frozen_and_checked():
     assert traj.x.dtype == np.float64 and traj.lane_id.dtype == np.int64
     with pytest.raises(ValueError):
         traj.vx[0] = 0.0
-    with pytest.raises(ValueError, match="equal length"):
-        replace(traj, ay=np.zeros(4))
+    with pytest.raises(ValueError, match="do not match"):
+        replace(traj, features=np.zeros((6, 4)))
+    with pytest.raises(ValueError, match="do not match"):
+        replace(traj, features=np.zeros((5, 5)))
+    with pytest.raises(ValueError, match="do not match"):
+        replace(traj, lane_id=np.zeros((1, 5)))
     with pytest.raises(ValueError, match="at least one"):
-        replace(traj, **{name: np.zeros(0) for name in FEATURE_NAMES}, lane_id=np.zeros(0))
+        replace(traj, features=np.zeros((6, 0)), lane_id=np.zeros(0))
     with pytest.raises(ValueError, match="non-negative"):
         replace(traj, first_frame=-1)
 
@@ -259,6 +269,23 @@ def test_tracks_memo_refuses_a_non_finite_feature(tmp_path):
     with pytest.raises(DatasetFormatError, match="non-finite value in array features"):
         ingest.write_tracks_bin(trajs, "0" * 64, path)
     assert not path.exists()
+
+
+def test_tracks_readers_hand_out_contiguous_rows_of_one_block(tmp_path):
+    scripts = [cruise_script(noise_sigma_accel=0.1, vehicle_id=vid) for vid in (3, 5, 8)]
+    trajs, _ = ingest.generate_synthetic(scripts, 0.04, seed=9, recording_id="r1")
+    ingest.write_tracks_csv(trajs, tmp_path / "tracks.csv")
+    ingest.write_tracks_bin(trajs, "0" * 64, tmp_path / "tracks.bin")
+    parsed = ingest.read_tracks_csv(tmp_path / "tracks.csv", meta())
+    memo = ingest.read_tracks_bin(tmp_path / "tracks.bin", "0" * 64, meta())
+    assert_same_trajectories(memo, parsed)
+    # A memo read slices the block it read, copying nothing.
+    block = memo[0].features.base
+    assert block.shape == (6, sum(map(len, memo)))
+    assert all(np.shares_memory(t.features, block) for t in memo)
+    for traj in parsed + memo:
+        assert all(row.flags.c_contiguous for row in traj.features) and traj.lane_id.flags.c_contiguous
+        assert np.shares_memory(traj.ay, traj.features)  # a named row is a view
 
 
 @pytest.mark.parametrize("value, lanes", [(3, 3), (3.0, 3), (3.7, None), (True, None), ("3", None)])

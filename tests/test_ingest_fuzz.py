@@ -212,10 +212,10 @@ def trajectories(draw, floats=st.floats(width=64)) -> list:
     out = []
     for vid in draw(st.lists(st.integers(-2**63, 2**63 - 1), max_size=3, unique=True)):
         n = draw(st.integers(1, 5))
-        columns = {name: draw(st.lists(floats, min_size=n, max_size=n)) for name in FEATURE_NAMES}
+        features = [draw(st.lists(floats, min_size=n, max_size=n)) for _ in FEATURE_NAMES]
         out.append(ingest.Trajectory(
             vehicle_id=vid, recording_id="fuzz", dt=META.dt, first_frame=draw(st.integers(0, 10**6)),
-            lane_id=draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n)), **columns))
+            lane_id=draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n)), features=features))
     return out
 
 

@@ -455,7 +455,7 @@ def test_generate_synthetic_matches_loop(scripts, dt, seed):
 @settings(max_examples=200, deadline=None)
 def test_donor_segment_starts_match_loop(ay, lanes, length, max_abs_ay):
     lane = np.resize(np.repeat(*zip(*lanes)), len(ay))
-    donor = Trajectory(1, "d", 0.04, 0, *np.zeros((4, len(ay))), np.zeros(len(ay)), ay, lane_id=lane)
+    donor = Trajectory(1, "d", 0.04, 0, np.vstack([np.zeros((5, len(ay))), ay]), lane_id=lane)
     assert extraction._donor_segment_starts(donor, length, max_abs_ay) == donor_segment_starts_loop(
         donor, length, max_abs_ay)
 
