@@ -131,10 +131,11 @@ def cmd_ingest(cfg: Config, workdir: Path, tracks: str, meta: str) -> None:
 
 
 def _write_tracks(trajs: list, workdir: Path) -> str:
-    """Writes tracks.csv and its memo tracks.bin; returns tracks.csv's 12-hex hash."""
-    ingest.write_tracks_csv(trajs, workdir / "tracks.csv")
+    """Writes tracks.csv and its memo tracks.bin, which holds the trajectories
+    as the file reads back; returns tracks.csv's 12-hex hash."""
+    written = ingest.write_tracks_csv(trajs, workdir / "tracks.csv")
     digest = hashlib.sha256((workdir / "tracks.csv").read_bytes()).hexdigest()
-    ingest.write_tracks_bin(trajs, digest, workdir / "tracks.bin")
+    ingest.write_tracks_bin(written, digest, workdir / "tracks.bin")
     return digest[:12]
 
 

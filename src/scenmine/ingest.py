@@ -31,6 +31,11 @@ from .types import (
 
 LANE_WIDTH_M = 3.75  # standard German highway lane
 TRACKS_FORMAT_VERSION = "scenmine-tracks-v1"  # tracks.bin, the memo of a tracks.csv
+# tracks.csv holds each feature in fixed decimals: micrometres (per second,
+# per second squared), finer than any drone measurement. highD publishes two.
+TRACKS_DECIMALS = 6
+_FLOAT_TEXT = f"%.{TRACKS_DECIMALS}f"
+_FEATURE_FIELDS = ",".join([_FLOAT_TEXT] * len(FEATURE_NAMES))
 
 REQUIRED_COLUMNS = (
     "frame",
@@ -301,15 +306,33 @@ def generate_synthetic(
 # Trajectory persistence (highD-layout CSV + meta JSON)
 # ---------------------------------------------------------------------------
 
-def write_tracks_csv(trajectories: Sequence[Trajectory], path) -> None:
+def _round_to_text(features: np.ndarray) -> np.ndarray:
+    """``features`` rounded to TRACKS_DECIMALS decimals, as values whose
+    text at that many decimals reads back as the same bits. Below 2**31 in
+    magnitude ``np.round`` gives the double nearest a decimal of that many
+    places, well inside half a unit of its last place; it overflows to inf
+    past ~1e302, so larger values go through the text itself."""
+    with np.errstate(over="ignore"):
+        out = np.round(features, TRACKS_DECIMALS)
+    large = np.abs(features) >= 2**31
+    if large.any():
+        out[large] = [float(_FLOAT_TEXT % v) for v in features[large].tolist()]
+    return out
+
+
+def write_tracks_csv(trajectories: Sequence[Trajectory], path) -> list[Trajectory]:
     """Writes the trajectories as a highD-layout CSV: one row per frame,
-    floats as their ``repr``, CRLF line ends."""
+    features at TRACKS_DECIMALS fixed decimals, CRLF line ends. Returns them
+    with their features rounded to the values the file reads back as, bit
+    for bit, so rounding them again changes nothing."""
+    rounded = [replace(t, features=_round_to_text(t.features)) for t in trajectories]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(REQUIRED_COLUMNS) + "\r\n")
-        for traj in trajectories:
-            row = f"%d,{traj.vehicle_id},%r,%r,%r,%r,%r,%r,%d\r\n"
+        for traj in rounded:
+            row = f"%d,{traj.vehicle_id},{_FEATURE_FIELDS},%d\r\n"
             frames = range(traj.first_frame, traj.last_frame + 1)
             fh.write("".join(map(row.__mod__, zip(frames, *traj.features.tolist(), traj.lane_id.tolist()))))
+    return rounded
 
 
 def write_tracks_bin(trajectories: Sequence[Trajectory], digest: str, path) -> None:

@@ -97,9 +97,10 @@ def integral(value) -> int:
 
 
 def _frozen(arr, dtype) -> np.ndarray:
-    """``arr`` as a read-only array of ``dtype``: a view where it already
-    is one, so slices of one block stay slices of it."""
-    out = np.asarray(arr, dtype=dtype)
+    """A read-only view of ``arr`` as ``dtype``, copied only where it is not
+    of that dtype, so slices of one block stay slices of it. ``arr`` itself
+    stays writeable."""
+    out = np.asarray(arr, dtype=dtype).view()
     out.setflags(write=False)
     return out
 

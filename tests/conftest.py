@@ -261,13 +261,14 @@ def parse_tracks_v1(stream, meta) -> list[Trajectory]:
 
 def encode_tracks_v1(trajectories) -> bytes:
     """The bytes the ``csv.writer`` writer of ``tracks.csv`` wrote for
-    ``trajectories``. Kept as the oracle of ``ingest.write_tracks_csv``."""
+    ``trajectories``, with the features at six fixed decimals in place of
+    their ``repr``. Kept as the oracle of ``ingest.write_tracks_csv``."""
     out = io.StringIO(newline="")
     writer = csv.writer(out)
     writer.writerow(REQUIRED_COLUMNS)
     for traj in trajectories:
         frames = range(traj.first_frame, traj.last_frame + 1)
-        floats = [map(repr, getattr(traj, name).tolist()) for name in FEATURE_NAMES]
+        floats = [map("{:.6f}".format, getattr(traj, name).tolist()) for name in FEATURE_NAMES]
         writer.writerows(
             (frame, traj.vehicle_id, *row, lane)
             for frame, *row, lane in zip(frames, *floats, traj.lane_id.tolist())

@@ -10,6 +10,7 @@ import sys
 import tempfile
 import tracemalloc
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -135,15 +136,15 @@ def test_pipeline_equals_stage_composition(tmp_path):
 # Recorded with BLAS on one thread: a threaded GEMM of the default model sums
 # in another order, which moves the checkpoint bytes (and nothing else).
 GOLDEN_PIPELINE_OUTPUT = """\
-[synth] kind=trajectories n=40 events=50 seed=1 tracks=82d1934a03f0
+[synth] kind=trajectories n=40 events=50 seed=1 tracks=850fe9d240ea
 [detect] method=rule events=50 changepoints=1a63e83f36e6
 [evaluate-detection] method=rule precision=1.000 recall=1.000 report=f84aa7b3f8cb
 [detect] method=ema events=92 skipped_short=0
 [evaluate-detection] method=ema precision=0.435 recall=0.800 report=7d45fab565c4
-[extract] records=50 skipped=0 filtered=0 dataset=316890acecb4
-[augment] pairs=10 seed=2 dataset=fd48db7c88bb
-[train] tag=no_dk records=50 live_slots=5 epochs=60 seed=4 lambda_cl=0.0 lambda_int=0.0 final_loss=1.099153 checkpoint=9dd0acf2bcfc
-[train] tag=dk records=50 live_slots=5 epochs=60 seed=4 lambda_cl=1.0 lambda_int=1.0 final_loss=3.820140 checkpoint=4279744fb470
+[extract] records=50 skipped=0 filtered=0 dataset=abb2edcedd54
+[augment] pairs=10 seed=2 dataset=c1468e212078
+[train] tag=no_dk records=50 live_slots=5 epochs=60 seed=4 lambda_cl=0.0 lambda_int=0.0 final_loss=1.099153 checkpoint=849373d4425f
+[train] tag=dk records=50 live_slots=5 epochs=60 seed=4 lambda_cl=1.0 lambda_int=1.0 final_loss=3.820140 checkpoint=0368f3a6c8db
 [cluster] tag=no_dk rows=180 seed=5 assignments=4016855f4088
 [evaluate-clustering] tag=no_dk backends=3 report=e4c5d78bc669
 [cluster] tag=dk rows=180 seed=5 assignments=c22e830d1681
@@ -862,27 +863,27 @@ def test_train_line_reports_live_slots(tmp_path, capsys):
 
 # --------------------------- golden data path --------------------------------
 
-# SHA-256 of the data-path artifacts of a fixed-seed run, recorded before the
-# trajectory model became columnar. Any drift in synthesis, CSV formatting,
+# SHA-256 of the data-path artifacts of a fixed-seed run, with tracks.csv at
+# six fixed decimals. Any drift in synthesis, CSV formatting,
 # detection, extraction or augmentation changes them. The two datasets are
 # digested as the JSON-lines bytes of ``scenmine-dataset-v1``, which
 # ``encode_dataset_v1`` re-creates from the datasets read back from the
 # binary files, so their values are pinned bit for bit across the format
 # change.
 GOLDEN_DATA_DIGESTS = {
-    "tracks.csv": "b728cef4b732e15b2a1605253c18cb1ed77d36b896706474947b3bb89dced136",
+    "tracks.csv": "a80e6a8592c6afa07df0b01a90fd173875acae01bddc593b68fd6123f7edae5f",
     "changepoints.csv": "6524c6fc417a433fb2712bfdf473e84ab7b9ea2d4551888838979ef5f63f4a09",
-    "dataset.jsonl": "4a549cbf67a0906fd7f122fb6acdd64802fca001a132dfa6a7a64f79a01d9894",
-    "dataset_augmented.jsonl": "7e23a1d22338fefacd10a1baa44967328b202d2ab506c0ea11713976498d4298",
+    "dataset.jsonl": "445ef39b7b7de86fe01fdc99cc32538217c4722e02d6d975288943fcd9d9ace0",
+    "dataset_augmented.jsonl": "66257bf5f256f0415cd16a246f90b48c98cf265ea643d5094311187ba5936210",
 }
 # SHA-256 of the same run's dataset files as written (``scenmine-dataset-v2``).
 GOLDEN_DATASET_V2_DIGESTS = {
-    "dataset.jsonl": "7eab90d4740a34aa0b7da70f32474c5d083fc5e3634028fc16c2628b54a358df",
-    "dataset_augmented.jsonl": "14a2531e885e34846bf5eff5f6bd00c925ea7b721e3d6a75fef8f9c3cba5704c",
+    "dataset.jsonl": "9ccb8023e7ac74ae04a4ebc8c244fb898a9ad3814037636c577847e6ac0a064b",
+    "dataset_augmented.jsonl": "b12c3189938f1bad412b647f36f122844015b5f5924a52d74616656125dd8f99",
 }
 GOLDEN_INGEST_DIGESTS = {
-    "recording/tracks.csv": "d3c9b22fa2e9aca4449cc1edbe39b307a23674c8cb754e5ef976d438c49eea83",
-    "ingested/tracks.csv": "09c59ffce3ba54dcbeb4862bc1ef7c2819d0787765dd1c2c11364d7c09d2558d",
+    "recording/tracks.csv": "49929e251ae732abed9e29bebd9085f1c06b29cb60e4ddbcbc5129f6fe3793a5",
+    "ingested/tracks.csv": "29e5caf983e079ca77011fd8412684ee52cd64d6659558d7a25a557edb96affe",
 }
 
 
@@ -955,8 +956,8 @@ GOLDEN_ARCHETYPE_DIGESTS = {
     "pairs.csv": "adfef0c8a0e5f8f4db625177039f258f9f382d5d74d9fd68f93303b28c3d1fa0",
 }
 GOLDEN_INGEST_DATASET_DIGESTS = {
-    "dataset.jsonl": "1b2626f1317b6369d7cda1114f1b329b10cfc211cd0da82544a27130f11ef865",
-    "dataset_augmented.jsonl": "a86a341b1dadf67165780bd5ac0a31f1cd9abb878bb6d6d4d765fe6fdc3ddcfd",
+    "dataset.jsonl": "fdafc21bd61c54b3ac93329a644c94f54f41486e87686aa89a63b3049386e8b2",
+    "dataset_augmented.jsonl": "73f0ad7fcbd0eeef03a35f34ab3f24dabd1a69a336845d3181ce4b145cd600a3",
     "pairs.csv": "06606c1215efe1b5dd3920df068fe758f90332910523edbb1e4828f2fdfc18f2",
 }
 
@@ -993,6 +994,30 @@ def test_tracks_memo_of_reversed_lane_ingest_equals_parse(tmp_path):
     assert cli.main(["--workdir", str(wd), "ingest", "--tracks", str(rec / "tracks.csv"),
                      "--meta", str(rec / "meta.json")]) == 0
     assert_same_trajectories(load_from_memo(wd), parse_workdir(wd))
+
+
+def test_ingest_of_synth_tracks_rewrites_the_same_bytes(tmp_path, capsys):
+    # tracks.csv holds the values its text parses back to, so `ingest` of
+    # synth's file under synth's all-+x meta.json writes the same bytes. So
+    # does `ingest` of a copy with every lane driving -x, which it flips back.
+    wd = tmp_path / "wd"
+    assert cli.main(["--workdir", str(wd), "synth"]) == 0
+    tracks = re.search(r" tracks=([0-9a-f]{12})\n", capsys.readouterr().out).group(1)
+    meta = ingest.read_meta_json(wd / "meta.json")
+    assert set(meta.lane_directions.values()) == {1}
+    reversed_meta = replace(meta, lane_directions=dict.fromkeys(meta.lane_directions, -1))
+    rev = tmp_path / "reversed"
+    rev.mkdir()
+    ingest.write_tracks_csv([ingest.normalize_direction(t, reversed_meta) for t in parse_workdir(wd)],
+                            rev / "tracks.csv")
+    ingest.write_meta_json(reversed_meta, rev / "meta.json")
+    assert (rev / "tracks.csv").read_bytes() != (wd / "tracks.csv").read_bytes()
+    for source in (wd, rev):
+        out = tmp_path / f"ingested-{source.name}"
+        assert cli.main(["--workdir", str(out), "ingest", "--tracks", str(source / "tracks.csv"),
+                         "--meta", str(source / "meta.json")]) == 0
+        assert capsys.readouterr().out.endswith(f" trajectories=40 tracks={tracks}\n")
+        assert (out / "tracks.csv").read_bytes() == (wd / "tracks.csv").read_bytes()
 
 
 def test_detect_and_extract_artifacts_do_not_depend_on_the_memo(tmp_path, capsys, monkeypatch):

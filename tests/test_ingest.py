@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from scenmine import ingest
-from scenmine.types import DatasetFormatError, LatState, LongState
+from scenmine.types import DatasetFormatError, LatState, LongState, Trajectory
 
 from conftest import assert_same_trajectories, make_traj
 
@@ -87,6 +87,14 @@ def test_trajectory_columns_are_frozen_and_checked():
         replace(traj, features=np.zeros((6, 0)), lane_id=np.zeros(0))
     with pytest.raises(ValueError, match="non-negative"):
         replace(traj, first_frame=-1)
+
+
+def test_trajectory_freezes_views_not_the_callers_arrays():
+    features, lanes = np.zeros((6, 4)), np.full(4, 2)
+    traj = Trajectory(1, "r", 0.04, 0, features, lanes)
+    assert features.flags.writeable and lanes.flags.writeable
+    assert not traj.features.flags.writeable and not traj.lane_id.flags.writeable
+    assert traj.features.base is features and traj.lane_id.base is lanes  # views, not copies
 
 
 def test_parse_missing_column_rejected():
@@ -258,9 +266,9 @@ def test_tracks_csv_round_trip(tmp_path):
     scripts = [cruise_script(noise_sigma_accel=0.1, vehicle_id=3)]
     trajs, _ = ingest.generate_synthetic(scripts, 0.04, seed=9, recording_id="r1")
     path = tmp_path / "tracks.csv"
-    ingest.write_tracks_csv(trajs, path)
+    written = ingest.write_tracks_csv(trajs, path)
     loaded = ingest.read_tracks_csv(path, meta())
-    assert_same_trajectories(loaded, trajs)
+    assert_same_trajectories(loaded, written)
 
 
 def test_tracks_memo_refuses_a_non_finite_feature(tmp_path):
@@ -274,8 +282,8 @@ def test_tracks_memo_refuses_a_non_finite_feature(tmp_path):
 def test_tracks_readers_hand_out_contiguous_rows_of_one_block(tmp_path):
     scripts = [cruise_script(noise_sigma_accel=0.1, vehicle_id=vid) for vid in (3, 5, 8)]
     trajs, _ = ingest.generate_synthetic(scripts, 0.04, seed=9, recording_id="r1")
-    ingest.write_tracks_csv(trajs, tmp_path / "tracks.csv")
-    ingest.write_tracks_bin(trajs, "0" * 64, tmp_path / "tracks.bin")
+    written = ingest.write_tracks_csv(trajs, tmp_path / "tracks.csv")
+    ingest.write_tracks_bin(written, "0" * 64, tmp_path / "tracks.bin")
     parsed = ingest.read_tracks_csv(tmp_path / "tracks.csv", meta())
     memo = ingest.read_tracks_bin(tmp_path / "tracks.bin", "0" * 64, meta())
     assert_same_trajectories(memo, parsed)

@@ -223,13 +223,42 @@ def trajectories(draw, floats=st.floats(width=64)) -> list:
 @given(trajs=trajectories())
 def test_write_tracks_csv_bytes_equal_csv_module_oracle(trajs):
     path = Path(_SCRATCH.name) / "written.csv"
-    ingest.write_tracks_csv(trajs, path)
-    assert path.read_bytes() == encode_tracks_v1(trajs)
+    written = ingest.write_tracks_csv(trajs, path)
+    assert path.read_bytes() == encode_tracks_v1(written)
+
+
+FINITE = st.floats(width=64, allow_nan=False, allow_infinity=False)
+
+
+# Any finite double, plus the magnitudes where rounding to six decimals is
+# delicate: 2**30 to 2**34, where a double's spacing passes 1e-6, and values
+# half a unit of the sixth decimal off it.
+ROUNDING = st.one_of(FINITE, st.floats(2.0**30, 2.0**34), st.floats(-2.0**34, -2.0**30),
+                     st.integers(-10**12, 10**12).map(lambda k: (k + 0.5) / 1e6))
+
+
+@FUZZ
+@given(trajs=trajectories(ROUNDING))
+def test_write_tracks_csv_returns_what_the_file_reads_back(trajs):
+    # Every value, ±0.0, subnormals and ±1.8e308 among them, is rounded to a
+    # value that its six-decimal text parses back to bit for bit, within half
+    # a unit of the sixth decimal (and of the last bit). Rounding is
+    # idempotent: writing the result again writes the same bytes.
+    trajs = sorted(trajs, key=lambda t: t.vehicle_id)
+    path = Path(_SCRATCH.name) / "written.csv"
+    written = ingest.write_tracks_csv(trajs, path)
+    assert_same_trajectories(ingest.read_tracks_csv(path, META), written)
+    for before, after in zip(trajs, written):
+        assert after.vehicle_id == before.vehicle_id and np.array_equal(after.lane_id, before.lane_id)
+        with np.errstate(over="ignore"):  # the spacing of ±1.8e308 is inf
+            bound = 5e-7 + 2 * np.spacing(np.abs(before.features))
+        assert np.all(np.abs(after.features - before.features) <= bound)
+    data = path.read_bytes()
+    assert_same_trajectories(ingest.write_tracks_csv(written, path), written)
+    assert path.read_bytes() == data
 
 
 # --------------------------- tracks.bin differential ---------------------------
-
-FINITE = st.floats(width=64, allow_nan=False, allow_infinity=False)
 
 
 def _load(load):
