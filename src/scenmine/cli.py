@@ -472,7 +472,7 @@ def main(argv=None) -> int:
     except (ingest.ParseError, ingest.IntegrityError, ingest.ScriptError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 4
-    except (cvqvae.TrainingError, cvqvae.ContractError, extraction.AugmentationError) as exc:
+    except (cvqvae.TrainingError, cvqvae.ContractError, extraction.AugmentationError, MemoryError) as exc:
         print(f"run error: {exc}", file=sys.stderr)
         return 5
 

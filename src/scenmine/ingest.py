@@ -320,18 +320,80 @@ def _round_to_text(features: np.ndarray) -> np.ndarray:
     return out
 
 
+def _rows_by_template(traj: Trajectory) -> bytes:
+    """The tracks.csv rows of ``traj``, each formatted by one ``%`` template:
+    the reference for ``_rows_as_block`` and the only path for the values it
+    does not take."""
+    row = f"%d,{traj.vehicle_id},{_FEATURE_FIELDS},%d\r\n"
+    frames = range(traj.first_frame, traj.last_frame + 1)
+    return "".join(map(row.__mod__, zip(frames, *traj.features.tolist(), traj.lane_id.tolist()))).encode()
+
+
+def _digits_into(out: np.ndarray, values: np.ndarray, fixed: int) -> np.ndarray:
+    """Writes the decimal digits of the non-negative int64 ``values`` as
+    ASCII into the last axis of the uint8 ``out``, right-aligned, with NUL
+    for each leading zero left of the last ``fixed`` digits. Returns what
+    is left of ``values`` above that many digits."""
+    width = out.shape[-1]
+    for j in range(width - 1, -1, -1):
+        rest = values // 10
+        digit = values - rest * 10 + ord("0")
+        if width - j > fixed:
+            digit[values == 0] = 0
+        out[..., j] = digit
+        values = rest
+    return values
+
+
+def _rows_as_block(traj: Trajectory) -> Optional[bytes]:
+    """The bytes ``_rows_by_template`` gives for ``traj``, whose features
+    ``_round_to_text`` returned, built as one uint8 character matrix of a
+    row per frame and with NUL for the leading zeros that
+    ``bytes.translate`` then drops. None if a feature is non-finite or
+    |v| >= 2**31, a lane id is negative or a frame passes int64.
+
+    Such a feature v is the double nearest a decimal k/1e6 with k below
+    2**31 * 1e6, so v * 1e6 is within 0.12 + 0.125 of k and
+    ``rint(|v| * 1e6)`` is k: ``%.6f`` of v is its sign, then k with a
+    point before its last six digits."""
+    n = len(traj)
+    features = traj.features.T
+    magnitude = np.abs(features)
+    if not (magnitude < 2**31).all() or traj.lane_id.min() < 0 or traj.last_frame >= 2**63:
+        return None
+    micro = np.rint(magnitude * 10**TRACKS_DECIMALS).astype(np.int64)
+    int_width = len(str(int(micro.max()) // 10**TRACKS_DECIMALS))
+    field = int_width + TRACKS_DECIMALS + 3  # sign, integer digits, point, decimals, comma
+    frame_width = len(str(traj.last_frame))
+    lane_width = len(str(int(traj.lane_id.max())))
+    vid = f",{traj.vehicle_id},".encode()
+    start = frame_width + len(vid)
+    stop = start + len(FEATURE_NAMES) * field
+    block = np.empty((n, stop + lane_width + 2), np.uint8)
+    _digits_into(block[:, :frame_width], traj.first_frame + np.arange(n, dtype=np.int64), 1)
+    block[:, frame_width:start] = np.frombuffer(vid, np.uint8)
+    fields = block[:, start:stop].reshape(n, len(FEATURE_NAMES), field)
+    fields[..., 0] = np.signbit(features) * np.uint8(ord("-"))
+    integer = _digits_into(fields[..., int_width + 2:-1], micro, TRACKS_DECIMALS)
+    _digits_into(fields[..., 1:int_width + 1], integer, 1)
+    fields[..., int_width + 1] = ord(".")
+    fields[..., -1] = ord(",")
+    _digits_into(block[:, stop:-2], traj.lane_id, 1)
+    block[:, -2:] = np.frombuffer(b"\r\n", np.uint8)
+    return block.tobytes().translate(None, b"\0")
+
+
 def write_tracks_csv(trajectories: Sequence[Trajectory], path) -> list[Trajectory]:
     """Writes the trajectories as a highD-layout CSV: one row per frame,
     features at TRACKS_DECIMALS fixed decimals, CRLF line ends. Returns them
     with their features rounded to the values the file reads back as, bit
     for bit, so rounding them again changes nothing."""
     rounded = [replace(t, features=_round_to_text(t.features)) for t in trajectories]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(REQUIRED_COLUMNS) + "\r\n")
+    with open(path, "wb") as fh:
+        fh.write(",".join(REQUIRED_COLUMNS).encode() + b"\r\n")
         for traj in rounded:
-            row = f"%d,{traj.vehicle_id},{_FEATURE_FIELDS},%d\r\n"
-            frames = range(traj.first_frame, traj.last_frame + 1)
-            fh.write("".join(map(row.__mod__, zip(frames, *traj.features.tolist(), traj.lane_id.tolist()))))
+            block = _rows_as_block(traj)
+            fh.write(_rows_by_template(traj) if block is None else block)
     return rounded
 
 

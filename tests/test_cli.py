@@ -424,6 +424,9 @@ BAD_INPUTS = [
     pytest.param("train:\n  learning_rate: fast\n", ["train"], None, 2, "config error", id="rate-not-number"),
     pytest.param("train:\n  codebook_size: 0\n", ["train"], None, 2, "config error", id="codebook-size-zero"),
     pytest.param("train:\n  latent_dim: 0\n", ["train"], None, 2, "config error", id="latent-dim-zero"),
+    # A model beyond any address space: numpy refuses it before allocating.
+    pytest.param("train:\n  latent_dim: 1000000000000\n", ["train"], None, 5, "run error",
+                 id="latent-dim-beyond-memory"),
     pytest.param("train:\n  learning_rate: -0.001\n", ["train"], None, 2, "config error", id="rate-negative"),
     pytest.param("train:\n  commitment_weight: -1\n", ["train"], None, 2, "config error",
                  id="commitment-weight-negative"),

@@ -1,12 +1,13 @@
 import io
 import json
+import tracemalloc
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from scenmine import ingest
+from scenmine import cli, config, ingest
 from scenmine.types import DatasetFormatError, LatState, LongState, Trajectory
 
 from conftest import assert_same_trajectories, make_traj
@@ -269,6 +270,27 @@ def test_tracks_csv_round_trip(tmp_path):
     written = ingest.write_tracks_csv(trajs, path)
     loaded = ingest.read_tracks_csv(path, meta())
     assert_same_trajectories(loaded, written)
+
+
+def test_write_tracks_csv_peaks_within_a_mib_of_the_rounded_features(tmp_path):
+    # The default synth tracks: the writer holds the rounded features it
+    # returns and one trajectory's rows at a time. A character matrix of the
+    # whole file would add its 13 MiB.
+    cfg = config.load_config(None)
+    seed = config.stage_seed(cfg, "synth")
+    scripts = cli._make_scripts(cfg.synth.n_trajectories, cfg.synth.noise_sigma_accel, seed)
+    trajs, _ = ingest.generate_synthetic(scripts, cfg.synth.dt, seed)
+    path = tmp_path / "tracks.csv"
+    ingest.write_tracks_csv(trajs, path)  # leaves no first call's cache to the traced one
+    tracemalloc.start()
+    try:
+        written = ingest.write_tracks_csv(trajs, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    features = sum(t.features.nbytes for t in written)
+    assert features > 2**20
+    assert peak - features <= 2**20
 
 
 def test_tracks_memo_refuses_a_non_finite_feature(tmp_path):

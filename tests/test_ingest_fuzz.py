@@ -227,6 +227,60 @@ def test_write_tracks_csv_bytes_equal_csv_module_oracle(trajs):
     assert path.read_bytes() == encode_tracks_v1(written)
 
 
+# Values the character-block writer takes after rounding, |v| < 2**31: any
+# such double, ±0.0 and ±5e-7 (which round to a signed zero), decimals that
+# carry into the integer part (k + 0.9999995) and values just under 2**31.
+BLOCK_VALUES = st.one_of(
+    st.floats(-(2.0**31 - 1), 2.0**31 - 1),
+    st.sampled_from([0.0, -0.0, 5e-7, -5e-7, 4.9e-7, -4.9e-7, 0.9999995, -0.9999995]),
+    st.integers(-10**9, 10**9).map(lambda k: k + 0.9999995),
+    st.floats(2.0**31 - 2, 2.0**31 - 1), st.floats(-(2.0**31 - 1), -(2.0**31 - 2)),
+)
+
+
+@st.composite
+def block_trajectories(draw) -> list:
+    """Up to four trajectories that ``write_tracks_csv`` writes as character
+    blocks: values of BLOCK_VALUES, lane ids of one to three digits and
+    frames that often cross a power of ten."""
+    out = []
+    for vid in draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=4, unique=True)):
+        n = draw(st.integers(1, 6))
+        if n > 1 and draw(st.booleans()):
+            first = 10**draw(st.integers(1, 12)) - draw(st.integers(1, n - 1))
+        else:
+            first = draw(st.integers(0, 10**6))
+        features = [draw(st.lists(BLOCK_VALUES, min_size=n, max_size=n)) for _ in FEATURE_NAMES]
+        out.append(ingest.Trajectory(
+            vehicle_id=vid, recording_id="fuzz", dt=META.dt, first_frame=first,
+            lane_id=draw(st.lists(st.integers(0, 999), min_size=n, max_size=n)), features=features))
+    return out
+
+
+@FUZZ
+@given(trajs=block_trajectories())
+def test_block_writer_bytes_equal_csv_module_oracle(trajs):
+    path = Path(_SCRATCH.name) / "written.csv"
+    written = ingest.write_tracks_csv(trajs, path)
+    assert all(ingest._rows_as_block(t) is not None for t in written)
+    assert path.read_bytes() == encode_tracks_v1(written)
+
+
+def test_block_and_template_rows_share_one_file_in_order(tmp_path):
+    # Trajectories with a NaN, a value of 2**40, a negative lane id or a
+    # frame past int64 are written by the row template, between the
+    # character blocks of the rest.
+    nan = make_traj(ax=[0.0, np.nan, 0.5], vehicle_id=4)
+    large = make_traj(n=3, vehicle_id=6, x0=2.0**40)
+    negative_lane = make_traj(n=2, vehicle_id=8, lane_id=-3)
+    late = make_traj(n=2, vehicle_id=10, first_frame=2**63 - 1)
+    trajs = [make_traj(n=12, vehicle_id=1, first_frame=95), nan, make_traj(ax=[-0.0, -0.0, 4e-7], vehicle_id=5),
+             large, make_traj(n=4, vehicle_id=7, lane_id=123), negative_lane, make_traj(n=1, vehicle_id=9), late]
+    written = ingest.write_tracks_csv(trajs, tmp_path / "tracks.csv")
+    assert [ingest._rows_as_block(t) is None for t in written] == [False, True, False, True, False, True, False, True]
+    assert (tmp_path / "tracks.csv").read_bytes() == encode_tracks_v1(written)
+
+
 FINITE = st.floats(width=64, allow_nan=False, allow_infinity=False)
 
 
